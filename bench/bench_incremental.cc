@@ -4,7 +4,7 @@
 //   * InsertSeriesFull/n        — K single-triple inserts, each followed
 //                                 by a full RdfsClosure refixpoint (the
 //                                 pre-maintenance Database behaviour).
-//   * InsertSeriesDelta/n       — the same series through a persistent
+//   * InsertSeriesDelta/n       — the same series through one maintained
 //                                 IncrementalClosure::InsertDelta. The
 //                                 per-update time ratio at the largest n
 //                                 is the ≥10× acceptance bar.
@@ -12,6 +12,11 @@
 //                                 each.
 //   * EraseSeriesDRed/n         — the same series via EraseDelta
 //                                 (over-delete + re-derive).
+//   * MixedSeries/n             — K ops through one IncrementalClosure,
+//                                 each erasing one base triple and then
+//                                 inserting one novel fact: the
+//                                 erase/insert interleaving of a serving
+//                                 writer's commits.
 //   * IndexPatchInsert/n        — one Graph::Insert + Erase pair with
 //                                 warm permutation indexes (in-place
 //                                 patching).
@@ -105,7 +110,7 @@ void BM_InsertSeriesDelta(benchmark::State& state) {
   size_t derived = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    IncrementalClosure inc(base);  // engine build is amortized prep,
+    IncrementalClosure inc(base);  // the initial fixpoint is prep,
     state.ResumeTiming();          // the series is what we measure
     derived = 0;
     for (const Triple& t : updates) {
@@ -181,6 +186,47 @@ void BM_EraseSeriesDRed(benchmark::State& state) {
 }
 BENCHMARK(BM_EraseSeriesDRed)
     ->Arg(256)->Arg(512)->Arg(1024)->Arg(2048)
+    ->Unit(benchmark::kMillisecond);
+
+// --- Closure maintenance: interleaved erase + insert -----------------
+
+void BM_MixedSeries(benchmark::State& state) {
+  const uint32_t n = static_cast<uint32_t>(state.range(0));
+  Dictionary dict;
+  Rng rng(n);
+  Graph base = SchemaWorkload(SpecFor(n), &dict, &rng);
+  std::vector<Triple> updates = NovelFacts(base, &dict, kUpdates, n * 31);
+  size_t derived = 0;
+  size_t overdeleted = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    Graph g = base;
+    IncrementalClosure inc(g);
+    state.ResumeTiming();
+    Rng victim_rng(n * 7);
+    derived = 0;
+    overdeleted = 0;
+    for (const Triple& t : updates) {
+      Triple victim = g[victim_rng.Below(g.size())];
+      g.Erase(victim);
+      ClosureDeltaStats ds;
+      inc.EraseDelta(g, Graph({victim}), &ds);
+      overdeleted += ds.overdeleted;
+      g.Insert(t);
+      inc.InsertDelta(Graph({t}), &ds);
+      derived += ds.derived;
+    }
+    benchmark::DoNotOptimize(inc);
+  }
+  state.SetItemsProcessed(state.iterations() * kUpdates);
+  state.counters["|G|"] = static_cast<double>(base.size());
+  state.counters["derived/op"] =
+      static_cast<double>(derived) / static_cast<double>(kUpdates);
+  state.counters["overdeleted/op"] =
+      static_cast<double>(overdeleted) / static_cast<double>(kUpdates);
+}
+BENCHMARK(BM_MixedSeries)
+    ->Arg(256)->Arg(512)->Arg(1024)->Arg(2048)->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 
 // --- Graph index maintenance: patch vs rebuild -----------------------

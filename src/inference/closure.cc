@@ -56,7 +56,7 @@ class ClosureEngine {
       : trace_(trace), rules_(rules) {
     SeedClosed(closure);
     AddVocabAxioms();
-    EnqueueDelta(delta);
+    for (const Triple& t : delta) Enqueue(t, /*base=*/true);
   }
 
   void RunToFixpoint() {
@@ -117,16 +117,6 @@ class ClosureEngine {
       }
     }
   }
-
-  /// Appends further delta triples after a previous fixpoint — the
-  /// persistent-engine entry point (IncrementalClosure).
-  void EnqueueDelta(const Graph& delta) {
-    for (const Triple& t : delta) Enqueue(t, /*base=*/true);
-  }
-
-  /// All triples known so far, in derivation order (seeds first).
-  const std::vector<Triple>& worklist() const { return worklist_; }
-  size_t known_size() const { return worklist_.size(); }
 
   /// Destructively converts the worklist into the result graph.
   Graph TakeResult() { return Graph(std::move(worklist_)); }
@@ -578,7 +568,8 @@ bool DerivableOneStep(const Graph& p, const Triple& c) {
 // Joining against the full transitive relations in g over-approximates
 // the engine's left-linear evaluation; combined with a worklist that
 // eventually processes every member triple it is also complete, which is
-// exactly what both the over-delete walk and the re-derive walk need.
+// exactly what the over-delete walk and PropagateInsertions (the DRed
+// re-derive pass and IncrementalClosure inserts) need.
 template <typename Emit>
 void ForEachConsequence(const Graph& g, const Triple& t, Emit&& emit) {
   emit(Triple(t.p, kSp, t.p));  // rule (8)
@@ -712,23 +703,32 @@ std::unordered_set<Triple> CollectSuspects(const Graph& cl,
   return suspects;
 }
 
-// Semi-naive forward worklist: derives everything downstream of `work`
-// (whose triples must already be in g), inserting conclusions into g in
-// place. Each conclusion batch is buffered so g is never mutated while
-// its indexes are being matched.
-void PropagateInsertions(Graph& g, std::vector<Triple> work) {
-  std::vector<Triple> found;
-  while (!work.empty()) {
-    const Triple t = work.back();
-    work.pop_back();
-    found.clear();
-    ForEachConsequence(g, t, [&](const Triple& c) {
-      if (c.IsWellFormedData() && !g.Contains(c)) found.push_back(c);
-    });
-    for (const Triple& c : found) {
-      if (g.Insert(c)) work.push_back(c);
+// Round-based semi-naive propagation straight against g's own
+// permutation indexes: each round inserts its whole frontier, then joins
+// every newly inserted triple as each premise position
+// (ForEachConsequence); the conclusions not yet in g form the next
+// frontier. A rule instance whose premises land in the same round still
+// fires, because the round is inserted before any of it is expanded.
+// Triples go in one at a time, which patches the built indexes in place
+// and keeps the cost of a round proportional to the round (a bulk merge
+// would rebuild every index over all of g). Returns every triple added
+// to g (frontier triples included), in round order.
+std::vector<Triple> PropagateInsertions(Graph& g,
+                                        std::vector<Triple> frontier) {
+  std::vector<Triple> added;
+  while (!frontier.empty()) {
+    const size_t round = added.size();
+    for (const Triple& t : frontier) {
+      if (g.Insert(t)) added.push_back(t);
+    }
+    frontier.clear();
+    for (size_t i = round; i < added.size(); ++i) {
+      ForEachConsequence(g, added[i], [&](const Triple& c) {
+        if (c.IsWellFormedData() && !g.Contains(c)) frontier.push_back(c);
+      });
     }
   }
+  return added;
 }
 
 }  // namespace
@@ -826,7 +826,6 @@ Graph RdfsClosureErase(const Graph& closure, const Graph& base_after,
       rescued.push_back(t);
     }
   }
-  for (const Triple& t : rescued) out.Insert(t);
   PropagateInsertions(out, std::move(rescued));
   if (stats != nullptr) {
     stats->delta_size = deleted.size();
@@ -853,93 +852,26 @@ Graph RdfsClosureNaive(const Graph& g) {
 // ---------------------------------------------------------------------------
 // IncrementalClosure
 
-/// Wraps a live ClosureEngine so its join indexes persist across
-/// updates: an insert enqueues only the delta and resumes the fixpoint.
-class IncrementalClosure::Impl {
- public:
-  explicit Impl(const Graph& base, ThreadPool* pool)
-      : engine_(base, /*trace=*/nullptr, RuleSet::All()), pool_(pool) {
-    engine_.RunToFixpointParallel(pool_);
-  }
-
-  /// Re-seeds from an already-closed graph (post-deletion rebuild).
-  struct ReseedTag {};
-  Impl(const Graph& closed, ThreadPool* pool, ReseedTag)
-      : engine_(closed, Graph(), /*trace=*/nullptr, RuleSet::All()),
-        pool_(pool) {
-    engine_.RunToFixpointParallel(pool_);  // no-op unless the seed had gaps
-  }
-
-  void set_pool(ThreadPool* pool) { pool_ = pool; }
-
-  /// Returns the number of newly derived triples (delta included).
-  size_t InsertDelta(const Graph& delta) {
-    const size_t before = engine_.known_size();
-    engine_.EnqueueDelta(delta);
-    engine_.RunToFixpointParallel(pool_);
-    return engine_.known_size() - before;
-  }
-
-  const std::vector<Triple>& worklist() const { return engine_.worklist(); }
-
- private:
-  ClosureEngine engine_;
-  ThreadPool* pool_ = nullptr;
-};
-
 IncrementalClosure::IncrementalClosure(const Graph& base)
-    : impl_(std::make_unique<Impl>(base, /*pool=*/nullptr)),
-      closure_(std::vector<Triple>(impl_->worklist())),
-      version_(1) {}
-
-void IncrementalClosure::set_pool(ThreadPool* pool) {
-  pool_ = pool;
-  if (impl_ != nullptr) impl_->set_pool(pool);
-}
-
-IncrementalClosure::~IncrementalClosure() = default;
-IncrementalClosure::IncrementalClosure(IncrementalClosure&&) noexcept =
-    default;
-IncrementalClosure& IncrementalClosure::operator=(
-    IncrementalClosure&&) noexcept = default;
+    : closure_(RdfsClosure(base)), version_(1) {}
 
 void IncrementalClosure::InsertDelta(const Graph& delta,
                                      ClosureDeltaStats* stats,
                                      std::vector<Triple>* derived_out) {
-  size_t fresh = 0;
+  std::vector<Triple> fresh;
   for (const Triple& t : delta) {
-    if (!closure_.Contains(t)) ++fresh;
+    if (!closure_.Contains(t)) fresh.push_back(t);
   }
-  if (impl_ == nullptr) {
-    // Deferred rebuild after a deletion (see EraseDelta): re-seed the
-    // engine from the maintained closure now that we need it again.
-    impl_ = std::make_unique<Impl>(closure_, pool_, Impl::ReseedTag{});
-  }
-  const size_t derived = impl_->InsertDelta(delta);
+  const size_t delta_size = fresh.size();
+  std::vector<Triple> added = PropagateInsertions(closure_, std::move(fresh));
   if (stats != nullptr) {
-    stats->delta_size = fresh;
-    stats->derived = derived;
+    stats->delta_size = delta_size;
+    stats->derived = added.size();
     stats->overdeleted = 0;
     stats->rederived = 0;
   }
-  if (derived == 0) return;
-  // Fold the newly derived slice into the maintained graph: small
-  // slices take the single-insert path (which patches the permutation
-  // indexes in place), large ones the batched merge-and-rebuild.
-  const std::vector<Triple>& wl = impl_->worklist();
-  if (derived_out != nullptr) {
-    derived_out->assign(wl.end() - static_cast<std::ptrdiff_t>(derived),
-                        wl.end());
-  }
-  constexpr size_t kPatchThreshold = 16;
-  if (derived <= kPatchThreshold) {
-    for (size_t i = wl.size() - derived; i < wl.size(); ++i) {
-      closure_.Insert(wl[i]);
-    }
-  } else {
-    closure_.InsertAll(
-        Graph(std::vector<Triple>(wl.end() - derived, wl.end())));
-  }
+  if (added.empty()) return;
+  if (derived_out != nullptr) *derived_out = std::move(added);
   ++version_;
 }
 
@@ -949,12 +881,7 @@ void IncrementalClosure::EraseDelta(const Graph& base_after,
   Graph next = RdfsClosureErase(closure_, base_after, deleted, stats);
   // RdfsClosureErase never derives outside the old closure, so a size
   // match means content match.
-  const bool changed = next.size() != closure_.size();
-  if (changed) {
-    // The engine's indexes still reference dropped triples; rebuilding
-    // is O(|closure|), so defer it until the next insert actually needs
-    // a live engine — erase-heavy series never pay for it.
-    impl_.reset();
+  if (next.size() != closure_.size()) {
     closure_ = std::move(next);
     ++version_;
   }

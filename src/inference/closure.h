@@ -2,7 +2,6 @@
 #define SWDB_INFERENCE_CLOSURE_H_
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -110,22 +109,21 @@ Graph RdfsClosureErase(const Graph& closure, const Graph& base_after,
                        const Graph& deleted,
                        ClosureDeltaStats* stats = nullptr);
 
-/// A persistent incremental-maintenance engine for RDFS-cl(G): the
-/// worklist engine's join indexes stay alive between updates, so a
-/// single-triple insert costs only its new derivations — no re-seeding,
-/// no refixpoint. This is what Database uses to keep its closure cache
-/// maintained instead of resetting it on every mutation.
+/// RDFS-cl(G) maintained under updates as a plain Graph: no closure
+/// engine is kept alive between updates. Construction runs the full
+/// fixpoint once; afterwards both directions join directly against the
+/// closure graph's own permutation indexes, so an update's cost tracks
+/// its delta and the triples that delta touches, not |closure| (only a
+/// DRed suspect cone that is a sizable fraction of the closure falls
+/// back to one filtered copy). This is what Database uses to keep its
+/// closure cache maintained instead of resetting it on every mutation.
 ///
-/// Deletions run the DRed over-delete/re-derive pass and rebuild the
-/// engine state from the surviving triples (deletion is O(|closure|);
-/// insertion is O(|new derivations| + |closure| merge).
+/// Inserts run round-based semi-naive propagation from the delta;
+/// deletions run the DRed over-delete/re-derive pass (RdfsClosureErase).
 class IncrementalClosure {
  public:
   /// Full fixpoint over `base`.
   explicit IncrementalClosure(const Graph& base);
-  ~IncrementalClosure();
-  IncrementalClosure(IncrementalClosure&&) noexcept;
-  IncrementalClosure& operator=(IncrementalClosure&&) noexcept;
 
   /// The maintained closure. Reference stays valid across updates.
   const Graph& closure() const { return closure_; }
@@ -133,7 +131,7 @@ class IncrementalClosure {
   /// Content version: bumped exactly when closure() changes.
   uint64_t version() const { return version_; }
 
-  /// Extends the closure by RDFS-cl(base ∪ delta) via semi-naive
+  /// Extends the closure to RDFS-cl(base ∪ delta) via semi-naive
   /// propagation from the delta only. If `derived_out` is non-null it
   /// receives every triple this step added to the closure (the delta's
   /// new triples plus their derivations) — the invalidation cone
@@ -146,19 +144,9 @@ class IncrementalClosure {
   void EraseDelta(const Graph& base_after, const Graph& deleted,
                   ClosureDeltaStats* stats = nullptr);
 
-  /// Runs subsequent fixpoints (inserts and post-erase rebuilds) with
-  /// their per-round rule joins partitioned across `pool`. The
-  /// maintained closure is identical either way; nullptr reverts to
-  /// sequential evaluation. The pool must outlive this object (or the
-  /// next set_pool call).
-  void set_pool(ThreadPool* pool);
-
  private:
-  class Impl;
-  std::unique_ptr<Impl> impl_;
   Graph closure_;
   uint64_t version_ = 0;
-  ThreadPool* pool_ = nullptr;
 };
 
 /// Computes the semantic closure cl(G) of Def. 3.5: for ground graphs

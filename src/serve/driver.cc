@@ -120,92 +120,86 @@ TrafficDriver::TrafficDriver(Database* db, Sp2bGenerator* gen,
                              const WorkloadMix* mix, DriverOptions options)
     : db_(db), gen_(gen), mix_(mix), options_(options) {}
 
-TrafficDriver::OpResult TrafficDriver::JudgeQuery(
-    const DatabaseSnapshot& snap, const Query& q, TemplateId id,
-    const Result<std::vector<Graph>>& served, bool check) const {
-  OpResult r;
-  uint64_t h = Mix64(0x53455256, static_cast<uint64_t>(id));
-  if (!served.ok()) {
-    r.error = true;
-    r.digest = Mix64(h, 0xE0E0);
-  } else {
-    r.answers = served->size();
-    for (const Graph& g : *served) h = DigestGraph(h, g);
-    r.digest = h;
-  }
-  if (check) {
-    const Result<std::vector<Graph>> expected =
-        db_->evaluator()->PreAnswerPrenormalized(q, snap.normalized());
-    r.mismatch = !SameResult(served, expected);
-  }
-  return r;
-}
-
-TrafficDriver::OpResult TrafficDriver::ExecuteRequest(
-    const DatabaseSnapshot& snap, const ServingRequest& req,
-    bool check) const {
+TrafficDriver::Served TrafficDriver::Serve(const DatabaseSnapshot& snap,
+                                           const ServingRequest& req) const {
+  Served served;
   switch (req.kind) {
     case RequestKind::kQuery:
-      return JudgeQuery(snap, req.query, req.template_id,
-                        snap.PreAnswer(req.query), check);
+      served.answers = snap.PreAnswer(req.query);
+      break;
     case RequestKind::kUnion:
-    case RequestKind::kPremise: {
+    case RequestKind::kPremise:
       // Premise requests are served through their premise-free Ωq
       // branches (Prop. 5.9): one batched evaluation on the pinned
       // snapshot, then the union combine. Direct premise evaluation
       // would serialize with the writer, so it never runs here — the
       // Prop. 5.9 equivalence itself is asserted single-threadedly in
       // tests/serving_test.cc.
-      Result<std::vector<Graph>> served =
+      served.answers =
           CombineBranches(snap.PreAnswerBatch(req.union_q.branches));
-      OpResult r;
-      uint64_t h =
-          Mix64(0x554E494F, static_cast<uint64_t>(req.template_id));
-      if (!served.ok()) {
-        r.error = true;
-        r.digest = Mix64(h, 0xE0E0);
-      } else {
-        r.answers = served->size();
-        for (const Graph& g : *served) h = DigestGraph(h, g);
-        r.digest = h;
-      }
-      if (check) {
-        std::vector<Result<std::vector<Graph>>> parts;
-        parts.reserve(req.union_q.branches.size());
-        for (const Query& branch : req.union_q.branches) {
-          parts.push_back(db_->evaluator()->PreAnswerPrenormalized(
-              branch, snap.normalized()));
-        }
-        r.mismatch = !SameResult(served, CombineBranches(std::move(parts)));
-      }
-      return r;
-    }
-    case RequestKind::kPath: {
-      const std::vector<Term> nodes =
-          EvalPathFrom(snap.data(), *req.path, req.path_sources);
-      OpResult r;
-      r.answers = nodes.size();
-      uint64_t h = Mix64(0x50415448, static_cast<uint64_t>(req.template_id));
-      for (const Term n : nodes) h = Mix64(h, n.bits());
-      r.digest = h;
-      if (check) {
-        const std::vector<Term> expected =
-            req.template_id == TemplateId::kCitationReach
-                ? BfsReach(snap.data(), mix_->vocab().references,
-                           req.path_sources[0])
-                : ClosureTypes(snap.closure(), req.path_sources[0]);
-        r.mismatch = nodes != expected;
-      }
-      return r;
-    }
+      break;
+    case RequestKind::kPath:
+      served.nodes = EvalPathFrom(snap.data(), *req.path, req.path_sources);
+      break;
   }
-  return OpResult{};
+  return served;
+}
+
+TrafficDriver::OpResult TrafficDriver::Judge(const DatabaseSnapshot& snap,
+                                             const ServingRequest& req,
+                                             const Served& served,
+                                             bool check) const {
+  OpResult r;
+  const uint64_t id = static_cast<uint64_t>(req.template_id);
+  if (req.kind == RequestKind::kPath) {
+    r.answers = served.nodes.size();
+    uint64_t h = Mix64(0x50415448, id);
+    for (const Term n : served.nodes) h = Mix64(h, n.bits());
+    r.digest = h;
+    if (check) {
+      const std::vector<Term> expected =
+          req.template_id == TemplateId::kCitationReach
+              ? BfsReach(snap.data(), mix_->vocab().references,
+                         req.path_sources[0])
+              : ClosureTypes(snap.closure(), req.path_sources[0]);
+      r.mismatch = served.nodes != expected;
+    }
+    return r;
+  }
+  uint64_t h =
+      Mix64(req.kind == RequestKind::kQuery ? 0x53455256 : 0x554E494F, id);
+  if (!served.answers.ok()) {
+    r.error = true;
+    r.digest = Mix64(h, 0xE0E0);
+  } else {
+    r.answers = served.answers->size();
+    for (const Graph& g : *served.answers) h = DigestGraph(h, g);
+    r.digest = h;
+  }
+  if (check) {
+    // Referees: every query or union branch re-evaluated from scratch
+    // on the snapshot's own nf.
+    Result<std::vector<Graph>> expected = std::vector<Graph>();
+    if (req.kind == RequestKind::kQuery) {
+      expected = db_->evaluator()->PreAnswerPrenormalized(
+          req.query, snap.normalized());
+    } else {
+      std::vector<Result<std::vector<Graph>>> parts;
+      parts.reserve(req.union_q.branches.size());
+      for (const Query& branch : req.union_q.branches) {
+        parts.push_back(db_->evaluator()->PreAnswerPrenormalized(
+            branch, snap.normalized()));
+      }
+      expected = CombineBranches(std::move(parts));
+    }
+    r.mismatch = !SameResult(served.answers, expected);
+  }
+  return r;
 }
 
 void TrafficDriver::OneIteration(Rng* rng, ReaderAccum* acc,
                                  std::vector<uint64_t>* op_digests) {
   const size_t group = options_.batch_size < 1 ? 1 : options_.batch_size;
-  const std::shared_ptr<const DatabaseSnapshot> snap = db_->Snapshot();
   // Sample the whole group (and its check coin flips) before serving,
   // so the rng stream is independent of evaluation internals.
   std::vector<ServingRequest> reqs;
@@ -217,10 +211,13 @@ void TrafficDriver::OneIteration(Rng* rng, ReaderAccum* acc,
         options_.check_fraction > 0 && rng->Chance(options_.check_fraction);
   }
 
+  // The timed window covers pinning the snapshot and serving the group;
+  // the checked-mode referees run after it.
   const auto t0 = std::chrono::steady_clock::now();
-  std::vector<OpResult> results(group);
+  const std::shared_ptr<const DatabaseSnapshot> snap = db_->Snapshot();
+  std::vector<Served> served(group);
   if (group == 1) {
-    results[0] = ExecuteRequest(*snap, reqs[0], checks[0] != 0);
+    served[0] = Serve(*snap, reqs[0]);
   } else {
     // Premise-free single queries share one PreAnswerBatch call (the
     // batch trie + ViewKey dedupe path); everything else is served
@@ -231,20 +228,15 @@ void TrafficDriver::OneIteration(Rng* rng, ReaderAccum* acc,
       if (reqs[i].kind == RequestKind::kQuery) {
         queries.push_back(reqs[i].query);
         slots.push_back(i);
+      } else {
+        served[i] = Serve(*snap, reqs[i]);
       }
     }
     if (!queries.empty()) {
       std::vector<Result<std::vector<Graph>>> batched =
           snap->PreAnswerBatch(queries);
       for (size_t j = 0; j < slots.size(); ++j) {
-        results[slots[j]] =
-            JudgeQuery(*snap, queries[j], reqs[slots[j]].template_id,
-                       batched[j], checks[slots[j]] != 0);
-      }
-    }
-    for (size_t i = 0; i < group; ++i) {
-      if (reqs[i].kind != RequestKind::kQuery) {
-        results[i] = ExecuteRequest(*snap, reqs[i], checks[i] != 0);
+        served[slots[j]].answers = std::move(batched[j]);
       }
     }
   }
@@ -253,6 +245,11 @@ void TrafficDriver::OneIteration(Rng* rng, ReaderAccum* acc,
       std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count();
   acc->latencies.push_back(
       us > 0xffffffffULL ? 0xffffffffu : static_cast<uint32_t>(us));
+
+  std::vector<OpResult> results(group);
+  for (size_t i = 0; i < group; ++i) {
+    results[i] = Judge(*snap, reqs[i], served[i], checks[i] != 0);
+  }
 
   const uint64_t published = published_epoch_.load(std::memory_order_acquire);
   // A reader can pin a snapshot the writer published after its last

@@ -85,10 +85,11 @@ struct DriverReport {
 
 /// Closed-loop serving harness: N reader threads against one writer
 /// thread on one Database (the library's intended deployment shape).
-/// Each reader loops: pin the latest snapshot, sample a request from
-/// the mix, serve it (PreAnswer / PreAnswerBatch / path evaluation),
-/// record latency — and, at check_fraction, re-derives the answer from
-/// scratch on the very same snapshot and counts any disagreement. The
+/// Each reader loops: sample a request from the mix, pin the latest
+/// snapshot and serve it (PreAnswer / PreAnswerBatch / path evaluation),
+/// record the latency of pin + serve — and, at check_fraction and
+/// outside the timed window, re-derive the answer from scratch on the
+/// very same snapshot and count any disagreement. The
 /// writer applies generator-driven mutation batches. Doubles as the
 /// repo's largest integration test (checked mode) and its headline
 /// benchmark (bench/bench_serving.cc).
@@ -120,18 +121,24 @@ class TrafficDriver {
     bool mismatch = false;
   };
 
-  /// Serves one request against one pinned snapshot; when `check`,
-  /// cross-validates (see driver.cc per-kind rules).
-  OpResult ExecuteRequest(const DatabaseSnapshot& snap,
-                          const ServingRequest& req, bool check) const;
-  /// Digest + optional cross-validation of one premise-free query's
-  /// served result (shared by the single and the batched read path).
-  OpResult JudgeQuery(const DatabaseSnapshot& snap, const Query& q,
-                      TemplateId id, const Result<std::vector<Graph>>& served,
-                      bool check) const;
-  /// One reader loop iteration: pin a snapshot, sample batch_size
-  /// requests, serve (grouping premise-free queries through
-  /// PreAnswerBatch when batch_size > 1), record one latency sample.
+  /// What one request served: the answer list (query, union and
+  /// premise requests) or the reached nodes (path requests).
+  struct Served {
+    Result<std::vector<Graph>> answers = std::vector<Graph>();
+    std::vector<Term> nodes;
+  };
+
+  /// Serves one request against one pinned snapshot (the timed part).
+  Served Serve(const DatabaseSnapshot& snap, const ServingRequest& req) const;
+  /// Digests one served request and, when `check`, cross-validates it
+  /// against from-scratch evaluation on the same snapshot (see driver.cc
+  /// per-kind rules). Runs outside the timed window.
+  OpResult Judge(const DatabaseSnapshot& snap, const ServingRequest& req,
+                 const Served& served, bool check) const;
+  /// One reader loop iteration: sample batch_size requests, then time
+  /// pinning a snapshot and serving them (grouping premise-free queries
+  /// through PreAnswerBatch when batch_size > 1) as one latency sample;
+  /// digest and check them after the window.
   void OneIteration(Rng* rng, ReaderAccum* acc,
                     std::vector<uint64_t>* op_digests);
   void ReaderLoop(int tid, ReaderAccum* acc);

@@ -2,8 +2,9 @@
 // recomputation:
 //   * RdfsClosureDelta / RdfsClosureErase vs RdfsClosure on random
 //     mutation sequences (including pathological vocabulary placements);
-//   * IncrementalClosure (the persistent engine) under interleaved
-//     insert/erase series;
+//   * IncrementalClosure (the maintained closure graph) under interleaved
+//     single- and multi-triple insert/erase batches, including sp2b
+//     commit series of the serving benchmark's shape;
 //   * Graph's in-place permutation-index maintenance vs freshly built
 //     indexes, across every bound-position combination;
 //   * the Database facade: ≥1000 random Insert/Erase/Apply/ExecuteQuery/
@@ -17,7 +18,9 @@
 #include <vector>
 
 #include "gen/generators.h"
+#include "gen/sp2b.h"
 #include "inference/closure.h"
+#include "normal/core.h"
 #include "normal/normal_form.h"
 #include "query/database.h"
 #include "rdf/graph.h"
@@ -54,6 +57,65 @@ Triple RandomTriple(const std::vector<Term>& universe, Rng* rng,
     p = universe[rng->Below(universe.size())];
   }
   return Triple(s, p, o);
+}
+
+// Up to `n` fresh well-formed triples not in `base`, deduplicated.
+std::vector<Triple> RandomBatch(const std::vector<Term>& universe, Rng* rng,
+                                const Graph& base, size_t n) {
+  Graph seen;
+  std::vector<Triple> out;
+  for (size_t tries = 0; out.size() < n && tries < 8 * n; ++tries) {
+    Triple t = RandomTriple(universe, rng, 0.5);
+    if (!t.IsWellFormedData() || base.Contains(t) || !seen.Insert(t)) {
+      continue;
+    }
+    out.push_back(t);
+  }
+  return out;
+}
+
+// Up to `n` distinct triples of `base`, chosen at random.
+std::vector<Triple> RandomVictims(const Graph& base, Rng* rng, size_t n) {
+  Graph seen;
+  std::vector<Triple> out;
+  for (size_t tries = 0; out.size() < n && tries < 4 * n; ++tries) {
+    Triple t = base[rng->Below(base.size())];
+    if (seen.Insert(t)) out.push_back(t);
+  }
+  return out;
+}
+
+// Applies one commit to `base` and `inc` the way Database::Apply does —
+// the erase batch (one DRed pass), then the insert batch (one
+// propagation pass) — and checks the maintained closure against scratch
+// and the insert's derived slice against closure_after \ closure_before.
+void CommitAndCheck(Graph* base, IncrementalClosure* inc,
+                    const std::vector<Triple>& erases,
+                    const std::vector<Triple>& inserts) {
+  std::vector<Triple> erased;
+  for (const Triple& t : erases) {
+    if (base->Erase(t)) erased.push_back(t);
+  }
+  if (!erased.empty()) inc->EraseDelta(*base, Graph(std::move(erased)));
+  std::vector<Triple> inserted;
+  for (const Triple& t : inserts) {
+    if (base->Insert(t)) inserted.push_back(t);
+  }
+  const Graph before = inc->closure();
+  const uint64_t version = inc->version();
+  ClosureDeltaStats stats;
+  std::vector<Triple> derived;
+  inc->InsertDelta(Graph(std::move(inserted)), &stats, &derived);
+  const Graph scratch = RdfsClosure(*base);
+  ASSERT_EQ(inc->closure(), scratch);
+  std::vector<Triple> want;
+  for (const Triple& t : scratch) {
+    if (!before.Contains(t)) want.push_back(t);
+  }
+  std::sort(derived.begin(), derived.end());
+  ASSERT_EQ(derived, want);
+  ASSERT_EQ(stats.derived, want.size());
+  ASSERT_EQ(inc->version() != version, !want.empty());
 }
 
 // ---------------------------------------------------------------------
@@ -146,9 +208,12 @@ TEST(RdfsClosureErase, DownstreamDerivationsFall) {
   EXPECT_FALSE(maintained.Contains(Triple(x, vocab::kType, d)));
 }
 
-// Randomized: arbitrary single-triple inserts and erases, pathological
-// vocabulary allowed everywhere, maintained closure must stay
-// bit-identical to the scratch recomputation.
+// Randomized: single- and multi-triple insert and erase batches,
+// pathological vocabulary allowed everywhere; the free functions and an
+// IncrementalClosure run in lockstep, and both must stay bit-identical
+// to the scratch recomputation. Every few steps the insert batch is
+// large (96 triples), so one propagation round inserts and expands
+// about a hundred triples at once.
 class DeltaClosureFuzz : public ::testing::TestWithParam<uint64_t> {};
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeltaClosureFuzz,
@@ -161,49 +226,146 @@ TEST_P(DeltaClosureFuzz, DeltaAndEraseMatchScratch) {
   std::vector<Term> universe = Universe(&dict, pathological);
   Graph base;
   Graph cl = RdfsClosure(base);
+  Graph inc_base;
+  IncrementalClosure inc(inc_base);
   for (int step = 0; step < 60; ++step) {
     const bool erase = !base.empty() && rng.Below(100) < 35;
+    std::vector<Triple> erases, inserts;
     if (erase) {
-      Triple victim = base[rng.Below(base.size())];
-      base.Erase(victim);
-      cl = RdfsClosureErase(cl, base, Graph({victim}));
+      const size_t n = 1 + rng.Below(step % 3 == 0 ? 12 : 3);
+      erases = RandomVictims(base, &rng, n);
+      for (const Triple& t : erases) base.Erase(t);
+      cl = RdfsClosureErase(cl, base, Graph(erases));
     } else {
-      Triple t = RandomTriple(universe, &rng, 0.5);
-      if (!t.IsWellFormedData()) continue;
-      if (!base.Insert(t)) continue;
-      cl = RdfsClosureDelta(cl, Graph({t}));
+      // The pathological universe saturates its closure (and makes each
+      // scratch recomputation slow) after a few large batches, so only
+      // the plain one takes them.
+      const size_t n = pathological        ? 1 + rng.Below(3)
+                       : step % 7 == 3 ? 96
+                                       : 1 + rng.Below(4);
+      inserts = RandomBatch(universe, &rng, base, n);
+      if (inserts.empty()) continue;
+      for (const Triple& t : inserts) base.Insert(t);
+      cl = RdfsClosureDelta(cl, Graph(inserts));
     }
-    ASSERT_EQ(cl, RdfsClosure(base))
+    // CommitAndCheck compares inc to the scratch closure of inc_base,
+    // which equals base, so cl is checked through inc.
+    CommitAndCheck(&inc_base, &inc, erases, inserts);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure())
         << "seed " << GetParam() << " step " << step;
+    ASSERT_EQ(cl, inc.closure()) << "seed " << GetParam() << " step " << step;
   }
 }
 
 // ---------------------------------------------------------------------
-// IncrementalClosure: the persistent engine.
+// IncrementalClosure: the maintained closure graph.
 // ---------------------------------------------------------------------
 
 TEST(IncrementalClosure, MaintainsAcrossInterleavedUpdates) {
-  Dictionary dict;
-  Rng rng(7);
-  std::vector<Term> universe = Universe(&dict, /*pathological=*/false);
-  Graph base = Data(&dict, "a sc b .\nx type a .\n");
-  IncrementalClosure inc(base);
-  EXPECT_EQ(inc.closure(), RdfsClosure(base));
-  uint64_t version = inc.version();
-  for (int step = 0; step < 40; ++step) {
-    if (!base.empty() && rng.Below(100) < 30) {
-      Triple victim = base[rng.Below(base.size())];
-      base.Erase(victim);
-      inc.EraseDelta(base, Graph({victim}));
-    } else {
-      Triple t = RandomTriple(universe, &rng, 0.5);
-      if (!t.IsWellFormedData() || !base.Insert(t)) continue;
-      inc.InsertDelta(Graph({t}));
+  for (const bool pathological : {false, true}) {
+    SCOPED_TRACE(pathological ? "pathological" : "plain");
+    Dictionary dict;
+    Rng rng(7);
+    std::vector<Term> universe = Universe(&dict, pathological);
+    Graph base = Data(&dict, "a sc b .\nx type a .\n");
+    IncrementalClosure inc(base);
+    EXPECT_EQ(inc.closure(), RdfsClosure(base));
+    for (int step = 0; step < 40; ++step) {
+      SCOPED_TRACE(step);
+      // Single-triple updates, small batches, and commits that erase a
+      // batch and insert another; every tenth insert batch is large.
+      std::vector<Triple> erases, inserts;
+      const uint64_t dice = rng.Below(100);
+      if (dice < 30 && !base.empty()) {
+        erases = RandomVictims(base, &rng, 1 + rng.Below(6));
+      } else if (dice < 60) {
+        inserts = RandomBatch(universe, &rng, base, 1);
+      } else {
+        if (!base.empty()) erases = RandomVictims(base, &rng, rng.Below(5));
+        inserts = RandomBatch(universe, &rng, base,
+                              step % 10 == 9 ? 96 : 2 + rng.Below(8));
+      }
+      CommitAndCheck(&base, &inc, erases, inserts);
+      if (::testing::Test::HasFatalFailure()) return;
     }
-    ASSERT_EQ(inc.closure(), RdfsClosure(base)) << "step " << step;
-    ASSERT_GE(inc.version(), version);
-    version = inc.version();
   }
+}
+
+TEST(IncrementalClosure, SpChainDeltasMatchScratch) {
+  Dictionary dict;
+  Rng rng(13);
+  SchemaWorkloadSpec spec;
+  spec.num_classes = 15;
+  spec.num_properties = 6;
+  spec.num_instances = 40;
+  spec.num_facts = 80;
+  Graph base = SchemaWorkload(spec, &dict, &rng);
+  IncrementalClosure inc(base);
+  Graph accumulated = base;
+  for (int round = 0; round < 5; ++round) {
+    Graph delta = SpChainWithUses(10 + round, 5, &dict);
+    accumulated.InsertAll(delta);
+    inc.InsertDelta(delta);
+    EXPECT_EQ(inc.closure(), RdfsClosure(accumulated)) << "round " << round;
+  }
+}
+
+// The serving benchmark's commit shape on a ~10k sp2b corpus: each
+// commit is one Apply that erases 32 of the writer's own earlier
+// inserts and inserts NextPublications(96). After every commit the
+// database's maintained closure and its snapshot's nf must equal the
+// scratch recomputation, and a lockstep IncrementalClosure must report
+// exactly closure_after \ closure_before as its derived slice. The
+// benchmark's referees read the snapshot's own nf, so this is what
+// guards closure maintenance under that workload.
+void CheckSp2bCommitSeries(double blank_author_fraction) {
+  Dictionary dict;
+  Sp2bSpec spec;
+  spec.target_triples = 10'000;
+  spec.seed = 5;
+  spec.blank_author_fraction = blank_author_fraction;
+  Sp2bGenerator gen(spec, &dict);
+  Graph corpus = gen.GenerateCorpus();
+  Database db(&dict);
+  db.InsertGraph(corpus);
+  ASSERT_EQ(db.Snapshot()->normalized(), Core(RdfsClosure(db.graph())));
+  Graph base = corpus;
+  IncrementalClosure inc(base);
+  Rng rng(17);
+  std::vector<Triple> own_inserts;
+  for (int commit = 0; commit < 6; ++commit) {
+    SCOPED_TRACE(commit);
+    std::vector<Triple> erases;
+    for (size_t i = 0; i < 32 && !own_inserts.empty(); ++i) {
+      const size_t idx = rng.Below(own_inserts.size());
+      erases.push_back(own_inserts[idx]);
+      own_inserts[idx] = own_inserts.back();
+      own_inserts.pop_back();
+    }
+    const std::vector<Triple> inserts = gen.NextPublications(96);
+    own_inserts.insert(own_inserts.end(), inserts.begin(), inserts.end());
+    MutationBatch batch;
+    for (const Triple& t : erases) batch.Erase(t);
+    for (const Triple& t : inserts) batch.Insert(t);
+    const Database::ApplyResult applied = db.Apply(batch);
+    ASSERT_EQ(applied.erased, erases.size());
+    ASSERT_EQ(applied.inserted, inserts.size());
+
+    CommitAndCheck(&base, &inc, erases, inserts);
+    if (::testing::Test::HasFatalFailure()) return;
+    ASSERT_EQ(base, db.graph());
+    const Graph scratch = RdfsClosure(db.graph());
+    ASSERT_EQ(db.Closure(), scratch);
+    ASSERT_EQ(db.Snapshot()->normalized(), Core(scratch));
+  }
+}
+
+TEST(Sp2bCommitSeries, GroundCorpusMatchesScratch) {
+  CheckSp2bCommitSeries(0.0);
+}
+
+TEST(Sp2bCommitSeries, BlankAuthorCorpusMatchesScratch) {
+  CheckSp2bCommitSeries(0.1);
 }
 
 TEST(IncrementalClosure, VersionBumpsOnlyOnContentChange) {

@@ -5,8 +5,8 @@
 //     (solution sequence, order included) across fuzzed graphs/patterns;
 //   * parallel FindAny returning the sequential first solution;
 //   * shared step budgets staying exact under fan-out;
-//   * RdfsClosureParallel / RdfsClosureDelta(pool) / IncrementalClosure
-//     with a pool producing graphs identical to the sequential engine.
+//   * RdfsClosureParallel / RdfsClosureDelta(pool) producing graphs
+//     identical to the sequential engine.
 
 #include <gtest/gtest.h>
 
@@ -334,28 +334,6 @@ TEST(ParallelClosure, DeltaWithPoolMatchesScratch) {
   ThreadPool pool(4);
   Graph got = RdfsClosureDelta(cl, delta, nullptr, nullptr, &pool);
   EXPECT_EQ(got, RdfsClosure(Graph::Union(g, delta)));
-}
-
-TEST(ParallelClosure, IncrementalEngineWithPoolMatchesScratch) {
-  Dictionary dict;
-  Rng rng(13);
-  SchemaWorkloadSpec spec;
-  spec.num_classes = 15;
-  spec.num_properties = 6;
-  spec.num_instances = 40;
-  spec.num_facts = 80;
-  Graph base = SchemaWorkload(spec, &dict, &rng);
-  ThreadPool pool(4);
-
-  IncrementalClosure inc(base);
-  inc.set_pool(&pool);
-  Graph accumulated = base;
-  for (int round = 0; round < 5; ++round) {
-    Graph delta = SpChainWithUses(10 + round, 5, &dict);
-    accumulated.InsertAll(delta);
-    inc.InsertDelta(delta);
-    EXPECT_EQ(inc.closure(), RdfsClosure(accumulated)) << "round " << round;
-  }
 }
 
 }  // namespace
