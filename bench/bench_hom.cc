@@ -1,33 +1,23 @@
-// E13 — homomorphism kernel: the dense-binding matcher vs the legacy
-// map-based backtracker it replaced.
+// E13 — homomorphism kernel: the dense-binding PatternMatcher on
+// classic hard and index-sensitive workloads, with its MatchStats
+// exported as benchmark counters. (The series keep their `New` suffix
+// from when they were recorded beside the retired map-based matcher;
+// EXPERIMENTS.md E13 quotes that comparison as history.)
 //
-// The `Legacy` series reimplements, inside this file, the pre-rewrite
-// algorithm faithfully enough to price its costs:
-//   * TermMap (unordered_map) bindings with per-position hash lookups,
-//   * a linear std::find over used blank values for injectivity,
-//   * O(pending²) most-constrained-first selection by capped scanning,
-//   * a materialized std::vector<Triple> of candidates per search node,
-//   * no OSP index: object-bound lookups fall back to a full scan and
-//     (s,?,o) lookups to an s-range scan with a filter.
-// The `New` series runs the production PatternMatcher on the identical
-// workload and exports its MatchStats as benchmark counters.
-//
-// Series reported (one Legacy/New pair each):
+// Series reported:
 //   * CliqueRefuted/k    — enc(K_k) ⊨ enc(K_{k+1}): exhaustive refusal.
 //   * CliqueIntoSelf/k   — enc(K_k) → enc(K_k): satisfiable search.
 //   * OddCycle/n         — enc(C_{2n+1}) → enc(K3): 3-coloring gadget.
 //   * CoreFold/n         — enc(C_{2n}) → itself minus one triple: the
 //                          proper-endomorphism probe of core computation.
 //   * ObjectBoundStar/n  — object-constant pattern over a wide graph:
-//                          the osp-index case (legacy: full scan).
+//                          the osp-index case.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "graphtheory/digraph.h"
 #include "rdf/graph.h"
@@ -37,154 +27,6 @@
 
 namespace swdb {
 namespace {
-
-// ---------------------------------------------------------------------
-// Legacy matcher (pre-rewrite algorithm, reconstructed for comparison).
-// ---------------------------------------------------------------------
-class LegacyMatcher {
- public:
-  LegacyMatcher(const Graph& pattern, const Graph* target,
-                MatchOptions options)
-      : target_(target), options_(std::move(options)) {
-    pending_.assign(pattern.begin(), pattern.end());
-  }
-
-  bool FindAny() {
-    steps_ = 0;
-    binding_ = TermMap();
-    used_blank_values_.clear();
-    bool found = false;
-    Search(0, &found);
-    return found;
-  }
-
- private:
-  static bool NeedsBinding(Term t) { return t.kind() != TermKind::kIri; }
-
-  std::optional<Term> Resolve(Term t) const {
-    if (!NeedsBinding(t)) return t;
-    if (binding_.IsBound(t)) return binding_.Apply(t);
-    return std::nullopt;
-  }
-
-  // Pre-OSP index emulation: only s-prefix, p, and (p,o) lookups hit an
-  // index; object-only goes through a full scan and (s,?,o) filters the
-  // s-range.
-  template <typename Visitor>
-  void ForEachCandidate(const Triple& pt, Visitor&& visitor) const {
-    std::optional<Term> s = Resolve(pt.s);
-    std::optional<Term> p = Resolve(pt.p);
-    std::optional<Term> o = Resolve(pt.o);
-    auto filtered = [&](const Triple& t) {
-      if (s && t.s != *s) return true;
-      if (p && t.p != *p) return true;
-      if (o && t.o != *o) return true;
-      return visitor(t);
-    };
-    if (s) {
-      target_->Match(s, p, std::nullopt, filtered);
-    } else if (p) {
-      target_->Match(std::nullopt, p, o, filtered);
-    } else {
-      target_->Match(std::nullopt, std::nullopt, std::nullopt, filtered);
-    }
-  }
-
-  size_t CountCapped(const Triple& pt, size_t cap) const {
-    size_t count = 0;
-    ForEachCandidate(pt, [&](const Triple&) { return ++count < cap; });
-    return count;
-  }
-
-  // O(pending²) total work per node: every open triple is re-counted.
-  size_t PickBest(size_t depth) {
-    size_t best = depth;
-    size_t best_count = static_cast<size_t>(-1);
-    for (size_t i = depth; i < pending_.size(); ++i) {
-      size_t count = CountCapped(pending_[i], best_count);
-      if (count < best_count) {
-        best_count = count;
-        best = i;
-        if (count == 0) break;
-      }
-    }
-    return best;
-  }
-
-  bool TryBindPosition(Term pt, Term tt, std::vector<Term>* bound_here) {
-    if (!NeedsBinding(pt)) return pt == tt;
-    if (binding_.IsBound(pt)) return binding_.Apply(pt) == tt;
-    if (pt.kind() == TermKind::kBlank) {
-      if (options_.blanks_to_blanks_only && tt.kind() != TermKind::kBlank) {
-        return false;
-      }
-      if (options_.injective_blanks) {
-        if (std::find(used_blank_values_.begin(), used_blank_values_.end(),
-                      tt) != used_blank_values_.end()) {
-          return false;
-        }
-        used_blank_values_.push_back(tt);
-      }
-    }
-    binding_.Bind(pt, tt);
-    bound_here->push_back(pt);
-    return true;
-  }
-
-  void Undo(const std::vector<Term>& bound_here) {
-    for (Term t : bound_here) {
-      if (options_.injective_blanks && t.kind() == TermKind::kBlank) {
-        Term image = binding_.Apply(t);
-        auto it = std::find(used_blank_values_.begin(),
-                            used_blank_values_.end(), image);
-        if (it != used_blank_values_.end()) used_blank_values_.erase(it);
-      }
-      binding_.Unbind(t);
-    }
-  }
-
-  void Search(size_t depth, bool* found) {
-    if (++steps_ > options_.max_steps) {
-      exhausted_ = true;
-      return;
-    }
-    if (depth == pending_.size()) {
-      *found = true;
-      return;
-    }
-    size_t pick = PickBest(depth);
-    std::swap(pending_[depth], pending_[pick]);
-    const Triple& pt = pending_[depth];
-    // Per-node heap allocation, exactly as the old inner loop did.
-    std::vector<Triple> candidates;
-    ForEachCandidate(pt, [&](const Triple& t) {
-      candidates.push_back(t);
-      return true;
-    });
-    for (const Triple& cand : candidates) {
-      if (options_.exclude_triple && cand == *options_.exclude_triple) {
-        continue;
-      }
-      std::vector<Term> bound_here;
-      if (TryBindPosition(pt.s, cand.s, &bound_here) &&
-          TryBindPosition(pt.p, cand.p, &bound_here) &&
-          TryBindPosition(pt.o, cand.o, &bound_here)) {
-        Search(depth + 1, found);
-      }
-      Undo(bound_here);
-      if (*found || exhausted_) break;
-    }
-    std::swap(pending_[depth], pending_[pick]);
-  }
-
-  const Graph* target_;
-  MatchOptions options_;
-  std::vector<Triple> pending_;
-  TermMap binding_;
-  std::vector<Term> used_blank_values_;
-  uint64_t steps_ = 0;
-  bool exhausted_ = false;
-};
 
 // ---------------------------------------------------------------------
 // Workload builders.
@@ -249,13 +91,6 @@ Workload ObjectBoundStar(uint32_t n) {
   return w;
 }
 
-void RunLegacy(benchmark::State& state, Workload w) {
-  for (auto _ : state) {
-    LegacyMatcher matcher(w.pattern, &w.target, w.options);
-    benchmark::DoNotOptimize(matcher.FindAny());
-  }
-}
-
 void RunNew(benchmark::State& state, Workload w) {
   MatchStats stats;
   w.options.stats = &stats;
@@ -271,49 +106,29 @@ void RunNew(benchmark::State& state, Workload w) {
       static_cast<double>(stats.selectivity_recomputes);
 }
 
-void BM_CliqueRefutedLegacy(benchmark::State& state) {
-  RunLegacy(state, CliqueRefuted(static_cast<uint32_t>(state.range(0))));
-}
 void BM_CliqueRefutedNew(benchmark::State& state) {
   RunNew(state, CliqueRefuted(static_cast<uint32_t>(state.range(0))));
 }
-BENCHMARK(BM_CliqueRefutedLegacy)->Arg(3)->Arg(4)->Arg(5);
 BENCHMARK(BM_CliqueRefutedNew)->Arg(3)->Arg(4)->Arg(5);
 
-void BM_CliqueIntoSelfLegacy(benchmark::State& state) {
-  RunLegacy(state, CliqueIntoSelf(static_cast<uint32_t>(state.range(0))));
-}
 void BM_CliqueIntoSelfNew(benchmark::State& state) {
   RunNew(state, CliqueIntoSelf(static_cast<uint32_t>(state.range(0))));
 }
-BENCHMARK(BM_CliqueIntoSelfLegacy)->Arg(6)->Arg(8);
 BENCHMARK(BM_CliqueIntoSelfNew)->Arg(6)->Arg(8);
 
-void BM_OddCycleLegacy(benchmark::State& state) {
-  RunLegacy(state, OddCycle(static_cast<uint32_t>(state.range(0))));
-}
 void BM_OddCycleNew(benchmark::State& state) {
   RunNew(state, OddCycle(static_cast<uint32_t>(state.range(0))));
 }
-BENCHMARK(BM_OddCycleLegacy)->Arg(20)->Arg(80);
 BENCHMARK(BM_OddCycleNew)->Arg(20)->Arg(80);
 
-void BM_CoreFoldLegacy(benchmark::State& state) {
-  RunLegacy(state, CoreFold(static_cast<uint32_t>(state.range(0))));
-}
 void BM_CoreFoldNew(benchmark::State& state) {
   RunNew(state, CoreFold(static_cast<uint32_t>(state.range(0))));
 }
-BENCHMARK(BM_CoreFoldLegacy)->Arg(8)->Arg(16)->Arg(32);
 BENCHMARK(BM_CoreFoldNew)->Arg(8)->Arg(16)->Arg(32);
 
-void BM_ObjectBoundStarLegacy(benchmark::State& state) {
-  RunLegacy(state, ObjectBoundStar(static_cast<uint32_t>(state.range(0))));
-}
 void BM_ObjectBoundStarNew(benchmark::State& state) {
   RunNew(state, ObjectBoundStar(static_cast<uint32_t>(state.range(0))));
 }
-BENCHMARK(BM_ObjectBoundStarLegacy)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_ObjectBoundStarNew)->Arg(1000)->Arg(10000)->Arg(100000);
 
 }  // namespace

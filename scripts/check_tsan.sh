@@ -9,9 +9,12 @@
 # readers, fresh-blank races), the view-cache suite (parallel
 # union-query fan-out over the materialized view layer), the batch
 # suite (trie root subtrees fanned over the pool while the calling
-# thread runs the minting jobs), and the serving suite (the closed-loop
+# thread runs the minting jobs), the serving suite (the closed-loop
 # traffic driver: N checked readers pinning snapshots against one
-# writer applying generator mutation batches).
+# writer applying generator mutation batches), and the database,
+# incremental and union-query suites (writer reads publish and read
+# through snapshots; unions fan their branches out through the batch
+# path).
 #
 # check_asan.sh needs no such list — it runs the full ctest suite, so
 # serving_test is covered there automatically.
@@ -29,8 +32,9 @@ export SWDB_THREADS="${SWDB_THREADS:-4}"
 
 cmake -B "$build_dir" -S "$repo_root" -DSWDB_SANITIZE=thread
 cmake --build "$build_dir" -j --target parallel_test concurrency_test \
-  core_parallel_test view_cache_test batch_test serving_test
+  core_parallel_test view_cache_test batch_test serving_test \
+  database_test incremental_test union_query_test
 ctest --test-dir "$build_dir" --output-on-failure \
-  -R '^(parallel|concurrency|core_parallel|view_cache|batch|serving)_test$'
+  -R '^(parallel|concurrency|core_parallel|view_cache|batch|serving|database|incremental|union_query)_test$'
 
 echo "tsan: concurrency suites passed (SWDB_THREADS=$SWDB_THREADS)"

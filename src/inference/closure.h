@@ -134,8 +134,7 @@ class IncrementalClosure {
   /// Extends the closure to RDFS-cl(base ∪ delta) via semi-naive
   /// propagation from the delta only. If `derived_out` is non-null it
   /// receives every triple this step added to the closure (the delta's
-  /// new triples plus their derivations) — the invalidation cone
-  /// consumers like the cross-epoch lean cache key off.
+  /// new triples plus their derivations), i.e. cl_after \ cl_before.
   void InsertDelta(const Graph& delta, ClosureDeltaStats* stats = nullptr,
                    std::vector<Triple>* derived_out = nullptr);
 

@@ -190,92 +190,7 @@ SearchOutcome SearchAllComponents(
   return out;
 }
 
-// One-sided unification: can some map (blanks of `pattern` free, ground
-// terms fixed) send `pattern` onto `target`? The insert-eviction test:
-// a new fold of a cached component must map one of its triples onto a
-// newly derived triple, which requires exactly this.
-bool UnifiesOnto(const Triple& pattern, const Triple& target) {
-  auto pos_ok = [](Term pat, Term tgt) {
-    return pat.IsBlank() || pat == tgt;
-  };
-  return pos_ok(pattern.s, target.s) && pos_ok(pattern.p, target.p) &&
-         pos_ok(pattern.o, target.o);
-}
-
 }  // namespace
-
-// --- LeanCache -------------------------------------------------------
-
-bool LeanCache::Lookup(const std::vector<Triple>& component,
-                       uint64_t consumer_erase_stamp) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(component);
-  if (it == entries_.end() || it->second > consumer_erase_stamp) {
-    ++counters_.misses;
-    return false;
-  }
-  ++counters_.cross_hits;
-  return true;
-}
-
-void LeanCache::Insert(const std::vector<Triple>& component,
-                       uint64_t prover_version) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (prover_version != version_) {
-    // The prover refuted against an older closure; newer inserts were
-    // never checked against this entry — drop it.
-    ++counters_.stale_rejects;
-    return;
-  }
-  entries_.emplace(component, erase_stamp_);
-  ++counters_.writes;
-}
-
-void LeanCache::OnInsertDelta(const std::vector<Triple>& derived,
-                              uint64_t new_version) {
-  std::lock_guard<std::mutex> lock(mu_);
-  version_ = new_version;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    bool endangered = false;
-    for (const Triple& c : it->first) {
-      for (const Triple& d : derived) {
-        if (UnifiesOnto(c, d)) {
-          endangered = true;
-          break;
-        }
-      }
-      if (endangered) break;
-    }
-    if (endangered) {
-      it = entries_.erase(it);
-      ++counters_.evictions;
-    } else {
-      ++it;
-    }
-  }
-}
-
-void LeanCache::OnEraseDelta(uint64_t new_version) {
-  std::lock_guard<std::mutex> lock(mu_);
-  version_ = new_version;
-  ++erase_stamp_;
-}
-
-void LeanCache::Clear(uint64_t new_version) {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-  version_ = new_version;
-  ++erase_stamp_;  // fence off consumers published before the clear
-  ++counters_.clears;
-}
-
-LeanCacheStats LeanCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  LeanCacheStats s = counters_;
-  s.entries = entries_.size();
-  s.erase_stamp = erase_stamp_;
-  return s;
-}
 
 Result<std::optional<TermMap>> FindProperEndomorphism(const Graph& g,
                                                       MatchOptions options) {
@@ -302,8 +217,7 @@ bool IsLean(const Graph& g, ThreadPool* pool) {
 }
 
 Result<Graph> CoreChecked(const Graph& g, MatchOptions options,
-                          TermMap* witness, CoreStats* stats,
-                          LeanCacheRef shared) {
+                          TermMap* witness, CoreStats* stats) {
   Graph current = g;
   TermMap composed;
   CoreStats local;
@@ -319,24 +233,12 @@ Result<Graph> CoreChecked(const Graph& g, MatchOptions options,
   std::unordered_set<std::vector<Triple>, TripleVecHash> proven_lean;
   for (;;) {
     ++local.iterations;
-    // Only round 1 refutes against the full input graph; later rounds
-    // run on folded remnants, whose refutations don't imply leanness in
-    // anyone else's graph — they stay run-local.
-    const bool first_round = local.iterations == 1;
     std::vector<std::vector<Triple>> components = BlankComponents(current);
     std::vector<const std::vector<Triple>*> targets;
     targets.reserve(components.size());
     for (const std::vector<Triple>& c : components) {
       if (proven_lean.count(c) != 0) {
         ++local.lean_cache_hits;
-        continue;
-      }
-      if (shared.cache != nullptr &&
-          shared.cache->Lookup(c, shared.erase_stamp)) {
-        // Cross-epoch hit: some earlier run refuted this exact
-        // component against a graph ours is a guarded subset of.
-        ++local.lean_cache_cross_hits;
-        proven_lean.insert(c);
         continue;
       }
       targets.push_back(&c);
@@ -346,12 +248,7 @@ Result<Graph> CoreChecked(const Graph& g, MatchOptions options,
     local.steps_speculative += out.steps_speculative;
     local.components_searched +=
         out.winner == kNoWinner ? targets.size() : out.winner + 1;
-    for (size_t idx : out.refuted) {
-      proven_lean.insert(*targets[idx]);
-      if (shared.cache != nullptr && first_round) {
-        shared.cache->Insert(*targets[idx], shared.version);
-      }
-    }
+    for (size_t idx : out.refuted) proven_lean.insert(*targets[idx]);
     if (!out.fold.has_value()) {
       if (out.budget_hit) {
         if (stats != nullptr) *stats = local;
@@ -368,12 +265,10 @@ Result<Graph> CoreChecked(const Graph& g, MatchOptions options,
   return current;
 }
 
-Graph Core(const Graph& g, TermMap* witness, ThreadPool* pool,
-           LeanCacheRef shared) {
+Graph Core(const Graph& g, TermMap* witness, ThreadPool* pool) {
   MatchOptions options;
   options.pool = pool;
-  Result<Graph> r = CoreChecked(g, options, witness, /*stats=*/nullptr,
-                                shared);
+  Result<Graph> r = CoreChecked(g, options, witness, /*stats=*/nullptr);
   SWDB_CHECK(r.ok(),
              "core step budget exhausted; use CoreChecked for graceful "
              "degradation");

@@ -35,6 +35,10 @@ Term QueryEvaluator::SkolemBlank(Term head_blank,
 
 Result<std::vector<Graph>> QueryEvaluator::PreAnswer(const Query& q,
                                                      const Graph& db) {
+  // Reject before normalizing: D + P costs a closure and a core, and the
+  // merge mints blanks into the dictionary.
+  Status valid = q.Validate();
+  if (!valid.ok()) return valid;
   return PreAnswerPrenormalized(q, NormalizedDatabase(q, db));
 }
 

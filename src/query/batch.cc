@@ -433,8 +433,7 @@ std::vector<Result<std::vector<Graph>>> PreAnswerBatchImpl(
   for (const Group& grp : groups) unresolved += grp.result ? 0 : 1;
 
   // Pass 3 — on any miss, pin the normalized graph once, bring the
-  // cache up to it (no-op for a writer that maintained before calling),
-  // and re-probe; survivors consult the promotion advisor per spelling,
+  // cache up to it (no-op when it is already there), and re-probe; survivors consult the promotion advisor per spelling,
   // exactly as many times as the sequential run would.
   const Graph* nf = nullptr;
   if (unresolved > 0) {

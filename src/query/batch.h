@@ -61,8 +61,9 @@ struct BatchStats {
 
 /// Evaluates a batch of queries against one pinned normalized graph.
 ///
-/// The shared engine behind Database::PreAnswerBatch and
-/// DatabaseSnapshot::PreAnswerBatch:
+/// The shared engine behind DatabaseSnapshot::PreAnswerBatch (which
+/// Database::PreAnswerBatch and union queries read through) and
+/// PreAnswerUnionQuery:
 ///   1. slots are validated (invalid slots get their own error Result);
 ///      premise-bearing slots are queued for per-query evaluation via
 ///      `premise_eval`, on the calling thread in batch order;

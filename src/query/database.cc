@@ -1,10 +1,7 @@
 #include "query/database.h"
 
-#include <unordered_map>
-
 #include "inference/closure.h"
 #include "normal/core.h"
-#include "normal/normal_form.h"
 #include "parser/text.h"
 #include "query/batch.h"
 #include "query/union_query.h"
@@ -25,31 +22,6 @@ namespace {
 ThreadPool* CorePool(const EvalOptions& options) {
   return options.match.pool != nullptr ? options.match.pool
                                        : ThreadPool::Shared();
-}
-
-// Whether evaluating q can mint fresh blank nodes: premise-bearing
-// queries merge P with renamed blanks, head blanks Skolemize. Mint
-// *order* determines the minted ids, so such branches must be evaluated
-// in a deterministic order (the union fan-out keeps them sequential).
-bool QueryMintsBlanks(const Query& q) {
-  if (!q.premise.empty()) return true;
-  for (const Triple& t : q.head) {
-    if (t.s.IsBlank() || t.p.IsBlank() || t.o.IsBlank()) return true;
-  }
-  return false;
-}
-
-// Whether the query body contains blank nodes. PatternMatcher maps
-// pattern blanks homomorphically (open terms, like variables), so a
-// stored matching over the body *variables* does not pin where a body
-// blank went — neither the view cache's kept-filter nor its semi-naive
-// patch can maintain such a view soundly. These shapes bypass the cache
-// and always evaluate.
-bool BodyHasBlanks(const Query& q) {
-  for (const Triple& t : q.body) {
-    if (t.s.IsBlank() || t.p.IsBlank() || t.o.IsBlank()) return true;
-  }
-  return false;
 }
 
 // Folds one PreAnswerBatch call's counters into the cumulative database
@@ -111,8 +83,7 @@ void Database::InsertGraph(const Graph& g) {
     // Bulk load: replaying a delta comparable to the closure itself is
     // slower than one batched refixpoint on next use.
     closure_.reset();
-    normalized_.reset();
-    lean_cache_.Clear(0);  // next full build re-seeds the version
+    nf_slot_.reset();
     // The closure incarnation (and its version counter) is gone; the
     // view cache's Clear bumps its fence stamp so counter reuse by the
     // next incarnation can never revalidate an old consumer.
@@ -172,16 +143,10 @@ Database::ApplyResult Database::Apply(const MutationBatch& batch) {
 void Database::MaintainInsert(const Graph& delta) {
   if (!closure_.has_value()) return;  // not materialized yet: stay lazy
   ClosureDeltaStats ds;
-  std::vector<Triple> derived;
-  closure_->InsertDelta(delta, &ds, &derived);
+  closure_->InsertDelta(delta, &ds);
   closure_epoch_ = data_.epoch();
   ++stats_.closure_delta_updates;
   stats_.closure_delta_derived += ds.derived;
-  // New closure triples can enable folds of cached lean components:
-  // evict every entry one of them could extend (see LeanCache).
-  if (!derived.empty()) {
-    lean_cache_.OnInsertDelta(derived, closure_->version());
-  }
 }
 
 void Database::MaintainErase(const Graph& deleted) {
@@ -193,15 +158,9 @@ void Database::MaintainErase(const Graph& deleted) {
   ++stats_.closure_erase_updates;
   stats_.closure_overdeleted += ds.overdeleted;
   stats_.closure_rederived += ds.rederived;
-  // Cached refutations survive erases (leanness transfers to subsets),
-  // but lagging snapshots must not consume post-erase entries — bump
-  // the fence stamp.
-  if (closure_->version() != version_before) {
-    lean_cache_.OnEraseDelta(closure_->version());
-    // Views are patched by the nf delta on the next Maintain; the stamp
-    // bump only fences pre-erase snapshots out of post-erase entries.
-    view_cache_.OnErase();
-  }
+  // Views are patched by the nf delta on the next Maintain; the stamp
+  // bump only fences pre-erase snapshots out of post-erase entries.
+  if (closure_->version() != version_before) view_cache_.OnErase();
 }
 
 DatabaseStats Database::CollectStats() const {
@@ -209,7 +168,6 @@ DatabaseStats Database::CollectStats() const {
   out.data_graph = data_.Stats();
   if (closure_.has_value()) out.closure_graph = closure_->closure().Stats();
   out.dictionary = dict_->Stats();
-  out.lean_cache = lean_cache_.stats();
   out.views = view_cache_.stats();
   return out;
 }
@@ -218,7 +176,6 @@ const Graph& Database::Closure() {
   if (!closure_.has_value()) {
     closure_.emplace(data_);
     closure_epoch_ = data_.epoch();
-    lean_cache_.Clear(closure_->version());  // fresh closure incarnation
     view_cache_.Clear();
     ++stats_.closure_full_builds;
   } else {
@@ -230,18 +187,9 @@ const Graph& Database::Closure() {
 }
 
 const Graph& Database::Normalized() {
-  if (options_.use_closure_only) return Closure();
-  const Graph& cl = Closure();
-  if (normalized_.has_value() && nf_version_ == closure_->version()) {
-    ++stats_.nf_cache_hits;
-    return *normalized_;
-  }
-  normalized_ = Core(cl, /*witness=*/nullptr, CorePool(options_),
-                     LeanCacheRef{&lean_cache_, closure_->version(),
-                                  lean_cache_.stats().erase_stamp});
-  nf_version_ = closure_->version();
-  ++stats_.nf_rebuilds;
-  return *normalized_;
+  // snapshot_ keeps the snapshot (and its nf) alive until the next
+  // mutation republishes.
+  return Snapshot()->normalized();
 }
 
 bool Database::Entails(const Graph& q) {
@@ -266,179 +214,18 @@ bool Database::EntailsTriple(const Triple& t) {
 }
 
 Result<std::vector<Graph>> Database::PreAnswer(const Query& q) {
-  Status valid = q.Validate();
-  if (!valid.ok()) return valid;
-  if (!q.premise.empty()) {
-    // Premise-bearing: the D + P merge mints fresh blank nodes per
-    // call, so the answers are not replayable — never cached.
-    return evaluator_.PreAnswer(q, data_);
-  }
-  const Graph& nf = Normalized();
-  if (!options_.views.enabled || BodyHasBlanks(q)) {
-    return evaluator_.PreAnswerPrenormalized(q, nf);
-  }
-  // Maintain before lookup: bringing every view to the current nf by
-  // its delta is what turns post-mutation requests into hits. The
-  // writer's (version, stamp) are by definition the cache's fence.
-  const uint64_t version = closure_->version();
-  view_cache_.Maintain(nf, version, view_cache_.erase_stamp(), &evaluator_,
-                       options_.match);
-  return PreAnswerThroughCache(q, nf, version);
-}
-
-Result<std::vector<Graph>> Database::PreAnswerThroughCache(const Query& q,
-                                                           const Graph& nf,
-                                                           uint64_t version) {
-  CanonicalQuery canon;
-  const ViewKey key = MakeViewKey(q, &canon);
-  const uint64_t stamp = view_cache_.erase_stamp();
-  if (std::optional<std::vector<Graph>> hit =
-          view_cache_.Lookup(key, version, stamp)) {
-    return *std::move(hit);
-  }
-  // Fallthrough: evaluate the canonical spelling (bit-identical answers
-  // — see CanonicalQuery), capturing matchings when the advisor decides
-  // this shape has earned materialization.
-  const bool materialize = view_cache_.RecordMiss(key);
-  std::vector<TermMap> matchings;
-  Result<std::vector<Graph>> pre = evaluator_.PreAnswerPrenormalized(
-      canon.query, nf, materialize ? &matchings : nullptr);
-  if (!pre.ok()) return pre;
-  if (materialize) {
-    view_cache_.Install(key, canon.query, std::move(matchings), *pre,
-                        version, stamp);
-  }
-  return pre;
+  return Snapshot()->PreAnswer(q);
 }
 
 std::vector<Result<std::vector<Graph>>> Database::PreAnswerBatch(
     const std::vector<Query>& queries, BatchStats* stats_out) {
-  // Pin one nf up front iff some premise-free slot will need it — the
-  // same eager Normalized() the first premise-free call of a sequential
-  // replay performs. All-premise (and all-invalid) batches skip it.
-  bool any_premise_free = false;
-  for (const Query& q : queries) {
-    if (q.premise.empty() && q.Validate().ok()) {
-      any_premise_free = true;
-      break;
-    }
-  }
-  const Graph* nf = nullptr;
-  ViewCacheRef views;  // null cache: view layer off for this batch
-  if (any_premise_free) {
-    nf = &Normalized();
-    if (options_.views.enabled) {
-      const uint64_t version = closure_->version();
-      // Maintain before the batch's lookups, exactly like the
-      // sequential writer path: delta-patching every view to the
-      // current nf is what turns post-mutation batches into hits.
-      view_cache_.Maintain(*nf, version, view_cache_.erase_stamp(),
-                           &evaluator_, options_.match);
-      views = ViewCacheRef{&view_cache_, version, view_cache_.erase_stamp()};
-    }
-  }
-  BatchStats stats;
-  std::vector<Result<std::vector<Graph>>> out = PreAnswerBatchImpl(
-      queries, &evaluator_, [nf]() -> const Graph& { return *nf; },
-      [this](const Query& q) { return evaluator_.PreAnswer(q, data_); },
-      views, options_.match.pool, options_.match, &stats);
-  AccumulateBatchStats(stats, &stats_);
-  if (stats_out != nullptr) *stats_out = stats;
-  return out;
+  return Snapshot()->PreAnswerBatch(queries, stats_out);
 }
 
 Result<std::vector<Graph>> Database::PreAnswer(const UnionQuery& q) {
   Status valid = q.Validate();
   if (!valid.ok()) return valid;
-  bool any_premise_free = false;
-  for (const Query& branch : q.branches) {
-    if (branch.premise.empty()) any_premise_free = true;
-  }
-  const Graph* nf = nullptr;
-  uint64_t version = 0;
-  if (any_premise_free) {
-    nf = &Normalized();
-    version = closure_->version();
-    if (options_.views.enabled) {
-      view_cache_.Maintain(*nf, version, view_cache_.erase_stamp(),
-                           &evaluator_, options_.match);
-    }
-    // Branch tasks share nf read-only; build its permutations up front
-    // so no two tasks race the lazy index build.
-    nf->WarmIndexes();
-  }
-
-  auto eval_branch = [&](const Query& branch) -> Result<std::vector<Graph>> {
-    if (!branch.premise.empty()) return evaluator_.PreAnswer(branch, data_);
-    if (!options_.views.enabled || BodyHasBlanks(branch)) {
-      return evaluator_.PreAnswerPrenormalized(branch, *nf);
-    }
-    return PreAnswerThroughCache(branch, *nf, version);
-  };
-
-  const size_t n = q.branches.size();
-  // Branch dedupe via the batch path's ViewKey grouping: premise-free
-  // branches canonicalizing to the same key get one evaluation,
-  // replayed per spelling (equal keys share one canonical spelling, so
-  // the replay is bit-identical). Head-blank branches key on their
-  // exact spelling — a sequential re-evaluation of the duplicate would
-  // hit the Skolem cache and mint nothing, so replaying the leader
-  // (which runs first, in branch order) preserves the mint sequence.
-  // Premise-bearing branches never dedupe: Merge mints per call.
-  std::vector<size_t> dup_of(n);
-  std::unordered_map<ViewKey, size_t, ViewKeyHash> leader_of;
-  for (size_t i = 0; i < n; ++i) {
-    dup_of[i] = i;
-    if (!q.branches[i].premise.empty()) continue;
-    ViewKey key = MakeViewKey(q.branches[i]);
-    auto [it, inserted] = leader_of.try_emplace(std::move(key), i);
-    if (!inserted) {
-      dup_of[i] = it->second;
-      stats_.union_branches_deduped.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  std::vector<std::optional<Result<std::vector<Graph>>>> parts(n);
-  ThreadPool* pool = options_.match.pool;
-  if (pool != nullptr && n > 1) {
-    // Fan out only branches that cannot mint fresh blanks (premise-free
-    // with blank-free heads): minting order determines blank ids, so
-    // minting branches stay on this thread in branch order — exactly
-    // the sequential mint sequence. With the pinned merge below, the
-    // result is bit-identical at any worker count.
-    TaskGroup group(pool);
-    for (size_t i = 0; i < n; ++i) {
-      if (dup_of[i] == i && !QueryMintsBlanks(q.branches[i])) {
-        group.Run([&, i] { parts[i].emplace(eval_branch(q.branches[i])); });
-      }
-    }
-    for (size_t i = 0; i < n; ++i) {
-      if (dup_of[i] == i && QueryMintsBlanks(q.branches[i])) {
-        parts[i].emplace(eval_branch(q.branches[i]));
-      }
-    }
-    group.Wait();
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      if (dup_of[i] == i) parts[i].emplace(eval_branch(q.branches[i]));
-    }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (dup_of[i] != i) parts[i] = parts[dup_of[i]];
-  }
-
-  std::vector<Graph> all;
-  for (size_t i = 0; i < n; ++i) {
-    // First error in branch order wins — same status the sequential
-    // loop would have returned.
-    if (!parts[i]->ok()) return parts[i]->status();
-    all.insert(all.end(), (*parts[i])->begin(), (*parts[i])->end());
-  }
-  std::sort(all.begin(), all.end(), [](const Graph& a, const Graph& b) {
-    return a.triples() < b.triples();
-  });
-  all.erase(std::unique(all.begin(), all.end()), all.end());
-  return all;
+  return CombineBranches(PreAnswerBatch(q.branches));
 }
 
 Result<Graph> Database::AnswerUnion(const Query& q) {
@@ -515,13 +302,18 @@ void Database::PublishSnapshotLocked() {
   // Readers share these const graphs; every access is const-clean.
   data->WarmIndexes();
   cl->WarmIndexes();
-  const LeanCacheStats lc = lean_cache_.stats();
+  // nf depends on the closure alone: a publication that left the closure
+  // unchanged shares the previous snapshot's (possibly built) nf.
+  const uint64_t version = closure_->version();
+  if (nf_slot_ == nullptr || nf_slot_version_ != version) {
+    nf_slot_ = std::make_shared<DatabaseSnapshot::NfSlot>();
+    nf_slot_version_ = version;
+  }
   std::shared_ptr<const DatabaseSnapshot> snap(new DatabaseSnapshot(
-      data_.epoch(), std::move(data), std::move(cl), &evaluator_, options_,
-      CorePool(options_), &stats_,
-      LeanCacheRef{&lean_cache_, closure_->version(), lc.erase_stamp},
-      ViewCacheRef{options_.views.enabled ? &view_cache_ : nullptr,
-                   closure_->version(), view_cache_.erase_stamp()}));
+      data_.epoch(), std::move(data), std::move(cl), nf_slot_, &evaluator_,
+      options_, CorePool(options_), &stats_,
+      ViewCacheRef{options_.views.enabled ? &view_cache_ : nullptr, version,
+                   view_cache_.erase_stamp()}));
   std::lock_guard<std::mutex> snap_lock(snapshot_mu_);
   LockRankScope snap_rank(kLockRankSnapshot);
   // COW observability: compare the outgoing snapshot's leaves against
@@ -546,13 +338,12 @@ void Database::PublishSnapshotLocked() {
 
 const Graph& DatabaseSnapshot::normalized() const {
   if (options_.use_closure_only) return *closure_;
-  std::call_once(normalized_once_, [this] {
-    normalized_.emplace(
-        Core(*closure_, /*witness=*/nullptr, pool_, lean_cache_));
-    normalized_->WarmIndexes();
+  std::call_once(nf_->once, [this] {
+    nf_->graph.emplace(Core(*closure_, /*witness=*/nullptr, pool_));
+    nf_->graph->WarmIndexes();
     ++stats_->snapshot_nf_builds;
   });
-  return *normalized_;
+  return *nf_->graph;
 }
 
 bool DatabaseSnapshot::EntailsTriple(const Triple& t) const {
@@ -569,12 +360,14 @@ bool DatabaseSnapshot::Entails(const Graph& q) const {
 }
 
 Result<std::vector<Graph>> DatabaseSnapshot::PreAnswer(const Query& q) const {
+  Status valid = q.Validate();
+  if (!valid.ok()) return valid;
   if (!q.premise.empty()) {
     // Premise-bearing: merges into the dictionary — see the class
     // comment for the synchronization requirement.
     return evaluator_->PreAnswer(q, *data_);
   }
-  if (views_.cache == nullptr || BodyHasBlanks(q)) {
+  if (views_.cache == nullptr) {
     return evaluator_->PreAnswerPrenormalized(q, normalized());
   }
   CanonicalQuery canon;

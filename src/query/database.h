@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "inference/closure.h"
-#include "normal/core.h"
 #include "query/answer.h"
 #include "query/batch.h"
 #include "query/query.h"
@@ -21,6 +20,14 @@
 namespace swdb {
 
 struct UnionQuery;
+
+/// Cross-build lean-cache counters, always zero: nf(D) is built once per
+/// closure version, so no refutation is shared between builds. Kept only
+/// for readers of DatabaseStats::lean_cache.
+struct LeanCacheStats {
+  uint64_t cross_hits = 0;
+  uint64_t misses = 0;
+};
 
 /// Observability counters for the incremental maintenance engine. All
 /// counters are cumulative since construction (or ResetStats).
@@ -43,11 +50,10 @@ struct DatabaseStats {
   std::atomic<uint64_t> closure_overdeleted{0};  ///< DRed suspects
   std::atomic<uint64_t> closure_rederived{0};    ///< DRed re-derivations
 
-  std::atomic<uint64_t> nf_rebuilds{0};    ///< core recomputations
-  std::atomic<uint64_t> nf_cache_hits{0};  ///< Normalized() from cache
-  /// Snapshot-side nf(D) builds: how many times some snapshot's lazy
-  /// call_once slot actually ran the core computation (each snapshot
-  /// builds at most once no matter how many readers race normalized()).
+  /// nf(D) builds: how many times some snapshot's lazy call_once slot
+  /// actually ran the core computation. Snapshots of one closure version
+  /// share one slot, so this rises at most once per closure version no
+  /// matter how many readers (the writer included) race normalized().
   std::atomic<uint64_t> snapshot_nf_builds{0};
 
   std::atomic<uint64_t> membership_builds{0};   ///< membership (re)builds
@@ -71,8 +77,7 @@ struct DatabaseStats {
   /// Interning observability (shard load, per-kind counts); plain
   /// snapshot filled by CollectStats.
   DictionaryStats dictionary;
-  /// Cross-epoch proven-lean cache counters; plain snapshot filled by
-  /// CollectStats.
+  /// Always zero (see LeanCacheStats).
   LeanCacheStats lean_cache;
   /// Materialized pre-answer view layer counters (hits, misses, patches,
   /// invalidations, advisor promotions); plain snapshot filled by
@@ -93,9 +98,6 @@ struct DatabaseStats {
   std::atomic<uint64_t> batch_prefix_hits{0};
   std::atomic<uint64_t> batch_shared_reused{0};
   std::atomic<uint64_t> batch_limit_exceeded{0};
-  /// Union-query fan-outs: branches served by another branch's
-  /// evaluation through the same ViewKey grouping the batch path uses.
-  std::atomic<uint64_t> union_branches_deduped{0};
 
   DatabaseStats() = default;
   DatabaseStats(const DatabaseStats& o) { *this = o; }
@@ -117,8 +119,6 @@ struct DatabaseStats {
     closure_overdeleted =
         o.closure_overdeleted.load(std::memory_order_relaxed);
     closure_rederived = o.closure_rederived.load(std::memory_order_relaxed);
-    nf_rebuilds = o.nf_rebuilds.load(std::memory_order_relaxed);
-    nf_cache_hits = o.nf_cache_hits.load(std::memory_order_relaxed);
     snapshot_nf_builds =
         o.snapshot_nf_builds.load(std::memory_order_relaxed);
     membership_builds = o.membership_builds.load(std::memory_order_relaxed);
@@ -144,8 +144,6 @@ struct DatabaseStats {
         o.batch_shared_reused.load(std::memory_order_relaxed);
     batch_limit_exceeded =
         o.batch_limit_exceeded.load(std::memory_order_relaxed);
-    union_branches_deduped =
-        o.union_branches_deduped.load(std::memory_order_relaxed);
     data_graph = o.data_graph;
     closure_graph = o.closure_graph;
     dictionary = o.dictionary;
@@ -178,11 +176,12 @@ class MutationBatch {
   std::vector<Triple> erases_;
 };
 
-/// An immutable, epoch-tagged view of a Database — the unit of the
-/// concurrent read path. A snapshot owns shared_ptr copies of the data
-/// graph and its RDFS closure (published with warmed indexes, so every
-/// read is const-clean), plus lazily built derived artifacts (normal
-/// form, closure membership) guarded by std::call_once.
+/// An immutable, epoch-tagged view of a Database — the one read path:
+/// reader threads pin snapshots, and the writer's own reads go through
+/// its latest published one. A snapshot owns shared_ptr copies of the
+/// data graph and its RDFS closure (published with warmed indexes, so
+/// every read is const-clean), plus lazily built derived artifacts
+/// (normal form, closure membership) guarded by std::call_once.
 ///
 /// Threading: all methods are safe to call from any number of threads
 /// concurrently, and the snapshot stays valid and unchanged while the
@@ -202,7 +201,9 @@ class DatabaseSnapshot {
   const Graph& closure() const { return *closure_; }
   /// nf(D) = core(cl(D)) (or cl(D) under use_closure_only), built on
   /// first use by exactly one thread (call_once; every concurrent
-  /// reader observes the one built graph). The core runs on the
+  /// reader observes the one built graph). Consecutive snapshots of the
+  /// same closure version share the slot, so an insert that derives
+  /// nothing new costs no rebuild. The core runs on the
   /// snapshot's pool — EvalOptions' match.pool if set, else the
   /// process-shared ThreadPool — with its component-parallel engine,
   /// whose output is bit-identical to the sequential core.
@@ -212,14 +213,15 @@ class DatabaseSnapshot {
   bool EntailsTriple(const Triple& t) const;
   /// RDFS entailment D ⊨ q against the frozen closure.
   bool Entails(const Graph& q) const;
-  /// Single answers of a premise-free query against nf(D), served from
-  /// the owning Database's view cache when a view valid for this
-  /// snapshot's (closure version, erase stamp) exists — a hit skips
-  /// even the lazy nf build. On a miss the snapshot evaluates against
-  /// its own nf and, when the advisor promotes the shape, offers the
-  /// view back at its captured version (the cache's write rule drops
-  /// the offer if the writer has moved on). See the class comment for
-  /// the premise-bearing caveat.
+  /// Single answers of a query (§4.1). Invalid queries are rejected
+  /// before any other work. A premise-free query is served from the
+  /// owning Database's view cache when a view valid for this snapshot's
+  /// (closure version, erase stamp) exists — a hit skips even the lazy
+  /// nf build. On a miss the snapshot evaluates against its own nf and,
+  /// when the advisor promotes the shape, offers the view back at its
+  /// captured version (the cache's write rule drops the offer if the
+  /// writer has moved on). See the class comment for the
+  /// premise-bearing caveat.
   Result<std::vector<Graph>> PreAnswer(const Query& q) const;
   /// Single answers for a whole batch of queries against this one
   /// snapshot, slot for slot bit-identical to calling PreAnswer on each
@@ -234,40 +236,41 @@ class DatabaseSnapshot {
 
  private:
   friend class Database;
+  // The lazily built nf(D), shared by every snapshot of one closure
+  // version.
+  struct NfSlot {
+    std::once_flag once;
+    std::optional<Graph> graph;
+  };
+
   DatabaseSnapshot(uint64_t epoch, std::shared_ptr<const Graph> data,
                    std::shared_ptr<const Graph> closure,
-                   QueryEvaluator* evaluator, EvalOptions options,
-                   ThreadPool* pool, DatabaseStats* stats,
-                   LeanCacheRef lean_cache, ViewCacheRef views)
+                   std::shared_ptr<NfSlot> nf, QueryEvaluator* evaluator,
+                   EvalOptions options, ThreadPool* pool,
+                   DatabaseStats* stats, ViewCacheRef views)
       : epoch_(epoch),
         data_(std::move(data)),
         closure_(std::move(closure)),
+        nf_(std::move(nf)),
         evaluator_(evaluator),
         options_(options),
         pool_(pool),
         stats_(stats),
-        lean_cache_(lean_cache),
         views_(views) {}
 
   uint64_t epoch_;
   std::shared_ptr<const Graph> data_;
   std::shared_ptr<const Graph> closure_;
+  std::shared_ptr<NfSlot> nf_;
   QueryEvaluator* evaluator_;
   EvalOptions options_;
   ThreadPool* pool_;       // runs the lazy core build; owned elsewhere
   DatabaseStats* stats_;   // the owning Database's counters
-  // The owning Database's cross-epoch lean cache, with this snapshot's
-  // closure version + erase stamp captured at publication. The lazy
-  // normalized() build consults it and offers its refutations back
-  // (the cache's write rule drops them if the writer has moved on).
-  LeanCacheRef lean_cache_;
   // The owning Database's view cache, addressed at this snapshot's
   // (closure version, erase stamp); null cache when the view layer is
   // disabled.
   ViewCacheRef views_;
 
-  mutable std::once_flag normalized_once_;
-  mutable std::optional<Graph> normalized_;
   mutable std::once_flag membership_once_;
   mutable std::optional<ClosureMembership> membership_;
 };
@@ -286,6 +289,11 @@ class DatabaseSnapshot {
 /// current closure fall back to dropping the cache (a batched rebuild
 /// beats replaying a huge delta). Premise-bearing queries still
 /// normalize D + P per call.
+///
+/// Reads of nf(D) — Normalized, PreAnswer, PreAnswerBatch and the
+/// answer helpers built on them — go through the latest published
+/// Snapshot(), so the writer and every reader share one read pipeline
+/// and one nf build per closure version.
 ///
 /// Threading model (single writer, many readers): every mutating and
 /// cache-maintaining method — Insert/Erase/Apply, Closure, Normalized,
@@ -328,8 +336,9 @@ class Database {
   /// RDFS-cl(D), computed on first use and maintained thereafter.
   const Graph& Closure();
 
-  /// nf(D) (or its closure under use_closure_only), recomputed only
-  /// when the maintained closure actually changed.
+  /// nf(D) (or its closure under use_closure_only): the current
+  /// snapshot's normalized(), built once per closure version. The
+  /// reference stays valid until the next mutation.
   const Graph& Normalized();
 
   /// RDFS entailment D ⊨ q (Thm 2.8), evaluated against the maintained
@@ -341,26 +350,21 @@ class Database {
   /// common case.
   bool EntailsTriple(const Triple& t);
 
-  /// Single answers of a query (§4.1). Premise-free queries route
-  /// through the materialized view layer (EvalOptions::views): lookup →
-  /// delta maintenance → matcher fallthrough, with answers bit-identical
-  /// to the uncached path. Premise-bearing queries always evaluate (the
-  /// D + P merge mints fresh blanks per call, so those answers are not
-  /// replayable).
+  /// Single answers of a query (§4.1): the current snapshot's PreAnswer.
+  /// Premise-free queries route through the materialized view layer
+  /// (EvalOptions::views), with answers bit-identical to the uncached
+  /// path. Premise-bearing queries always evaluate (the D + P merge
+  /// mints fresh blanks per call, so those answers are not replayable).
   Result<std::vector<Graph>> PreAnswer(const Query& q);
-  /// Pre-answers of a union query: branch pre-answers (each routed
-  /// through the view layer), concatenated, sorted, deduplicated. With a
-  /// MatchOptions::pool, branches fan out over it with pinned merge
-  /// order — the result is bit-identical at any worker count.
+  /// Pre-answers of a union query: one PreAnswerBatch over the branches,
+  /// combined by CombineBranches (query/union_query.h) — bit-identical
+  /// at any worker count.
   Result<std::vector<Graph>> PreAnswer(const UnionQuery& q);
   /// Single answers for a whole batch of queries, slot for slot
   /// bit-identical to calling PreAnswer on each in order (same answers,
   /// same order, same Skolem mints, same dictionary end state) at any
-  /// worker count. One normalized graph is pinned for the batch;
-  /// isomorphic shapes are answered once and replayed per spelling; the
-  /// survivors share prefix enumeration through the batch trie, whose
-  /// root subtrees fan out over MatchOptions::pool (see query/batch.h).
-  /// Writer-thread only, like PreAnswer.
+  /// worker count: the current snapshot's PreAnswerBatch (see
+  /// query/batch.h). Writer-thread only, like PreAnswer.
   std::vector<Result<std::vector<Graph>>> PreAnswerBatch(
       const std::vector<Query>& queries, BatchStats* stats_out = nullptr);
   /// ans∪(q, D). Shares one PreAnswer materialization with any earlier
@@ -400,14 +404,6 @@ class Database {
   // Incremental maintenance steps; no-ops while no closure is cached.
   void MaintainInsert(const Graph& delta);
   void MaintainErase(const Graph& deleted);
-  // The view-layer read path for one premise-free query against the
-  // current nf (already maintained to `version`): lookup → advisor →
-  // matcher fallthrough → install. Safe to call concurrently from the
-  // union-query fan-out (cache methods lock; the evaluator and nf are
-  // shared read-only).
-  Result<std::vector<Graph>> PreAnswerThroughCache(const Query& q,
-                                                   const Graph& nf,
-                                                   uint64_t version);
   // Builds a snapshot of the current state and publishes it under
   // snapshot_mu_. Caller holds write_mu_.
   void PublishSnapshotLocked();
@@ -418,23 +414,23 @@ class Database {
   EvalOptions options_;
 
   // Maintained artifacts, each tagged with the state it reflects:
-  // the closure with the data epoch, nf with the closure version, the
-  // membership index with the data epoch (internally, via Graph::epoch).
+  // the closure with the data epoch, the membership index with the data
+  // epoch (internally, via Graph::epoch).
   std::optional<IncrementalClosure> closure_;
   uint64_t closure_epoch_ = 0;
-  std::optional<Graph> normalized_;
-  uint64_t nf_version_ = 0;
   std::optional<ClosureMembership> membership_;
 
-  // Cross-epoch proven-lean component cache (see LeanCache): fed and
-  // consumed by the writer's Normalized() and by every snapshot's lazy
-  // normalized() build; invalidated here on closure maintenance.
-  LeanCache lean_cache_;
+  // The nf slot of the latest publication and the closure version it
+  // belongs to: the next publication at the same version carries it
+  // forward. Dropped with the closure incarnation (bulk resets), whose
+  // version counter the next incarnation restarts. Guarded by write_mu_.
+  std::shared_ptr<DatabaseSnapshot::NfSlot> nf_slot_;
+  uint64_t nf_slot_version_ = 0;
 
-  // Materialized pre-answer views (see ViewCache): consulted by the
-  // writer's PreAnswer and by every snapshot's, delta-patched against
-  // each new nf, fully cleared whenever the closure incarnation is
-  // dropped (bulk resets), and erase-fenced in step with lean_cache_.
+  // Materialized pre-answer views (see ViewCache): consulted by every
+  // snapshot's PreAnswer, delta-patched against each new nf, fully
+  // cleared whenever the closure incarnation is dropped (bulk resets),
+  // and erase-fenced on every erase that changes the closure.
   ViewCache view_cache_;
 
   // Concurrent read path: mutators hold write_mu_ end to end and, once

@@ -2,29 +2,12 @@
 
 #include <algorithm>
 #include <optional>
-#include <unordered_map>
 
+#include "query/batch.h"
 #include "query/containment.h"
 #include "query/premise.h"
-#include "query/view_key.h"
-#include "util/thread_pool.h"
 
 namespace swdb {
-
-namespace {
-
-// Whether evaluating this branch can mint fresh blank nodes (premise
-// merge or head-blank Skolemization). Mint order determines the minted
-// ids, so such branches are kept sequential in the fan-out below.
-bool BranchMintsBlanks(const Query& q) {
-  if (!q.premise.empty()) return true;
-  for (const Triple& t : q.head) {
-    if (t.s.IsBlank() || t.p.IsBlank() || t.o.IsBlank()) return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 Status UnionQuery::Validate() const {
   for (const Query& q : branches) {
@@ -52,8 +35,7 @@ Result<UnionQuery> UnionQuery::FromPremiseQuery(const Query& q,
 Result<Graph> AnswerUnionQuery(QueryEvaluator* evaluator,
                                const UnionQuery& q, const Graph& db) {
   // The union over branches of their ans∪ equals the union of all
-  // branch pre-answers, so this shares PreAnswerUnionQuery's parallel
-  // fan-out instead of looping sequentially.
+  // branch pre-answers, so this shares PreAnswerUnionQuery's batch.
   Result<std::vector<Graph>> pre = PreAnswerUnionQuery(evaluator, q, db);
   if (!pre.ok()) return pre.status();
   Graph out;
@@ -64,61 +46,26 @@ Result<Graph> AnswerUnionQuery(QueryEvaluator* evaluator,
 Result<std::vector<Graph>> PreAnswerUnionQuery(QueryEvaluator* evaluator,
                                                const UnionQuery& q,
                                                const Graph& db) {
-  const size_t n = q.branches.size();
-  // Dedupe isomorphic premise-free branches by ViewKey: equal keys
-  // share one canonical spelling, so the leader's pre-answers are
-  // bit-identical to what the duplicate's own evaluation would return
-  // (head-blank branches key on their exact spelling, and a sequential
-  // re-evaluation would hit the Skolem cache — replaying the earlier
-  // leader preserves the mint sequence). Premise-bearing branches
-  // never dedupe: the D + P merge mints fresh blanks per call.
-  std::vector<size_t> dup_of(n);
-  std::unordered_map<ViewKey, size_t, ViewKeyHash> leader_of;
-  for (size_t i = 0; i < n; ++i) {
-    dup_of[i] = i;
-    if (!q.branches[i].premise.empty()) continue;
-    ViewKey key = MakeViewKey(q.branches[i]);
-    auto [it, inserted] = leader_of.try_emplace(std::move(key), i);
-    if (!inserted) dup_of[i] = it->second;
-  }
-  std::vector<std::optional<Result<std::vector<Graph>>>> parts(n);
-  ThreadPool* pool = evaluator->options().match.pool;
-  if (pool != nullptr && n > 1) {
-    // Fan out the branches that cannot mint blanks; minting branches
-    // (premise merges, head-blank Skolemization) stay on this thread in
-    // branch order so the minted ids match the sequential run. Each
-    // branch normalizes db + P itself, so there is no shared mutable
-    // state beyond the internally synchronized dictionary and Skolem
-    // cache.
-    TaskGroup group(pool);
-    for (size_t i = 0; i < n; ++i) {
-      if (dup_of[i] == i && !BranchMintsBlanks(q.branches[i])) {
-        group.Run([&parts, evaluator, &q, &db, i] {
-          parts[i].emplace(evaluator->PreAnswer(q.branches[i], db));
-        });
-      }
-    }
-    for (size_t i = 0; i < n; ++i) {
-      if (dup_of[i] == i && BranchMintsBlanks(q.branches[i])) {
-        parts[i].emplace(evaluator->PreAnswer(q.branches[i], db));
-      }
-    }
-    group.Wait();
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      if (dup_of[i] == i) parts[i].emplace(evaluator->PreAnswer(q.branches[i], db));
-    }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (dup_of[i] != i) parts[i] = parts[dup_of[i]];
-  }
+  // Every premise-free branch evaluates against the same nf(db) (an
+  // empty premise adds nothing to db), built at most once.
+  std::optional<Graph> nf;
+  return CombineBranches(PreAnswerBatchImpl(
+      q.branches, evaluator,
+      [&]() -> const Graph& {
+        nf.emplace(evaluator->NormalizedDatabase(Query(), db));
+        return *nf;
+      },
+      [&](const Query& branch) { return evaluator->PreAnswer(branch, db); },
+      ViewCacheRef{}, evaluator->options().match.pool,
+      evaluator->options().match, /*stats_out=*/nullptr));
+}
 
+Result<std::vector<Graph>> CombineBranches(
+    std::vector<Result<std::vector<Graph>>> parts) {
   std::vector<Graph> all;
-  for (size_t i = 0; i < n; ++i) {
-    // Pinned merge order: first error in branch order wins, and the
-    // concatenation below is the sequential one.
-    if (!parts[i]->ok()) return parts[i]->status();
-    all.insert(all.end(), (*parts[i])->begin(), (*parts[i])->end());
+  for (auto& part : parts) {
+    if (!part.ok()) return part.status();
+    all.insert(all.end(), part->begin(), part->end());
   }
   std::sort(all.begin(), all.end(), [](const Graph& a, const Graph& b) {
     return a.triples() < b.triples();

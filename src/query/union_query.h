@@ -32,11 +32,19 @@ struct UnionQuery {
 Result<Graph> AnswerUnionQuery(QueryEvaluator* evaluator,
                                const UnionQuery& q, const Graph& db);
 
-/// Pre-answers of a union query: concatenated and deduplicated branch
-/// pre-answers.
+/// Pre-answers of a union query: one batch over the branches (see
+/// query/batch.h) against one shared nf(db), combined by
+/// CombineBranches. Bit-identical to evaluating the branches one by one
+/// in order, at any worker count.
 Result<std::vector<Graph>> PreAnswerUnionQuery(QueryEvaluator* evaluator,
                                                const UnionQuery& q,
                                                const Graph& db);
+
+/// The union of per-branch pre-answers, in branch order: the first
+/// branch error wins; otherwise the answers are concatenated, sorted and
+/// deduplicated.
+Result<std::vector<Graph>> CombineBranches(
+    std::vector<Result<std::vector<Graph>>> parts);
 
 /// Prop. 5.11: (q1 ∪ q2) ⊑ q' iff q1 ⊑ q' and q2 ⊑ q' — for both
 /// containment notions, over simple queries (premises allowed on q').

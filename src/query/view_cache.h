@@ -24,8 +24,8 @@ struct ViewCacheOptions {
   /// Master switch; off routes every PreAnswer to the matcher.
   bool enabled = true;
   /// The view advisor materializes a shape once it has been requested
-  /// this many times (lookups, hit or miss, across writer and
-  /// snapshots). 1 materializes on first sight; 0 behaves like 1.
+  /// this many times (lookups, hit or miss, across all snapshots). 1
+  /// materializes on first sight; 0 behaves like 1.
   uint32_t promote_after = 2;
   /// Hard cap on materialized views; further shapes stay unmaterialized.
   size_t max_entries = 1024;
@@ -60,7 +60,7 @@ struct ViewCacheStats {
 /// How a consumer addresses a shared ViewCache: `version` is the closure
 /// version of the normalized graph the consumer answers against, and
 /// `erase_stamp` the cache's fence stamp, both captured when that graph
-/// was (at snapshot publication, or live for the writer). A default
+/// was (at snapshot publication). A default
 /// (null cache) ref disables the view layer for that consumer.
 struct ViewCacheRef {
   ViewCache* cache = nullptr;
@@ -68,8 +68,8 @@ struct ViewCacheRef {
   uint64_t erase_stamp = 0;
 };
 
-/// A cache of materialized pre-answer views, shared between a Database's
-/// writer and every published snapshot. An entry says: evaluating this
+/// A cache of materialized pre-answer views, shared by every snapshot a
+/// Database publishes. An entry says: evaluating this
 /// canonical query over nf(D) at closure version V yields exactly these
 /// matchings and these single answers. Because the evaluator is a pure
 /// function of (query, normalized-graph content, Skolem cache) and the
@@ -79,9 +79,9 @@ struct ViewCacheRef {
 /// Maintenance is driven by the *normalized-graph delta*, not the raw
 /// closure delta: folds can remove nf triples whose cause is an
 /// unrelated insertion, so the closure cone alone under-approximates
-/// the set of views whose answers move (see DESIGN.md). The writer
-/// calls Maintain with each new nf; the cache diffs it against the nf
-/// its entries reflect and, per view,
+/// the set of views whose answers move (see DESIGN.md). The first
+/// current snapshot to need its nf calls Maintain with it; the cache
+/// diffs it against the nf its entries reflect and, per view,
 ///  - revalidates it untouched when no added or removed nf triple
 ///    unifies with any body triple (no valuation can appear or die);
 ///  - patches it otherwise: stored matchings whose image lost a triple
@@ -129,7 +129,7 @@ class ViewCache {
                std::vector<TermMap> matchings, std::vector<Graph> answers,
                uint64_t prover_version, uint64_t prover_stamp);
 
-  /// Writer-side maintenance: brings every view from the nf the cache
+  /// Maintenance: brings every view from the nf the cache
   /// reflects to `nf` (closure version `version`), patching by the nf
   /// delta. No-op when already in sync or when `stamp` shows the caller
   /// behind a fence. The evaluator re-derives answers (Skolemization);
@@ -151,7 +151,7 @@ class ViewCache {
   /// stale consumer.
   void Clear();
 
-  /// Current fence stamp (what a live writer passes to Lookup/Install).
+  /// Current fence stamp (what a snapshot published now captures).
   uint64_t erase_stamp() const;
 
   ViewCacheStats stats() const;

@@ -130,10 +130,9 @@ void AppendGraph(const Graph& g, std::vector<uint32_t>* words) {
 
 ViewKey MakeViewKey(const Query& q, CanonicalQuery* canonical_out) {
   CanonicalQuery canon;
-  // Renaming is answer-preserving only for validating, blank-free-head
-  // queries (see CanonicalQuery); everything else keys on its exact
-  // spelling.
-  canon.renamed = !HeadHasBlanks(q.head) && q.Validate().ok();
+  // Renaming is answer-preserving only for blank-free heads (see
+  // CanonicalQuery); head-blank queries key on their exact spelling.
+  canon.renamed = !HeadHasBlanks(q.head);
   if (canon.renamed) {
     const std::vector<Term> vars = q.body.Variables();
     const TermMap rename = CanonicalRenaming(q, vars);

@@ -49,8 +49,9 @@ struct ViewKeyHash {
 };
 
 /// Canonicalizes q (see CanonicalQuery) and serializes it into its
-/// ViewKey. The caller must have validated q (Query::Validate); on a
-/// non-validating query the key degrades to the exact spelling.
+/// ViewKey. The caller must have validated q (Query::Validate): the
+/// renaming is answer-preserving only for valid queries, so every read
+/// path validates once, up front, and keys only what passed.
 /// `canonical_out`, if non-null, receives the canonical query the view
 /// layer should evaluate and store.
 ViewKey MakeViewKey(const Query& q, CanonicalQuery* canonical_out = nullptr);

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "paths/path.h"
+#include "query/union_query.h"
 #include "rdf/triple.h"
 
 namespace swdb {
@@ -32,22 +33,6 @@ uint64_t DigestGraph(uint64_t h, const Graph& g) {
     h = Mix64(h, t.o.bits());
   }
   return h;
-}
-
-// The union post-processing Database::PreAnswer(UnionQuery) applies:
-// first branch error wins, then concat, sort, dedupe.
-Result<std::vector<Graph>> CombineBranches(
-    std::vector<Result<std::vector<Graph>>> parts) {
-  std::vector<Graph> all;
-  for (auto& part : parts) {
-    if (!part.ok()) return part.status();
-    all.insert(all.end(), part->begin(), part->end());
-  }
-  std::sort(all.begin(), all.end(), [](const Graph& a, const Graph& b) {
-    return a.triples() < b.triples();
-  });
-  all.erase(std::unique(all.begin(), all.end()), all.end());
-  return all;
 }
 
 bool SameResult(const Result<std::vector<Graph>>& a,

@@ -474,7 +474,7 @@ TEST(UnionDedupe, IsomorphicBranchesEvaluateOnce) {
   Result<std::vector<Graph>> deduped = db.PreAnswer(build(&dict));
   ASSERT_TRUE(deduped.ok());
   EXPECT_EQ(*deduped, all);
-  EXPECT_EQ(db.CollectStats().union_branches_deduped, 2u);
+  EXPECT_EQ(db.CollectStats().batch_deduped, 2u);
 
   // The evaluator-level free function dedupes the same way.
   Dictionary dict_free;

@@ -483,44 +483,11 @@ TEST(DatabaseSnapshot, PublicationSharesLeavesWithPredecessor) {
 }
 
 // --------------------------------------------------------------------------
-// Cross-epoch lean cache.
+// Normal form across epochs.
 
-// Several independent *lean* blank components (nothing to fold onto):
-// each one is refuted in round 1, which is exactly what populates the
-// cross-epoch LeanCache. (InsertFoldableData's components all fold, so
-// they never produce cache writes.)
-void InsertLeanComponents(Database* db, Dictionary* dict, int n = 4) {
-  for (int i = 0; i < n; ++i) {
-    db->Insert(Triple(dict->Iri("u:ls" + std::to_string(i)),
-                      dict->Iri("u:lp" + std::to_string(i)),
-                      dict->FreshBlank()));
-  }
-}
-
-TEST(LeanCacheDatabase, CrossEpochHitsOnUnrelatedInsert) {
-  // Normalize, insert a triple unrelated to every blank component, and
-  // normalize again: the second core run must skip the unchanged
-  // components via the shared LeanCache.
-  Dictionary dict;
-  Database db(&dict);
-  InsertLeanComponents(&db, &dict);
-  (void)db.Normalized();
-  const DatabaseStats before = db.CollectStats();
-  EXPECT_GT(before.lean_cache.writes, 0u);
-
-  db.Insert(
-      Triple(dict.Iri("u:lonely"), dict.Iri("u:q"), dict.Iri("u:ground")));
-  const Graph& nf = db.Normalized();
-  const DatabaseStats after = db.CollectStats();
-  EXPECT_GT(after.lean_cache.cross_hits, 0u);
-  // Bit-identical to the from-scratch normal form.
-  EXPECT_EQ(nf, Core(RdfsClosure(db.graph())));
-}
-
-TEST(LeanCacheDatabase, InsertEvictsNewlyFoldableComponent) {
+TEST(NormalFormEpochs, InsertFoldsNewlyFoldableComponent) {
   // A lean component becomes foldable when its ground image appears:
-  // the insert delta must evict the stale "proven lean" entry, or the
-  // second normal form would wrongly keep the blank triple.
+  // the second normal form must drop the blank triple.
   Dictionary dict;
   Database db(&dict);
   Term a = dict.Iri("u:a");
@@ -532,38 +499,13 @@ TEST(LeanCacheDatabase, InsertEvictsNewlyFoldableComponent) {
 
   db.Insert(Triple(a, p, dict.Iri("u:b")));  // ground image appears
   const Graph& nf2 = db.Normalized();
-  EXPECT_FALSE(nf2.Contains(Triple(a, p, blank)))
-      << "stale lean-cache entry survived the insert";
+  EXPECT_FALSE(nf2.Contains(Triple(a, p, blank)));
   EXPECT_EQ(nf2, Core(RdfsClosure(db.graph())));
-  EXPECT_GT(db.CollectStats().lean_cache.evictions, 0u);
 }
 
-TEST(LeanCacheDatabase, SnapshotsFeedAndConsumeTheSharedCache) {
-  // A snapshot's lazy normalized() build populates the cache; the next
-  // epoch's snapshot (same components) consumes it cross-epoch.
-  Dictionary dict;
-  Database db(&dict);
-  InsertLeanComponents(&db, &dict);
-  std::shared_ptr<const DatabaseSnapshot> first = db.Snapshot();
-  (void)first->normalized();
-  const uint64_t writes = db.CollectStats().lean_cache.writes;
-  EXPECT_GT(writes, 0u);
-
-  db.Insert(
-      Triple(dict.Iri("u:lonely"), dict.Iri("u:q"), dict.Iri("u:ground")));
-  std::shared_ptr<const DatabaseSnapshot> second = db.Snapshot();
-  const Graph& nf = second->normalized();
-  EXPECT_GT(db.CollectStats().lean_cache.cross_hits, 0u);
-  EXPECT_EQ(nf, Core(RdfsClosure(second->data())));
-  // The first snapshot stays frozen and correct.
-  EXPECT_EQ(first->normalized(), Core(RdfsClosure(first->data())));
-}
-
-TEST(LeanCacheDatabase, LaggingSnapshotIsFencedAfterErase) {
-  // Erase-stamp fencing: a snapshot published *before* an erase must
-  // not consume entries written *after* it (they were proven against a
-  // smaller graph). The lagging snapshot's normal form must still equal
-  // its own from-scratch core.
+TEST(NormalFormEpochs, LaggingSnapshotKeepsItsOwnNormalForm) {
+  // A snapshot published before an erase keeps the normal form of its
+  // own, larger graph, even after the writer normalized the smaller one.
   Dictionary dict;
   Database db(&dict);
   Term a = dict.Iri("u:a");
@@ -576,12 +518,12 @@ TEST(LeanCacheDatabase, LaggingSnapshotIsFencedAfterErase) {
   std::shared_ptr<const DatabaseSnapshot> lagging = db.Snapshot();
 
   // Erase the ground image: in the *new* state the blank component is
-  // lean again, and normalizing writes that (stamped) entry.
+  // lean again.
   db.Erase(Triple(a, p, dict.Iri("u:b")));
-  (void)db.Normalized();
+  EXPECT_TRUE(db.Normalized().Contains(Triple(a, p, blank)));
 
   // The lagging snapshot still contains the ground image, so its
-  // component folds — a cache hit here would be unsound.
+  // component folds.
   const Graph& nf = lagging->normalized();
   EXPECT_FALSE(nf.Contains(Triple(a, p, blank)));
   EXPECT_EQ(nf, Core(RdfsClosure(lagging->data())));

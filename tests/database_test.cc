@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include "inference/closure.h"
+#include "normal/core.h"
 #include "normal/normal_form.h"
+#include "query/union_query.h"
 #include "testutil.h"
 
 namespace swdb {
 namespace {
 
 using swdb::testing::Data;
+using swdb::testing::G;
 using swdb::testing::Q;
 
 TEST(Database, InsertAndQueryText) {
@@ -115,6 +118,187 @@ TEST(Database, ClosureOnlyMode) {
   Database db(&dict, options);
   ASSERT_TRUE(db.InsertText("a sc b .").ok());
   EXPECT_EQ(db.Normalized(), RdfsClosure(db.graph()));
+}
+
+// ---------------------------------------------------------------------------
+// One read pipeline: the writer reads through its own latest snapshot.
+
+// Data with one foldable blank (_:y onto rex) and one lean one (_:x), so
+// nf differs from the closure.
+constexpr char kPipelineData[] =
+    "cat sc mammal .\n"
+    "mammal sc animal .\n"
+    "tom type cat .\n"
+    "tom owns _:y .\n"
+    "tom owns rex .\n"
+    "_:x type cat .\n"
+    "_:x name felix .\n";
+
+// Queries covering every slot kind: a renamed shape, its respelling, a
+// head-blank (Skolem-minting) shape, a premise query and an invalid one
+// (head variable missing from the body).
+std::vector<Query> PipelineQueries(Dictionary* dict) {
+  std::vector<Query> qs;
+  qs.push_back(Q(dict, "head: ?X isA ?C .\nbody: ?X type ?C .\n"));
+  qs.push_back(Q(dict, "head: ?U isA ?V .\nbody: ?U type ?V .\n"));
+  qs.push_back(Q(dict, "head: ?X has _:h .\nbody: ?X type animal .\n"));
+  qs.push_back(Q(dict,
+                 "head: ?X relative tom .\n"
+                 "body: ?X relative tom .\n"
+                 "premise: rex son tom .\n"
+                 "premise: son sp relative .\n"));
+  Query invalid;
+  invalid.body = G(dict, "?X owns ?Y .");
+  invalid.head = G(dict, "?Z owns ?Y .");
+  qs.push_back(invalid);
+  return qs;
+}
+
+void ExpectSameResult(const Result<std::vector<Graph>>& a,
+                      const Result<std::vector<Graph>>& b) {
+  ASSERT_EQ(a.ok(), b.ok());
+  if (!a.ok()) {
+    EXPECT_EQ(a.status().code(), b.status().code());
+    return;
+  }
+  EXPECT_EQ(*a, *b);
+}
+
+TEST(ReadPipeline, WriterReadsMatchAPinnedSnapshot) {
+  // Twin databases over twin dictionaries: one answers through the
+  // writer methods, the other through an explicitly pinned snapshot,
+  // call for call. Answers, their order and every Skolem/merge mint must
+  // agree bit for bit, before and after a mutation.
+  EvalOptions options;
+  options.views.promote_after = 1;  // exercise view installs and hits
+  Dictionary dict_w, dict_s;
+  Database writer(&dict_w, options), pinned(&dict_s, options);
+  ASSERT_TRUE(writer.InsertText(kPipelineData).ok());
+  ASSERT_TRUE(pinned.InsertText(kPipelineData).ok());
+  const std::vector<Query> qw = PipelineQueries(&dict_w);
+  const std::vector<Query> qs = PipelineQueries(&dict_s);
+  UnionQuery uw, us;
+  uw.branches.assign(qw.begin(), qw.begin() + 4);
+  us.branches.assign(qs.begin(), qs.begin() + 4);
+
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    std::shared_ptr<const DatabaseSnapshot> snap = pinned.Snapshot();
+    EXPECT_EQ(writer.Normalized(), snap->normalized());
+    for (size_t i = 0; i < qw.size(); ++i) {
+      SCOPED_TRACE(i);
+      ExpectSameResult(writer.PreAnswer(qw[i]), snap->PreAnswer(qs[i]));
+    }
+    const auto batch_w = writer.PreAnswerBatch(qw);
+    const auto batch_s = snap->PreAnswerBatch(qs);
+    ASSERT_EQ(batch_w.size(), batch_s.size());
+    for (size_t i = 0; i < batch_w.size(); ++i) {
+      ExpectSameResult(batch_w[i], batch_s[i]);
+    }
+    ExpectSameResult(writer.PreAnswer(uw),
+                     CombineBranches(snap->PreAnswerBatch(us.branches)));
+
+    auto mutate = [](Database* db, Dictionary* dict) {
+      MutationBatch batch;
+      batch.Erase(Triple(dict->Iri("tom"), dict->Iri("owns"),
+                         dict->Iri("rex")));
+      batch.Insert(Triple(dict->Iri("rex"), vocab::kType, dict->Iri("cat")));
+      db->Apply(batch);
+    };
+    mutate(&writer, &dict_w);
+    mutate(&pinned, &dict_s);
+  }
+  EXPECT_EQ(dict_w.Stats().blanks, dict_s.Stats().blanks);
+}
+
+TEST(ReadPipeline, NormalizedIsTheSnapshotsNormalForm) {
+  Dictionary dict;
+  Database db(&dict);
+  ASSERT_TRUE(db.InsertText(kPipelineData).ok());
+  EXPECT_EQ(&db.Normalized(), &db.Snapshot()->normalized());
+  EXPECT_EQ(db.Normalized(), Core(RdfsClosure(db.graph())));
+  db.Insert(Triple(dict.Iri("rex"), vocab::kType, dict.Iri("cat")));
+  EXPECT_EQ(&db.Normalized(), &db.Snapshot()->normalized());
+  EXPECT_EQ(db.Normalized(), Core(RdfsClosure(db.graph())));
+}
+
+TEST(ReadPipeline, OneNfBuildPerClosureVersion) {
+  Dictionary dict;
+  Database db(&dict);
+  ASSERT_TRUE(db.InsertText("a sc b .\nb sc c .\na sc c .\nx p _:y .\n")
+                  .ok());
+  auto builds = [&db] { return db.stats().snapshot_nf_builds.load(); };
+  Query q = Q(&dict, "head: ?X sc ?Y .\nbody: ?X sc ?Y .\n");
+
+  (void)db.Normalized();
+  ASSERT_TRUE(db.PreAnswer(q).ok());
+  ASSERT_TRUE(db.Snapshot()->PreAnswer(q).ok());
+  EXPECT_EQ(builds(), 1u);
+
+  // A new closure version: one more build, shared by every reader.
+  db.Insert(Triple(dict.Iri("c"), vocab::kSc, dict.Iri("d")));
+  std::shared_ptr<const DatabaseSnapshot> reader = db.Snapshot();
+  EXPECT_EQ(&reader->normalized(), &db.Normalized());
+  ASSERT_TRUE(db.PreAnswer(q).ok());
+  EXPECT_EQ(builds(), 2u);
+
+  // A derivable insert and an erase of a still-derivable triple leave
+  // the closure unchanged: the new snapshots share the built nf.
+  const Graph* nf = &db.Normalized();
+  db.Insert(Triple(dict.Iri("b"), vocab::kSc, dict.Iri("d")));
+  EXPECT_NE(db.Snapshot()->epoch(), reader->epoch());
+  EXPECT_EQ(&db.Normalized(), nf);
+  db.Erase(Triple(dict.Iri("a"), vocab::kSc, dict.Iri("c")));
+  EXPECT_EQ(&db.Normalized(), nf);
+  EXPECT_EQ(builds(), 2u);
+  EXPECT_EQ(db.Normalized(), Core(RdfsClosure(db.graph())));
+}
+
+// ---------------------------------------------------------------------------
+// Invalid queries are rejected before any work on the read path.
+
+TEST(ReadPipeline, InvalidQueryBuildsNoNormalFormAndProbesNoView) {
+  Dictionary dict;
+  Database db(&dict);
+  ASSERT_TRUE(db.InsertText(kPipelineData).ok());
+  Query invalid;
+  invalid.body = G(&dict, "?X type ?C .");
+  invalid.head = G(&dict, "?Z isA ?C .");
+  std::shared_ptr<const DatabaseSnapshot> snap = db.Snapshot();
+  const DatabaseStats before = db.CollectStats();
+
+  Result<std::vector<Graph>> r = snap->PreAnswer(invalid);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(db.PreAnswer(invalid).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(db.PreAnswer(UnionQuery::Of(invalid)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(snap->PreAnswerBatch({invalid})[0].status().code(),
+            StatusCode::kInvalidArgument);
+
+  const DatabaseStats after = db.CollectStats();
+  EXPECT_EQ(after.snapshot_nf_builds, before.snapshot_nf_builds);
+  EXPECT_EQ(after.views.misses, before.views.misses);
+  EXPECT_EQ(after.views.hits, before.views.hits);
+}
+
+TEST(ReadPipeline, InvalidPremiseQueryMintsNoBlank) {
+  // The premise blank _:b clashes with the data's, so merging D + P
+  // would mint a fresh blank — but a premise with a variable is invalid
+  // and must be rejected before the merge.
+  Dictionary dict;
+  Database db(&dict);
+  ASSERT_TRUE(db.InsertText("_:b p c .\n").ok());
+  Query invalid = Q(&dict, "head: ?X r c .\nbody: ?X p c .\n");
+  invalid.premise = G(&dict, "_:b p ?Y .");
+  const size_t blanks = dict.Stats().blanks;
+
+  EXPECT_EQ(db.PreAnswer(invalid).status().code(),
+            StatusCode::kInvalidArgument);
+  QueryEvaluator eval(&dict);
+  EXPECT_EQ(eval.PreAnswer(invalid, db.graph()).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(dict.Stats().blanks, blanks);
 }
 
 }  // namespace
