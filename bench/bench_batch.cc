@@ -6,20 +6,18 @@
 // residual suffix over the bulk predicates, and 2 of the 8 variants
 // (25%) exact variable-respellings of earlier ones (ViewKey-isomorphic,
 // deduped by the batch path). Views are disabled for every series so
-// the numbers isolate dedupe + trie sharing from caching.
+// the numbers isolate dedupe from caching.
 //
-//   * SequentialReplay/N     — the baseline the acceptance ratios
-//                              divide by: 64 independent PreAnswer
+//   * SequentialReplay/N     — the baseline: 64 independent PreAnswer
 //                              calls per iteration.
-//   * BatchedSingleThread/N  — PreAnswerBatch, no pool: isomorphic
-//                              dedupe + shared-prefix trie only.
-//   * BatchedPooled/N/t      — PreAnswerBatch with trie root subtrees
-//                              fanned over a t-worker pool.
+//   * BatchedSingleThread/N  — PreAnswerBatch: the 16 respellings
+//                              replay their group's answers, the other
+//                              48 queries evaluate once each, exactly
+//                              like SequentialReplay's calls.
 //
-// Acceptance is read off N = 100k: BatchedSingleThread must be >= 1.5x
-// SequentialReplay, and BatchedPooled >= 3x on hosts with >= 8 cores
-// (scripts/bench_batch.sh records the core count; like E15, the scaling
-// check is skipped where the hardware cannot express it).
+// The ratio of the two is what ViewKey dedupe alone buys on this mix
+// (at most 64/48 in evaluation work, plus the per-call overhead of the
+// replayed slots).
 
 #include <benchmark/benchmark.h>
 
@@ -37,7 +35,6 @@
 #include "rdf/graph.h"
 #include "rdf/term.h"
 #include "rdf/triple.h"
-#include "util/thread_pool.h"
 
 namespace swdb {
 namespace {
@@ -55,16 +52,15 @@ constexpr uint32_t kPrefixBase = 16;  // prefix preds: Pred(16..31)
 //
 //   * a small pool (n/64 nodes) carries the per-family selective
 //     predicate layers Pred(16+2f), Pred(17+2f) — the join over them
-//     (~|layer|²/|small|) is what every variant of a family re-derives
-//     sequentially and the trie enumerates once;
+//     (~|layer|²/|small|) is what every variant of a family re-derives;
 //   * a large pool (2n nodes) receives the join's C-ends and the bulk
 //     triples' subjects, so only a small fraction of prefix bindings
 //     survive any variant's suffix probe — answers stay cheap relative
 //     to prefix enumeration.
 //
-// Selective counts (~n/33 per layer, vs ~n/8 per bulk predicate) keep
-// the static most-constrained-first order starting every variant's body
-// with the same two prefix triples, which is what the trie aligns on.
+// Selective counts (~n/33 per layer, vs ~n/8 per bulk predicate) make
+// the matcher start every variant's body with the same two prefix
+// triples.
 std::vector<Triple> MakeTriples(size_t n) {
   std::mt19937 rng(20260808);
   const uint32_t small = static_cast<uint32_t>(n / 64 + 1);
@@ -121,7 +117,7 @@ std::vector<Query> OverlappingMix() {
 // One prebuilt, nf-warmed Database per (series, n): setup cost is paid
 // once, not per iteration. Terms are minted by bits; the dictionary
 // only backs fresh-blank minting, which this workload never does.
-Database* SetupDb(const std::string& tag, size_t n, ThreadPool* pool) {
+Database* SetupDb(const std::string& tag, size_t n) {
   static std::map<std::string, std::unique_ptr<Database>>* dbs =
       new std::map<std::string, std::unique_ptr<Database>>();
   static Dictionary* dict = new Dictionary();
@@ -129,8 +125,7 @@ Database* SetupDb(const std::string& tag, size_t n, ThreadPool* pool) {
   auto it = dbs->find(key);
   if (it == dbs->end()) {
     EvalOptions opts;
-    opts.views.enabled = false;  // isolate dedupe + trie sharing
-    opts.match.pool = pool;
+    opts.views.enabled = false;  // isolate dedupe
     it = dbs->emplace(key, std::make_unique<Database>(dict, opts)).first;
     it->second->InsertGraph(Graph(MakeTriples(n)));
     (void)it->second->Normalized();  // closure + nf built outside timing
@@ -140,7 +135,7 @@ Database* SetupDb(const std::string& tag, size_t n, ThreadPool* pool) {
 
 void SequentialReplay(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  Database* db = SetupDb("seq", n, nullptr);
+  Database* db = SetupDb("seq", n);
   const std::vector<Query> mix = OverlappingMix();
   size_t answers = 0;
   for (auto _ : state) {
@@ -160,7 +155,7 @@ BENCHMARK(SequentialReplay)->Arg(10000)->Arg(100000)
 
 void BatchedSingleThread(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  Database* db = SetupDb("batch1", n, nullptr);
+  Database* db = SetupDb("batch1", n);
   const std::vector<Query> mix = OverlappingMix();
   size_t answers = 0;
   BatchStats stats;
@@ -173,42 +168,9 @@ void BatchedSingleThread(benchmark::State& state) {
   }
   state.counters["answers"] = static_cast<double>(answers);
   state.counters["deduped"] = static_cast<double>(stats.deduped);
-  state.counters["trie_groups"] = static_cast<double>(stats.trie_groups);
-  state.counters["prefix_hits"] = static_cast<double>(stats.prefix_hits);
-  state.counters["shared_reused"] =
-      static_cast<double>(stats.shared_bindings_reused);
   state.SetItemsProcessed(state.iterations() * mix.size());
 }
 BENCHMARK(BatchedSingleThread)->Arg(10000)->Arg(100000)
-    ->Unit(benchmark::kMicrosecond);
-
-void BatchedPooled(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const int workers = static_cast<int>(state.range(1));
-  static std::map<int, std::unique_ptr<ThreadPool>>* pools =
-      new std::map<int, std::unique_ptr<ThreadPool>>();
-  auto it = pools->find(workers);
-  if (it == pools->end()) {
-    it = pools->emplace(workers, std::make_unique<ThreadPool>(workers)).first;
-  }
-  Database* db =
-      SetupDb("pool" + std::to_string(workers), n, it->second.get());
-  const std::vector<Query> mix = OverlappingMix();
-  size_t answers = 0;
-  for (auto _ : state) {
-    answers = 0;
-    std::vector<Result<std::vector<Graph>>> results = db->PreAnswerBatch(mix);
-    for (const auto& r : results) answers += r.ok() ? r->size() : 0;
-    benchmark::DoNotOptimize(answers);
-  }
-  state.counters["answers"] = static_cast<double>(answers);
-  state.counters["threads"] = static_cast<double>(workers);
-  state.SetItemsProcessed(state.iterations() * mix.size());
-}
-BENCHMARK(BatchedPooled)
-    ->Args({100000, 2})
-    ->Args({100000, 4})
-    ->Args({100000, 8})
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -3,12 +3,8 @@
 # and writes the results to BENCH_batch.json at the repo root.
 #
 # Usage: scripts/bench_batch.sh [build-dir] [extra benchmark args...]
-# The acceptance checks of this PR read, at N = 100k on the 64-query
-# overlapping mix:
-#   BatchedSingleThread vs SequentialReplay  (batched must be >= 1.5x)
-#   BatchedPooled/8 vs SequentialReplay      (>= 3x; like E15, only
-#     meaningful on >= 8 cores — bench_context.py stamps the host's
-#     core count into the JSON so the check knows when to skip)
+# E20 reads BatchedSingleThread against SequentialReplay at N = 100k on
+# the 64-query overlapping mix: the speedup ViewKey dedupe alone buys.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"

@@ -6,15 +6,14 @@
 # against the call_once core build, and readers answering through the
 # shared view cache while the writer delta-patches it), the
 # sharded-dictionary tests (concurrent interning, lock-free Name()
-# readers, fresh-blank races), the view-cache suite (parallel
-# union-query fan-out over the materialized view layer), the batch
-# suite (trie root subtrees fanned over the pool while the calling
-# thread runs the minting jobs), the serving suite (the closed-loop
-# traffic driver: N checked readers pinning snapshots against one
-# writer applying generator mutation batches), and the database,
-# incremental and union-query suites (writer reads publish and read
-# through snapshots; unions fan their branches out through the batch
-# path).
+# readers, fresh-blank races), the view-cache and batch suites
+# (union queries and batches over the materialized view layer, each
+# query's matcher fanning its enumeration over the pool), the serving
+# suite (the closed-loop traffic driver: N checked readers pinning
+# snapshots against one writer applying generator mutation batches),
+# and the database, incremental and union-query suites (writer reads
+# publish and read through snapshots; unions run their branches through
+# the batch path).
 #
 # check_asan.sh needs no such list — it runs the full ctest suite, so
 # serving_test is covered there automatically.

@@ -86,8 +86,9 @@ struct QueryMixSpec {
 /// Generates spec.num_families × spec.queries_per_family premise-free
 /// queries over `data` (head repeats body, so every query is safe and
 /// head-blank-free). Variants of one family literally share the family's
-/// prefix pattern triples, so a shared-prefix trie can align them; each
-/// query has at least one matching in `data` by construction.
+/// prefix pattern triples, and isomorphic respellings exercise ViewKey
+/// dedupe; each query has at least one matching in `data` by
+/// construction.
 std::vector<Query> OverlappingQueryMix(const Graph& data,
                                        const QueryMixSpec& spec,
                                        Dictionary* dict, Rng* rng);

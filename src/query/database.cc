@@ -34,12 +34,7 @@ void AccumulateBatchStats(const BatchStats& s, DatabaseStats* out) {
   add(out->batch_queries, s.queries);
   add(out->batch_deduped, s.deduped);
   add(out->batch_premise_fallthroughs, s.premise_fallthroughs);
-  add(out->batch_minting_fallthroughs, s.minting_fallthroughs);
   add(out->batch_view_hits, s.view_hits);
-  add(out->batch_trie_groups, s.trie_groups);
-  add(out->batch_solo_groups, s.solo_groups);
-  add(out->batch_prefix_hits, s.prefix_hits);
-  add(out->batch_shared_reused, s.shared_bindings_reused);
   add(out->batch_limit_exceeded, s.limit_exceeded);
 }
 
@@ -413,7 +408,7 @@ std::vector<Result<std::vector<Graph>>> DatabaseSnapshot::PreAnswerBatch(
   std::vector<Result<std::vector<Graph>>> out = PreAnswerBatchImpl(
       queries, evaluator_, [this]() -> const Graph& { return normalized(); },
       [this](const Query& q) { return evaluator_->PreAnswer(q, *data_); },
-      views_, options_.match.pool, options_.match, &stats);
+      views_, options_.match, &stats);
   AccumulateBatchStats(stats, stats_);
   if (stats_out != nullptr) *stats_out = stats;
   return out;

@@ -91,13 +91,12 @@ struct DatabaseStats {
   std::atomic<uint64_t> batch_queries{0};
   std::atomic<uint64_t> batch_deduped{0};
   std::atomic<uint64_t> batch_premise_fallthroughs{0};
-  std::atomic<uint64_t> batch_minting_fallthroughs{0};
   std::atomic<uint64_t> batch_view_hits{0};
-  std::atomic<uint64_t> batch_trie_groups{0};
-  std::atomic<uint64_t> batch_solo_groups{0};
-  std::atomic<uint64_t> batch_prefix_hits{0};
-  std::atomic<uint64_t> batch_shared_reused{0};
   std::atomic<uint64_t> batch_limit_exceeded{0};
+  /// Always zero: the shared-prefix batch trie they counted is gone.
+  /// Kept because servebench still reads them.
+  std::atomic<uint64_t> batch_trie_groups{0};
+  std::atomic<uint64_t> batch_prefix_hits{0};
 
   DatabaseStats() = default;
   DatabaseStats(const DatabaseStats& o) { *this = o; }
@@ -134,14 +133,7 @@ struct DatabaseStats {
     batch_deduped = o.batch_deduped.load(std::memory_order_relaxed);
     batch_premise_fallthroughs =
         o.batch_premise_fallthroughs.load(std::memory_order_relaxed);
-    batch_minting_fallthroughs =
-        o.batch_minting_fallthroughs.load(std::memory_order_relaxed);
     batch_view_hits = o.batch_view_hits.load(std::memory_order_relaxed);
-    batch_trie_groups = o.batch_trie_groups.load(std::memory_order_relaxed);
-    batch_solo_groups = o.batch_solo_groups.load(std::memory_order_relaxed);
-    batch_prefix_hits = o.batch_prefix_hits.load(std::memory_order_relaxed);
-    batch_shared_reused =
-        o.batch_shared_reused.load(std::memory_order_relaxed);
     batch_limit_exceeded =
         o.batch_limit_exceeded.load(std::memory_order_relaxed);
     data_graph = o.data_graph;
@@ -227,8 +219,8 @@ class DatabaseSnapshot {
   /// snapshot, slot for slot bit-identical to calling PreAnswer on each
   /// in order (same answers, same order, same Skolem mints) at any
   /// worker count. Isomorphic shapes are answered once and replayed per
-  /// spelling; survivors share prefix enumeration through the batch
-  /// trie (see query/batch.h). A batch fully served by the view cache
+  /// spelling; survivors evaluate once per shape, in slot order (see
+  /// query/batch.h). A batch fully served by the view cache
   /// skips even the lazy nf build. Premise-bearing slots serialize with
   /// the writer exactly like PreAnswer on them would.
   std::vector<Result<std::vector<Graph>>> PreAnswerBatch(

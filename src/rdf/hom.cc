@@ -225,84 +225,6 @@ Status PatternMatcher::Enumerate(
   return Status::OK();
 }
 
-Status PatternMatcher::EnumerateSeeded(
-    const std::vector<std::pair<Term, Term>>& seed,
-    const std::function<bool(const TermMap&)>& visitor) {
-  bool feasible = ResetSearchState();
-  if (feasible) {
-    for (const auto& [term, value] : seed) {
-      int32_t slot = kNoSlot;
-      for (size_t i = 0; i < slots_.size(); ++i) {
-        if (slots_[i].term == term) {
-          slot = static_cast<int32_t>(i);
-          break;
-        }
-      }
-      assert(slot != kNoSlot && "seed term does not occur in the pattern");
-      if (slot == kNoSlot) continue;
-      if (bound_[slot]) {  // duplicate seed entry: must agree
-        if (binding_[slot] != value) {
-          feasible = false;
-          break;
-        }
-        continue;
-      }
-      const SlotInfo& info = slots_[slot];
-      if (info.is_blank) {
-        if (options_.blanks_to_blanks_only && !value.IsBlank()) {
-          feasible = false;
-          break;
-        }
-        if (options_.injective_blanks) {
-          if (used_blank_values_.Contains(value.bits())) {
-            feasible = false;
-            break;
-          }
-          used_blank_values_.Insert(value.bits());
-        }
-      }
-      binding_[slot] = value;
-      bound_[slot] = 1;
-      ++slot_version_[slot];
-      trail_.push_back(static_cast<uint32_t>(slot));
-    }
-  }
-  if (feasible) {
-    // Pattern triples the seed made fully ground are containment checks,
-    // mirroring the ground prefilter in ResetSearchState. This must not
-    // be skipped even when the seed comes from a verified prefix walk:
-    // a residual triple over seeded slots only (e.g. the second triple
-    // of {(X,p,Y),(X,q,Y)} seeded through the first) was never checked.
-    size_t kept = 0;
-    for (size_t i = 0; i < pending_.size() && feasible; ++i) {
-      const size_t idx = pending_[i];
-      const CompiledTriple& ct = compiled_[idx];
-      std::optional<Term> s = Resolve(ct, 0);
-      std::optional<Term> p = Resolve(ct, 1);
-      std::optional<Term> o = Resolve(ct, 2);
-      if (s && p && o) {
-        const Triple t(*s, *p, *o);
-        bool excluded =
-            options_.exclude_triple && t == *options_.exclude_triple;
-        if (excluded || !target_->Contains(t)) feasible = false;
-      } else {
-        pending_[kept++] = idx;
-      }
-    }
-    if (feasible) {
-      pending_.resize(kept);
-      bool stopped = false;
-      Search(0, visitor, &stopped);
-    }
-  }
-  stats_.steps_used = steps_;
-  if (options_.stats != nullptr) *options_.stats = stats_;
-  if (budget_exhausted_) {
-    return Status::LimitExceeded("pattern matcher step budget exhausted");
-  }
-  return Status::OK();
-}
-
 Status PatternMatcher::EnumerateParallel(
     size_t root_idx, std::vector<Triple> roots,
     const std::function<bool(const TermMap&)>& visitor) {

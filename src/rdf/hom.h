@@ -123,27 +123,6 @@ class PatternMatcher {
   /// stop by the visitor is still OK).
   Status Enumerate(const std::function<bool(const TermMap&)>& visitor);
 
-  /// Enumerates the assignments that extend `seed`: each pair (open term
-  /// of the pattern → value) is pinned before the search starts, pattern
-  /// triples the seed makes fully ground are verified with
-  /// Graph::Contains (exactly like the ground prefilter of Enumerate),
-  /// and the usual most-constrained-first search covers the residue.
-  /// Seeded values are bound directly at the slot level, so — unlike
-  /// substituting the seed into the pattern text — a seed value that is
-  /// a blank node of the target cannot be re-assigned by the search.
-  /// Solutions handed to the visitor contain all open terms, seeded ones
-  /// included. Seed terms must occur in the pattern (asserted);
-  /// contradictory duplicate entries yield zero solutions with OK
-  /// status. Always runs sequentially: MatchOptions::pool is ignored —
-  /// the batch engine parallelizes across seeded runs, not inside one.
-  Status EnumerateSeeded(const std::vector<std::pair<Term, Term>>& seed,
-                         const std::function<bool(const TermMap&)>& visitor);
-
-  /// Replaces the step budget between Enumerate calls. The batch engine
-  /// hands each compiled query the budget remaining after its earlier
-  /// seeded runs, so one query's total spend matches a sequential call.
-  void set_max_steps(uint64_t max_steps) { options_.max_steps = max_steps; }
-
   /// Convenience: the first solution found, if any.
   Result<std::optional<TermMap>> FindAny();
 

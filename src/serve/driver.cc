@@ -205,7 +205,7 @@ void TrafficDriver::OneIteration(Rng* rng, ReaderAccum* acc,
     served[0] = Serve(*snap, reqs[0]);
   } else {
     // Premise-free single queries share one PreAnswerBatch call (the
-    // batch trie + ViewKey dedupe path); everything else is served
+    // ViewKey dedupe path); everything else is served
     // individually inside the same timed window.
     std::vector<Query> queries;
     std::vector<size_t> slots;

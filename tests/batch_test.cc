@@ -105,9 +105,7 @@ BatchRun RunBatched(uint64_t seed, int workers) {
 
 TEST(BatchParity, MatchesSequentialAtEveryWorkerCountFuzz) {
   constexpr uint64_t kSeeds = 20;
-  uint64_t total_trie_groups = 0;
-  uint64_t total_prefix_hits = 0;
-  uint64_t total_shared_reused = 0;
+  uint64_t total_deduped = 0;
   for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
     // Reference: the same workload answered by sequential PreAnswer
     // calls on a twin database.
@@ -144,19 +142,13 @@ TEST(BatchParity, MatchesSequentialAtEveryWorkerCountFuzz) {
       EXPECT_EQ(run.stats.queries, w.queries.size());
       EXPECT_EQ(run.stats.premise_fallthroughs, 1u);
       EXPECT_GE(run.stats.deduped, 1u);  // the repeated head-blank slot
-      if (workers == 0) {
-        total_trie_groups += run.stats.trie_groups;
-        total_prefix_hits += run.stats.prefix_hits;
-        total_shared_reused += run.stats.shared_bindings_reused;
-      }
+      if (workers == 0) total_deduped += run.stats.deduped;
     }
   }
-  // The fuzz must actually drive the tentpole path: across the seeds,
-  // overlapping families have to land groups in shared trie subtrees
-  // and fan shared prefix bindings into suffix matchers.
-  EXPECT_GT(total_trie_groups, 0u);
-  EXPECT_GT(total_prefix_hits, 0u);
-  EXPECT_GT(total_shared_reused, 0u);
+  // The fuzz must actually drive isomorphic dedupe: beyond the one
+  // repeated head-blank slot per seed, respelled family variants have
+  // to collapse onto their group's canonical spelling.
+  EXPECT_GT(total_deduped, kSeeds);
 }
 
 TEST(BatchParity, AllIdenticalBatchAnswersOnce) {
@@ -185,9 +177,6 @@ TEST(BatchParity, AllIdenticalBatchAnswersOnce) {
     EXPECT_EQ(*r, *one);
   }
   EXPECT_EQ(stats.deduped, 7u);
-  // One group, alone in the trie: no shared prefix to split on.
-  EXPECT_EQ(stats.trie_groups, 0u);
-  EXPECT_EQ(stats.solo_groups, 1u);
   EXPECT_EQ(db.CollectStats().batch_deduped, 7u);
 }
 
@@ -224,9 +213,6 @@ TEST(BatchParity, NoOverlapBatchFallsBackToSoloPlans) {
   // Nothing shares: every group runs its own full matcher, exactly the
   // sequential plan.
   EXPECT_EQ(stats.deduped, 0u);
-  EXPECT_EQ(stats.trie_groups, 0u);
-  EXPECT_EQ(stats.solo_groups, 4u);
-  EXPECT_EQ(stats.shared_bindings_reused, 0u);
 }
 
 TEST(BatchParity, EmptyBatchAndInvalidSlots) {
@@ -314,8 +300,6 @@ TEST(BatchParity, SnapshotBatchMatchesSequentialAndHitsViews) {
     EXPECT_EQ(*again[i], *results[i]) << i;
   }
   EXPECT_EQ(stats2.view_hits, 2u);  // every group, one per shape
-  EXPECT_EQ(stats2.trie_nodes, 0u);
-  EXPECT_EQ(stats2.solo_groups + stats2.trie_groups, 0u);
 }
 
 TEST(BatchParity, BudgetExhaustionPoisonsOnlyTheExhaustedGroups) {
@@ -362,41 +346,48 @@ TEST(BatchParity, BudgetExhaustionPoisonsOnlyTheExhaustedGroups) {
   EXPECT_EQ(stats.limit_exceeded, 2u);
 }
 
-TEST(BatchParity, BudgetExhaustionMidTriePoisonsTerminalSharers) {
-  // Exhaustion *inside* the shared-prefix walk, below the root level.
-  // The 2-hop query's whole body lies on the shared prefix, so it is a
-  // trie terminal and never spends a single group step — the only way
-  // it can fail is the subtree's shared step pot overflowing mid-walk
-  // and poisoning every sharer. The 3-hop query shares the expensive
-  // [e, p] prefix and differs only in its residual suffix.
+// Builds the shared-prefix budget shape: |e| = 5 root edges x_i → y_i,
+// each y_i fanning out to 100 p-successors z, so enumerating the common
+// [e, p] prefix of the hop queries below alone costs 505 steps. Calls
+// `decorate` once per z to hang each hop query's suffix triples off it.
+template <typename Decorate>
+Graph SharedPrefixData(Dictionary* dict, Decorate decorate) {
+  Graph data;
+  const Term e = dict->Iri("e");
+  const Term p = dict->Iri("p");
+  for (int i = 0; i < 5; ++i) {
+    const Term x = dict->Iri("x" + std::to_string(i));
+    const Term y = dict->Iri("y" + std::to_string(i));
+    data.Insert(x, e, y);
+    for (int j = 0; j < 100; ++j) {
+      const Term z =
+          dict->Iri("z" + std::to_string(i) + "_" + std::to_string(j));
+      data.Insert(y, p, z);
+      decorate(z, &data);
+    }
+  }
+  data.Insert(dict->Iri("lone"), dict->Iri("q"), dict->Iri("peak"));
+  return data;
+}
+
+TEST(BatchParity, BudgetExhaustionOnSharedPrefixMatchesSequential) {
+  // Two hop queries that spell the same expensive [e, p] prefix and
+  // differ in their suffix, under a budget the prefix alone overruns:
+  // the 2-hop query's whole body is the shared prefix, the 3-hop query
+  // adds a t-step whose probes Matches(z, t, *) are all empty. Each must
+  // report the LimitExceeded its sequential call does; the disjoint
+  // cheap shape stays healthy.
   Dictionary dict;
   EvalOptions options;
   options.match.max_steps = 300;
   Database db(&dict, options);
-  Graph data;
-  const Term e = dict.Iri("e");
-  const Term p = dict.Iri("p");
+  Graph data = SharedPrefixData(&dict, [](Term, Graph*) {});
+  // Bulk t-triples over nodes disjoint from every z.
   const Term t = dict.Iri("t");
-  // |e| = 5 < |p| = 500 < |t| = 600: the static most-constrained-first
-  // order puts e then p in front for both queries, aligning their trie
-  // prefixes; enumerating that prefix alone costs 505 > 300 steps.
-  for (int i = 0; i < 5; ++i) {
-    const Term x = dict.Iri("x" + std::to_string(i));
-    const Term y = dict.Iri("y" + std::to_string(i));
-    data.Insert(x, e, y);
-    for (int j = 0; j < 100; ++j) {
-      data.Insert(y, p,
-                  dict.Iri("z" + std::to_string(i) + "_" + std::to_string(j)));
-    }
-  }
-  // Bulk t-triples over nodes disjoint from every z: heavy enough to
-  // sort after p, yet the residual probe Matches(z, t, *) is empty, so
-  // the 3-hop group's own budget survives until the pot blows.
   for (int k = 0; k < 600; ++k) {
     const Term w = dict.Iri("w" + std::to_string(k));
     data.Insert(w, t, w);
   }
-  data.Insert(dict.Iri("lone"), dict.Iri("q"), dict.Iri("peak"));
   db.InsertGraph(data);
 
   std::vector<Query> batch;
@@ -422,11 +413,44 @@ TEST(BatchParity, BudgetExhaustionMidTriePoisonsTerminalSharers) {
   ASSERT_TRUE(results[2].ok());
   EXPECT_EQ(*results[2], *expected[2]);
   EXPECT_EQ(stats.limit_exceeded, 2u);
-  // Both hop queries went through the trie (no solo handoff for them),
-  // and the walk got well past the 5 root-level e-candidates before the
-  // pot blew — exhaustion happened in a nested Extend, not at the root.
-  EXPECT_EQ(stats.trie_groups, 2u);
-  EXPECT_GT(stats.prefix_hits, 50u);
+}
+
+TEST(BatchParity, SharedPrefixDoesNotStretchTheStepBudget) {
+  // Each query of a batch gets one sequential call's budget, no more:
+  // the [e, p] prefix the two 3-hop queries share must be charged to
+  // each of them in full. Every z carries one t and one u successor, so
+  // a sequential call spends ~5 + 500 + 500 steps and overruns 1000;
+  // charging the prefix to a pot apart from the suffix budget would let
+  // both finish.
+  Dictionary dict;
+  EvalOptions options;
+  options.match.max_steps = 1000;
+  Database db(&dict, options);
+  const Term t = dict.Iri("t");
+  const Term u = dict.Iri("u");
+  db.InsertGraph(SharedPrefixData(&dict, [&](Term z, Graph* g) {
+    g->Insert(z, t, dict.Iri("t_" + std::string(dict.Name(z))));
+    g->Insert(z, u, dict.Iri("u_" + std::string(dict.Name(z))));
+  }));
+
+  std::vector<Query> batch;
+  batch.push_back(Q(&dict,
+                    "head: ?X rt ?W .\n"
+                    "body: ?X e ?Y .\nbody: ?Y p ?Z .\nbody: ?Z t ?W .\n"));
+  batch.push_back(Q(&dict,
+                    "head: ?X ru ?W .\n"
+                    "body: ?X e ?Y .\nbody: ?Y p ?Z .\nbody: ?Z u ?W .\n"));
+
+  for (const Query& q : batch) {
+    ASSERT_EQ(db.PreAnswer(q).status().code(), StatusCode::kLimitExceeded);
+  }
+  BatchStats stats;
+  std::vector<Result<std::vector<Graph>>> results =
+      db.PreAnswerBatch(batch, &stats);
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].status().code(), StatusCode::kLimitExceeded);
+  EXPECT_EQ(results[1].status().code(), StatusCode::kLimitExceeded);
+  EXPECT_EQ(stats.limit_exceeded, 2u);
 }
 
 TEST(UnionDedupe, IsomorphicBranchesEvaluateOnce) {

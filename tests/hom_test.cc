@@ -428,127 +428,5 @@ TEST_F(HomTest, RepeatedSlotFastPathFiltersResiduals) {
   EXPECT_EQ(stats2.binds_attempted, 7u);
 }
 
-TEST_F(HomTest, EnumerateSeededMatchesFilteredEnumerate) {
-  Graph pattern = G(&dict_, "?X p ?Y .\n?Y q ?Z .");
-  Graph target = Data(&dict_,
-                      "a p b .\na p c .\nd p b .\n"
-                      "b q e .\nb q f .\nc q e .");
-  PatternMatcher matcher(pattern, &target);
-  // Reference: full enumeration filtered on X = a.
-  std::vector<std::vector<Term>> expected;
-  ASSERT_TRUE(matcher
-                  .Enumerate([&](const TermMap& mu) {
-                    if (mu.Apply(dict_.Var("X")) != dict_.Iri("a")) {
-                      return true;
-                    }
-                    expected.push_back({mu.Apply(dict_.Var("X")),
-                                        mu.Apply(dict_.Var("Y")),
-                                        mu.Apply(dict_.Var("Z"))});
-                    return true;
-                  })
-                  .ok());
-  ASSERT_EQ(expected.size(), 3u);
-  std::vector<std::vector<Term>> seeded;
-  std::vector<std::pair<Term, Term>> seed = {{dict_.Var("X"), dict_.Iri("a")}};
-  ASSERT_TRUE(matcher
-                  .EnumerateSeeded(seed,
-                                   [&](const TermMap& mu) {
-                                     seeded.push_back(
-                                         {mu.Apply(dict_.Var("X")),
-                                          mu.Apply(dict_.Var("Y")),
-                                          mu.Apply(dict_.Var("Z"))});
-                                     return true;
-                                   })
-                  .ok());
-  EXPECT_EQ(seeded, expected);
-}
-
-TEST_F(HomTest, EnumerateSeededVerifiesTriplesMadeGroundBySeed) {
-  // Seeding both variables grounds both pattern triples; the matcher
-  // must verify them via Contains rather than trusting the seed.
-  Graph pattern = G(&dict_, "?X p ?Y .\n?X q ?Y .");
-  Graph target = Data(&dict_, "a p b .\na q b .\nc p d .");
-  PatternMatcher matcher(pattern, &target);
-  std::vector<std::pair<Term, Term>> good = {{dict_.Var("X"), dict_.Iri("a")},
-                                             {dict_.Var("Y"), dict_.Iri("b")}};
-  size_t count = 0;
-  ASSERT_TRUE(matcher
-                  .EnumerateSeeded(good,
-                                   [&](const TermMap&) {
-                                     ++count;
-                                     return true;
-                                   })
-                  .ok());
-  EXPECT_EQ(count, 1u);
-  // (c, d) supports the p-triple but not the q-triple.
-  std::vector<std::pair<Term, Term>> bad = {{dict_.Var("X"), dict_.Iri("c")},
-                                            {dict_.Var("Y"), dict_.Iri("d")}};
-  count = 0;
-  ASSERT_TRUE(matcher
-                  .EnumerateSeeded(bad,
-                                   [&](const TermMap&) {
-                                     ++count;
-                                     return true;
-                                   })
-                  .ok());
-  EXPECT_EQ(count, 0u);
-}
-
-TEST_F(HomTest, EnumerateSeededHonoursBlankOptions) {
-  Graph pattern = Data(&dict_, "_:A p _:B .");
-  Graph target = Data(&dict_, "_:U p _:V .\na p _:V .");
-  MatchOptions options;
-  options.blanks_to_blanks_only = true;
-  options.injective_blanks = true;
-  PatternMatcher matcher(pattern, &target, options);
-  auto count_with = [&](const std::vector<std::pair<Term, Term>>& seed) {
-    size_t count = 0;
-    Status s = matcher.EnumerateSeeded(seed, [&](const TermMap&) {
-      ++count;
-      return true;
-    });
-    EXPECT_TRUE(s.ok());
-    return count;
-  };
-  // Seeding a blank slot with a URI violates blanks_to_blanks_only.
-  EXPECT_EQ(count_with({{dict_.Blank("A"), dict_.Iri("a")}}), 0u);
-  // Seeding both blanks to the same image violates injectivity.
-  EXPECT_EQ(count_with({{dict_.Blank("A"), dict_.Blank("U")},
-                        {dict_.Blank("B"), dict_.Blank("U")}}),
-            0u);
-  // A blank-to-blank injective seed succeeds.
-  EXPECT_EQ(count_with({{dict_.Blank("A"), dict_.Blank("U")}}), 1u);
-  // Contradictory duplicate seeds yield zero solutions, not an error.
-  EXPECT_EQ(count_with({{dict_.Blank("A"), dict_.Blank("U")},
-                        {dict_.Blank("A"), dict_.Blank("V")}}),
-            0u);
-}
-
-TEST_F(HomTest, EnumerateSeededHonoursStepBudget) {
-  Graph pattern = G(&dict_, "?X p ?Y .\n?Y p ?Z .");
-  Graph target;
-  Term p = dict_.Iri("p");
-  for (int i = 0; i < 20; ++i) {
-    for (int j = 0; j < 20; ++j) {
-      target.Insert(dict_.Iri(NumberedName("n", i)), p,
-                    dict_.Iri(NumberedName("n", j)));
-    }
-  }
-  PatternMatcher matcher(pattern.triples(), &target, MatchOptions{});
-  matcher.set_max_steps(3);
-  std::vector<std::pair<Term, Term>> seed = {{dict_.Var("X"), dict_.Iri("n0")}};
-  Status s = matcher.EnumerateSeeded(seed, [](const TermMap&) { return true; });
-  EXPECT_EQ(s.code(), StatusCode::kLimitExceeded);
-  // Raising the budget back up lets the same matcher finish.
-  matcher.set_max_steps(50'000'000);
-  size_t count = 0;
-  s = matcher.EnumerateSeeded(seed, [&](const TermMap&) {
-    ++count;
-    return true;
-  });
-  EXPECT_TRUE(s.ok());
-  EXPECT_EQ(count, 400u);  // Y free over 20 nodes × Z free over 20 nodes
-}
-
 }  // namespace
 }  // namespace swdb
