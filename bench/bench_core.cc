@@ -11,26 +11,14 @@
 //   * LeanCliqueGadget/k    — enc(K_k) plus a pendant blank: the
 //                             exponential shape.
 //
-// E16 — parallel core/nf strong scaling (the t-argument series; t = 1
-// is the sequential engine, t > 1 a ThreadPool with t workers; results
-// are bit-identical at every t):
-//   * CoreLeanGadgets/t     — many anchored clique gadgets, all lean:
-//                             every component must be refuted, the
-//                             embarrassingly parallel shape (acceptance
-//                             series for scripts/bench_core.sh).
-//   * NormalFormLeanGadgets/t — nf(D) = core(cl(D)) end to end on the
-//                             same gadgets plus a schema workload.
-//   * CoreFoldingChain/t    — components that all fold: each round's
-//                             winner is the lowest component, so
-//                             speculation is cancelled almost at once —
-//                             the honest no-speedup shape.
-//   * CoreComponentSweep/n  — fixed 8 workers, n gadgets of fixed
-//                             size: how scaling grows with component
-//                             count.
+// Multi-component shapes:
+//   * CoreComponentSweep/n  — n anchored clique gadgets, all lean: every
+//                             component must be refuted.
+//   * NormalFormLeanGadgets — nf(D) = core(cl(D)) end to end on 48
+//                             gadgets plus a schema workload.
+//   * CoreFoldingChain      — components that all fold, one per round.
 
 #include <benchmark/benchmark.h>
-
-#include <memory>
 
 #include "gen/generators.h"
 #include "graphtheory/digraph.h"
@@ -38,24 +26,15 @@
 #include "normal/normal_form.h"
 #include "util/rng.h"
 #include "util/str.h"
-#include "util/thread_pool.h"
 
 namespace swdb {
 namespace {
-
-// Workers for a benchmark t-argument: t = 1 means the sequential engine
-// (null pool), matching how callers run without a pool (bench_parallel
-// idiom).
-std::unique_ptr<ThreadPool> PoolFor(int64_t t) {
-  if (t <= 1) return nullptr;
-  return std::make_unique<ThreadPool>(static_cast<size_t>(t));
-}
 
 // `count` disjoint blank components, each enc(K_k) with a ground anchor
 // triple into the clique. The anchor makes each copy rigid (no map onto
 // a sibling copy), so the whole graph is lean and Core() must refute a
 // homomorphism for every dropped triple of every component — coNP work
-// that decomposes perfectly across components.
+// that decomposes into independent per-component searches.
 Graph AnchoredCliqueGadgets(uint32_t count, uint32_t k, Dictionary* dict) {
   Term e = dict->Iri("e");
   Term ap = dict->Iri("anchor");
@@ -184,30 +163,7 @@ void BM_LeanOddCycleGadget(benchmark::State& state) {
 }
 BENCHMARK(BM_LeanOddCycleGadget)->Arg(2)->Arg(3)->Arg(4)->Arg(5);
 
-// --- E16: parallel core/nf strong scaling ----------------------------
-
-void BM_CoreLeanGadgets(benchmark::State& state) {
-  constexpr uint32_t kGadgets = 64;
-  constexpr uint32_t kCliqueSize = 5;
-  Dictionary dict;
-  Graph g = AnchoredCliqueGadgets(kGadgets, kCliqueSize, &dict);
-  g.WarmIndexes();
-  std::unique_ptr<ThreadPool> pool = PoolFor(state.range(0));
-  size_t core_size = 0;
-  for (auto _ : state) {
-    Graph core = Core(g, /*witness=*/nullptr, pool.get());
-    core_size = core.size();
-    benchmark::DoNotOptimize(core);
-  }
-  state.counters["threads"] = static_cast<double>(state.range(0));
-  state.counters["components"] = kGadgets;
-  state.counters["|G|"] = static_cast<double>(g.size());
-  state.counters["|core|"] = static_cast<double>(core_size);
-}
-BENCHMARK(BM_CoreLeanGadgets)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()->UseRealTime();
+// --- Multi-component core and nf -----------------------------------
 
 void BM_NormalFormLeanGadgets(benchmark::State& state) {
   constexpr uint32_t kGadgets = 48;
@@ -221,63 +177,52 @@ void BM_NormalFormLeanGadgets(benchmark::State& state) {
   spec.num_facts = 150;
   Graph g = SchemaWorkload(spec, &dict, &rng);
   g.InsertAll(AnchoredCliqueGadgets(kGadgets, kCliqueSize, &dict));
-  std::unique_ptr<ThreadPool> pool = PoolFor(state.range(0));
   size_t nf_size = 0;
   for (auto _ : state) {
-    Graph nf = NormalForm(g, pool.get());
+    Graph nf = NormalForm(g);
     nf_size = nf.size();
     benchmark::DoNotOptimize(nf);
   }
-  state.counters["threads"] = static_cast<double>(state.range(0));
   state.counters["|G|"] = static_cast<double>(g.size());
   state.counters["|nf|"] = static_cast<double>(nf_size);
 }
-BENCHMARK(BM_NormalFormLeanGadgets)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()->UseRealTime();
+BENCHMARK(BM_NormalFormLeanGadgets)->Unit(benchmark::kMillisecond);
 
 void BM_CoreFoldingChain(benchmark::State& state) {
   constexpr uint32_t kGadgets = 24;
   constexpr uint32_t kCycle = 8;
   Dictionary dict;
   Graph g = FoldingCycleGadgets(kGadgets, kCycle, &dict);
-  g.WarmIndexes();
-  std::unique_ptr<ThreadPool> pool = PoolFor(state.range(0));
   size_t core_size = 0;
   for (auto _ : state) {
-    Graph core = Core(g, /*witness=*/nullptr, pool.get());
+    Graph core = Core(g);
     core_size = core.size();
     benchmark::DoNotOptimize(core);
   }
-  state.counters["threads"] = static_cast<double>(state.range(0));
   state.counters["components"] = kGadgets + 1;
   state.counters["|G|"] = static_cast<double>(g.size());
   state.counters["|core|"] = static_cast<double>(core_size);
 }
-BENCHMARK(BM_CoreFoldingChain)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()->UseRealTime();
+BENCHMARK(BM_CoreFoldingChain)->Unit(benchmark::kMillisecond);
 
 void BM_CoreComponentSweep(benchmark::State& state) {
   const uint32_t gadgets = static_cast<uint32_t>(state.range(0));
   constexpr uint32_t kCliqueSize = 5;
   Dictionary dict;
   Graph g = AnchoredCliqueGadgets(gadgets, kCliqueSize, &dict);
-  g.WarmIndexes();
-  ThreadPool pool(8);
+  size_t core_size = 0;
   for (auto _ : state) {
-    Graph core = Core(g, /*witness=*/nullptr, &pool);
+    Graph core = Core(g);
+    core_size = core.size();
     benchmark::DoNotOptimize(core);
   }
   state.counters["components"] = gadgets;
   state.counters["|G|"] = static_cast<double>(g.size());
+  state.counters["|core|"] = static_cast<double>(core_size);
 }
 BENCHMARK(BM_CoreComponentSweep)
     ->Arg(1)->Arg(4)->Arg(16)->Arg(64)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()->UseRealTime();
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace swdb

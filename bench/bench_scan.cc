@@ -1,42 +1,28 @@
-// E17 — columnar triple storage and vectorized candidate scans.
+// E17 — columnar triple storage: the repeated-position residual.
 //
-// Prices the SoA refactor of the permutation indexes (graph.h) and the
-// scan kernels behind it (scan.h) against an in-file reconstruction of
-// the pre-refactor AoS layout: a primary std::vector<Triple> plus a
-// permutation id vector sorted by (p,s,o), where every residual filter
-// gathers 12-byte Triple structs through the id indirection.
+// A pattern triple that repeats an open term, (X, p, X), resolves to the
+// whole p-run; only its diagonal rows can bind. The matcher keeps those
+// rows with one pass over two backing columns (MatchRange::
+// FilterPairEqual) instead of materializing and rejecting each triple.
 //
-// Series (AoS baseline / columnar / scalar-kernel ablation):
-//   * ResidualScan*   — p-run residual filter "object == key": the
-//                       bound-position scan the acceptance criterion
-//                       targets, at ~1M triples.
-//   * PairEq*         — diagonal residual "s == o" over a p-run (the
-//                       repeated-slot pattern (X, p, X)).
-//   * Lookup*         — two-key (p, o) equal-range resolution: id-vector
-//                       binary search with struct gathers vs
-//                       scan::SortedEqualRange on contiguous columns.
-//   * MatchesResidual — end-to-end Graph::Matches + FilterBound, with
-//                       GraphStats exported as counters.
-//   * RepeatedSlot*   — PatternMatcher on (X, p, X): iterate-and-reject
-//                       vs the FilterPairEqual fast path it now uses.
-//
-// Every columnar series also reports the dispatched kernel ("avx2",
-// "sse2" or "scalar") via SetLabel, so BENCH_scan.json records which
-// code path produced the numbers.
+// Series, at ~1M triples with a ~65k-row p-run:
+//   * PairEqMatchRange    — Graph::Matches + FilterPairEqual on the
+//                           p-run, with GraphStats exported as counters.
+//   * RepeatedSlotIterate — materialize every candidate of the p-run and
+//                           reject the off-diagonal ones one by one.
+//   * RepeatedSlotMatcher — PatternMatcher on (X, p, X), which takes the
+//                           FilterPairEqual path.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <random>
-#include <string>
 #include <vector>
 
 #include "rdf/graph.h"
 #include "rdf/hom.h"
-#include "rdf/scan.h"
 #include "rdf/term.h"
 
 namespace swdb {
@@ -45,26 +31,14 @@ namespace {
 constexpr size_t kTriples = 1u << 20;  // ~1.05M rows
 constexpr uint32_t kPreds = 16;        // p-run ≈ 65k rows
 constexpr uint32_t kSubjects = 1u << 16;
-constexpr uint32_t kObjects = 1u << 10;  // small universe → residual hits
+constexpr uint32_t kObjects = 1u << 10;
 
 Term Subj(uint32_t i) { return Term::Iri(vocab::kReservedIris + i); }
 Term Pred(uint32_t i) { return Term::Iri(1u << 20 | i); }
 Term Obj(uint32_t i) { return Term::Iri(2u << 20 | i); }
 
-struct Fixture {
-  Graph g;
-  // AoS mirror of the pre-refactor layout.
-  std::vector<Triple> triples;   // primary, sorted (s,p,o)
-  std::vector<uint32_t> pso_ids;  // ids sorted by (p,s,o)
-  std::vector<uint32_t> pos_ids;  // ids sorted by (p,o,s) — two-key lookups
-  // The same permutation as contiguous columns, for kernel-level
-  // ablations that bypass Graph's encapsulated indexes.
-  std::vector<uint32_t> col_p, col_s, col_o;
-  size_t run_lo = 0, run_hi = 0;  // Pred(0)'s run in pso order
-};
-
-const Fixture& F() {
-  static const Fixture fx = [] {
+const Graph& G() {
+  static const Graph g = [] {
     std::mt19937 rng(20260808);
     std::vector<Triple> v;
     v.reserve(kTriples);
@@ -75,255 +49,56 @@ const Fixture& F() {
       const Term o = (rng() % 32 == 0) ? s : Obj(rng() % kObjects);
       v.push_back(Triple(s, p, o));
     }
-    Fixture f;
-    f.g = Graph(std::move(v));
-    f.g.WarmIndexes();
-    f.triples = f.g.triples();
-    f.pso_ids.resize(f.triples.size());
-    for (uint32_t i = 0; i < f.pso_ids.size(); ++i) f.pso_ids[i] = i;
-    std::sort(f.pso_ids.begin(), f.pso_ids.end(),
-              [&](uint32_t a, uint32_t b) {
-                const Triple& x = f.triples[a];
-                const Triple& y = f.triples[b];
-                if (x.p != y.p) return x.p < y.p;
-                if (x.s != y.s) return x.s < y.s;
-                return x.o < y.o;
-              });
-    f.pos_ids = f.pso_ids;
-    std::sort(f.pos_ids.begin(), f.pos_ids.end(),
-              [&](uint32_t a, uint32_t b) {
-                const Triple& x = f.triples[a];
-                const Triple& y = f.triples[b];
-                if (x.p != y.p) return x.p < y.p;
-                if (x.o != y.o) return x.o < y.o;
-                return x.s < y.s;
-              });
-    f.col_p.reserve(f.pso_ids.size());
-    f.col_s.reserve(f.pso_ids.size());
-    f.col_o.reserve(f.pso_ids.size());
-    for (uint32_t id : f.pso_ids) {
-      f.col_p.push_back(f.triples[id].p.bits());
-      f.col_s.push_back(f.triples[id].s.bits());
-      f.col_o.push_back(f.triples[id].o.bits());
-    }
-    const uint32_t key = Pred(0).bits();
-    f.run_lo = std::lower_bound(f.col_p.begin(), f.col_p.end(), key) -
-               f.col_p.begin();
-    f.run_hi = std::upper_bound(f.col_p.begin(), f.col_p.end(), key) -
-               f.col_p.begin();
-    return f;
+    Graph built(std::move(v));
+    built.WarmIndexes();
+    return built;
   }();
-  return fx;
+  return g;
 }
 
-// --- Bound-position residual scan over a p-run -----------------------
+size_t RunSize() {
+  return G().CountMatches(std::nullopt, Pred(0), std::nullopt);
+}
 
-void BM_ResidualScanAoS(benchmark::State& state) {
-  const Fixture& f = F();
-  const uint32_t key = Obj(7).bits();
+void BM_PairEqMatchRange(benchmark::State& state) {
+  const Graph& g = G();
   std::vector<uint32_t> out;
   size_t hits = 0;
   for (auto _ : state) {
+    const MatchRange range = g.Matches(std::nullopt, Pred(0), std::nullopt);
     out.clear();
-    for (size_t i = f.run_lo; i < f.run_hi; ++i) {
-      if (f.triples[f.pso_ids[i]].o.bits() == key) {
-        out.push_back(f.pso_ids[i]);
-      }
-    }
-    hits = out.size();
+    hits = range.FilterPairEqual(0, 2, &out);
     benchmark::DoNotOptimize(out.data());
   }
-  state.SetItemsProcessed(state.iterations() * (f.run_hi - f.run_lo));
-  state.counters["run"] = static_cast<double>(f.run_hi - f.run_lo);
+  state.SetItemsProcessed(state.iterations() * RunSize());
+  state.counters["run"] = static_cast<double>(RunSize());
   state.counters["hits"] = static_cast<double>(hits);
-}
-BENCHMARK(BM_ResidualScanAoS);
-
-void BM_ResidualScanColumnar(benchmark::State& state) {
-  const Fixture& f = F();
-  const uint32_t key = Obj(7).bits();
-  std::vector<uint32_t> out;
-  size_t hits = 0;
-  for (auto _ : state) {
-    out.clear();
-    hits = scan::FilterEq(f.col_o.data(), f.run_lo, f.run_hi, key, &out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * (f.run_hi - f.run_lo));
-  state.counters["run"] = static_cast<double>(f.run_hi - f.run_lo);
-  state.counters["hits"] = static_cast<double>(hits);
-  state.SetLabel(scan::KernelName());
-}
-BENCHMARK(BM_ResidualScanColumnar);
-
-void BM_ResidualScanColumnarScalar(benchmark::State& state) {
-  const Fixture& f = F();
-  const uint32_t key = Obj(7).bits();
-  std::vector<uint32_t> out;
-  for (auto _ : state) {
-    out.clear();
-    scan::FilterEqScalar(f.col_o.data(), f.run_lo, f.run_hi, key, &out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * (f.run_hi - f.run_lo));
-}
-BENCHMARK(BM_ResidualScanColumnarScalar);
-
-// --- Repeated-position (diagonal) residual over a p-run --------------
-
-void BM_PairEqAoS(benchmark::State& state) {
-  const Fixture& f = F();
-  std::vector<uint32_t> out;
-  size_t hits = 0;
-  for (auto _ : state) {
-    out.clear();
-    for (size_t i = f.run_lo; i < f.run_hi; ++i) {
-      const Triple& t = f.triples[f.pso_ids[i]];
-      if (t.s == t.o) out.push_back(f.pso_ids[i]);
-    }
-    hits = out.size();
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * (f.run_hi - f.run_lo));
-  state.counters["hits"] = static_cast<double>(hits);
-}
-BENCHMARK(BM_PairEqAoS);
-
-void BM_PairEqColumnar(benchmark::State& state) {
-  const Fixture& f = F();
-  std::vector<uint32_t> out;
-  size_t hits = 0;
-  for (auto _ : state) {
-    out.clear();
-    hits = scan::FilterPairEq(f.col_s.data(), f.col_o.data(), f.run_lo,
-                              f.run_hi, &out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * (f.run_hi - f.run_lo));
-  state.counters["hits"] = static_cast<double>(hits);
-  state.SetLabel(scan::KernelName());
-}
-BENCHMARK(BM_PairEqColumnar);
-
-void BM_PairEqColumnarScalar(benchmark::State& state) {
-  const Fixture& f = F();
-  std::vector<uint32_t> out;
-  for (auto _ : state) {
-    out.clear();
-    scan::FilterPairEqScalar(f.col_s.data(), f.col_o.data(), f.run_lo,
-                             f.run_hi, &out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * (f.run_hi - f.run_lo));
-}
-BENCHMARK(BM_PairEqColumnarScalar);
-
-// --- Two-key (p, o) range resolution ---------------------------------
-
-void BM_LookupAoS(benchmark::State& state) {
-  const Fixture& f = F();
-  uint32_t q = 0;
-  size_t total = 0;
-  for (auto _ : state) {
-    const Term p = Pred(q % kPreds);
-    const Term o = Obj(q * 2654435761u % kObjects);
-    ++q;
-    // The pre-refactor perm_range: equal_range over the id vector with a
-    // struct-gathering two-key comparator.
-    struct Cmp {
-      const std::vector<Triple>* triples;
-      Term p, o;
-      bool operator()(uint32_t id, int) const {
-        const Triple& t = (*triples)[id];
-        if (t.p != p) return t.p < p;
-        return t.o < o;
-      }
-      bool operator()(int, uint32_t id) const {
-        const Triple& t = (*triples)[id];
-        if (t.p != p) return p < t.p;
-        return o < t.o;
-      }
-    };
-    Cmp cmp{&f.triples, p, o};
-    auto lo = std::lower_bound(f.pos_ids.begin(), f.pos_ids.end(), 0, cmp);
-    auto hi = std::upper_bound(lo, f.pos_ids.end(), 0,
-                               [&](int k, uint32_t id) { return cmp(k, id); });
-    total += hi - lo;
-    benchmark::DoNotOptimize(total);
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["avg_hits"] =
-      static_cast<double>(total) / static_cast<double>(state.iterations());
-}
-BENCHMARK(BM_LookupAoS);
-
-void BM_LookupColumnar(benchmark::State& state) {
-  const Fixture& f = F();
-  uint32_t q = 0;
-  size_t total = 0;
-  for (auto _ : state) {
-    const Term p = Pred(q % kPreds);
-    const Term o = Obj(q * 2654435761u % kObjects);
-    ++q;
-    total += f.g.CountMatches(std::nullopt, p, o);
-    benchmark::DoNotOptimize(total);
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["avg_hits"] =
-      static_cast<double>(total) / static_cast<double>(state.iterations());
-  state.SetLabel(scan::KernelName());
-}
-BENCHMARK(BM_LookupColumnar);
-
-// --- End-to-end: Graph::Matches + residual FilterBound ---------------
-
-void BM_MatchesResidual(benchmark::State& state) {
-  const Fixture& f = F();
-  std::vector<uint32_t> out;
-  uint32_t q = 0;
-  for (auto _ : state) {
-    const MatchRange range =
-        f.g.Matches(std::nullopt, Pred(q % kPreds), std::nullopt);
-    out.clear();
-    range.FilterBound(2, Obj(q * 40503u % kObjects), &out);
-    ++q;
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations());
-  const GraphStats st = f.g.Stats();
+  const GraphStats st = g.Stats();
   state.counters["bytes_total"] = static_cast<double>(st.bytes_total());
   state.counters["bytes_cols"] = static_cast<double>(
       st.bytes_pso + st.bytes_pos + st.bytes_osp);
   state.counters["rebuilds"] = static_cast<double>(st.index_rebuilds);
-  state.counters["rows_scanned"] = static_cast<double>(st.rows_scanned);
-  state.counters["rows_yielded"] = static_cast<double>(st.rows_yielded);
-  state.SetLabel(scan::KernelName());
 }
-BENCHMARK(BM_MatchesResidual);
-
-// --- Repeated-slot pattern through the matcher -----------------------
+BENCHMARK(BM_PairEqMatchRange);
 
 void BM_RepeatedSlotIterate(benchmark::State& state) {
-  // The pre-refactor matcher path: materialize every candidate of the
-  // p-run and reject the off-diagonal ones one by one.
-  const Fixture& f = F();
+  const Graph& g = G();
   size_t hits = 0;
   for (auto _ : state) {
     hits = 0;
-    const MatchRange range =
-        f.g.Matches(std::nullopt, Pred(0), std::nullopt);
+    const MatchRange range = g.Matches(std::nullopt, Pred(0), std::nullopt);
     for (const Triple& t : range) {
       if (t.s == t.o) ++hits;
     }
     benchmark::DoNotOptimize(hits);
   }
-  state.SetItemsProcessed(state.iterations() * (f.run_hi - f.run_lo));
+  state.SetItemsProcessed(state.iterations() * RunSize());
   state.counters["hits"] = static_cast<double>(hits);
 }
 BENCHMARK(BM_RepeatedSlotIterate);
 
 void BM_RepeatedSlotMatcher(benchmark::State& state) {
-  const Fixture& f = F();
+  const Graph& g = G();
   const Term x = Term::Var(0);
   std::vector<Triple> pattern = {Triple(x, Pred(0), x)};
   size_t solutions = 0;
@@ -331,7 +106,7 @@ void BM_RepeatedSlotMatcher(benchmark::State& state) {
   for (auto _ : state) {
     MatchOptions options;
     options.stats = &stats;
-    PatternMatcher matcher(pattern, &f.g, options);
+    PatternMatcher matcher(pattern, &g, options);
     solutions = 0;
     Status s = matcher.Enumerate([&](const TermMap&) {
       ++solutions;
@@ -340,11 +115,10 @@ void BM_RepeatedSlotMatcher(benchmark::State& state) {
     benchmark::DoNotOptimize(s.ok());
     benchmark::DoNotOptimize(solutions);
   }
-  state.SetItemsProcessed(state.iterations() * (f.run_hi - f.run_lo));
+  state.SetItemsProcessed(state.iterations() * RunSize());
   state.counters["solutions"] = static_cast<double>(solutions);
   state.counters["scanned"] = static_cast<double>(stats.candidates_scanned);
   state.counters["binds"] = static_cast<double>(stats.binds_attempted);
-  state.SetLabel(scan::KernelName());
 }
 BENCHMARK(BM_RepeatedSlotMatcher);
 

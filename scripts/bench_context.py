@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Annotate a Google-Benchmark JSON file with host context, in place.
 
-Adds to the "context" header: the CPU model string, the core count, and
-the effective worker-thread setting (SWDB_THREADS), so BENCH_*.json runs
-are comparable across machines.
+Adds to the "context" header: the CPU model string and the core count,
+so BENCH_*.json runs are comparable across machines.
 
 Usage: bench_context.py FILE.json
 """
@@ -30,7 +29,6 @@ def main() -> int:
     ctx = doc.setdefault("context", {})
     ctx["cpu_model"] = cpu_model()
     ctx["num_cores"] = os.cpu_count() or 0
-    ctx["swdb_threads"] = os.environ.get("SWDB_THREADS", "")
     with open(path, "w") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")

@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
-# Builds and runs the columnar-storage / vectorized-scan benchmark (E17)
-# and writes the results to BENCH_scan.json at the repo root.
+# Builds and runs the columnar-storage benchmark (E17): the
+# repeated-position residual through MatchRange::FilterPairEqual and the
+# matcher's (X, p, X) path. Writes the results to BENCH_scan.json at the
+# repo root.
 #
 # Usage: scripts/bench_scan.sh [build-dir] [extra benchmark args...]
-# The SIMD kernels are on by default; pass a dedicated build dir and
-# -DSWDB_SIMD=OFF through cmake yourself for a scalar-build comparison
-# (the in-binary *Scalar series already isolates the kernel ablation).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"

@@ -7,7 +7,6 @@
 
 #include "rdf/hom.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace swdb {
 
@@ -64,57 +63,6 @@ class ClosureEngine {
       // Copy: Expand enqueues, and push_back may reallocate worklist_.
       Triple t = worklist_[cursor_++];
       Expand(t);
-    }
-  }
-
-  /// Round-based parallel fixpoint: each round expands the whole current
-  /// frontier [cursor_, size) against the index state at round start —
-  /// workers only *read* engine state, buffering conclusions per chunk —
-  /// then merges the buffers in pinned chunk order. This computes the
-  /// same closure as RunToFixpoint: a rule instance whose premises are
-  /// both in the worklist fires when its later-expanded premise is
-  /// expanded (the earlier one is indexed from the moment it was
-  /// enqueued), and same-round premises see each other because the whole
-  /// frontier is indexed before the round starts. The worklist order is
-  /// deterministic and independent of the worker count (fixed chunk
-  /// grain), though it differs from the sequential order; the resulting
-  /// graph is identical. Falls back to sequential when tracing (trace
-  /// order is derivation order, which rounds do not preserve) or when no
-  /// pool is available.
-  void RunToFixpointParallel(ThreadPool* pool) {
-    if (trace_ != nullptr || pool == nullptr || pool->num_threads() == 0) {
-      RunToFixpoint();
-      return;
-    }
-    constexpr size_t kMinParallelFrontier = 256;
-    constexpr size_t kGrain = 64;
-    std::vector<std::vector<std::pair<Triple, bool>>> found;
-    while (cursor_ < worklist_.size()) {
-      const size_t begin = cursor_;
-      const size_t n = worklist_.size() - begin;
-      if (n < kMinParallelFrontier) {
-        // Too little to amortize a fan-out; expand one triple the
-        // classic way (it may grow the frontier past the threshold).
-        Triple t = worklist_[cursor_++];
-        Expand(t);
-        continue;
-      }
-      const size_t nchunks = (n + kGrain - 1) / kGrain;
-      found.assign(nchunks, {});
-      pool->ParallelFor(n, kGrain, [this, begin, &found](size_t lo,
-                                                         size_t hi) {
-        CollectSink sink{this, &found[lo / kGrain]};
-        for (size_t i = lo; i < hi; ++i) {
-          ExpandWith(worklist_[begin + i], sink);
-        }
-      });
-      cursor_ = begin + n;
-      for (const auto& chunk : found) {
-        for (const auto& [c, base] : chunk) {
-          if (known_.count(c)) continue;  // first derivation wins
-          Enqueue(c, base);
-        }
-      }
     }
   }
 
@@ -211,55 +159,14 @@ class ClosureEngine {
     return it == uses_by_pred_.end() ? std::vector<Triple>() : it->second;
   }
 
-  // Where rule conclusions go. DirectSink is the classic sequential
-  // path: derive-and-enqueue immediately. CollectSink buffers (it only
-  // *reads* engine state), which is what lets a parallel round expand a
-  // whole frontier concurrently and merge the conclusions afterwards.
-  struct DirectSink {
-    ClosureEngine* e;
-    void Add(const Triple& c, RuleId rule, std::vector<Triple> premises) {
-      e->Add(c, rule, std::move(premises));
-    }
-    void AddPair(const Triple& c1, const Triple& c2, RuleId rule,
-                 const Triple& premise) {
-      e->AddPair(c1, c2, rule, premise);
-    }
-  };
-  struct CollectSink {
-    const ClosureEngine* e;
-    // (conclusion, base flag) in derivation order; may still contain
-    // duplicates across sinks — the merge dedups through known_.
-    std::vector<std::pair<Triple, bool>>* out;
-    void Add(const Triple& c, RuleId rule, std::vector<Triple> /*premises*/) {
-      if (!c.IsWellFormedData()) return;
-      if (e->known_.count(c)) return;
-      const bool base = !(c.p == kSp && rule == RuleId::kSpTransitivity) &&
-                        !(c.p == kSc && rule == RuleId::kScTransitivity);
-      out->emplace_back(c, base);
-    }
-    void AddPair(const Triple& c1, const Triple& c2, RuleId /*rule*/,
-                 const Triple& /*premise*/) {
-      if (!e->known_.count(c1)) out->emplace_back(c1, true);
-      if (!e->known_.count(c2)) out->emplace_back(c2, true);
-    }
-  };
-
-  void Expand(const Triple& t) {
-    DirectSink sink{this};
-    ExpandWith(t, sink);
-  }
-
   // Joins triple t, as every premise position, against the indexes.
   // Snapshot note: the adjacency vectors can reallocate while we append
   // during iteration, so each loop copies the neighbor list first.
-  // With a CollectSink nothing reallocates, but the copies stay — the
-  // cost is small and one body serves both modes.
-  template <typename Sink>
-  void ExpandWith(const Triple& t, Sink& sink) {
+  void Expand(const Triple& t) {
     // --- Generic: t as the "use" triple (X, A, Y). ---
     // Rule (8).
     if (rules_.reflexivity) {
-      sink.Add(Triple(t.p, kSp, t.p), RuleId::kSpReflexFromUse, {t});
+      Add(Triple(t.p, kSp, t.p), RuleId::kSpReflexFromUse, {t});
     }
     // Rule (3) use side and rules (6)/(7) use side: follow sp upward
     // from the predicate.
@@ -267,19 +174,19 @@ class ClosureEngine {
       const std::vector<Term> supers = Neighbors(sp_fwd_, t.p);
       for (Term b : supers) {
         if (rules_.sp_inheritance) {
-          sink.Add(Triple(t.s, b, t.o), RuleId::kSpInheritance,
+          Add(Triple(t.s, b, t.o), RuleId::kSpInheritance,
               {Triple(t.p, kSp, b), t});
         }
         if (!rules_.marin_subproperty_typing) continue;
         if (rules_.dom_typing) {
           for (Term klass : Neighbors(dom_fwd_, b)) {
-            sink.Add(Triple(t.s, kType, klass), RuleId::kDomTyping,
+            Add(Triple(t.s, kType, klass), RuleId::kDomTyping,
                 {Triple(b, kDom, klass), Triple(t.p, kSp, b), t});
           }
         }
         if (rules_.range_typing) {
           for (Term klass : Neighbors(range_fwd_, b)) {
-            sink.Add(Triple(t.o, kType, klass), RuleId::kRangeTyping,
+            Add(Triple(t.o, kType, klass), RuleId::kRangeTyping,
                 {Triple(b, kRange, klass), Triple(t.p, kSp, b), t});
           }
         }
@@ -290,13 +197,13 @@ class ClosureEngine {
     // (8) just above, so the recorded instantiation stays valid.
     if (rules_.dom_typing) {
       for (Term klass : Neighbors(dom_fwd_, t.p)) {
-        sink.Add(Triple(t.s, kType, klass), RuleId::kDomTyping,
+        Add(Triple(t.s, kType, klass), RuleId::kDomTyping,
             {Triple(t.p, kDom, klass), Triple(t.p, kSp, t.p), t});
       }
     }
     if (rules_.range_typing) {
       for (Term klass : Neighbors(range_fwd_, t.p)) {
-        sink.Add(Triple(t.o, kType, klass), RuleId::kRangeTyping,
+        Add(Triple(t.o, kType, klass), RuleId::kRangeTyping,
             {Triple(t.p, kRange, klass), Triple(t.p, kSp, t.p), t});
       }
     }
@@ -307,13 +214,13 @@ class ClosureEngine {
       if (rules_.sp_transitivity) {
         const std::vector<Term> base_out = Neighbors(sp_base_fwd_, t.o);
         for (Term c : base_out) {
-          sink.Add(Triple(t.s, kSp, c), RuleId::kSpTransitivity,
+          Add(Triple(t.s, kSp, c), RuleId::kSpTransitivity,
               {t, Triple(t.o, kSp, c)});
         }
         if (base_edges_.count(t)) {
           const std::vector<Term> preds = Neighbors(sp_rev_, t.s);
           for (Term z : preds) {
-            sink.Add(Triple(z, kSp, t.o), RuleId::kSpTransitivity,
+            Add(Triple(z, kSp, t.o), RuleId::kSpTransitivity,
                 {Triple(z, kSp, t.s), t});
           }
         }
@@ -322,7 +229,7 @@ class ClosureEngine {
       if (rules_.sp_inheritance) {
         const std::vector<Triple> uses = Uses(t.s);
         for (const Triple& use : uses) {
-          sink.Add(Triple(use.s, t.o, use.o), RuleId::kSpInheritance, {t, use});
+          Add(Triple(use.s, t.o, use.o), RuleId::kSpInheritance, {t, use});
         }
       }
       // Rules (6)/(7), sp side: t = (C, sp, A) with (A, dom/range, B).
@@ -331,7 +238,7 @@ class ClosureEngine {
         if (rules_.dom_typing) {
           for (Term klass : Neighbors(dom_fwd_, t.o)) {
             for (const Triple& use : sub_uses) {
-              sink.Add(Triple(use.s, kType, klass), RuleId::kDomTyping,
+              Add(Triple(use.s, kType, klass), RuleId::kDomTyping,
                   {Triple(t.o, kDom, klass), t, use});
             }
           }
@@ -339,7 +246,7 @@ class ClosureEngine {
         if (rules_.range_typing) {
           for (Term klass : Neighbors(range_fwd_, t.o)) {
             for (const Triple& use : sub_uses) {
-              sink.Add(Triple(use.o, kType, klass), RuleId::kRangeTyping,
+              Add(Triple(use.o, kType, klass), RuleId::kRangeTyping,
                   {Triple(t.o, kRange, klass), t, use});
             }
           }
@@ -347,7 +254,7 @@ class ClosureEngine {
       }
       // Rule (11).
       if (rules_.reflexivity) {
-        sink.AddPair(Triple(t.s, kSp, t.s), Triple(t.o, kSp, t.o),
+        AddPair(Triple(t.s, kSp, t.s), Triple(t.o, kSp, t.o),
                 RuleId::kSpReflexPair, t);
       }
     } else if (t.p == kSc) {
@@ -355,13 +262,13 @@ class ClosureEngine {
       if (rules_.sc_transitivity) {
         const std::vector<Term> base_out = Neighbors(sc_base_fwd_, t.o);
         for (Term c : base_out) {
-          sink.Add(Triple(t.s, kSc, c), RuleId::kScTransitivity,
+          Add(Triple(t.s, kSc, c), RuleId::kScTransitivity,
               {t, Triple(t.o, kSc, c)});
         }
         if (base_edges_.count(t)) {
           const std::vector<Term> preds = Neighbors(sc_rev_, t.s);
           for (Term z : preds) {
-            sink.Add(Triple(z, kSc, t.o), RuleId::kScTransitivity,
+            Add(Triple(z, kSc, t.o), RuleId::kScTransitivity,
                 {Triple(z, kSc, t.s), t});
           }
         }
@@ -370,13 +277,13 @@ class ClosureEngine {
       if (rules_.sc_typing) {
         const std::vector<Term> instances = Neighbors(type_rev_, t.s);
         for (Term x : instances) {
-          sink.Add(Triple(x, kType, t.o), RuleId::kScTyping,
+          Add(Triple(x, kType, t.o), RuleId::kScTyping,
               {t, Triple(x, kType, t.s)});
         }
       }
       // Rule (13).
       if (rules_.reflexivity) {
-        sink.AddPair(Triple(t.s, kSc, t.s), Triple(t.o, kSc, t.o),
+        AddPair(Triple(t.s, kSc, t.s), Triple(t.o, kSc, t.o),
                 RuleId::kScReflexPair, t);
       }
     } else if (t.p == kType) {
@@ -384,13 +291,13 @@ class ClosureEngine {
       if (rules_.sc_typing) {
         const std::vector<Term> supers_sc = Neighbors(sc_fwd_, t.o);
         for (Term b : supers_sc) {
-          sink.Add(Triple(t.s, kType, b), RuleId::kScTyping,
+          Add(Triple(t.s, kType, b), RuleId::kScTyping,
               {Triple(t.o, kSc, b), t});
         }
       }
       // Rule (12).
       if (rules_.reflexivity) {
-        sink.Add(Triple(t.o, kSc, t.o), RuleId::kScReflexFromUse, {t});
+        Add(Triple(t.o, kSc, t.o), RuleId::kScReflexFromUse, {t});
       }
     } else if (t.p == kDom || t.p == kRange) {
       // Rules (6)/(7), dom/range side: (c, sp, t.s) and uses of c. The
@@ -401,17 +308,17 @@ class ClosureEngine {
       // Rules (10)/(12) first: the direct joins below cite the rule-(10)
       // reflexive triple as a premise, so it must enter the trace first.
       if (rules_.reflexivity) {
-        sink.Add(Triple(t.s, kSp, t.s), RuleId::kSpReflexDomRange, {t});
-        sink.Add(Triple(t.o, kSc, t.o), RuleId::kScReflexFromUse, {t});
+        Add(Triple(t.s, kSp, t.s), RuleId::kSpReflexDomRange, {t});
+        Add(Triple(t.o, kSc, t.o), RuleId::kScReflexFromUse, {t});
       }
       if (enabled) {
         const std::vector<Triple> direct_uses = Uses(t.s);
         for (const Triple& use : direct_uses) {
           if (t.p == kDom) {
-            sink.Add(Triple(use.s, kType, t.o), RuleId::kDomTyping,
+            Add(Triple(use.s, kType, t.o), RuleId::kDomTyping,
                 {t, Triple(t.s, kSp, t.s), use});
           } else {
-            sink.Add(Triple(use.o, kType, t.o), RuleId::kRangeTyping,
+            Add(Triple(use.o, kType, t.o), RuleId::kRangeTyping,
                 {t, Triple(t.s, kSp, t.s), use});
           }
         }
@@ -422,10 +329,10 @@ class ClosureEngine {
           const std::vector<Triple> uses = Uses(c);
           for (const Triple& use : uses) {
             if (t.p == kDom) {
-              sink.Add(Triple(use.s, kType, t.o), RuleId::kDomTyping,
+              Add(Triple(use.s, kType, t.o), RuleId::kDomTyping,
                   {t, Triple(c, kSp, t.s), use});
             } else {
-              sink.Add(Triple(use.o, kType, t.o), RuleId::kRangeTyping,
+              Add(Triple(use.o, kType, t.o), RuleId::kRangeTyping,
                   {t, Triple(c, kSp, t.s), use});
             }
           }
@@ -740,12 +647,6 @@ Graph RdfsClosure(const Graph& g, std::vector<RuleApplication>* trace) {
   return engine.TakeResult();
 }
 
-Graph RdfsClosureParallel(const Graph& g, ThreadPool* pool) {
-  ClosureEngine engine(g, /*trace=*/nullptr, RuleSet::All());
-  engine.RunToFixpointParallel(pool);
-  return engine.TakeResult();
-}
-
 Graph RdfsClosureWithRules(const Graph& g, const RuleSet& rules) {
   ClosureEngine engine(g, /*trace=*/nullptr, rules);
   engine.RunToFixpoint();
@@ -754,9 +655,9 @@ Graph RdfsClosureWithRules(const Graph& g, const RuleSet& rules) {
 
 Graph RdfsClosureDelta(const Graph& closure, const Graph& delta_inserts,
                        std::vector<RuleApplication>* trace,
-                       ClosureDeltaStats* stats, ThreadPool* pool) {
+                       ClosureDeltaStats* stats) {
   ClosureEngine engine(closure, delta_inserts, trace, RuleSet::All());
-  engine.RunToFixpointParallel(pool);
+  engine.RunToFixpoint();
   Graph out = engine.TakeResult();
   if (stats != nullptr) {
     stats->delta_size = 0;

@@ -15,8 +15,6 @@
 
 namespace swdb {
 
-class ThreadPool;
-
 /// Computes RDFS-cl(G): all triples deducible from G by rules (2)–(13)
 /// (paper Def. 2.7), via an indexed semi-naive fixpoint. The closure is
 /// an RDF graph over universe(G) plus the rdfs-vocabulary, of size
@@ -27,15 +25,6 @@ class ThreadPool;
 /// rule-step part of a proof of cl(G) from G (Def. 2.5).
 Graph RdfsClosure(const Graph& g,
                   std::vector<RuleApplication>* trace = nullptr);
-
-/// RDFS-cl(G) with the fixpoint's per-round rule joins partitioned
-/// across `pool` (round-based semi-naive evaluation: each round expands
-/// the whole frontier read-only into per-chunk conclusion buffers, then
-/// merges them in pinned chunk order). The result graph is identical to
-/// RdfsClosure(g) and deterministic regardless of worker count; a null
-/// or zero-thread pool degrades to the sequential engine. Traces are not
-/// supported (rounds do not preserve derivation order).
-Graph RdfsClosureParallel(const Graph& g, ThreadPool* pool);
 
 /// Reference implementation of RDFS-cl by iterating EnumerateApplications
 /// to fixpoint. Exponentially slower constants; used to cross-check
@@ -89,13 +78,9 @@ struct ClosureDeltaStats {
 ///
 /// If `trace` is non-null it receives one validating RuleApplication per
 /// *newly* derived triple, exactly as RdfsClosure would for those.
-///
-/// A non-null `pool` parallelizes the propagation rounds (ignored while
-/// tracing); the result is identical either way.
 Graph RdfsClosureDelta(const Graph& closure, const Graph& delta_inserts,
                        std::vector<RuleApplication>* trace = nullptr,
-                       ClosureDeltaStats* stats = nullptr,
-                       ThreadPool* pool = nullptr);
+                       ClosureDeltaStats* stats = nullptr);
 
 /// DRed-style deletion maintenance: given `closure` = RDFS-cl(G),
 /// `deleted` ⊆ G and `base_after` = G \ deleted, returns

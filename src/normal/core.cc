@@ -1,6 +1,5 @@
 #include "normal/core.h"
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <limits>
@@ -9,7 +8,6 @@
 #include <utility>
 
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace swdb {
 
@@ -69,26 +67,13 @@ struct ComponentResult {
 // Searches one component for a fold: a map component → g \ {t} for some
 // triple t of the component, probing the triples in order and returning
 // at the first fold. Each probe carries its own options.max_steps
-// budget — identical to the sequential engine, and independent of what
-// any concurrently searched component consumes, which is what makes
-// budget exhaustion worker-count-invariant. `first_found`, when
-// non-null, aborts the search (between probes and inside the matcher)
-// once a lower-indexed component has found a fold; a cancelled result
-// is never consulted, because a lower winner exists by construction.
+// budget.
 ComponentResult SearchComponent(const std::vector<Triple>& component,
-                                const Graph& g, MatchOptions options,
-                                const std::atomic<size_t>* first_found,
-                                size_t index) {
+                                const Graph& g, MatchOptions options) {
   ComponentResult out;
-  options.pool = nullptr;   // the component search is the unit of fan-out
   options.stats = nullptr;  // a multi-probe driver; see header
   PatternMatcher matcher(component, &g, options);
-  if (first_found != nullptr) matcher.set_cancellation(first_found, index);
   for (const Triple& t : component) {
-    if (first_found != nullptr &&
-        first_found->load(std::memory_order_relaxed) < index) {
-      return out;  // a lower component owns the answer
-    }
     matcher.set_exclude_triple(t);
     Result<std::optional<TermMap>> r = matcher.FindAny();
     out.steps += matcher.steps_used();
@@ -105,86 +90,38 @@ ComponentResult SearchComponent(const std::vector<Triple>& component,
 }
 
 // One round of the proper-endomorphism search over a pinned-ordered
-// list of components, aggregated exactly as the sequential engine
-// would observe it.
+// list of components.
 struct SearchOutcome {
   // Index into `components` of the lowest component that found a fold,
-  // or kNoWinner. The parallel engine may complete higher-indexed
-  // searches too; those never override a lower winner.
+  // or kNoWinner.
   size_t winner = kNoWinner;
   std::optional<TermMap> fold;  // the winner's fold
   // Some pre-winner probe exhausted its budget (meaningful for the
-  // round's return value only when there is no winner, mirroring the
-  // sequential engine's latch-and-continue behaviour).
+  // round's return value only when there is no winner).
   bool budget_hit = false;
-  // Components below the winner refuted completely within budget — the
-  // exact set the sequential engine proves lean this round.
+  // Components below the winner refuted completely within budget.
   std::vector<size_t> refuted;
-  uint64_t steps_used = 0;         // deterministic: pre-winner + winner
-  uint64_t steps_speculative = 0;  // parallel-only post-winner probing
+  uint64_t steps_used = 0;  // pre-winner components + the winner
 };
 
+// Searches the components lowest index first and stops at the first
+// fold.
 SearchOutcome SearchAllComponents(
     const std::vector<const std::vector<Triple>*>& components, const Graph& g,
     const MatchOptions& options) {
   SearchOutcome out;
-  std::vector<ComponentResult> results(components.size());
-  const bool parallel = options.pool != nullptr &&
-                        options.pool->num_threads() > 0 &&
-                        components.size() >= 2;
-  if (parallel) {
-    // Component matchers resolve index ranges concurrently; build the
-    // lazy permutations once, here, instead of racing there.
-    g.WarmIndexes();
-    // Lowest component index that found a fold so far. Only components
-    // *above* it are cancelled, so every component at or below the final
-    // minimum runs to its own deterministic completion — the winner (and
-    // its fold) is therefore the sequential one at any worker count.
-    std::atomic<size_t> first_found{kNoWinner};
-    TaskGroup group(options.pool);
-    for (size_t c = 0; c < components.size(); ++c) {
-      group.Run([c, &components, &g, &options, &results, &first_found] {
-        if (first_found.load(std::memory_order_relaxed) < c) return;
-        ComponentResult r =
-            SearchComponent(*components[c], g, options, &first_found, c);
-        if (r.fold.has_value()) {
-          size_t cur = first_found.load(std::memory_order_relaxed);
-          while (cur > c && !first_found.compare_exchange_weak(
-                                cur, c, std::memory_order_relaxed)) {
-          }
-        }
-        results[c] = std::move(r);
-      });
-    }
-    group.Wait();
-  } else {
-    for (size_t c = 0; c < components.size(); ++c) {
-      results[c] = SearchComponent(*components[c], g, options,
-                                   /*first_found=*/nullptr, 0);
-      if (results[c].fold.has_value()) break;  // pinned order: lowest wins
-    }
-  }
-
-  for (size_t c = 0; c < results.size(); ++c) {
-    if (results[c].fold.has_value()) {
+  for (size_t c = 0; c < components.size(); ++c) {
+    ComponentResult r = SearchComponent(*components[c], g, options);
+    out.steps_used += r.steps;
+    if (r.fold.has_value()) {
       out.winner = c;
+      out.fold = std::move(r.fold);
       break;
     }
-  }
-  for (size_t c = 0; c < results.size(); ++c) {
-    ComponentResult& r = results[c];
-    if (c < out.winner) {  // everything when there is no winner
-      out.steps_used += r.steps;
-      if (r.budget_hit) {
-        out.budget_hit = true;
-      } else {
-        out.refuted.push_back(c);
-      }
-    } else if (c == out.winner) {
-      out.steps_used += r.steps;
-      out.fold = std::move(r.fold);
+    if (r.budget_hit) {
+      out.budget_hit = true;
     } else {
-      out.steps_speculative += r.steps;  // speculation past the winner
+      out.refuted.push_back(c);
     }
   }
   return out;
@@ -206,10 +143,8 @@ Result<std::optional<TermMap>> FindProperEndomorphism(const Graph& g,
   return std::optional<TermMap>(std::nullopt);
 }
 
-bool IsLean(const Graph& g, ThreadPool* pool) {
-  MatchOptions options;
-  options.pool = pool;
-  Result<std::optional<TermMap>> r = FindProperEndomorphism(g, options);
+bool IsLean(const Graph& g) {
+  Result<std::optional<TermMap>> r = FindProperEndomorphism(g);
   SWDB_CHECK(r.ok(),
              "leanness step budget exhausted; use FindProperEndomorphism "
              "with explicit MatchOptions for graceful degradation");
@@ -226,10 +161,7 @@ Result<Graph> CoreChecked(const Graph& g, MatchOptions options,
   // triples survive verbatim, and the graph only ever shrinks — a
   // shrinking target can lose homomorphisms but never gain one. (Nor
   // can components merge: folds add no triples, so blanks never become
-  // newly connected.) Only refutations the sequential engine would also
-  // have run are cached — never speculative parallel ones — so the
-  // folding sequence and the budget accounting stay worker-count-
-  // invariant.
+  // newly connected.)
   std::unordered_set<std::vector<Triple>, TripleVecHash> proven_lean;
   for (;;) {
     ++local.iterations;
@@ -245,7 +177,6 @@ Result<Graph> CoreChecked(const Graph& g, MatchOptions options,
     }
     SearchOutcome out = SearchAllComponents(targets, current, options);
     local.steps_used += out.steps_used;
-    local.steps_speculative += out.steps_speculative;
     local.components_searched +=
         out.winner == kNoWinner ? targets.size() : out.winner + 1;
     for (size_t idx : out.refuted) proven_lean.insert(*targets[idx]);
@@ -265,10 +196,8 @@ Result<Graph> CoreChecked(const Graph& g, MatchOptions options,
   return current;
 }
 
-Graph Core(const Graph& g, TermMap* witness, ThreadPool* pool) {
-  MatchOptions options;
-  options.pool = pool;
-  Result<Graph> r = CoreChecked(g, options, witness, /*stats=*/nullptr);
+Graph Core(const Graph& g, TermMap* witness) {
+  Result<Graph> r = CoreChecked(g, MatchOptions(), witness, /*stats=*/nullptr);
   SWDB_CHECK(r.ok(),
              "core step budget exhausted; use CoreChecked for graceful "
              "degradation");

@@ -12,8 +12,6 @@
 
 namespace swdb {
 
-class ThreadPool;
-
 /// Groups the non-ground triples of g by blank-connected component: two
 /// blanks are connected when they share a triple. A proper endomorphism
 /// restricted to one component (identity elsewhere) is still a proper
@@ -22,15 +20,11 @@ class ThreadPool;
 /// decided one component at a time with component-sized patterns.
 /// Components are returned in a pinned deterministic order (first
 /// appearance in g's triple order) with each component's triples in g's
-/// order — the order every core/leanness engine in this file, parallel
-/// or not, commits to.
+/// order — the order every core/leanness search in this file commits to.
 std::vector<std::vector<Triple>> BlankComponents(const Graph& g);
 
-/// Counters for one Core/CoreChecked run. `steps_used` and every other
-/// field except `steps_speculative` are *deterministic*: they depend
-/// only on the input graph and MatchOptions, never on the worker count,
-/// and equal the sequential engine's values exactly (the parallel
-/// engine's extra speculative probing is reported separately).
+/// Counters for one Core/CoreChecked run. Every field is deterministic:
+/// it depends only on the input graph and MatchOptions.
 struct CoreStats {
   /// Proper endomorphisms found and applied (folding sequence length).
   uint64_t folds = 0;
@@ -45,12 +39,8 @@ struct CoreStats {
   /// touch other components, so leanness persists).
   uint64_t lean_cache_hits = 0;
   /// Matcher steps consumed by the searches counted in
-  /// components_searched — bit-identical to the sequential engine.
+  /// components_searched.
   uint64_t steps_used = 0;
-  /// Matcher steps the parallel engine spent on components at indexes
-  /// above a round's winner (work the sequential engine never starts).
-  /// Always 0 without a pool; the only worker-count-dependent field.
-  uint64_t steps_speculative = 0;
 };
 
 /// Content hash of a component's pinned-order triple vector — the
@@ -77,36 +67,25 @@ struct TripleVecHash {
 /// coNP-complete (paper Thm 3.12(1)); `options.max_steps` bounds each
 /// per-triple probe, exactly as one PatternMatcher::FindAny budget.
 ///
-/// A non-null `options.pool` fans the per-component searches out across
-/// the pool, one task and one compiled matcher per component, with
-/// first-found cancellation: a component aborts once a lower-indexed
-/// component has found a fold, and the fold returned is always the one
-/// the lowest folding component finds first in probe order — i.e. the
-/// sequential engine's fold, bit for bit. Per-probe budgets are kept
-/// per-probe rather than pooled so budget exhaustion is also bit-exact
-/// at any worker count (see DESIGN.md). `options.stats` is ignored (the
+/// Components are searched lowest index first, one compiled matcher per
+/// component; the fold returned is the first one the lowest folding
+/// component finds in probe order. `options.stats` is ignored (the
 /// search runs many probes; use CoreStats on CoreChecked instead).
 Result<std::optional<TermMap>> FindProperEndomorphism(
     const Graph& g, MatchOptions options = MatchOptions());
 
 /// True iff g is lean: no map μ sends g to a proper subgraph of itself
-/// (paper Def. 3.7). Asserts the step budget is not exhausted. A
-/// non-null pool parallelizes over blank components.
-bool IsLean(const Graph& g, ThreadPool* pool = nullptr);
+/// (paper Def. 3.7). Asserts the step budget is not exhausted.
+bool IsLean(const Graph& g);
 
 /// Computes core(g): the unique (up to isomorphism) lean subgraph of g
 /// that is an instance of g (paper Thm 3.10). Every graph is equivalent
 /// to its core. If `witness` is non-null it receives the composed map μ
-/// with μ(g) = core(g). A non-null pool parallelizes each round's
-/// component searches; the result (graph, witness, folding sequence) is
-/// bit-identical to the sequential computation.
-Graph Core(const Graph& g, TermMap* witness = nullptr,
-           ThreadPool* pool = nullptr);
+/// with μ(g) = core(g).
+Graph Core(const Graph& g, TermMap* witness = nullptr);
 
 /// Budget-aware variant of Core for adversarial inputs (computing cores
-/// is DP-hard to even verify, paper Thm 3.12(2)). Parallelism comes via
-/// `options.pool`; whether the budget is exhausted — and every CoreStats
-/// field except steps_speculative — does not depend on the worker count.
+/// is DP-hard to even verify, paper Thm 3.12(2)).
 Result<Graph> CoreChecked(const Graph& g, MatchOptions options,
                           TermMap* witness = nullptr,
                           CoreStats* stats = nullptr);

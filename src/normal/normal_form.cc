@@ -6,10 +6,7 @@
 
 namespace swdb {
 
-Graph NormalForm(const Graph& g, ThreadPool* pool) {
-  if (pool == nullptr) return Core(RdfsClosure(g));
-  return Core(RdfsClosureParallel(g, pool), /*witness=*/nullptr, pool);
-}
+Graph NormalForm(const Graph& g) { return Core(RdfsClosure(g)); }
 
 bool IsNormalFormOf(const Graph& candidate, const Graph& g) {
   return AreIsomorphic(candidate, NormalForm(g));

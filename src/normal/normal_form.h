@@ -6,15 +6,10 @@
 
 namespace swdb {
 
-class ThreadPool;
-
 /// Computes nf(G) = core(cl(G)) (paper Def. 3.18): the core of the RDFS
 /// closure. The normal form is unique up to isomorphism and syntax
-/// independent: G ≡ H iff nf(G) ≅ nf(H) (paper Thm 3.19). A non-null
-/// pool runs both halves on it — the round-based parallel closure and
-/// the component-parallel core — and produces the exact graph the
-/// sequential computation produces, at any worker count.
-Graph NormalForm(const Graph& g, ThreadPool* pool = nullptr);
+/// independent: G ≡ H iff nf(G) ≅ nf(H) (paper Thm 3.19).
+Graph NormalForm(const Graph& g);
 
 /// Decides whether `candidate` is (isomorphic to) the normal form of g —
 /// the DP-complete problem of paper Thm 3.20.

@@ -12,14 +12,9 @@ QueryEvaluator::QueryEvaluator(Dictionary* dict, EvalOptions options)
 
 Graph QueryEvaluator::NormalizedDatabase(const Query& q, const Graph& db) {
   Graph combined = Merge(db, q.premise, dict_);
-  // Premise-bearing queries re-normalize D + P per call; an EvalOptions
-  // pool parallelizes that closure + core without changing the result.
-  if (options_.use_closure_only) {
-    return options_.match.pool != nullptr
-               ? RdfsClosureParallel(combined, options_.match.pool)
-               : RdfsClosure(combined);
-  }
-  return NormalForm(combined, options_.match.pool);
+  // Premise-bearing queries re-normalize D + P per call.
+  if (options_.use_closure_only) return RdfsClosure(combined);
+  return NormalForm(combined);
 }
 
 Term QueryEvaluator::SkolemBlank(Term head_blank,

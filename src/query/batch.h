@@ -16,8 +16,8 @@ namespace swdb {
 
 /// Counters of one PreAnswerBatch call. Every field is structural — a
 /// function of the batch, the normalized graph, and the view-cache
-/// state, never of scheduling — so the same batch yields the same
-/// BatchStats at any worker count (asserted by the parity fuzz).
+/// state — so the same batch yields the same BatchStats on every run
+/// (asserted by the parity fuzz).
 struct BatchStats {
   /// Slots in the batch (== queries.size()).
   uint64_t queries = 0;
@@ -58,8 +58,7 @@ struct BatchStats {
 ///      `premise_eval` and each surviving group runs once, at its first
 ///      member, through QueryEvaluator::PreAnswerPrenormalized on its
 ///      canonical spelling — the sequential call, with the sequential
-///      step budget and mint sequence (within-query parallelism comes
-///      from MatchOptions::pool inside the matcher);
+///      step budget and mint sequence;
 ///   5. promoted shapes are installed into the view cache, and each
 ///      group's answers are replayed to every member slot.
 ///

@@ -9,20 +9,10 @@
 #include "rdf/map.h"
 #include "util/check.h"
 #include "util/lock_rank.h"
-#include "util/thread_pool.h"
 
 namespace swdb {
 
 namespace {
-
-// The pool the nf(D) = core(cl(D)) builds run on: an explicitly
-// configured EvalOptions pool wins, else the process-shared pool (sized
-// by SWDB_THREADS; 0 degrades to inline). Safe to default on because
-// the parallel core is bit-identical to the sequential one.
-ThreadPool* CorePool(const EvalOptions& options) {
-  return options.match.pool != nullptr ? options.match.pool
-                                       : ThreadPool::Shared();
-}
 
 // Folds one PreAnswerBatch call's counters into the cumulative database
 // stats (relaxed atomics: snapshots call this from reader threads).
@@ -187,12 +177,8 @@ const Graph& Database::Normalized() {
   return Snapshot()->normalized();
 }
 
-bool Database::Entails(const Graph& q) {
-  Result<bool> r = TryHasHomomorphism(q, Closure());
-  SWDB_CHECK(r.ok(),
-             "RDFS-entailment step budget exhausted; use TryRdfsEntails "
-             "with explicit MatchOptions for graceful degradation");
-  return *r;
+Result<bool> Database::Entails(const Graph& q) {
+  return TryHasHomomorphism(q, Closure(), options_.match);
 }
 
 bool Database::EntailsTriple(const Triple& t) {
@@ -306,7 +292,7 @@ void Database::PublishSnapshotLocked() {
   }
   std::shared_ptr<const DatabaseSnapshot> snap(new DatabaseSnapshot(
       data_.epoch(), std::move(data), std::move(cl), nf_slot_, &evaluator_,
-      options_, CorePool(options_), &stats_,
+      options_, &stats_,
       ViewCacheRef{options_.views.enabled ? &view_cache_ : nullptr, version,
                    view_cache_.erase_stamp()}));
   std::lock_guard<std::mutex> snap_lock(snapshot_mu_);
@@ -334,7 +320,7 @@ void Database::PublishSnapshotLocked() {
 const Graph& DatabaseSnapshot::normalized() const {
   if (options_.use_closure_only) return *closure_;
   std::call_once(nf_->once, [this] {
-    nf_->graph.emplace(Core(*closure_, /*witness=*/nullptr, pool_));
+    nf_->graph.emplace(Core(*closure_));
     nf_->graph->WarmIndexes();
     ++stats_->snapshot_nf_builds;
   });
@@ -346,12 +332,8 @@ bool DatabaseSnapshot::EntailsTriple(const Triple& t) const {
   return membership_->Contains(t);
 }
 
-bool DatabaseSnapshot::Entails(const Graph& q) const {
-  Result<bool> r = TryHasHomomorphism(q, *closure_);
-  SWDB_CHECK(r.ok(),
-             "RDFS-entailment step budget exhausted; use TryRdfsEntails "
-             "with explicit MatchOptions for graceful degradation");
-  return *r;
+Result<bool> DatabaseSnapshot::Entails(const Graph& q) const {
+  return TryHasHomomorphism(q, *closure_, options_.match);
 }
 
 Result<std::vector<Graph>> DatabaseSnapshot::PreAnswer(const Query& q) const {

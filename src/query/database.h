@@ -195,16 +195,15 @@ class DatabaseSnapshot {
   /// first use by exactly one thread (call_once; every concurrent
   /// reader observes the one built graph). Consecutive snapshots of the
   /// same closure version share the slot, so an insert that derives
-  /// nothing new costs no rebuild. The core runs on the
-  /// snapshot's pool — EvalOptions' match.pool if set, else the
-  /// process-shared ThreadPool — with its component-parallel engine,
-  /// whose output is bit-identical to the sequential core.
+  /// nothing new costs no rebuild.
   const Graph& normalized() const;
 
   /// t ∈ RDFS-cl(D), through a membership index built on first use.
   bool EntailsTriple(const Triple& t) const;
-  /// RDFS entailment D ⊨ q against the frozen closure.
-  bool Entails(const Graph& q) const;
+  /// RDFS entailment D ⊨ q against the frozen closure, under the
+  /// database's match options: kLimitExceeded when the step budget runs
+  /// out.
+  Result<bool> Entails(const Graph& q) const;
   /// Single answers of a query (§4.1). Invalid queries are rejected
   /// before any other work. A premise-free query is served from the
   /// owning Database's view cache when a view valid for this snapshot's
@@ -217,8 +216,7 @@ class DatabaseSnapshot {
   Result<std::vector<Graph>> PreAnswer(const Query& q) const;
   /// Single answers for a whole batch of queries against this one
   /// snapshot, slot for slot bit-identical to calling PreAnswer on each
-  /// in order (same answers, same order, same Skolem mints) at any
-  /// worker count. Isomorphic shapes are answered once and replayed per
+  /// in order (same answers, same order, same Skolem mints). Isomorphic shapes are answered once and replayed per
   /// spelling; survivors evaluate once per shape, in slot order (see
   /// query/batch.h). A batch fully served by the view cache
   /// skips even the lazy nf build. Premise-bearing slots serialize with
@@ -238,15 +236,14 @@ class DatabaseSnapshot {
   DatabaseSnapshot(uint64_t epoch, std::shared_ptr<const Graph> data,
                    std::shared_ptr<const Graph> closure,
                    std::shared_ptr<NfSlot> nf, QueryEvaluator* evaluator,
-                   EvalOptions options, ThreadPool* pool,
-                   DatabaseStats* stats, ViewCacheRef views)
+                   EvalOptions options, DatabaseStats* stats,
+                   ViewCacheRef views)
       : epoch_(epoch),
         data_(std::move(data)),
         closure_(std::move(closure)),
         nf_(std::move(nf)),
         evaluator_(evaluator),
         options_(options),
-        pool_(pool),
         stats_(stats),
         views_(views) {}
 
@@ -256,7 +253,6 @@ class DatabaseSnapshot {
   std::shared_ptr<NfSlot> nf_;
   QueryEvaluator* evaluator_;
   EvalOptions options_;
-  ThreadPool* pool_;       // runs the lazy core build; owned elsewhere
   DatabaseStats* stats_;   // the owning Database's counters
   // The owning Database's view cache, addressed at this snapshot's
   // (closure version, erase stamp); null cache when the view layer is
@@ -334,8 +330,9 @@ class Database {
   const Graph& Normalized();
 
   /// RDFS entailment D ⊨ q (Thm 2.8), evaluated against the maintained
-  /// closure (no per-call refixpoint).
-  bool Entails(const Graph& q);
+  /// closure (no per-call refixpoint) under the database's match
+  /// options: kLimitExceeded when the step budget runs out.
+  Result<bool> Entails(const Graph& q);
 
   /// t ∈ RDFS-cl(D) through the maintained membership index (paper
   /// Thm 3.6(4) shape): O(|D|) per query, no materialization in the
@@ -350,12 +347,12 @@ class Database {
   Result<std::vector<Graph>> PreAnswer(const Query& q);
   /// Pre-answers of a union query: one PreAnswerBatch over the branches,
   /// combined by CombineBranches (query/union_query.h) — bit-identical
-  /// at any worker count.
+  /// to evaluating the branches one by one.
   Result<std::vector<Graph>> PreAnswer(const UnionQuery& q);
   /// Single answers for a whole batch of queries, slot for slot
   /// bit-identical to calling PreAnswer on each in order (same answers,
-  /// same order, same Skolem mints, same dictionary end state) at any
-  /// worker count: the current snapshot's PreAnswerBatch (see
+  /// same order, same Skolem mints, same dictionary end state): the
+  /// current snapshot's PreAnswerBatch (see
   /// query/batch.h). Writer-thread only, like PreAnswer.
   std::vector<Result<std::vector<Graph>>> PreAnswerBatch(
       const std::vector<Query>& queries, BatchStats* stats_out = nullptr);

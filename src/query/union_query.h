@@ -35,7 +35,7 @@ Result<Graph> AnswerUnionQuery(QueryEvaluator* evaluator,
 /// Pre-answers of a union query: one batch over the branches (see
 /// query/batch.h) against one shared nf(db), combined by
 /// CombineBranches. Bit-identical to evaluating the branches one by one
-/// in order, at any worker count.
+/// in order.
 Result<std::vector<Graph>> PreAnswerUnionQuery(QueryEvaluator* evaluator,
                                                const UnionQuery& q,
                                                const Graph& db);

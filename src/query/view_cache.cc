@@ -176,11 +176,8 @@ void ViewCache::Maintain(const Graph& nf, uint64_t version, uint64_t stamp,
   std::vector<Triple> removed;
   DiffSorted(*base_nf_, nf, &removed, &added);
 
-  // Patch matchers must not fan out: TaskGroup::Wait help-drains the
-  // pool, and a drained task touching this cache would deadlock on mu_.
-  // They also must not share the caller's stats sink.
+  // Patch matchers must not share the caller's stats sink.
   MatchOptions patch_match = match;
-  patch_match.pool = nullptr;
   patch_match.stats = nullptr;
 
   for (auto it = entries_.begin(); it != entries_.end();) {

@@ -133,9 +133,7 @@ class ViewCache {
   /// reflects to `nf` (closure version `version`), patching by the nf
   /// delta. No-op when already in sync or when `stamp` shows the caller
   /// behind a fence. The evaluator re-derives answers (Skolemization);
-  /// `match` bounds the patch matchers (its pool is ignored — patch
-  /// runs are delta-proportional and must not re-enter the pool while
-  /// the cache mutex is held).
+  /// `match` bounds the patch matchers.
   void Maintain(const Graph& nf, uint64_t version, uint64_t stamp,
                 QueryEvaluator* evaluator, const MatchOptions& match);
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 
-#include "rdf/scan.h"
-
 namespace swdb {
 
 const char* IndexOrderName(IndexOrder order) {
@@ -92,30 +90,6 @@ const Triple& MatchRange::TripleAt(uint32_t slot) const {
   return scratch_;
 }
 
-size_t MatchRange::FilterBound(int pos, Term value,
-                               std::vector<uint32_t>* out) const {
-  const size_t before = out->size();
-  if (empty()) return 0;
-  const int c = ColumnOfPosition(order_, pos);
-  size_t li = spine_->LeafIndexOf(first_);
-  for (size_t slot = first_; slot < last_; ++li) {
-    const SpineLeaf& leaf = spine_->leaf(li);
-    const size_t base = spine_->leaf_start(li);
-    const size_t lo = slot - base;
-    const size_t hi = std::min(last_ - base, leaf.size());
-    const size_t emitted = out->size();
-    scan::FilterEq(leaf.column(c).data(), lo, hi, value.bits(), out);
-    if (base != 0) {
-      // The kernel emitted leaf-local slots; lift to global slot space.
-      for (size_t i = emitted; i < out->size(); ++i) {
-        (*out)[i] += static_cast<uint32_t>(base);
-      }
-    }
-    slot = base + hi;
-  }
-  return out->size() - before;
-}
-
 size_t MatchRange::FilterPairEqual(int pos_a, int pos_b,
                                    std::vector<uint32_t>* out) const {
   const size_t before = out->size();
@@ -128,13 +102,10 @@ size_t MatchRange::FilterPairEqual(int pos_a, int pos_b,
     const size_t base = spine_->leaf_start(li);
     const size_t lo = slot - base;
     const size_t hi = std::min(last_ - base, leaf.size());
-    const size_t emitted = out->size();
-    scan::FilterPairEq(leaf.column(ca).data(), leaf.column(cb).data(), lo, hi,
-                       out);
-    if (base != 0) {
-      for (size_t i = emitted; i < out->size(); ++i) {
-        (*out)[i] += static_cast<uint32_t>(base);
-      }
+    const uint32_t* a = leaf.column(ca).data();
+    const uint32_t* b = leaf.column(cb).data();
+    for (size_t i = lo; i < hi; ++i) {
+      if (a[i] == b[i]) out->push_back(static_cast<uint32_t>(base + i));
     }
     slot = base + hi;
   }

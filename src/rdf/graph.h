@@ -172,15 +172,9 @@ class MatchRange {
   }
 
   /// The triple at global slot `slot` of the backing spine, as emitted
-  /// by the Filter* methods. The reference is to a scratch slot reused
+  /// by FilterPairEqual. The reference is to a scratch slot reused
   /// by the next TripleAt call on this range.
   const Triple& TripleAt(uint32_t slot) const;
-
-  /// Residual bound-position filter: appends to *out the backing-spine
-  /// slots of the range elements whose position `pos` (0=s, 1=p, 2=o)
-  /// holds `value`, in range order. Vectorized compare-and-compress per
-  /// leaf. Returns the number of slots appended.
-  size_t FilterBound(int pos, Term value, std::vector<uint32_t>* out) const;
 
   /// Repeated-position residual (e.g. pattern (X, p, X)): appends the
   /// backing-spine slots of elements whose positions `pos_a` and
@@ -213,7 +207,7 @@ class MatchRange {
 /// serving the pattern-matching queries issued by the homomorphism
 /// solver and the closure fixpoint. Each spine stores raw term bits as
 /// structure-of-arrays uint32 columns per leaf, so lookups and residual
-/// filters sweep contiguous columns (vectorized via scan.h).
+/// filters sweep contiguous columns.
 ///
 /// Copying a Graph copies leaf pointers, not leaf contents: an epoch
 /// that changed k triples shares every untouched leaf with its

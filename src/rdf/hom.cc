@@ -1,13 +1,11 @@
 #include "rdf/hom.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <limits>
 #include <unordered_map>
 
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace swdb {
 
@@ -150,15 +148,6 @@ bool PatternMatcher::ResetSearchState() {
 }
 
 bool PatternMatcher::ConsumeStep() {
-  if (shared_steps_ != nullptr) {
-    if (shared_steps_->fetch_add(1, std::memory_order_relaxed) >=
-        options_.max_steps) {
-      budget_exhausted_ = true;
-      return false;
-    }
-    ++steps_;
-    return true;
-  }
   if (++steps_ > options_.max_steps) {
     budget_exhausted_ = true;
     return false;
@@ -168,189 +157,12 @@ bool PatternMatcher::ConsumeStep() {
 
 Status PatternMatcher::Enumerate(
     const std::function<bool(const TermMap&)>& visitor) {
-  bool searched_parallel = false;
   if (ResetSearchState()) {
-    // Parallel fan-out: pick the root exactly as the sequential search
-    // would, and split its candidate range if it is worth splitting.
-    if (options_.pool != nullptr && options_.pool->num_threads() > 0 &&
-        pending_.size() >= 2) {
-      const size_t pick = options_.static_order ? 0 : PickNext(0);
-      const CompiledTriple& ct = compiled_[pending_[pick]];
-      MatchRange range =
-          target_->Matches(Resolve(ct, 0), Resolve(ct, 1), Resolve(ct, 2));
-      if (range.size() >= std::max<size_t>(2, options_.parallel_min_root)) {
-        // Root-node accounting, with sequential parity: one expanded
-        // node, every candidate scanned, excluded candidates dropped
-        // here (chunks count their binds_attempted themselves).
-        ++stats_.nodes_expanded;
-        ++stats_.index_hits[static_cast<size_t>(range.order())];
-        const bool have_exclude = options_.exclude_triple.has_value();
-        const Triple exclude =
-            have_exclude ? *options_.exclude_triple : Triple();
-        std::vector<Triple> roots;
-        roots.reserve(range.size());
-        if (ct.rep_a >= 0 && !bound_[ct.slot[ct.rep_a]]) {
-          // Same repeated-position pre-filter Search applies, so the
-          // chunks see exactly the sequential fast path's candidates
-          // and per-root binds_attempted accounting stays in parity.
-          std::vector<uint32_t> rows;
-          range.FilterPairEqual(ct.rep_a, ct.rep_b, &rows);
-          stats_.candidates_scanned += range.size();
-          for (uint32_t row : rows) {
-            const Triple& tt = range.TripleAt(row);
-            if (have_exclude && tt == exclude) continue;
-            roots.push_back(tt);
-          }
-        } else {
-          for (const Triple& tt : range) {
-            ++stats_.candidates_scanned;
-            if (have_exclude && tt == exclude) continue;
-            roots.push_back(tt);
-          }
-        }
-        EnumerateParallel(pending_[pick], std::move(roots), visitor);
-        searched_parallel = true;
-      }
-    }
-    if (!searched_parallel) {
-      bool stopped = false;
-      Search(0, visitor, &stopped);
-    }
+    bool stopped = false;
+    Search(0, visitor, &stopped);
   }
   stats_.steps_used = steps_;
   if (options_.stats != nullptr) *options_.stats = stats_;
-  if (budget_exhausted_) {
-    return Status::LimitExceeded("pattern matcher step budget exhausted");
-  }
-  return Status::OK();
-}
-
-Status PatternMatcher::EnumerateParallel(
-    size_t root_idx, std::vector<Triple> roots,
-    const std::function<bool(const TermMap&)>& visitor) {
-  struct ChunkOut {
-    std::vector<TermMap> solutions;
-    MatchStats stats;
-    bool exhausted = false;
-  };
-  // One shared pot for every worker; the root expansion step above comes
-  // out of it too, keeping the total budget exactly max_steps.
-  std::atomic<uint64_t> shared_steps{0};
-  shared_steps_ = &shared_steps;
-  const bool root_ok = ConsumeStep();
-  // Lowest chunk index that found a solution (first-solution mode):
-  // higher chunks abort once it is set; lower chunks are never cancelled
-  // by higher ones, so the merged first solution is the sequential one.
-  std::atomic<size_t> first_solved{std::numeric_limits<size_t>::max()};
-
-  const size_t grain = std::max<size_t>(1, options_.parallel_min_root / 2);
-  const size_t nchunks = (roots.size() + grain - 1) / grain;
-  std::vector<ChunkOut> outs(nchunks);
-
-  MatchOptions sub_options = options_;
-  sub_options.pool = nullptr;
-  sub_options.stats = nullptr;
-
-  // Chunk matchers resolve index ranges concurrently; force the lazy
-  // permutation build to happen once, here, instead of racing there.
-  target_->WarmIndexes();
-
-  if (root_ok) {
-    TaskGroup group(options_.pool);
-    for (size_t c = 0; c < nchunks; ++c) {
-      group.Run([this, c, grain, root_idx, &roots, &outs, &shared_steps,
-                 &first_solved, &sub_options] {
-        if (first_solution_only_ &&
-            first_solved.load(std::memory_order_relaxed) < c) {
-          return;  // a lower chunk already has the answer
-        }
-        PatternMatcher sub(pattern_, target_, sub_options);
-        sub.shared_steps_ = &shared_steps;
-        if (first_solution_only_) {
-          sub.cancel_below_ = &first_solved;
-          sub.chunk_index_ = c;
-        }
-        ChunkOut& out = outs[c];
-        const Triple* begin = roots.data() + c * grain;
-        const Triple* end =
-            roots.data() + std::min(roots.size(), (c + 1) * grain);
-        Status s = sub.EnumerateChunk(
-            root_idx, begin, end, [this, c, &out, &first_solved](const TermMap& m) {
-              out.solutions.push_back(m);
-              if (!first_solution_only_) return true;
-              size_t cur = first_solved.load(std::memory_order_relaxed);
-              while (cur > c &&
-                     !first_solved.compare_exchange_weak(cur, c)) {
-              }
-              return false;  // this chunk is done
-            });
-        out.stats = sub.stats_;
-        out.exhausted = !s.ok();
-      });
-    }
-    group.Wait();
-  }
-  shared_steps_ = nullptr;
-  steps_ = std::min<uint64_t>(shared_steps.load(std::memory_order_relaxed),
-                              options_.max_steps);
-
-  for (const ChunkOut& out : outs) {
-    stats_.nodes_expanded += out.stats.nodes_expanded;
-    stats_.candidates_scanned += out.stats.candidates_scanned;
-    stats_.binds_attempted += out.stats.binds_attempted;
-    stats_.solutions_found += out.stats.solutions_found;
-    stats_.selectivity_recomputes += out.stats.selectivity_recomputes;
-    for (size_t i = 0; i < kNumIndexOrders; ++i) {
-      stats_.index_hits[i] += out.stats.index_hits[i];
-    }
-    if (out.exhausted) budget_exhausted_ = true;
-  }
-
-  // Replay the buffered solutions in pinned chunk order — exactly the
-  // root-candidate order the sequential search enumerates.
-  bool stopped = false;
-  for (size_t c = 0; c < nchunks && !stopped; ++c) {
-    for (const TermMap& m : outs[c].solutions) {
-      if (!visitor(m)) {
-        stopped = true;
-        break;
-      }
-    }
-    // In first-solution mode chunks past the first nonempty one were
-    // cancelled mid-search; their buffers are not the sequential suffix.
-    if (first_solution_only_ && !outs[c].solutions.empty()) break;
-  }
-  return Status::OK();  // caller's common tail reports budget exhaustion
-}
-
-Status PatternMatcher::EnumerateChunk(
-    size_t root_idx, const Triple* begin, const Triple* end,
-    const std::function<bool(const TermMap&)>& visitor) {
-  const bool feasible = ResetSearchState();
-  assert(feasible && "parallel driver fanned out an infeasible pattern");
-  (void)feasible;
-  // Put the driver's root pick at depth 0, as the sequential swap would.
-  const size_t pos =
-      std::find(pending_.begin(), pending_.end(), root_idx) - pending_.begin();
-  assert(pos < pending_.size());
-  std::swap(pending_[0], pending_[pos]);
-  const CompiledTriple& ct = compiled_[root_idx];
-
-  bool stopped = false;
-  for (const Triple* tt = begin; tt != end; ++tt) {
-    if (cancel_below_ != nullptr &&
-        cancel_below_->load(std::memory_order_relaxed) < chunk_index_) {
-      break;
-    }
-    ++stats_.binds_attempted;
-    const size_t mark = trail_.size();
-    if (TryBind(ct, *tt)) {
-      Search(1, visitor, &stopped);
-    }
-    UndoTo(mark);
-    if (budget_exhausted_ || stopped) break;
-  }
-  stats_.steps_used = steps_;
   if (budget_exhausted_) {
     return Status::LimitExceeded("pattern matcher step budget exhausted");
   }
@@ -456,11 +268,6 @@ bool PatternMatcher::Search(size_t depth,
                             const std::function<bool(const TermMap&)>& visitor,
                             bool* stopped) {
   if (budget_exhausted_ || *stopped) return false;
-  if (cancel_below_ != nullptr &&
-      cancel_below_->load(std::memory_order_relaxed) < chunk_index_) {
-    *stopped = true;  // a lower-indexed chunk already has the answer
-    return false;
-  }
   if (!ConsumeStep()) return false;
   if (depth == pending_.size()) {
     EmitSolutionMap();
@@ -485,8 +292,8 @@ bool PatternMatcher::Search(size_t depth,
   // Repeated-position residual: while the shared slot is unbound, the
   // index range constrains only the other positions, so every candidate
   // whose repeated positions differ is a guaranteed TryBind reject.
-  // Filter them in one pass over the backing column (vectorized when the
-  // range is columnar) and materialize only the survivors.
+  // Filter them in one pass over the backing column and materialize only
+  // the survivors.
   if (ct.rep_a >= 0 && !bound_[ct.slot[ct.rep_a]] && !range.empty()) {
     std::vector<uint32_t>& rows = row_scratch_[depth];
     rows.clear();
@@ -525,12 +332,10 @@ bool PatternMatcher::Search(size_t depth,
 
 Result<std::optional<TermMap>> PatternMatcher::FindAny() {
   std::optional<TermMap> found;
-  first_solution_only_ = true;  // lets the parallel driver cancel chunks
   Status s = Enumerate([&found](const TermMap& m) {
     found = m;
     return false;
   });
-  first_solution_only_ = false;
   if (!s.ok() && !found.has_value()) return s;
   return found;
 }

@@ -2,7 +2,6 @@
 #define SWDB_RDF_HOM_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -14,8 +13,6 @@
 #include "util/status.h"
 
 namespace swdb {
-
-class ThreadPool;
 
 /// Counters describing one Enumerate run of the pattern matcher. All
 /// counters are cheap increments on the search path; collecting them is
@@ -69,23 +66,6 @@ struct MatchOptions {
   /// When non-null, receives a copy of the run's MatchStats at the end
   /// of every Enumerate call (also on early stop / budget exhaustion).
   MatchStats* stats = nullptr;
-
-  /// When non-null, Enumerate fans the root-level candidate range of the
-  /// most-constrained triple out across the pool: each chunk of root
-  /// candidates runs an independent matcher (own dense bindings, own
-  /// trail) and the per-chunk solution buffers are merged in pinned
-  /// chunk order, so the visitor sees the exact sequence the sequential
-  /// search would produce (bit-identical results). The step budget is
-  /// shared across workers through one atomic counter, so Try* budgets
-  /// stay exact; MatchStats is aggregated across workers (cache-local
-  /// counters like selectivity_recomputes may differ from a sequential
-  /// run). The target graph's indexes are warmed before fan-out; the
-  /// pool must outlive the Enumerate call.
-  ThreadPool* pool = nullptr;
-
-  /// Root ranges smaller than this stay on the sequential path — below
-  /// it, fan-out overhead beats the win. Also the parallel chunk grain.
-  size_t parallel_min_root = 64;
 };
 
 /// Backtracking solver that enumerates all assignments μ of the *open*
@@ -136,21 +116,6 @@ class PatternMatcher {
   /// compiled pattern (the leanness/core loop).
   void set_exclude_triple(std::optional<Triple> t);
 
-  /// Cooperative cancellation for drivers racing several matchers (the
-  /// parallel core engine races one matcher per blank component): the
-  /// search aborts — no further solutions, OK status — as soon as
-  /// `first_found->load() < index`, i.e. once a lower-indexed rival has
-  /// produced the answer that makes this matcher's outcome irrelevant.
-  /// This is the same mechanism EnumerateParallel uses internally for
-  /// its root chunks; because the chunk matchers own those fields, a
-  /// matcher with external cancellation must not also set
-  /// MatchOptions::pool. `first_found` must outlive every subsequent
-  /// Enumerate/FindAny call; pass nullptr to clear.
-  void set_cancellation(const std::atomic<size_t>* first_found, size_t index) {
-    cancel_below_ = first_found;
-    chunk_index_ = index;
-  }
-
   /// Number of backtracking steps consumed by the last call.
   uint64_t steps_used() const { return steps_; }
 
@@ -167,7 +132,7 @@ class PatternMatcher {
     // First pair of positions sharing an open slot (e.g. (X,p,X)), or
     // -1/-1. While that slot is unbound, the index range constrains only
     // the other positions, so Search pre-filters candidates with
-    // MatchRange::FilterPairEqual (vectorized over the backing column)
+    // MatchRange::FilterPairEqual (one pass over the backing column)
     // instead of materializing and rejecting each triple in TryBind.
     int8_t rep_a = -1;
     int8_t rep_b = -1;
@@ -208,21 +173,9 @@ class PatternMatcher {
   // stats) and rebuilds pending_; returns false if a fully ground
   // pattern triple is absent from the target (no solutions).
   bool ResetSearchState();
-  // One backtracking step against the budget: the local counter when
-  // sequential, the shared atomic when this matcher is a parallel chunk
-  // worker. Returns false (and latches budget_exhausted_) on exhaustion.
+  // One backtracking step against the budget. Returns false (and
+  // latches budget_exhausted_) on exhaustion.
   bool ConsumeStep();
-  // The parallel driver: fans `roots` (the root-level candidates of
-  // pattern triple root_idx) out across options_.pool in chunks, merges
-  // buffered solutions in chunk order, then replays them to the visitor.
-  Status EnumerateParallel(size_t root_idx, std::vector<Triple> roots,
-                           const std::function<bool(const TermMap&)>& visitor);
-  // Runs this matcher over one chunk of root candidates: binds pattern
-  // triple root_idx to each of roots[begin, end) in order and searches
-  // the remaining depths. Used on freshly constructed chunk matchers.
-  Status EnumerateChunk(size_t root_idx, const Triple* begin,
-                        const Triple* end,
-                        const std::function<bool(const TermMap&)>& visitor);
   bool Search(size_t depth, const std::function<bool(const TermMap&)>& visitor,
               bool* stopped);
   // Returns the index (into pending_) of the cheapest pending triple,
@@ -264,20 +217,6 @@ class PatternMatcher {
   uint64_t steps_ = 0;
   bool budget_exhausted_ = false;
   MatchStats stats_;
-
-  // Parallel-chunk plumbing (set by EnumerateParallel on its chunk
-  // matchers; null on user-constructed matchers unless a driver opts in
-  // through set_cancellation).
-  std::atomic<uint64_t>* shared_steps_ = nullptr;  // pooled step budget
-  // First-solution cancellation: chunk `chunk_index_` aborts once a
-  // lower-indexed chunk has found a solution (the merged first solution
-  // stays the sequential one — lower chunks are never cancelled by
-  // higher ones).
-  const std::atomic<size_t>* cancel_below_ = nullptr;
-  size_t chunk_index_ = 0;
-  // Set by FindAny: lets the parallel driver stop chunks after their
-  // first solution instead of enumerating everything.
-  bool first_solution_only_ = false;
 };
 
 /// Finds a map μ with μ(from) ⊆ to (a homomorphism between RDF graphs).

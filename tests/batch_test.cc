@@ -1,9 +1,9 @@
 // Batched multi-query evaluation (query/batch.h): PreAnswerBatch must
 // be slot for slot bit-identical to calling PreAnswer sequentially —
-// same answers, same order, same minted blank ids, same BatchStats —
-// at every worker count, across random overlapping workloads and the
-// adversarial shapes (no overlap, all identical, premise slots,
-// head-blank slots, invalid slots, empty batches).
+// same answers, same order, same minted blank ids — across random
+// overlapping workloads and the adversarial shapes (no overlap, all
+// identical, premise slots, head-blank slots, invalid slots, empty
+// batches).
 
 #include "query/batch.h"
 
@@ -21,15 +21,11 @@
 #include "rdf/term.h"
 #include "testutil.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace swdb {
 namespace {
 
 using swdb::testing::Q;
-
-// Worker counts the parity sweeps cover; 0 means no pool configured.
-constexpr int kWorkerCounts[] = {0, 1, 2, 4, 8};
 
 // Deterministically rebuilds one seed's workload into a fresh
 // dictionary: twin dictionaries fed the same seed intern the same terms
@@ -76,8 +72,7 @@ Workload BuildWorkload(uint64_t seed, Dictionary* dict) {
   return w;
 }
 
-// One batched run at the given worker count, on its own twin
-// dictionary/database. Returns the per-slot results, the BatchStats,
+// One batched run on its own twin dictionary/database. Returns the per-slot results, the BatchStats,
 // and a dictionary end-state probe (the bits of the next fresh blank —
 // equal probes mean the runs minted the same number of blanks).
 struct BatchRun {
@@ -86,15 +81,9 @@ struct BatchRun {
   uint32_t next_blank_bits = 0;
 };
 
-BatchRun RunBatched(uint64_t seed, int workers) {
+BatchRun RunBatched(uint64_t seed) {
   Dictionary dict;
-  std::optional<ThreadPool> pool;
-  EvalOptions options;
-  if (workers > 0) {
-    pool.emplace(workers);
-    options.match.pool = &*pool;
-  }
-  Database db(&dict, options);
+  Database db(&dict, EvalOptions{});
   Workload w = BuildWorkload(seed, &dict);
   db.InsertGraph(w.data);
   BatchRun run;
@@ -103,7 +92,7 @@ BatchRun RunBatched(uint64_t seed, int workers) {
   return run;
 }
 
-TEST(BatchParity, MatchesSequentialAtEveryWorkerCountFuzz) {
+TEST(BatchParity, MatchesSequentialFuzz) {
   constexpr uint64_t kSeeds = 20;
   uint64_t total_deduped = 0;
   for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
@@ -117,33 +106,22 @@ TEST(BatchParity, MatchesSequentialAtEveryWorkerCountFuzz) {
     for (const Query& q : w.queries) expected.push_back(seq.PreAnswer(q));
     const uint32_t expected_blank = dict_seq.FreshBlank().bits();
 
-    std::optional<BatchStats> stats0;
-    for (int workers : kWorkerCounts) {
-      BatchRun run = RunBatched(seed, workers);
-      ASSERT_EQ(run.results.size(), expected.size());
-      for (size_t i = 0; i < expected.size(); ++i) {
-        ASSERT_EQ(run.results[i].ok(), expected[i].ok())
-            << "seed " << seed << " workers " << workers << " slot " << i;
-        if (expected[i].ok()) {
-          ASSERT_EQ(*run.results[i], *expected[i])
-              << "seed " << seed << " workers " << workers << " slot " << i;
-        }
+    BatchRun run = RunBatched(seed);
+    ASSERT_EQ(run.results.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(run.results[i].ok(), expected[i].ok())
+          << "seed " << seed << " slot " << i;
+      if (expected[i].ok()) {
+        ASSERT_EQ(*run.results[i], *expected[i])
+            << "seed " << seed << " slot " << i;
       }
-      // Same Skolem mints ⇒ same dictionary end state.
-      EXPECT_EQ(run.next_blank_bits, expected_blank)
-          << "seed " << seed << " workers " << workers;
-      // BatchStats are structural: identical at every worker count.
-      if (!stats0) {
-        stats0 = run.stats;
-      } else {
-        EXPECT_TRUE(run.stats == *stats0)
-            << "seed " << seed << " workers " << workers;
-      }
-      EXPECT_EQ(run.stats.queries, w.queries.size());
-      EXPECT_EQ(run.stats.premise_fallthroughs, 1u);
-      EXPECT_GE(run.stats.deduped, 1u);  // the repeated head-blank slot
-      if (workers == 0) total_deduped += run.stats.deduped;
     }
+    // Same Skolem mints ⇒ same dictionary end state.
+    EXPECT_EQ(run.next_blank_bits, expected_blank) << "seed " << seed;
+    EXPECT_EQ(run.stats.queries, w.queries.size());
+    EXPECT_EQ(run.stats.premise_fallthroughs, 1u);
+    EXPECT_GE(run.stats.deduped, 1u);  // the repeated head-blank slot
+    total_deduped += run.stats.deduped;
   }
   // The fuzz must actually drive isomorphic dedupe: beyond the one
   // repeated head-blank slot per seed, respelled family variants have

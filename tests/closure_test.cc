@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "gen/generators.h"
 #include "rdf/hom.h"
 #include "rdf/iso.h"
@@ -140,6 +142,44 @@ TEST_F(ClosureTest, MatchesNaiveReferenceOnSchemaWorkloads) {
     Graph g = SchemaWorkload(spec, &dict, &rng);
     EXPECT_EQ(RdfsClosure(g), RdfsClosureNaive(g)) << "seed " << seed;
   }
+}
+
+TEST_F(ClosureTest, DeltaExtensionMatchesScratchOnGeneratedGraphs) {
+  // RdfsClosureDelta(cl(A), B) = cl(A ∪ B) on the schema, sc-chain and
+  // sp-chain generators, each split into a closed half and a delta half.
+  Dictionary dict;
+  Rng rng(3);
+  SchemaWorkloadSpec spec;
+  spec.num_classes = 30;
+  spec.num_properties = 12;
+  spec.num_instances = 100;
+  spec.num_facts = 250;
+  const std::vector<Graph> graphs = {SchemaWorkload(spec, &dict, &rng),
+                                     ScChain(60, &dict),
+                                     SpChainWithUses(40, 30, &dict)};
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    const Graph& g = graphs[i];
+    std::vector<Triple> first, second;
+    size_t k = 0;
+    for (const Triple& t : g) (k++ % 2 == 0 ? first : second).push_back(t);
+    Graph base(std::move(first));
+    Graph delta(std::move(second));
+    EXPECT_EQ(RdfsClosureDelta(RdfsClosure(base), delta), RdfsClosure(g))
+        << "graph " << i;
+  }
+
+  // A whole sp-chain arriving as the delta of a closed schema workload.
+  Dictionary dict2;
+  Rng rng2(9);
+  SchemaWorkloadSpec small;
+  small.num_classes = 20;
+  small.num_properties = 8;
+  small.num_instances = 60;
+  small.num_facts = 150;
+  Graph g = SchemaWorkload(small, &dict2, &rng2);
+  Graph delta = SpChainWithUses(15, 20, &dict2);
+  EXPECT_EQ(RdfsClosureDelta(RdfsClosure(g), delta),
+            RdfsClosure(Graph::Union(g, delta)));
 }
 
 TEST_F(ClosureTest, MatchesNaiveReferenceWithVocabInDataPositions) {

@@ -141,7 +141,8 @@ TEST(DatabaseSnapshot, ConcurrentReadersSeeOnlyCommittedEpochs) {
           const Graph& cl = snap->closure();
           if (cl.size() > 0) {
             const Triple probe = cl.triples()[rng.Below(cl.size())];
-            if (!snap->Entails(Graph({probe}))) {
+            Result<bool> entailed = snap->Entails(Graph({probe}));
+            if (!entailed.ok() || !*entailed) {
               reader_failures.fetch_add(1);
               break;
             }
@@ -249,7 +250,7 @@ TEST(DatabaseSnapshot, ConcurrentPremiseFreePreAnswer) {
 
 // Blank-redundant data whose nf(D) actually folds: several independent
 // blank components, each subsumed by a ground triple, so the lazy
-// normalized() build runs the full (parallel) core engine.
+// normalized() build runs the full core engine.
 void InsertFoldableData(Database* db, Dictionary* dict) {
   Term a = dict->Iri("u:a");
   for (int i = 0; i < 4; ++i) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "gen/generators.h"
+#include "graphtheory/digraph.h"
 #include "rdf/iso.h"
 #include "testutil.h"
 #include "util/rng.h"
@@ -14,6 +15,24 @@ namespace swdb {
 namespace {
 
 using swdb::testing::Data;
+
+// A blank-heavy graph with several independent blank components: a
+// union of random blobs (each blob's blanks are fresh, so blobs never
+// share a component) over a partially shared ground vocabulary.
+Graph MultiComponentGraph(uint64_t seed, Dictionary* dict) {
+  Rng rng(seed * 977 + 13);
+  RandomGraphSpec spec;
+  spec.num_nodes = 8;
+  spec.num_triples = 14;
+  spec.num_predicates = 2;
+  spec.blank_ratio = 0.6;
+  Graph g;
+  const int blobs = 2 + static_cast<int>(seed % 4);
+  for (int b = 0; b < blobs; ++b) {
+    g.InsertAll(RandomSimpleGraph(spec, dict, &rng));
+  }
+  return g;
+}
 
 TEST(Lean, GroundGraphsAreLean) {
   Dictionary dict;
@@ -62,6 +81,28 @@ TEST(Lean, ProperEndomorphismWitness) {
   Graph image = (*mu)->Apply(g);
   EXPECT_TRUE(image.IsSubgraphOf(g));
   EXPECT_LT(image.size(), g.size());
+}
+
+TEST(Lean, FoldComesFromLowestFoldingComponent) {
+  // Component 0 is an anchored odd cycle — lean, and expensive to
+  // certify (the coNP shape of Thm 3.12). Component 1 folds instantly.
+  // Components are searched lowest index first, so component 0 is
+  // refuted and the fold returned is component 1's: x → b.
+  Dictionary dict;
+  Term e = dict.Iri("e");
+  Graph g;
+  std::vector<Term> cycle_blanks;
+  g.InsertAll(EncodeAsRdf(Digraph::SymmetricCycle(7), &dict, e,
+                          &cycle_blanks));
+  g.Insert(dict.Iri("anchor"), dict.Iri("ap"), cycle_blanks[0]);
+  Term x = dict.FreshBlank();
+  g.Insert(dict.Iri("a"), dict.Iri("p"), x);
+  g.Insert(dict.Iri("a"), dict.Iri("p"), dict.Iri("b"));
+
+  Result<std::optional<TermMap>> mu = FindProperEndomorphism(g);
+  ASSERT_TRUE(mu.ok());
+  ASSERT_TRUE(mu->has_value());
+  EXPECT_EQ((*mu)->Apply(x), dict.Iri("b"));
 }
 
 TEST(Core, CollapsesRedundantBlanks) {
@@ -180,6 +221,23 @@ TEST(Core, WitnessFoldsRandomGraphsOntoCore) {
     EXPECT_TRUE(core.IsSubgraphOf(g)) << "round " << round;
     EXPECT_TRUE(IsLean(core)) << "round " << round;
   }
+  // Multi-component inputs: each round folds some components and proves
+  // the rest lean, so the cached refutations are exercised too.
+  for (uint64_t seed = 0; seed < 20; ++seed) {
+    Dictionary blob_dict;
+    Graph g = MultiComponentGraph(seed, &blob_dict);
+    TermMap witness;
+    CoreStats stats;
+    Result<Graph> core = CoreChecked(g, MatchOptions(), &witness, &stats);
+    ASSERT_TRUE(core.ok()) << "seed " << seed;
+    EXPECT_EQ(witness.Apply(g), *core) << "seed " << seed;
+    EXPECT_TRUE(core->IsSubgraphOf(g)) << "seed " << seed;
+    EXPECT_TRUE(IsLean(*core)) << "seed " << seed;
+    EXPECT_EQ(stats.iterations, stats.folds + 1) << "seed " << seed;
+    Result<std::optional<TermMap>> fold = FindProperEndomorphism(g);
+    ASSERT_TRUE(fold.ok()) << "seed " << seed;
+    EXPECT_EQ(fold->has_value(), core->size() < g.size()) << "seed " << seed;
+  }
 }
 
 TEST(BlankComponents, GroupsByConnectedBlanks) {
@@ -266,6 +324,42 @@ TEST(Core, BudgetAwareVariantReportsExhaustion) {
   Result<Graph> r = CoreChecked(g, options);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kLimitExceeded);
+
+  // Budgets from 1 step up: CoreChecked either returns a lean graph the
+  // witness folds g onto, or LimitExceeded — never anything else — and
+  // the same budget always yields the same outcome and step count.
+  const std::vector<uint64_t> budgets = {1, 4, 32, 256, 2048, 50'000'000};
+  for (uint64_t seed = 0; seed < 6; ++seed) {
+    Dictionary blob_dict;
+    Graph blobs = MultiComponentGraph(seed, &blob_dict);
+    for (uint64_t budget : budgets) {
+      MatchOptions limited;
+      limited.max_steps = budget;
+      TermMap witness;
+      CoreStats stats;
+      Result<Graph> core = CoreChecked(blobs, limited, &witness, &stats);
+      if (core.ok()) {
+        EXPECT_EQ(witness.Apply(blobs), *core)
+            << "seed " << seed << " budget " << budget;
+        EXPECT_TRUE(IsLean(*core)) << "seed " << seed << " budget " << budget;
+      } else {
+        EXPECT_EQ(core.status().code(), StatusCode::kLimitExceeded)
+            << "seed " << seed << " budget " << budget;
+      }
+      if (budget == budgets.back()) {
+        EXPECT_TRUE(core.ok()) << "seed " << seed;
+      }
+      CoreStats again;
+      Result<Graph> rerun = CoreChecked(blobs, limited, nullptr, &again);
+      ASSERT_EQ(rerun.ok(), core.ok());
+      if (core.ok()) {
+        EXPECT_EQ(rerun->triples(), core->triples());
+      }
+      EXPECT_EQ(again.steps_used, stats.steps_used);
+      EXPECT_EQ(again.folds, stats.folds);
+      EXPECT_EQ(again.components_searched, stats.components_searched);
+    }
+  }
 }
 
 }  // namespace

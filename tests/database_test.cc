@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "graphtheory/digraph.h"
 #include "inference/closure.h"
 #include "normal/core.h"
 #include "normal/normal_form.h"
@@ -35,8 +36,39 @@ TEST(Database, EntailsDelegatesToRdfs) {
   Dictionary dict;
   Database db(&dict);
   ASSERT_TRUE(db.InsertText("p dom c .\nx p y .").ok());
-  EXPECT_TRUE(db.Entails(Data(&dict, "x type c .")));
-  EXPECT_FALSE(db.Entails(Data(&dict, "y type c .")));
+  Result<bool> yes = db.Entails(Data(&dict, "x type c ."));
+  ASSERT_TRUE(yes.ok());
+  EXPECT_TRUE(*yes);
+  Result<bool> no = db.Entails(Data(&dict, "y type c ."));
+  ASSERT_TRUE(no.ok());
+  EXPECT_FALSE(*no);
+}
+
+TEST(Database, EntailsReportsAnExhaustedBudget) {
+  // enc(K4) does not map into enc(K3) (no 3-coloring of K4), and the
+  // refutation takes far more than a few matcher steps: both the writer
+  // and a snapshot must answer LimitExceeded instead of aborting.
+  Dictionary dict;
+  EvalOptions options;
+  options.match.max_steps = 8;
+  Database db(&dict, options);
+  Term e = dict.Iri("e");
+  db.InsertGraph(EncodeAsRdf(Digraph::CompleteSymmetric(3), &dict, e));
+  const Graph k4 = EncodeAsRdf(Digraph::CompleteSymmetric(4), &dict, e);
+
+  Result<bool> writer = db.Entails(k4);
+  ASSERT_FALSE(writer.ok());
+  EXPECT_EQ(writer.status().code(), StatusCode::kLimitExceeded);
+  Result<bool> reader = db.Snapshot()->Entails(k4);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kLimitExceeded);
+
+  // Under the default budget the same probe is refuted.
+  Database roomy(&dict);
+  roomy.InsertGraph(EncodeAsRdf(Digraph::CompleteSymmetric(3), &dict, e));
+  Result<bool> refuted = roomy.Snapshot()->Entails(k4);
+  ASSERT_TRUE(refuted.ok());
+  EXPECT_FALSE(*refuted);
 }
 
 TEST(Database, NormalizedIsCachedUntilMutation) {

@@ -7,7 +7,6 @@
 #include <random>
 
 #include "parser/text.h"
-#include "rdf/scan.h"
 #include "testutil.h"
 
 namespace swdb {
@@ -274,85 +273,6 @@ TEST_F(MatchRangeTest, MutationAfterIndexBuildIsReflected) {
 }
 
 // ---------------------------------------------------------------------------
-// Vectorized scan kernels: the dispatched entry points must be
-// bit-identical to the scalar references on arbitrary inputs (the suite
-// runs once with SWDB_SIMD=ON and once with OFF in CI, so both sides of
-// the dispatch get exercised against the same references).
-
-TEST(ScanKernels, KernelNameIsStable) {
-  const std::string name = scan::KernelName();
-  EXPECT_TRUE(name == "avx2" || name == "sse2" || name == "scalar") << name;
-  if (!scan::SimdEnabled()) EXPECT_EQ(name, "scalar");
-}
-
-TEST(ScanKernels, FilterEqMatchesScalarOnRandomInput) {
-  std::mt19937 rng(20260808);
-  for (int round = 0; round < 40; ++round) {
-    const size_t n = rng() % 300;
-    std::vector<uint32_t> col(n);
-    for (uint32_t& v : col) {
-      // Small value universe forces hits; high bit set half the time
-      // (term kind bits live there, and the SIMD compare must handle
-      // the full unsigned range).
-      v = (rng() % 8) | ((rng() & 1) << 31);
-    }
-    const uint32_t key = (rng() % 8) | ((rng() & 1) << 31);
-    const size_t lo = n == 0 ? 0 : rng() % (n + 1);
-    const size_t hi = lo + (n - lo == 0 ? 0 : rng() % (n - lo + 1));
-    std::vector<uint32_t> got, want;
-    const size_t ngot = scan::FilterEq(col.data(), lo, hi, key, &got);
-    const size_t nwant = scan::FilterEqScalar(col.data(), lo, hi, key, &want);
-    EXPECT_EQ(ngot, nwant);
-    EXPECT_EQ(got, want);
-    EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
-  }
-}
-
-TEST(ScanKernels, FilterPairEqMatchesScalarOnRandomInput) {
-  std::mt19937 rng(987654321);
-  for (int round = 0; round < 40; ++round) {
-    const size_t n = rng() % 300;
-    std::vector<uint32_t> a(n), b(n);
-    for (size_t i = 0; i < n; ++i) {
-      a[i] = (rng() % 4) | ((rng() & 1) << 31);
-      b[i] = (rng() & 1) ? a[i] : (rng() % 4) | ((rng() & 1) << 31);
-    }
-    std::vector<uint32_t> got, want;
-    scan::FilterPairEq(a.data(), b.data(), 0, n, &got);
-    scan::FilterPairEqScalar(a.data(), b.data(), 0, n, &want);
-    EXPECT_EQ(got, want);
-  }
-}
-
-TEST(ScanKernels, SortedEqualRangeMatchesStdEqualRange) {
-  std::mt19937 rng(424242);
-  for (int round = 0; round < 30; ++round) {
-    // Heavy duplicate runs — some far longer than the linear-sweep
-    // window — plus the full unsigned range via the high bit.
-    const size_t n = 1 + rng() % 2000;
-    std::vector<uint32_t> col;
-    col.reserve(n);
-    while (col.size() < n) {
-      const uint32_t v = (rng() % 6) | ((rng() & 1) << 31);
-      const size_t run = 1 + rng() % 700;
-      for (size_t i = 0; i < run && col.size() < n; ++i) col.push_back(v);
-    }
-    std::sort(col.begin(), col.end());
-    for (uint32_t key : {0u, 3u, 5u, 7u, (3u | (1u << 31)), 0xFFFFFFFFu}) {
-      auto want = std::equal_range(col.begin(), col.end(), key);
-      const auto [dlo, dhi] =
-          scan::SortedEqualRange(col.data(), 0, col.size(), key);
-      const auto [slo, shi] =
-          scan::SortedEqualRangeScalar(col.data(), 0, col.size(), key);
-      EXPECT_EQ(dlo, static_cast<size_t>(want.first - col.begin()));
-      EXPECT_EQ(dhi, static_cast<size_t>(want.second - col.begin()));
-      EXPECT_EQ(slo, dlo);
-      EXPECT_EQ(shi, dhi);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Columnar storage: randomized parity against brute force over all 8
 // bound-position combinations, with the enumeration order pinned to the
 // serving permutation, before and after interleaved in-place patching.
@@ -435,7 +355,7 @@ TEST_F(ColumnarFuzzTest, MatchesAgreeWithBruteForceAcrossMutations) {
   }
 }
 
-TEST_F(ColumnarFuzzTest, FilterBoundAndPairEqualAgreeWithBruteForce) {
+TEST_F(ColumnarFuzzTest, FilterPairEqualAgreesWithBruteForce) {
   std::mt19937 rng(99);
   Graph g;
   for (int i = 0; i < 200; ++i) g.Insert(RandomTriple(rng));
@@ -451,18 +371,6 @@ TEST_F(ColumnarFuzzTest, FilterBoundAndPairEqualAgreeWithBruteForce) {
   ASSERT_FALSE(full.columnar());
 
   for (const MatchRange* range : {&byp, &full}) {
-    // FilterBound on the object position.
-    for (uint32_t k = 0; k < 9; ++k) {
-      std::vector<uint32_t> rows;
-      range->FilterBound(2, O(k), &rows);
-      std::vector<Triple> got;
-      for (uint32_t row : rows) got.push_back(range->TripleAt(row));
-      std::vector<Triple> want;
-      for (const Triple& t : *range) {
-        if (t.o == O(k)) want.push_back(t);
-      }
-      EXPECT_EQ(got, want);
-    }
     // FilterPairEqual on (s, o).
     std::vector<uint32_t> rows;
     range->FilterPairEqual(0, 2, &rows);

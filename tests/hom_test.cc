@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <vector>
 
+#include "gen/generators.h"
+#include "query/query.h"
 #include "testutil.h"
+#include "util/rng.h"
 #include "util/str.h"
 
 namespace swdb {
@@ -118,6 +123,8 @@ TEST_F(HomTest, BudgetExhaustionReportsLimitExceeded) {
   }
   MatchOptions options;
   options.max_steps = 5;
+  MatchStats stats;
+  options.stats = &stats;
   PatternMatcher matcher(pattern.triples(), &target, options);
   size_t count = 0;
   Status s = matcher.Enumerate([&](const TermMap&) {
@@ -125,6 +132,22 @@ TEST_F(HomTest, BudgetExhaustionReportsLimitExceeded) {
     return true;
   });
   EXPECT_EQ(s.code(), StatusCode::kLimitExceeded);
+  // The search stops at the first step past the budget, which is counted.
+  EXPECT_EQ(stats.steps_used, options.max_steps + 1);
+
+  // A joined random pattern with the same tiny budget exhausts the same
+  // way.
+  Rng rng(7);
+  RandomGraphSpec spec;
+  spec.num_nodes = 12;
+  spec.num_triples = 150;
+  spec.num_predicates = 2;
+  Graph data = RandomSimpleGraph(spec, &dict_, &rng);
+  Query q = PatternQueryFromGraph(data, 3, 0.9, &dict_, &rng);
+  PatternMatcher joined(q.body, &data, options);
+  Status js = joined.Enumerate([](const TermMap&) { return true; });
+  EXPECT_EQ(js.code(), StatusCode::kLimitExceeded);
+  EXPECT_EQ(stats.steps_used, options.max_steps + 1);
 }
 
 TEST_F(HomTest, SimpleEntailsDirection) {
@@ -342,6 +365,43 @@ TEST_F(HomTest, EnumerationOrderIsDeterministic) {
   };
   EXPECT_EQ(first, expected);
   EXPECT_EQ(run(), first);  // stable across repeated runs
+}
+
+TEST_F(HomTest, RandomPatternsFindPlantedMatchAndFindAnyIsFirst) {
+  // PatternQueryFromGraph plants a match, so enumeration is nonempty;
+  // FindAny returns the first solution Enumerate delivers, and the
+  // stats count exactly the delivered solutions.
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Dictionary dict;
+    Rng rng(seed);
+    RandomGraphSpec spec;
+    spec.num_nodes = 18;
+    spec.num_triples = 120;
+    spec.num_predicates = 3;
+    spec.blank_ratio = 0.2;
+    Graph data = RandomSimpleGraph(spec, &dict, &rng);
+    Query q = PatternQueryFromGraph(data, 3, 0.6, &dict, &rng);
+
+    MatchStats stats;
+    MatchOptions options;
+    options.stats = &stats;
+    PatternMatcher matcher(q.body, &data, options);
+    std::vector<TermMap> solutions;
+    ASSERT_TRUE(matcher
+                    .Enumerate([&](const TermMap& mu) {
+                      solutions.push_back(mu);
+                      return true;
+                    })
+                    .ok());
+    ASSERT_FALSE(solutions.empty()) << "seed " << seed;
+    EXPECT_EQ(stats.solutions_found, solutions.size()) << "seed " << seed;
+    EXPECT_EQ(stats.steps_used, matcher.steps_used()) << "seed " << seed;
+
+    Result<std::optional<TermMap>> first = matcher.FindAny();
+    ASSERT_TRUE(first.ok());
+    ASSERT_TRUE(first->has_value());
+    EXPECT_EQ(**first, solutions.front()) << "seed " << seed;
+  }
 }
 
 TEST_F(HomTest, StaticOrderAgreesWithDynamicOrder) {

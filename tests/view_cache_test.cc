@@ -20,7 +20,6 @@
 #include "rdf/term.h"
 #include "testutil.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace swdb {
 namespace {
@@ -351,11 +350,11 @@ TEST(ViewCacheDatabase, AnswerUnionSharesThePreAnswerMaterialization) {
 }
 
 // ---------------------------------------------------------------------------
-// Union queries through the database (parallel fan-out, pinned merge)
+// Union queries through the database (one batch, pinned merge)
 
-TEST(ViewCacheDatabase, UnionQueryMatchesSequentialAtAnyWorkerCount) {
+TEST(ViewCacheDatabase, UnionQueryMatchesViewlessTwin) {
   Dictionary dict;
-  Dictionary dict_par;
+  Dictionary dict_views;
   std::string text =
       "a p b .\nb p c .\nc q d .\na sc b .\nb sc c .\nx type a .\n";
   auto build_union = [](Dictionary* d) {
@@ -375,32 +374,29 @@ TEST(ViewCacheDatabase, UnionQueryMatchesSequentialAtAnyWorkerCount) {
     return out;
   };
 
-  Database seq(&dict, EagerViews());
-  ASSERT_TRUE(seq.InsertText(text).ok());
-  Result<std::vector<Graph>> sequential = seq.PreAnswer(build_union(&dict));
-  ASSERT_TRUE(sequential.ok());
+  EvalOptions no_views;
+  no_views.views.enabled = false;
+  Database plain(&dict, no_views);
+  ASSERT_TRUE(plain.InsertText(text).ok());
+  Result<std::vector<Graph>> reference = plain.PreAnswer(build_union(&dict));
+  ASSERT_TRUE(reference.ok());
 
-  ThreadPool pool(4);
-  EvalOptions par_options = EagerViews();
-  par_options.match.pool = &pool;
-  Database par(&dict_par, par_options);
-  ASSERT_TRUE(par.InsertText(text).ok());
-  Result<std::vector<Graph>> parallel = par.PreAnswer(build_union(&dict_par));
-  ASSERT_TRUE(parallel.ok());
+  Database db(&dict_views, EagerViews());
+  ASSERT_TRUE(db.InsertText(text).ok());
+  Result<std::vector<Graph>> first = db.PreAnswer(build_union(&dict_views));
+  ASSERT_TRUE(first.ok());
 
   // Same dictionaries interned the same text in the same order, so the
-  // graphs must be bit-identical across worker counts.
-  EXPECT_EQ(*sequential, *parallel);
+  // graphs must be bit-identical with and without the view layer.
+  EXPECT_EQ(*reference, *first);
   // And re-asking hits the views built on the first pass.
-  Result<std::vector<Graph>> again = par.PreAnswer(build_union(&dict_par));
+  Result<std::vector<Graph>> again = db.PreAnswer(build_union(&dict_views));
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ(*parallel, *again);
-  EXPECT_GE(par.CollectStats().views.hits, 3u);
+  EXPECT_EQ(*first, *again);
+  EXPECT_GE(db.CollectStats().views.hits, 3u);
 }
 
-TEST(UnionQueryParallel, FreeFunctionMatchesSequentialBitForBit) {
-  // Twin dictionaries interning the same text in the same order, so
-  // minted blank ids are comparable across the two runs.
+TEST(UnionQueryFreeFunction, MatchesBranchByBranchBitForBit) {
   const std::string data_text = "a p b .\nb p c .\na sc b .\nx type a .\n";
   auto build_union = [](Dictionary* d) {
     UnionQuery out;
@@ -416,29 +412,27 @@ TEST(UnionQueryParallel, FreeFunctionMatchesSequentialBitForBit) {
     return out;
   };
 
-  Dictionary dict_seq;
-  Graph data_seq = swdb::testing::Data(&dict_seq, data_text);
-  QueryEvaluator seq_eval(&dict_seq);
-  Result<std::vector<Graph>> sequential =
-      PreAnswerUnionQuery(&seq_eval, build_union(&dict_seq), data_seq);
-  ASSERT_TRUE(sequential.ok());
+  Dictionary dict;
+  Graph data = swdb::testing::Data(&dict, data_text);
+  QueryEvaluator evaluator(&dict);
+  const UnionQuery q = build_union(&dict);
+  Result<std::vector<Graph>> batched = PreAnswerUnionQuery(&evaluator, q, data);
+  ASSERT_TRUE(batched.ok());
 
-  Dictionary dict_par;
-  Graph data_par = swdb::testing::Data(&dict_par, data_text);
-  ThreadPool pool(4);
-  EvalOptions options;
-  options.match.pool = &pool;
-  QueryEvaluator par_eval(&dict_par, options);
-  Result<std::vector<Graph>> parallel =
-      PreAnswerUnionQuery(&par_eval, build_union(&dict_par), data_par);
-  ASSERT_TRUE(parallel.ok());
-  EXPECT_EQ(*sequential, *parallel);
+  // Branch by branch, in order, on the same evaluator (whose Skolem
+  // cache makes the head-blank mints comparable).
+  std::vector<Result<std::vector<Graph>>> parts;
+  for (const Query& branch : q.branches) {
+    parts.push_back(evaluator.PreAnswer(branch, data));
+  }
+  Result<std::vector<Graph>> one_by_one = CombineBranches(std::move(parts));
+  ASSERT_TRUE(one_by_one.ok());
+  EXPECT_EQ(*batched, *one_by_one);
 
-  Result<Graph> union_graph =
-      AnswerUnionQuery(&par_eval, build_union(&dict_par), data_par);
+  Result<Graph> union_graph = AnswerUnionQuery(&evaluator, q, data);
   ASSERT_TRUE(union_graph.ok());
   Graph expected;
-  for (const Graph& g : *parallel) expected.InsertAll(g);
+  for (const Graph& g : *batched) expected.InsertAll(g);
   EXPECT_EQ(*union_graph, expected);
 }
 
