@@ -17,11 +17,16 @@
 //   * NormalFormLeanGadgets — nf(D) = core(cl(D)) end to end on 48
 //                             gadgets plus a schema workload.
 //   * CoreFoldingChain      — components that all fold, one per round.
+//   * CoreSp2bBlankCorpus   — nf probe: Core(RdfsClosure(corpus)) of a
+//                             10k SP²Bench corpus with 10% blank authors
+//                             (seed 1), the serving-shaped nf build.
 
 #include <benchmark/benchmark.h>
 
 #include "gen/generators.h"
+#include "gen/sp2b.h"
 #include "graphtheory/digraph.h"
+#include "inference/closure.h"
 #include "normal/core.h"
 #include "normal/normal_form.h"
 #include "util/rng.h"
@@ -223,6 +228,34 @@ void BM_CoreComponentSweep(benchmark::State& state) {
 BENCHMARK(BM_CoreComponentSweep)
     ->Arg(1)->Arg(4)->Arg(16)->Arg(64)
     ->Unit(benchmark::kMillisecond);
+
+void BM_CoreSp2bBlankCorpus(benchmark::State& state) {
+  Dictionary dict;
+  Sp2bSpec spec;
+  spec.target_triples = 10'000;
+  spec.seed = 1;
+  spec.blank_author_fraction = 0.1;
+  Sp2bGenerator gen(spec, &dict);
+  // Warmed like a published snapshot's closure, so the timed Core sees
+  // the same leaf-sharing input the serving nf build does.
+  const Graph closure = RdfsClosure(gen.GenerateCorpus());
+  closure.WarmIndexes();
+  CoreStats stats;
+  size_t core_size = 0;
+  for (auto _ : state) {
+    Result<Graph> core = CoreChecked(closure, MatchOptions(), nullptr, &stats);
+    core_size = core->size();
+    benchmark::DoNotOptimize(core);
+  }
+  state.counters["|cl|"] = static_cast<double>(closure.size());
+  state.counters["|core|"] = static_cast<double>(core_size);
+  state.counters["components"] =
+      static_cast<double>(BlankComponents(closure).size());
+  state.counters["folds"] = static_cast<double>(stats.folds);
+  state.counters["iterations"] = static_cast<double>(stats.iterations);
+  state.counters["steps_used"] = static_cast<double>(stats.steps_used);
+}
+BENCHMARK(BM_CoreSp2bBlankCorpus)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace swdb

@@ -1,17 +1,23 @@
 #include "normal/core.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "util/check.h"
 
 namespace swdb {
 
-std::vector<std::vector<Triple>> BlankComponents(const Graph& g) {
+namespace {
+
+// BlankComponents over any sequence of triples: components in order of
+// first appearance in `triples`, each component's triples in that order.
+template <typename Triples>
+std::vector<std::vector<Triple>> PartitionByBlanks(const Triples& triples) {
   std::unordered_map<Term, Term> parent;
   // Iterative root walk with full path compression: blank chains grow
   // with the data (a 10k-blank chain is ordinary input, not an
@@ -36,12 +42,12 @@ std::vector<std::vector<Triple>> BlankComponents(const Graph& g) {
     Term rb = find(b);
     if (ra != rb) parent[ra] = rb;
   };
-  for (const Triple& t : g) {
+  for (const Triple& t : triples) {
     if (t.s.IsBlank() && t.o.IsBlank()) unite(t.s, t.o);
   }
   std::unordered_map<Term, size_t> component_index;
   std::vector<std::vector<Triple>> components;
-  for (const Triple& t : g) {
+  for (const Triple& t : triples) {
     if (t.IsGround()) continue;
     Term representative = find(t.s.IsBlank() ? t.s : t.o);
     auto [it, inserted] =
@@ -50,6 +56,12 @@ std::vector<std::vector<Triple>> BlankComponents(const Graph& g) {
     components[it->second].push_back(t);
   }
   return components;
+}
+
+}  // namespace
+
+std::vector<std::vector<Triple>> BlankComponents(const Graph& g) {
+  return PartitionByBlanks(g);
 }
 
 namespace {
@@ -89,29 +101,51 @@ ComponentResult SearchComponent(const std::vector<Triple>& component,
   return out;
 }
 
-// One round of the proper-endomorphism search over a pinned-ordered
-// list of components.
+// One entry of a pinned-ordered partition of the searched graph into
+// blank components, and whether a completed search refuted every fold
+// of it. Within one CoreChecked run the flag stays true: a fold is the
+// identity outside its own component, so every other component's
+// triples survive verbatim, and the graph only ever shrinks — a
+// shrinking target can lose homomorphisms but never gain one. (Nor can
+// components merge: folds add no triples, so blanks never become newly
+// connected.)
+struct TrackedComponent {
+  std::vector<Triple> triples;
+  bool lean = false;
+};
+
+std::vector<TrackedComponent> TrackComponents(const Graph& g) {
+  std::vector<TrackedComponent> tracked;
+  for (std::vector<Triple>& c : BlankComponents(g)) {
+    tracked.push_back(TrackedComponent{std::move(c), false});
+  }
+  return tracked;
+}
+
+// One round of the proper-endomorphism search over a partition.
 struct SearchOutcome {
-  // Index into `components` of the lowest component that found a fold,
-  // or kNoWinner.
+  // Index of the lowest component that found a fold, or kNoWinner.
   size_t winner = kNoWinner;
   std::optional<TermMap> fold;  // the winner's fold
   // Some pre-winner probe exhausted its budget (meaningful for the
   // round's return value only when there is no winner).
   bool budget_hit = false;
-  // Components below the winner refuted completely within budget.
-  std::vector<size_t> refuted;
-  uint64_t steps_used = 0;  // pre-winner components + the winner
+  uint64_t searched = 0;    // pre-winner components + the winner
+  uint64_t steps_used = 0;  // across the searched components
 };
 
-// Searches the components lowest index first and stops at the first
-// fold.
-SearchOutcome SearchAllComponents(
-    const std::vector<const std::vector<Triple>*>& components, const Graph& g,
-    const MatchOptions& options) {
+// Searches the components not yet proven lean, lowest index first, and
+// stops at the first fold. Components below the winner that were
+// refuted completely within budget are flagged lean.
+SearchOutcome SearchAllComponents(std::vector<TrackedComponent>* components,
+                                  const Graph& g,
+                                  const MatchOptions& options) {
   SearchOutcome out;
-  for (size_t c = 0; c < components.size(); ++c) {
-    ComponentResult r = SearchComponent(*components[c], g, options);
+  for (size_t c = 0; c < components->size(); ++c) {
+    TrackedComponent& component = (*components)[c];
+    if (component.lean) continue;
+    ++out.searched;
+    ComponentResult r = SearchComponent(component.triples, g, options);
     out.steps_used += r.steps;
     if (r.fold.has_value()) {
       out.winner = c;
@@ -121,21 +155,54 @@ SearchOutcome SearchAllComponents(
     if (r.budget_hit) {
       out.budget_hit = true;
     } else {
-      out.refuted.push_back(c);
+      component.lean = true;
     }
   }
   return out;
+}
+
+// Applies the fold μ found for (*components)[c] to *g in place and
+// patches the partition to match. μ is the identity outside C and maps
+// C into g \ {t}, so μ(g) = (g \ C) ∪ μ(C) with μ(C) ⊆ g already:
+// folding erases the triples of C outside μ(C) and adds nothing. Only
+// the survivors C ∩ μ(C) can regroup (they may split); they are
+// re-partitioned alone and spliced back in by first triple, which keeps
+// the list in BlankComponents(*g)'s first-appearance order.
+void FoldComponent(const TermMap& fold, size_t c, Graph* g,
+                   std::vector<TrackedComponent>* components) {
+  std::vector<Triple> folded = std::move((*components)[c].triples);
+  components->erase(components->begin() + static_cast<std::ptrdiff_t>(c));
+  std::vector<Triple> image;
+  image.reserve(folded.size());
+  for (const Triple& t : folded) {
+    image.push_back(fold.Apply(t));
+    assert(g->Contains(image.back()));
+  }
+  std::sort(image.begin(), image.end());
+  std::vector<Triple> survivors;
+  for (const Triple& t : folded) {
+    if (std::binary_search(image.begin(), image.end(), t)) {
+      survivors.push_back(t);
+    } else {
+      g->Erase(t);
+    }
+  }
+  for (std::vector<Triple>& piece : PartitionByBlanks(survivors)) {
+    auto at = std::lower_bound(
+        components->begin(), components->end(), piece.front(),
+        [](const TrackedComponent& e, const Triple& first) {
+          return e.triples.front() < first;
+        });
+    components->insert(at, TrackedComponent{std::move(piece), false});
+  }
 }
 
 }  // namespace
 
 Result<std::optional<TermMap>> FindProperEndomorphism(const Graph& g,
                                                       MatchOptions options) {
-  std::vector<std::vector<Triple>> components = BlankComponents(g);
-  std::vector<const std::vector<Triple>*> targets;
-  targets.reserve(components.size());
-  for (const std::vector<Triple>& c : components) targets.push_back(&c);
-  SearchOutcome out = SearchAllComponents(targets, g, options);
+  std::vector<TrackedComponent> components = TrackComponents(g);
+  SearchOutcome out = SearchAllComponents(&components, g, options);
   if (out.fold.has_value()) return std::move(out.fold);
   if (out.budget_hit) {
     return Status::LimitExceeded("proper-endomorphism search budget hit");
@@ -153,33 +220,20 @@ bool IsLean(const Graph& g) {
 
 Result<Graph> CoreChecked(const Graph& g, MatchOptions options,
                           TermMap* witness, CoreStats* stats) {
+  // Shares every leaf (and built permutation spine) with g; each fold
+  // erases in place, cloning only the leaves it touches.
   Graph current = g;
   TermMap composed;
   CoreStats local;
-  // Components proven lean in an earlier round stay lean: a fold is the
-  // identity outside its own component, so every other component's
-  // triples survive verbatim, and the graph only ever shrinks — a
-  // shrinking target can lose homomorphisms but never gain one. (Nor
-  // can components merge: folds add no triples, so blanks never become
-  // newly connected.)
-  std::unordered_set<std::vector<Triple>, TripleVecHash> proven_lean;
+  std::vector<TrackedComponent> components = TrackComponents(current);
   for (;;) {
     ++local.iterations;
-    std::vector<std::vector<Triple>> components = BlankComponents(current);
-    std::vector<const std::vector<Triple>*> targets;
-    targets.reserve(components.size());
-    for (const std::vector<Triple>& c : components) {
-      if (proven_lean.count(c) != 0) {
-        ++local.lean_cache_hits;
-        continue;
-      }
-      targets.push_back(&c);
+    for (const TrackedComponent& c : components) {
+      if (c.lean) ++local.lean_cache_hits;
     }
-    SearchOutcome out = SearchAllComponents(targets, current, options);
+    SearchOutcome out = SearchAllComponents(&components, current, options);
     local.steps_used += out.steps_used;
-    local.components_searched +=
-        out.winner == kNoWinner ? targets.size() : out.winner + 1;
-    for (size_t idx : out.refuted) proven_lean.insert(*targets[idx]);
+    local.components_searched += out.searched;
     if (!out.fold.has_value()) {
       if (out.budget_hit) {
         if (stats != nullptr) *stats = local;
@@ -189,7 +243,7 @@ Result<Graph> CoreChecked(const Graph& g, MatchOptions options,
     }
     ++local.folds;
     composed = composed.ComposeWith(*out.fold);
-    current = out.fold->Apply(current);
+    FoldComponent(*out.fold, out.winner, &current, &components);
   }
   if (witness != nullptr) *witness = composed;
   if (stats != nullptr) *stats = local;

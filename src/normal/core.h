@@ -35,28 +35,12 @@ struct CoreStats {
   /// components up to each round's winner, plus the winner itself).
   uint64_t components_searched = 0;
   /// Component searches skipped because an earlier round already proved
-  /// the identical component lean (folds only shrink the graph and never
+  /// the same component lean (folds only shrink the graph and never
   /// touch other components, so leanness persists).
   uint64_t lean_cache_hits = 0;
   /// Matcher steps consumed by the searches counted in
   /// components_searched.
   uint64_t steps_used = 0;
-};
-
-/// Content hash of a component's pinned-order triple vector — the
-/// in-run proven-lean key. Folds never add triples, so an untouched
-/// component reappears verbatim across rounds.
-struct TripleVecHash {
-  size_t operator()(const std::vector<Triple>& v) const {
-    uint64_t h = 0x9E3779B97F4A7C15ull ^ v.size();
-    for (const Triple& t : v) {
-      for (uint64_t bits : {t.s.bits(), t.p.bits(), t.o.bits()}) {
-        h ^= bits + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-        h *= 0xFF51AFD7ED558CCDull;
-      }
-    }
-    return static_cast<size_t>(h ^ (h >> 32));
-  }
 };
 
 /// Searches for a map μ with μ(g) a *proper* subgraph of g (the witness
@@ -86,6 +70,15 @@ Graph Core(const Graph& g, TermMap* witness = nullptr);
 
 /// Budget-aware variant of Core for adversarial inputs (computing cores
 /// is DP-hard to even verify, paper Thm 3.12(2)).
+///
+/// Folds in place: the result starts as a copy of g that shares every
+/// spine leaf with it, and each fold μ of a component C erases the
+/// triples of C \ μ(C) (μ is the identity elsewhere and μ(C) already
+/// lies in the graph). The blank-component partition is computed once
+/// and only the folded component's survivors are re-partitioned, so a
+/// round costs O(|C| log n) beyond its search instead of a whole-graph
+/// copy and index rebuild, and the core shares every untouched leaf
+/// with g. g itself is never written.
 Result<Graph> CoreChecked(const Graph& g, MatchOptions options,
                           TermMap* witness = nullptr,
                           CoreStats* stats = nullptr);

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "gen/sp2b.h"
 #include "inference/closure.h"
 #include "normal/core.h"
 #include "query/database.h"
@@ -502,6 +503,88 @@ TEST(NormalFormEpochs, InsertFoldsNewlyFoldableComponent) {
   const Graph& nf2 = db.Normalized();
   EXPECT_FALSE(nf2.Contains(Triple(a, p, blank)));
   EXPECT_EQ(nf2, Core(RdfsClosure(db.graph())));
+}
+
+TEST(NormalFormEpochs, InPlaceFoldsRaceReadersAndWriterCommits) {
+  // nf builds fold a leaf-sharing copy of the snapshot's closure in
+  // place. Four readers scan closure() and race normalized() while the
+  // writer applies serving-shaped commits (32 erases of its own earlier
+  // inserts plus NextPublications(96)) on a blank-author corpus, so the
+  // nf builds' copy-on-write erases hit leaves shared with the live
+  // snapshot and with the writer's maintained closure. Every nf a
+  // reader built must equal the from-scratch core of its snapshot.
+  Dictionary dict;
+  Sp2bSpec spec;
+  spec.target_triples = 2'000;
+  spec.seed = 1;
+  spec.blank_author_fraction = 0.1;
+  Sp2bGenerator gen(spec, &dict);
+  Database db(&dict);
+  db.InsertGraph(gen.GenerateCorpus());
+  db.Snapshot();  // publish before readers start
+
+  constexpr int kReaders = 4;
+  constexpr int kCommits = 10;
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::vector<std::vector<std::shared_ptr<const DatabaseSnapshot>>> seen(
+      kReaders);
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&db, &stop, &failures, &seen, r] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        std::shared_ptr<const DatabaseSnapshot> snap = db.Snapshot();
+        const Graph& cl = snap->closure();
+        size_t scanned = 0;
+        for (const Triple& t : cl) {
+          (void)t;
+          ++scanned;
+        }
+        const Graph& nf = snap->normalized();
+        if (scanned != cl.size() || !nf.IsSubgraphOf(cl)) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (seen[r].empty() || seen[r].back() != snap) {
+          seen[r].push_back(std::move(snap));
+        }
+      }
+    });
+  }
+
+  Rng rng(7);
+  std::vector<Triple> own_inserts;
+  for (int c = 0; c < kCommits; ++c) {
+    MutationBatch batch;
+    for (int i = 0; i < 32 && !own_inserts.empty(); ++i) {
+      const size_t idx = rng.Below(own_inserts.size());
+      batch.Erase(own_inserts[idx]);
+      own_inserts[idx] = own_inserts.back();
+      own_inserts.pop_back();
+    }
+    for (const Triple& t : gen.NextPublications(96)) {
+      batch.Insert(t);
+      own_inserts.push_back(t);
+    }
+    db.Apply(batch);
+    // The writer's visibility read races the readers' nf builds.
+    EXPECT_TRUE(db.Normalized().IsSubgraphOf(db.Closure()));
+  }
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  size_t checked = 0;
+  for (const auto& snaps : seen) {
+    for (const std::shared_ptr<const DatabaseSnapshot>& snap : snaps) {
+      EXPECT_EQ(snap->normalized(), Core(RdfsClosure(snap->data())))
+          << "epoch " << snap->epoch();
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0u);
+  // The corpus really folds, so the builds above erased in place.
+  EXPECT_LT(db.Normalized().size(), db.Closure().size());
 }
 
 TEST(NormalFormEpochs, LaggingSnapshotKeepsItsOwnNormalForm) {

@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "gen/generators.h"
+#include "gen/sp2b.h"
 #include "graphtheory/digraph.h"
+#include "inference/closure.h"
+#include "query/database.h"
 #include "rdf/iso.h"
 #include "testutil.h"
 #include "util/rng.h"
@@ -32,6 +39,105 @@ Graph MultiComponentGraph(uint64_t seed, Dictionary* dict) {
     g.InsertAll(RandomSimpleGraph(spec, dict, &rng));
   }
   return g;
+}
+
+// The closure of an SP²Bench-shaped corpus with 10% blank authors:
+// ~100 blank components, a couple of dozen of which fold.
+Graph Sp2bBlankClosure(uint64_t target_triples, uint64_t seed,
+                       Dictionary* dict) {
+  Sp2bSpec spec;
+  spec.target_triples = target_triples;
+  spec.seed = seed;
+  spec.blank_author_fraction = 0.1;
+  Sp2bGenerator gen(spec, dict);
+  return RdfsClosure(gen.GenerateCorpus());
+}
+
+// The copy-per-fold core loop that CoreChecked ran before it folded in
+// place: every round re-partitions the whole graph, skips components
+// whose exact triple vector an earlier round refuted, searches the rest
+// lowest first, and applies the winning fold to a full copy of the
+// graph. Kept as the parity oracle for the in-place loop.
+Result<Graph> CopyPerFoldCore(const Graph& g, MatchOptions options,
+                              TermMap* witness, CoreStats* stats) {
+  options.stats = nullptr;
+  Graph current = g;
+  TermMap composed;
+  CoreStats local;
+  std::set<std::vector<Triple>> proven_lean;
+  for (;;) {
+    ++local.iterations;
+    std::vector<std::vector<Triple>> targets;
+    for (std::vector<Triple>& c : BlankComponents(current)) {
+      if (proven_lean.count(c) != 0) {
+        ++local.lean_cache_hits;
+      } else {
+        targets.push_back(std::move(c));
+      }
+    }
+    std::optional<TermMap> fold;
+    bool budget_hit = false;
+    for (const std::vector<Triple>& component : targets) {
+      ++local.components_searched;
+      PatternMatcher matcher(component, &current, options);
+      bool component_budget_hit = false;
+      for (const Triple& t : component) {
+        matcher.set_exclude_triple(t);
+        Result<std::optional<TermMap>> r = matcher.FindAny();
+        local.steps_used += matcher.steps_used();
+        if (!r.ok()) {
+          component_budget_hit = true;
+        } else if (r->has_value()) {
+          fold = std::move(**r);
+          break;
+        }
+      }
+      if (fold.has_value()) break;
+      if (component_budget_hit) {
+        budget_hit = true;
+      } else {
+        proven_lean.insert(component);
+      }
+    }
+    if (!fold.has_value()) {
+      if (stats != nullptr) *stats = local;
+      if (budget_hit) return Status::LimitExceeded("oracle budget hit");
+      break;
+    }
+    ++local.folds;
+    composed = composed.ComposeWith(*fold);
+    current = fold->Apply(current);
+  }
+  if (witness != nullptr) *witness = composed;
+  if (stats != nullptr) *stats = local;
+  return current;
+}
+
+// CoreChecked and the copy-per-fold oracle agree on g under `options`:
+// same outcome, graph, witness and every CoreStats field.
+void ExpectCoreParity(const Graph& g, MatchOptions options,
+                      const std::string& label) {
+  TermMap witness;
+  TermMap oracle_witness;
+  CoreStats stats;
+  CoreStats oracle_stats;
+  Result<Graph> core = CoreChecked(g, options, &witness, &stats);
+  Result<Graph> oracle =
+      CopyPerFoldCore(g, options, &oracle_witness, &oracle_stats);
+  ASSERT_EQ(core.ok(), oracle.ok()) << label;
+  if (core.ok()) {
+    EXPECT_EQ(core->triples(), oracle->triples()) << label;
+    EXPECT_TRUE(witness == oracle_witness) << label;
+  } else {
+    EXPECT_EQ(core.status().code(), StatusCode::kLimitExceeded) << label;
+    EXPECT_EQ(oracle.status().code(), StatusCode::kLimitExceeded) << label;
+  }
+  EXPECT_EQ(stats.folds, oracle_stats.folds) << label;
+  EXPECT_EQ(stats.iterations, oracle_stats.iterations) << label;
+  EXPECT_EQ(stats.components_searched, oracle_stats.components_searched)
+      << label;
+  EXPECT_EQ(stats.lean_cache_hits, oracle_stats.lean_cache_hits) << label;
+  EXPECT_EQ(stats.steps_used, oracle_stats.steps_used) << label;
 }
 
 TEST(Lean, GroundGraphsAreLean) {
@@ -360,6 +466,121 @@ TEST(Core, BudgetAwareVariantReportsExhaustion) {
       EXPECT_EQ(again.components_searched, stats.components_searched);
     }
   }
+}
+
+TEST(CoreInPlace, MatchesCopyPerFoldOracleOnMultiComponentInputs) {
+  for (uint64_t seed = 0; seed < 20; ++seed) {
+    Dictionary dict;
+    ExpectCoreParity(MultiComponentGraph(seed, &dict), MatchOptions(),
+                     "seed " + std::to_string(seed));
+  }
+}
+
+TEST(CoreInPlace, FoldThatSplitsAComponentRepartitionsTheSurvivors) {
+  // One component: _:x and _:y both hang off a and off _:z. The fold
+  // _:z → a drops the two _:z triples, and the survivors fall apart into
+  // an _:x piece and a _:y piece, which the next round must search as
+  // two components, in first-appearance order.
+  Dictionary dict;
+  Graph g = Data(&dict,
+                 "a p _:x .\n"
+                 "a p _:y .\n"
+                 "_:z p _:x .\n"
+                 "_:z p _:y .\n"
+                 "_:x p _:x .\n"
+                 "_:y p a .");
+  ASSERT_EQ(BlankComponents(g).size(), 1u);
+  CoreStats stats;
+  Result<Graph> core = CoreChecked(g, MatchOptions(), nullptr, &stats);
+  ASSERT_TRUE(core.ok());
+  EXPECT_EQ(stats.folds, 1u);
+  EXPECT_EQ(BlankComponents(*core).size(), 2u);
+  EXPECT_EQ(stats.components_searched, 3u);  // 1 before the fold, 2 after
+  ExpectCoreParity(g, MatchOptions(), "split");
+}
+
+TEST(CoreInPlace, MatchesCopyPerFoldOracleAcrossBudgets) {
+  // Small budgets end in LimitExceeded part-way through the folding
+  // sequence; both loops must stop at the same round with the same
+  // counters.
+  const std::vector<uint64_t> budgets = {1, 4, 32, 256, 2048, 50'000'000};
+  for (uint64_t seed = 0; seed < 6; ++seed) {
+    Dictionary dict;
+    Graph g = MultiComponentGraph(seed, &dict);
+    for (uint64_t budget : budgets) {
+      MatchOptions limited;
+      limited.max_steps = budget;
+      ExpectCoreParity(g, limited,
+                       "seed " + std::to_string(seed) + " budget " +
+                           std::to_string(budget));
+    }
+  }
+}
+
+TEST(CoreInPlace, MatchesCopyPerFoldOracleOnSp2bBlankClosures) {
+  uint64_t folds = 0;
+  for (uint64_t triples : {2'000u, 10'000u}) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      Dictionary dict;
+      Graph cl = Sp2bBlankClosure(triples, seed, &dict);
+      ExpectCoreParity(cl, MatchOptions(),
+                       std::to_string(triples) + " triples, seed " +
+                           std::to_string(seed));
+      CoreStats stats;
+      ASSERT_TRUE(CoreChecked(cl, MatchOptions(), nullptr, &stats).ok());
+      folds += stats.folds;
+    }
+  }
+  EXPECT_GT(folds, 0u);  // the corpora really exercise folding
+}
+
+TEST(CoreInPlace, InputGraphIsNeverWritten) {
+  // The core starts as a leaf-sharing copy of its input and erases in
+  // place; every erase must clone the shared leaf, never write through.
+  Dictionary dict;
+  std::vector<Graph> inputs;
+  inputs.push_back(Sp2bBlankClosure(2'000, 1, &dict));
+  for (uint64_t seed = 0; seed < 6; ++seed) {
+    inputs.push_back(MultiComponentGraph(seed, &dict));
+  }
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    const Graph& g = inputs[i];
+    g.WarmIndexes();
+    const Graph before = g;
+    Result<Graph> core = CoreChecked(g, MatchOptions());
+    ASSERT_TRUE(core.ok()) << "input " << i;
+    EXPECT_EQ(g, before) << "input " << i;
+    const SpineSharing sharing = g.SharedLeaves(before);
+    EXPECT_EQ(sharing.shared, sharing.total) << "input " << i;
+    EXPECT_GT(sharing.total, 0u) << "input " << i;
+  }
+}
+
+TEST(CoreInPlace, SnapshotNfBuildPatchesTheClosureInsteadOfRebuilding) {
+  // nf = core(cl) is built from a copy of the snapshot's warmed closure
+  // by erasure: no permutation spine is rebuilt (the copy inherits the
+  // closure's rebuild counter, so equal counters mean zero rebuilds),
+  // and the nf shares most of its leaves with the closure.
+  Dictionary dict;
+  Sp2bSpec spec;
+  spec.target_triples = 10'000;
+  spec.seed = 1;
+  spec.blank_author_fraction = 0.1;
+  Sp2bGenerator gen(spec, &dict);
+  Database db(&dict);
+  db.InsertGraph(gen.GenerateCorpus());
+  std::shared_ptr<const DatabaseSnapshot> snap = db.Snapshot();
+  const Graph& cl = snap->closure();
+  const uint64_t rebuilds = cl.Stats().index_rebuilds;
+  const Graph& nf = snap->normalized();
+  EXPECT_LT(nf.size(), cl.size());  // the build really folded
+  EXPECT_EQ(nf, Core(RdfsClosure(snap->data())));
+  EXPECT_EQ(cl.Stats().index_rebuilds, rebuilds);
+  EXPECT_EQ(nf.Stats().index_rebuilds, rebuilds);
+  EXPECT_TRUE(nf.Stats().indexes_built);
+  const SpineSharing sharing = nf.SharedLeaves(cl);
+  EXPECT_GT(2 * sharing.shared, sharing.total)
+      << sharing.shared << " of " << sharing.total << " leaves shared";
 }
 
 }  // namespace
