@@ -18,6 +18,14 @@
 //   * InsertThenQueryPatched/N   — same mutation stream with views on:
 //                                  the insert is folded into the view
 //                                  by the semi-naive delta patch.
+//   * MaintainSp2bCommit/N       — the view-maintenance stage of a
+//                                  serving commit: ~60 views promoted
+//                                  from the serving mix over an N-triple
+//                                  ground sp2b corpus, and per iteration
+//                                  one commit of the servebench shape
+//                                  (32 erases of earlier inserts plus
+//                                  NextPublications(96)); only
+//                                  ViewCache::Maintain is timed.
 //
 // Acceptance is read off N = 100k: RepeatedShapeWarm must be >= 10x
 // faster than RepeatedShapeUncached, and InsertThenQueryPatched must
@@ -31,13 +39,20 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
+#include "gen/sp2b.h"
+#include "query/answer.h"
 #include "query/database.h"
 #include "query/query.h"
+#include "query/view_cache.h"
+#include "query/view_key.h"
 #include "rdf/graph.h"
 #include "rdf/term.h"
 #include "rdf/triple.h"
+#include "serve/workload.h"
+#include "util/rng.h"
 
 namespace swdb {
 namespace {
@@ -215,6 +230,118 @@ void InsertThenQueryPatched(benchmark::State& state) {
 }
 BENCHMARK(InsertThenQueryPatched)->Arg(10000)->Arg(100000)
     ->Unit(benchmark::kMicrosecond);
+
+// The state of one MaintainSp2bCommit run, built once per N: the
+// writer (generator + database with views off, which supplies the
+// leaf-sharing nf of each commit) and a standalone view cache with its
+// own evaluator, driven the way snapshots drive the shared one.
+struct CommitStage {
+  Dictionary dict;
+  std::unique_ptr<Sp2bGenerator> gen;
+  std::unique_ptr<Database> db;
+  std::unique_ptr<QueryEvaluator> evaluator;
+  ViewCache cache;
+  Graph nf;
+  uint64_t version = 1;
+  std::vector<Triple> own_inserts;
+  Rng write_rng{3};
+};
+
+constexpr size_t kPromotedViews = 60;
+constexpr size_t kCommitInserts = 96;
+constexpr size_t kCommitErases = 32;
+
+CommitStage* SetupCommitStage(size_t n) {
+  static std::map<size_t, std::unique_ptr<CommitStage>>* stages =
+      new std::map<size_t, std::unique_ptr<CommitStage>>();
+  auto it = stages->find(n);
+  if (it != stages->end()) return it->second.get();
+  auto st = std::make_unique<CommitStage>();
+  Sp2bSpec spec;
+  spec.target_triples = n;
+  spec.seed = 1;
+  st->gen = std::make_unique<Sp2bGenerator>(spec, &st->dict);
+  EvalOptions no_views;
+  no_views.views.enabled = false;
+  st->db = std::make_unique<Database>(&st->dict, no_views);
+  st->db->InsertGraph(st->gen->GenerateCorpus());
+  st->evaluator = std::make_unique<QueryEvaluator>(&st->dict);
+  st->nf = st->db->Snapshot()->normalized();
+  st->cache.Maintain(st->nf, st->version, st->cache.erase_stamp(),
+                     st->evaluator.get(), MatchOptions());
+
+  // Promote premise-free shapes of the serving mix (queries, union
+  // branches, premise eliminations) on their second sighting, as the
+  // default advisor does, until kPromotedViews are materialized.
+  const WorkloadMix mix(*st->gen, &st->dict);
+  Rng read_rng(2);
+  std::unordered_set<ViewKey, ViewKeyHash> sighted;
+  std::unordered_set<ViewKey, ViewKeyHash> promoted;
+  while (promoted.size() < kPromotedViews) {
+    const ServingRequest r = mix.Sample(&read_rng);
+    std::vector<Query> shapes;
+    if (r.kind == RequestKind::kQuery) shapes.push_back(r.query);
+    if (r.kind == RequestKind::kUnion || r.kind == RequestKind::kPremise) {
+      shapes = r.union_q.branches;
+    }
+    for (const Query& q : shapes) {
+      CanonicalQuery canon;
+      const ViewKey key = MakeViewKey(q, &canon);
+      if (sighted.insert(key).second || !promoted.insert(key).second) {
+        continue;
+      }
+      Materialization table;
+      Result<std::vector<Graph>> pre = st->evaluator->PreAnswerPrenormalized(
+          canon.query, st->nf, &table);
+      if (!pre.ok()) continue;
+      st->cache.Install(key, canon.query, std::move(table), *pre,
+                        st->version, st->cache.erase_stamp());
+    }
+  }
+  return stages->emplace(n, std::move(st)).first->second.get();
+}
+
+void MaintainSp2bCommit(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  CommitStage* st = SetupCommitStage(n);
+  const ViewCacheStats before = st->cache.stats();
+  size_t delta = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    MutationBatch batch;
+    for (size_t i = 0; i < kCommitErases && !st->own_inserts.empty(); ++i) {
+      const size_t idx = st->write_rng.Below(st->own_inserts.size());
+      batch.Erase(st->own_inserts[idx]);
+      st->own_inserts[idx] = st->own_inserts.back();
+      st->own_inserts.pop_back();
+    }
+    for (const Triple& t : st->gen->NextPublications(kCommitInserts)) {
+      batch.Insert(t);
+      st->own_inserts.push_back(t);
+    }
+    if (st->db->Apply(batch).erased > 0) st->cache.OnErase();
+    Graph next = st->db->Snapshot()->normalized();
+    std::vector<Triple> removed, added;
+    st->nf.DiffTo(next, &removed, &added);
+    delta += removed.size() + added.size();
+    st->nf = std::move(next);
+    ++st->version;
+    state.ResumeTiming();
+    st->cache.Maintain(st->nf, st->version, st->cache.erase_stamp(),
+                       st->evaluator.get(), MatchOptions());
+  }
+  const ViewCacheStats after = st->cache.stats();
+  const double commits = static_cast<double>(state.iterations());
+  state.counters["nf_delta"] = static_cast<double>(delta) / commits;
+  state.counters["patches"] =
+      static_cast<double>(after.patches - before.patches) / commits;
+  state.counters["revalidations"] =
+      static_cast<double>(after.revalidations - before.revalidations) /
+      commits;
+  state.counters["views"] = static_cast<double>(after.entries);
+  state.counters["matchings"] = static_cast<double>(after.matchings);
+}
+BENCHMARK(MaintainSp2bCommit)->Arg(200000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace swdb

@@ -61,7 +61,20 @@ std::vector<std::vector<Triple>> PartitionByBlanks(const Triples& triples) {
 }  // namespace
 
 std::vector<std::vector<Triple>> BlankComponents(const Graph& g) {
-  return PartitionByBlanks(g);
+  // Only non-ground triples join components, and each lies in the
+  // blank run of the order led by one of its blank positions. Reading
+  // those runs and restoring (s,p,o) order yields exactly the subsequence
+  // a full walk would keep, so a ground graph costs O(log |g|).
+  std::vector<Triple> non_ground;
+  for (int pos = 0; pos < 3; ++pos) {
+    for (const Triple& t : g.KindRun(pos, TermKind::kBlank)) {
+      non_ground.push_back(t);
+    }
+  }
+  std::sort(non_ground.begin(), non_ground.end());
+  non_ground.erase(std::unique(non_ground.begin(), non_ground.end()),
+                   non_ground.end());
+  return PartitionByBlanks(non_ground);
 }
 
 namespace {

@@ -1,6 +1,7 @@
 #include "query/answer.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "inference/closure.h"
 #include "normal/normal_form.h"
@@ -39,41 +40,67 @@ Result<std::vector<Graph>> QueryEvaluator::PreAnswer(const Query& q,
 
 Result<std::vector<Graph>> QueryEvaluator::PreAnswerPrenormalized(
     const Query& q, const Graph& target) {
-  return PreAnswerPrenormalized(q, target, /*matchings_out=*/nullptr);
+  return PreAnswerPrenormalized(q, target, /*capture=*/nullptr);
 }
 
 Result<std::vector<Graph>> QueryEvaluator::PreAnswerPrenormalized(
-    const Query& q, const Graph& target,
-    std::vector<TermMap>* matchings_out) {
+    const Query& q, const Graph& target, Materialization* capture) {
   Status valid = q.Validate();
   if (!valid.ok()) return valid;
 
   std::vector<Term> body_vars = q.body.Variables();
+  const size_t width = body_vars.size();
 
   std::vector<Graph> answers;
+  std::vector<Term> values;  // captured rows, in enumeration order
+  size_t rows = 0;
   PatternMatcher matcher(q.body, &target, options_.match);
   Status status = matcher.Enumerate([&](const TermMap& v) {
     if (!q.SatisfiesConstraints(v)) return true;
-    if (matchings_out != nullptr) matchings_out->push_back(v);
+    if (capture != nullptr) {
+      for (Term var : body_vars) values.push_back(v.Apply(var));
+      ++rows;
+    }
     std::optional<Graph> answer = AnswerFromMatching(q, body_vars, v);
     if (answer.has_value()) answers.push_back(*std::move(answer));
     return true;
   });
   if (!status.ok()) return status;
 
-  if (matchings_out != nullptr) {
+  if (capture != nullptr) {
     // Distinct matchings have distinct body-variable tuples (a matching
-    // is its tuple), so this order is total and reproducible.
-    std::sort(matchings_out->begin(), matchings_out->end(),
-              [&body_vars](const TermMap& a, const TermMap& b) {
-                return ValuationLess(a, b, body_vars);
-              });
+    // is its tuple), so this row order is total and reproducible.
+    std::vector<size_t> order(rows);
+    std::iota(order.begin(), order.end(), size_t{0});
+    const Term* base = values.data();
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return std::lexicographical_compare(base + a * width,
+                                          base + (a + 1) * width,
+                                          base + b * width,
+                                          base + (b + 1) * width);
+    });
+    *capture = Materialization{width, rows, {}, {}};
+    capture->values.reserve(values.size());
+    for (size_t r : order) {
+      capture->values.insert(capture->values.end(), base + r * width,
+                             base + (r + 1) * width);
+    }
   }
-  std::sort(answers.begin(), answers.end(),
-            [](const Graph& a, const Graph& b) {
-              return a.triples() < b.triples();
-            });
-  answers.erase(std::unique(answers.begin(), answers.end()), answers.end());
+  // Deduplicate; equal answers are adjacent after the sort, and each
+  // run's length is the number of valuations deriving that answer.
+  std::sort(answers.begin(), answers.end(), TriplesLess);
+  size_t kept = 0;
+  for (size_t i = 0; i < answers.size();) {
+    size_t j = i + 1;
+    while (j < answers.size() && answers[j] == answers[i]) ++j;
+    if (capture != nullptr) {
+      capture->counts.push_back(static_cast<uint32_t>(j - i));
+    }
+    if (kept != i) answers[kept] = std::move(answers[i]);
+    ++kept;
+    i = j;
+  }
+  answers.resize(kept);
   return answers;
 }
 

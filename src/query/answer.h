@@ -57,13 +57,12 @@ class QueryEvaluator {
   Result<std::vector<Graph>> PreAnswerPrenormalized(const Query& q,
                                                     const Graph& normalized);
 
-  /// As above, additionally capturing every constraint-satisfying body
-  /// valuation in ValuationLess order when matchings_out is non-null —
-  /// the materialization entry point of the view layer (the stored
-  /// matchings are what delta maintenance patches).
+  /// As above, additionally capturing the view materialization (every
+  /// constraint-satisfying body valuation in ValuationLess order, and
+  /// per answer how many of them derive it) when `capture` is non-null
+  /// — the materialization entry point of the view layer.
   Result<std::vector<Graph>> PreAnswerPrenormalized(
-      const Query& q, const Graph& normalized,
-      std::vector<TermMap>* matchings_out);
+      const Query& q, const Graph& normalized, Materialization* capture);
 
   /// v(H) for one constraint-passing body valuation: substitutes
   /// variables, Skolemizes head blanks from the sorted-body-variable

@@ -18,7 +18,7 @@ struct Group {
   CanonicalQuery canon;
   std::vector<size_t> members;  // slot indices, ascending (batch order)
   bool materialize = false;     // advisor promoted the shape
-  std::vector<TermMap> matchings;  // filled only when materialize
+  Materialization materialization;  // filled only when materialize
   std::optional<Result<std::vector<Graph>>> result;
 };
 
@@ -130,7 +130,8 @@ std::vector<Result<std::vector<Graph>>> PreAnswerBatchImpl(
     Group& grp = groups[slots[i].group];
     if (grp.result || grp.members.front() != i) continue;
     grp.result = evaluator->PreAnswerPrenormalized(
-        grp.canon.query, *nf, grp.materialize ? &grp.matchings : nullptr);
+        grp.canon.query, *nf,
+        grp.materialize ? &grp.materialization : nullptr);
   }
 
   // Pass 5 — install promoted materializations (deterministic group
@@ -139,8 +140,9 @@ std::vector<Result<std::vector<Graph>>> PreAnswerBatchImpl(
     if (grp.result && !grp.result->ok()) ++stats.limit_exceeded;
     if (views.cache != nullptr && grp.materialize && grp.result &&
         grp.result->ok()) {
-      views.cache->Install(grp.key, grp.canon.query, std::move(grp.matchings),
-                           **grp.result, views.version, views.erase_stamp);
+      views.cache->Install(grp.key, grp.canon.query,
+                           std::move(grp.materialization), **grp.result,
+                           views.version, views.erase_stamp);
     }
   }
 

@@ -368,14 +368,14 @@ Result<std::vector<Graph>> DatabaseSnapshot::PreAnswer(const Query& q) const {
     return *std::move(hit);
   }
   const bool materialize = views_.cache->RecordMiss(key);
-  std::vector<TermMap> matchings;
+  Materialization materialization;
   Result<std::vector<Graph>> pre = evaluator_->PreAnswerPrenormalized(
-      canon.query, nf, materialize ? &matchings : nullptr);
+      canon.query, nf, materialize ? &materialization : nullptr);
   if (!pre.ok()) return pre;
   if (materialize) {
     // Installed at this snapshot's captured (version, stamp); the write
     // rule drops the offer when the writer has moved past it.
-    views_.cache->Install(key, canon.query, std::move(matchings), *pre,
+    views_.cache->Install(key, canon.query, std::move(materialization), *pre,
                           views_.version, views_.erase_stamp);
   }
   return pre;

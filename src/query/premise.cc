@@ -58,12 +58,8 @@ Result<std::vector<Query>> EliminatePremise(const Query& q,
 
   // Deduplicate by (head, body, constraints).
   std::sort(out.begin(), out.end(), [](const Query& a, const Query& b) {
-    if (a.head.triples() != b.head.triples()) {
-      return a.head.triples() < b.head.triples();
-    }
-    if (a.body.triples() != b.body.triples()) {
-      return a.body.triples() < b.body.triples();
-    }
+    if (a.head != b.head) return TriplesLess(a.head, b.head);
+    if (a.body != b.body) return TriplesLess(a.body, b.body);
     return a.constraints < b.constraints;
   });
   out.erase(std::unique(out.begin(), out.end(),

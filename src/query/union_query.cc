@@ -66,9 +66,7 @@ Result<std::vector<Graph>> CombineBranches(
     if (!part.ok()) return part.status();
     all.insert(all.end(), part->begin(), part->end());
   }
-  std::sort(all.begin(), all.end(), [](const Graph& a, const Graph& b) {
-    return a.triples() < b.triples();
-  });
+  std::sort(all.begin(), all.end(), TriplesLess);
   all.erase(std::unique(all.begin(), all.end()), all.end());
   return all;
 }

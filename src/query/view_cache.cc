@@ -1,93 +1,122 @@
 #include "query/view_cache.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <cassert>
 #include <utility>
 
 #include "query/answer.h"
-#include "util/hash.h"
 
 namespace swdb {
 namespace {
 
-// The (sorted) symmetric difference of two normalized graphs, split into
-// what `to` lost and gained relative to `from` — the delta every view is
-// patched by. One merge walk; O(|from| + |to|).
-void DiffSorted(const Graph& from, const Graph& to,
-                std::vector<Triple>* removed, std::vector<Triple>* added) {
-  auto i = from.begin();
-  const auto ie = from.end();
-  auto j = to.begin();
-  const auto je = to.end();
-  while (i != ie && j != je) {
-    const Triple a = *i;
-    const Triple b = *j;
-    if (a == b) {
-      ++i;
-      ++j;
-    } else if (a < b) {
-      removed->push_back(a);
-      ++i;
-    } else {
-      added->push_back(b);
-      ++j;
-    }
-  }
-  for (; i != ie; ++i) removed->push_back(*i);
-  for (; j != je; ++j) added->push_back(*j);
-}
-
-// Matches one body pattern triple against one ground delta triple:
-// variables bind consistently, constants must coincide. On success `out`
-// holds the (partial) seed valuation; on failure its contents are
-// unspecified — callers use a fresh map per attempt.
-bool Unify(const Triple& pattern, const Triple& data, TermMap* out) {
+// Whether a body pattern triple unifies with a ground delta triple:
+// constants coincide and a variable repeated across positions meets
+// equal terms. Allocation-free; SeedOf then builds the valuation.
+bool Unifies(const Triple& pattern, const Triple& data) {
   const Term ps[3] = {pattern.s, pattern.p, pattern.o};
   const Term ds[3] = {data.s, data.p, data.o};
   for (int i = 0; i < 3; ++i) {
-    if (ps[i].IsVar()) {
-      if (out->IsBound(ps[i])) {
-        if (out->Apply(ps[i]) != ds[i]) return false;
-      } else {
-        out->Bind(ps[i], ds[i]);
-      }
-    } else if (ps[i] != ds[i]) {
-      return false;
+    if (!ps[i].IsVar()) {
+      if (ps[i] != ds[i]) return false;
+      continue;
+    }
+    for (int j = 0; j < i; ++j) {
+      if (ps[j] == ps[i] && ds[j] != ds[i]) return false;
     }
   }
   return true;
 }
 
-// Whether any delta triple unifies with any body triple — the
-// "can this delta create or destroy a matching" test. Sound because a
-// matching appears (disappears) only when some body triple's image is an
-// added (removed) nf triple, and images are unifications.
-bool Touches(const std::vector<Triple>& body,
-             const std::vector<Triple>& delta) {
+// The (partial) valuation sending `pattern` onto `data`; requires
+// Unifies(pattern, data).
+TermMap SeedOf(const Triple& pattern, const Triple& data) {
+  TermMap seed;
+  const Term ps[3] = {pattern.s, pattern.p, pattern.o};
+  const Term ds[3] = {data.s, data.p, data.o};
+  for (int i = 0; i < 3; ++i) {
+    if (ps[i].IsVar()) seed.Bind(ps[i], ds[i]);
+  }
+  return seed;
+}
+
+// Whether some delta triple unifies with `pattern` — "can this delta
+// create or destroy an image of this body triple". Sound because a
+// matching appears (disappears) only when some body triple's image is
+// an added (removed) nf triple, and images are unifications.
+bool Touches(const Triple& pattern, const std::vector<Triple>& delta) {
   for (const Triple& d : delta) {
-    for (const Triple& b : body) {
-      TermMap scratch;
-      if (Unify(b, d, &scratch)) return true;
-    }
+    if (Unifies(pattern, d)) return true;
   }
   return false;
 }
 
-// A matching reduced to its value tuple over the sorted body variables —
-// the dedup identity of a valuation (a matching binds exactly these).
-std::vector<uint32_t> TupleBits(const TermMap& v,
-                                const std::vector<Term>& vars) {
-  std::vector<uint32_t> out;
-  out.reserve(vars.size());
-  for (Term x : vars) out.push_back(v.Apply(x).bits());
-  return out;
+// Whether every body triple's image under `m` is in `g` — a matching's
+// defining property.
+bool ImageIn(const TermMap& m, const std::vector<Triple>& body,
+             const Graph& g) {
+  for (const Triple& b : body) {
+    if (!g.Contains(m.Apply(b))) return false;
+  }
+  return true;
 }
 
-struct TupleHash {
-  size_t operator()(const std::vector<uint32_t>& t) const {
-    return HashRange(t.begin(), t.end(), size_t{0x7E57BEEF5ull});
+// Index of `answer` in the sorted, unique answer vector, or
+// answers.size() when it is not there.
+size_t AnswerIndex(const std::vector<Graph>& answers, const Graph& answer) {
+  const auto it =
+      std::lower_bound(answers.begin(), answers.end(), answer, TriplesLess);
+  if (it == answers.end() || *it != answer) return answers.size();
+  return static_cast<size_t>(it - answers.begin());
+}
+
+// A matching as its row of values on the sorted body variables, and
+// back. Rows compare lexicographically like ValuationLess on those
+// variables; the patch's delta-sized sets hold them as vectors.
+using Row = std::vector<Term>;
+
+Row RowOf(const TermMap& v, const std::vector<Term>& vars) {
+  Row row;
+  row.reserve(vars.size());
+  for (Term x : vars) row.push_back(v.Apply(x));
+  return row;
+}
+
+TermMap MapOf(const Term* row, const std::vector<Term>& vars) {
+  TermMap v;
+  for (size_t k = 0; k < vars.size(); ++k) v.Bind(vars[k], row[k]);
+  return v;
+}
+
+// A body triple with each position resolved to its variable's column
+// in the row (-1 for a constant), so images of stored rows cost no
+// lookups.
+struct BodySlot {
+  Triple pattern;
+  int col[3];
+
+  Triple ImageOf(const Term* row) const {
+    auto at = [&](int pos, Term t) {
+      return col[pos] < 0 ? t : row[static_cast<size_t>(col[pos])];
+    };
+    return Triple(at(0, pattern.s), at(1, pattern.p), at(2, pattern.o));
   }
 };
+
+std::vector<BodySlot> SlotsOf(const std::vector<Triple>& body,
+                              const std::vector<Term>& vars) {
+  std::vector<BodySlot> slots;
+  for (const Triple& b : body) {
+    BodySlot slot{b, {-1, -1, -1}};
+    const Term ps[3] = {b.s, b.p, b.o};
+    for (int pos = 0; pos < 3; ++pos) {
+      if (!ps[pos].IsVar()) continue;
+      slot.col[pos] = static_cast<int>(
+          std::lower_bound(vars.begin(), vars.end(), ps[pos]) - vars.begin());
+    }
+    slots.push_back(slot);
+  }
+  return slots;
+}
 
 }  // namespace
 
@@ -124,7 +153,7 @@ bool ViewCache::RecordMiss(const ViewKey& key) {
 }
 
 void ViewCache::Install(const ViewKey& key, const Query& canonical,
-                        std::vector<TermMap> matchings,
+                        Materialization materialization,
                         std::vector<Graph> answers, uint64_t prover_version,
                         uint64_t prover_stamp) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -138,13 +167,13 @@ void ViewCache::Install(const ViewKey& key, const Query& canonical,
     return;
   }
   if (entries_.size() >= options_.max_entries) return;
-  if (matchings.size() > options_.max_matchings) return;
+  if (materialization.rows > options_.max_matchings) return;
   auto [it, fresh] = entries_.try_emplace(key);
   if (!fresh) return;
   Entry& e = it->second;
   e.query = canonical;
   e.body_vars = canonical.body.Variables();
-  e.matchings = std::move(matchings);
+  e.table = std::move(materialization);
   e.answers = std::move(answers);
   e.version = version_;
   e.stamp = erase_stamp_;
@@ -174,7 +203,7 @@ void ViewCache::Maintain(const Graph& nf, uint64_t version, uint64_t stamp,
 
   std::vector<Triple> added;
   std::vector<Triple> removed;
-  DiffSorted(*base_nf_, nf, &removed, &added);
+  base_nf_->DiffTo(nf, &removed, &added);
 
   // Patch matchers must not share the caller's stats sink.
   MatchOptions patch_match = match;
@@ -200,8 +229,17 @@ bool ViewCache::PatchEntry(Entry* e, const std::vector<Triple>& added,
                            const Graph& nf, QueryEvaluator* evaluator,
                            const MatchOptions& match) {
   const std::vector<Triple> body = e->query.body.triples();
-  const bool add_touches = Touches(body, added);
-  const bool rem_touches = Touches(body, removed);
+  // Per body triple: can the delta create / destroy one of its images?
+  std::vector<char> gains(body.size());
+  std::vector<char> loses(body.size());
+  bool add_touches = false;
+  bool rem_touches = false;
+  for (size_t i = 0; i < body.size(); ++i) {
+    gains[i] = Touches(body[i], added);
+    loses[i] = Touches(body[i], removed);
+    add_touches |= gains[i] != 0;
+    rem_touches |= loses[i] != 0;
+  }
   if (!add_touches && !rem_touches) {
     // No delta triple can be the image of any body triple, so the
     // matching set — and hence the answer set — is unchanged.
@@ -209,99 +247,160 @@ bool ViewCache::PatchEntry(Entry* e, const std::vector<Triple>& added,
     return true;
   }
 
-  // Drop matchings whose image lost a triple. Checking against the new
-  // nf directly (rather than against `removed`) also keeps this correct
-  // when one mutation removes several triples of the same image.
-  std::vector<TermMap> kept;
-  kept.reserve(e->matchings.size());
+  // Drop matchings whose image lost a triple. Every stored image lies
+  // in the base nf, so an image left the nf iff one of its triples is
+  // in `removed` — and only images of body triples that unify with
+  // some removed triple can be. Survivors are compacted in place,
+  // keeping their sorted order.
+  Materialization& table = e->table;
+  const size_t width = table.width;
+  std::vector<Row> dropped;
   if (rem_touches) {
-    for (TermMap& m : e->matchings) {
+    const std::vector<BodySlot> slots = SlotsOf(body, e->body_vars);
+    size_t kept = 0;
+    for (size_t r = 0; r < table.rows; ++r) {
+      const Term* row = table.row(r);
       bool alive = true;
-      for (const Triple& b : body) {
-        if (!nf.Contains(m.Apply(b))) {
-          alive = false;
-          break;
+      for (size_t i = 0; i < body.size() && alive; ++i) {
+        alive = !loses[i] || !std::binary_search(removed.begin(),
+                                                 removed.end(),
+                                                 slots[i].ImageOf(row));
+      }
+      assert(alive == ImageIn(MapOf(row, e->body_vars), body, nf));
+      if (!alive) {
+        dropped.emplace_back(row, row + width);
+        continue;
+      }
+      if (kept != r) {
+        std::copy(row, row + width, table.values.data() + kept * width);
+      }
+      ++kept;
+    }
+    table.rows = kept;
+    table.values.resize(kept * width);
+    counters_.patch_removed += dropped.size();
+  }
+
+  // Semi-naive: every genuinely new matching maps at least one body
+  // triple onto an added nf triple, so seeding the matcher with each
+  // (body[i], added triple) unification enumerates a superset of the
+  // new matchings. No candidate can equal a survivor (its image holds
+  // an added triple, which the base nf lacked), so deduplication only
+  // runs over the candidates, which seeds may find more than once.
+  std::vector<Row> fresh;
+  for (size_t i = 0; i < body.size(); ++i) {
+    if (!gains[i]) continue;
+    for (const Triple& a : added) {
+      if (!Unifies(body[i], a)) continue;
+      const TermMap seed = SeedOf(body[i], a);
+      std::vector<Triple> specialized;
+      specialized.reserve(body.size());
+      for (const Triple& bt : body) specialized.push_back(seed.Apply(bt));
+      PatternMatcher matcher(std::move(specialized), &nf, match);
+      const Status status = matcher.Enumerate([&](const TermMap& mu) {
+        TermMap full;
+        for (Term var : e->body_vars) {
+          full.Bind(var, seed.IsBound(var) ? seed.Apply(var) : mu.Apply(var));
         }
-      }
-      if (alive) {
-        kept.push_back(std::move(m));
+        // The seed may bind variables to *blank* nf nodes, which the
+        // specialized pattern presents to the matcher as open terms
+        // (hom.h maps pattern blanks freely). The matcher can then
+        // succeed by sending such a blank elsewhere while `full` keeps
+        // the seed's literal binding — so re-check the candidate's
+        // image triple by triple before admitting it.
+        if (!ImageIn(full, body, nf)) return true;
+        if (!e->query.SatisfiesConstraints(full)) return true;
+        fresh.push_back(RowOf(full, e->body_vars));
+        return true;
+      });
+      // Budget exhausted mid-patch: the matching set is incomplete —
+      // never guess, invalidate (next request recomputes).
+      if (!status.ok()) return false;
+    }
+  }
+  std::sort(fresh.begin(), fresh.end());
+  fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
+  counters_.patch_added += fresh.size();
+
+  // Answers by multiplicity. The Skolem cache only grows, so a dropped
+  // matching re-derives exactly the answer it was counted for, and new
+  // matchings mint in the same (sorted) order a full re-derive would.
+  bool emptied = false;
+  for (const Row& m : dropped) {
+    if (std::optional<Graph> answer = evaluator->AnswerFromMatching(
+            e->query, e->body_vars, MapOf(m.data(), e->body_vars))) {
+      const size_t at = AnswerIndex(e->answers, *answer);
+      assert(at < e->answers.size() && table.counts[at] > 0);
+      emptied |= --table.counts[at] == 0;
+    }
+  }
+  std::vector<Graph> novel;
+  for (const Row& m : fresh) {
+    std::optional<Graph> answer = evaluator->AnswerFromMatching(
+        e->query, e->body_vars, MapOf(m.data(), e->body_vars));
+    if (!answer.has_value()) continue;
+    const size_t at = AnswerIndex(e->answers, *answer);
+    if (at < e->answers.size()) {
+      ++table.counts[at];
+    } else {
+      novel.push_back(*std::move(answer));
+    }
+  }
+  if (emptied || !novel.empty()) {
+    // One merge pass: drop answers no matching derives any more, and
+    // fold in the new ones (equal new answers collapse into one count).
+    std::sort(novel.begin(), novel.end(), TriplesLess);
+    std::vector<Graph> answers;
+    std::vector<uint32_t> counts;
+    answers.reserve(e->answers.size() + novel.size());
+    counts.reserve(answers.capacity());
+    // A novel answer equals no resident one, so equal novel answers
+    // are the only neighbours to collapse.
+    size_t i = 0;
+    size_t j = 0;
+    while (i < e->answers.size() || j < novel.size()) {
+      if (j < novel.size() && (i == e->answers.size() ||
+                               TriplesLess(novel[j], e->answers[i]))) {
+        if (!answers.empty() && answers.back() == novel[j]) {
+          ++counts.back();
+        } else {
+          answers.push_back(std::move(novel[j]));
+          counts.push_back(1);
+        }
+        ++j;
       } else {
-        ++counters_.patch_removed;
+        if (table.counts[i] > 0) {
+          answers.push_back(std::move(e->answers[i]));
+          counts.push_back(table.counts[i]);
+        }
+        ++i;
       }
     }
-  } else {
-    kept = std::move(e->matchings);
+    e->answers = std::move(answers);
+    table.counts = std::move(counts);
   }
 
-  if (add_touches) {
-    // Semi-naive: every genuinely new matching maps at least one body
-    // triple onto an added nf triple, so seeding the matcher with each
-    // (body[i], added triple) unification enumerates a superset of the
-    // new matchings; the seen-set removes overlap with survivors and
-    // across seeds.
-    std::unordered_set<std::vector<uint32_t>, TupleHash> seen;
-    seen.reserve(kept.size());
-    for (const TermMap& m : kept) seen.insert(TupleBits(m, e->body_vars));
-    for (const Triple& b : body) {
-      for (const Triple& a : added) {
-        TermMap seed;
-        if (!Unify(b, a, &seed)) continue;
-        std::vector<Triple> specialized;
-        specialized.reserve(body.size());
-        for (const Triple& bt : body) specialized.push_back(seed.Apply(bt));
-        PatternMatcher matcher(std::move(specialized), &nf, match);
-        const Status status = matcher.Enumerate([&](const TermMap& mu) {
-          TermMap full;
-          for (Term var : e->body_vars) {
-            full.Bind(var, seed.IsBound(var) ? seed.Apply(var)
-                                             : mu.Apply(var));
-          }
-          // The seed may bind variables to *blank* nf nodes, which the
-          // specialized pattern presents to the matcher as open terms
-          // (hom.h maps pattern blanks freely). The matcher can then
-          // succeed by sending such a blank elsewhere while `full` keeps
-          // the seed's literal binding — so re-check the candidate's
-          // image triple by triple before admitting it.
-          for (const Triple& bt : body) {
-            if (!nf.Contains(full.Apply(bt))) return true;
-          }
-          if (!e->query.SatisfiesConstraints(full)) return true;
-          std::vector<uint32_t> tuple = TupleBits(full, e->body_vars);
-          if (seen.insert(std::move(tuple)).second) {
-            kept.push_back(std::move(full));
-            ++counters_.patch_added;
-          }
-          return true;
-        });
-        // Budget exhausted mid-patch: the matching set is incomplete —
-        // never guess, invalidate (next request recomputes).
-        if (!status.ok()) return false;
-      }
+  // Merge the sorted new rows into the sorted survivors in place, from
+  // the back: each step moves the larger tail row to its final slot,
+  // never over a survivor still to be read.
+  size_t i = table.rows;
+  size_t j = fresh.size();
+  table.rows += fresh.size();
+  table.values.resize(table.rows * width);
+  for (size_t k = table.rows; j > 0; --k) {
+    const Row& next = fresh[j - 1];
+    const Term* survivor = i > 0 ? table.row(i - 1) : nullptr;
+    const bool take_survivor =
+        i > 0 && std::lexicographical_compare(next.begin(), next.end(),
+                                              survivor, survivor + width);
+    const Term* from = take_survivor ? survivor : next.data();
+    if (take_survivor) {
+      --i;
+    } else {
+      --j;
     }
-    std::sort(kept.begin(), kept.end(),
-              [e](const TermMap& x, const TermMap& y) {
-                return ValuationLess(x, y, e->body_vars);
-              });
+    std::copy(from, from + width, table.values.data() + (k - 1) * width);
   }
-
-  // Re-derive the answer vector from the patched matching set, exactly
-  // the way the from-scratch path does (same Skolem functions, same
-  // sort, same dedup) — this is what makes replays bit-identical.
-  std::vector<Graph> answers;
-  answers.reserve(kept.size());
-  for (const TermMap& m : kept) {
-    std::optional<Graph> answer =
-        evaluator->AnswerFromMatching(e->query, e->body_vars, m);
-    if (answer.has_value()) answers.push_back(*std::move(answer));
-  }
-  std::sort(answers.begin(), answers.end(),
-            [](const Graph& a, const Graph& b) {
-              return a.triples() < b.triples();
-            });
-  answers.erase(std::unique(answers.begin(), answers.end()), answers.end());
-
-  e->matchings = std::move(kept);
-  e->answers = std::move(answers);
   ++counters_.patches;
   return true;
 }
@@ -327,13 +426,21 @@ uint64_t ViewCache::erase_stamp() const {
   return erase_stamp_;
 }
 
+std::optional<Materialization> ViewCache::StoredMaterialization(
+    const ViewKey& key) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.find(key);
+  if (it == entries_.end()) return std::nullopt;
+  return it->second.table;
+}
+
 ViewCacheStats ViewCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   ViewCacheStats out = counters_;
   out.entries = entries_.size();
   out.shapes_tracked = shape_counts_.size();
   out.matchings = 0;
-  for (const auto& [key, e] : entries_) out.matchings += e.matchings.size();
+  for (const auto& [key, e] : entries_) out.matchings += e.table.rows;
   out.version = version_;
   out.erase_stamp = erase_stamp_;
   return out;

@@ -19,6 +19,21 @@ namespace swdb {
 class QueryEvaluator;
 class ViewCache;
 
+/// A view's materialization, as QueryEvaluator::PreAnswerPrenormalized
+/// captures it and ViewCache stores and patches it: every
+/// constraint-satisfying body valuation as one row-major table of its
+/// values on the query's sorted body variables, rows in ValuationLess
+/// order, and for each answer of the (sorted, unique) answer vector the
+/// number of valuations that derive it.
+struct Materialization {
+  size_t width = 0;              ///< body variables per row
+  size_t rows = 0;               ///< valuations (width may be 0)
+  std::vector<Term> values;      ///< rows × width, row-major
+  std::vector<uint32_t> counts;  ///< per answer: deriving valuations
+
+  const Term* row(size_t r) const { return values.data() + r * width; }
+};
+
 /// Tuning knobs of the materialized pre-answer view layer.
 struct ViewCacheOptions {
   /// Master switch; off routes every PreAnswer to the matcher.
@@ -81,13 +96,17 @@ struct ViewCacheRef {
 /// unrelated insertion, so the closure cone alone under-approximates
 /// the set of views whose answers move (see DESIGN.md). The first
 /// current snapshot to need its nf calls Maintain with it; the cache
-/// diffs it against the nf its entries reflect and, per view,
+/// diffs it against the nf its entries reflect leaf by leaf (shared
+/// spine leaves are skipped unread) and, per view,
 ///  - revalidates it untouched when no added or removed nf triple
 ///    unifies with any body triple (no valuation can appear or die);
-///  - patches it otherwise: stored matchings whose image lost a triple
-///    are dropped, new matchings are found semi-naively by seeding the
-///    matcher with each (body triple, added triple) unification, and
-///    the answer vector is re-derived from the matching set;
+///  - patches it otherwise: a stored matching dies iff the image of a
+///    body triple that unifies with some removed triple is in the
+///    removed set; new matchings are found semi-naively by seeding the
+///    matcher with each (body triple, added triple) unification and
+///    merged into the sorted survivors; and the answers move by their
+///    multiplicities (how many stored matchings derive each), so only
+///    the dropped and the new matchings derive answers;
 ///  - invalidates it if the patch exhausts the match budget.
 ///
 /// Fencing: entries record the nf version and the erase stamp they were
@@ -122,11 +141,10 @@ class ViewCache {
   /// Offers a freshly materialized view proven against the normalized
   /// graph at (prover_version, prover_stamp). Dropped silently when the
   /// cache has moved on, the entry already exists, or the view exceeds
-  /// the size caps. `matchings` must be the constraint-satisfying
-  /// valuations in the evaluator's sorted order and `answers` the
-  /// pre-answer vector derived from them.
+  /// the size caps. `materialization` and `answers` must be what
+  /// PreAnswerPrenormalized captured and returned for `canonical`.
   void Install(const ViewKey& key, const Query& canonical,
-               std::vector<TermMap> matchings, std::vector<Graph> answers,
+               Materialization materialization, std::vector<Graph> answers,
                uint64_t prover_version, uint64_t prover_stamp);
 
   /// Maintenance: brings every view from the nf the cache
@@ -152,13 +170,19 @@ class ViewCache {
   /// Current fence stamp (what a snapshot published now captures).
   uint64_t erase_stamp() const;
 
+  /// The stored materialization of the view for `key`, if one exists —
+  /// what maintenance patches; parity checks compare it with a
+  /// from-scratch capture.
+  std::optional<Materialization> StoredMaterialization(
+      const ViewKey& key) const;
+
   ViewCacheStats stats() const;
 
  private:
   struct Entry {
     Query query;                     // canonical spelling (view_key.h)
     std::vector<Term> body_vars;     // sorted body variables
-    std::vector<TermMap> matchings;  // constraint-passing valuations
+    Materialization table;           // matchings + answer counts
     std::vector<Graph> answers;      // derived pre-answers, sorted+unique
     uint64_t version = 0;            // nf version this view reflects
     uint64_t stamp = 0;              // fence stamp at write/last patch

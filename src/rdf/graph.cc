@@ -218,6 +218,10 @@ bool Graph::operator==(const Graph& other) const {
   return spo_.EqualContents(other.spo_);
 }
 
+bool TriplesLess(const Graph& a, const Graph& b) {
+  return a.spo_.LexLess(b.spo_);
+}
+
 bool Graph::IsSubgraphOf(const Graph& other) const {
   if (size() > other.size()) return false;
   // Merge-walk of two sorted streams (std::includes over input
@@ -240,6 +244,28 @@ bool Graph::IsSubgraphOf(const Graph& other) const {
     }
   }
   return true;
+}
+
+size_t Graph::DiffTo(const Graph& to, std::vector<Triple>* removed,
+                     std::vector<Triple>* added) const {
+  std::vector<SpineKey> lost;
+  std::vector<SpineKey> gained;
+  const size_t read = spo_.Diff(to.spo_, &lost, &gained);
+  for (const SpineKey& k : lost) removed->push_back(TripleOfSpoKey(k));
+  for (const SpineKey& k : gained) added->push_back(TripleOfSpoKey(k));
+  return read;
+}
+
+MatchRange Graph::KindRun(int pos, TermKind kind) const {
+  const uint32_t lo_bits = static_cast<uint32_t>(kind) << 30;
+  const uint32_t hi_bits = (static_cast<uint32_t>(kind) + 1) << 30;
+  auto run = [&](const Spine& ix, IndexOrder order) {
+    return MatchRange::Over(&ix, ix.LowerBound({lo_bits, 0, 0}),
+                            ix.LowerBound({hi_bits, 0, 0}), order);
+  };
+  if (pos == 0) return run(spo_, IndexOrder::kSpo);
+  EnsureIndexes();
+  return pos == 1 ? run(pso_, IndexOrder::kPso) : run(osp_, IndexOrder::kOsp);
 }
 
 std::vector<Term> Graph::Universe() const {

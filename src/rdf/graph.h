@@ -228,9 +228,10 @@ class MatchRange {
 class Graph {
  public:
   /// Iterates the primary spine in (s,p,o) order, materializing each
-  /// triple from the leaf columns. Single-pass semantics (operator*
-  /// returns a reference into iterator-owned scratch); operator+ /
-  /// operator- support positional slicing.
+  /// triple from the cached leaf's columns (one leaf lookup per leaf,
+  /// not per element). Single-pass semantics (operator* returns a
+  /// reference into iterator-owned scratch); operator+ / operator-
+  /// support positional slicing.
   class const_iterator {
    public:
     using iterator_category = std::input_iterator_tag;
@@ -242,15 +243,16 @@ class Graph {
     const_iterator() = default;
 
     const Triple& operator*() const {
-      const SpineKey k = spine_->At(idx_);
-      scratch_.s = Term::FromBits(k[0]);
-      scratch_.p = Term::FromBits(k[1]);
-      scratch_.o = Term::FromBits(k[2]);
+      const size_t i = idx_ - leaf_base_;
+      scratch_.s = Term::FromBits(col_s_[i]);
+      scratch_.p = Term::FromBits(col_p_[i]);
+      scratch_.o = Term::FromBits(col_o_[i]);
       return scratch_;
     }
     const Triple* operator->() const { return &**this; }
     const_iterator& operator++() {
       ++idx_;
+      if (idx_ == leaf_end_ && idx_ < spine_->size()) LoadLeaf(leaf_ + 1);
       return *this;
     }
     const_iterator operator+(difference_type d) const {
@@ -266,10 +268,27 @@ class Graph {
    private:
     friend class Graph;
     const_iterator(const Spine* spine, size_t idx)
-        : spine_(spine), idx_(idx) {}
+        : spine_(spine), idx_(idx) {
+      if (idx_ < spine_->size()) LoadLeaf(spine_->LeafIndexOf(idx_));
+    }
+    void LoadLeaf(size_t li) {
+      const SpineLeaf& leaf = spine_->leaf(li);
+      leaf_ = li;
+      leaf_base_ = spine_->leaf_start(li);
+      leaf_end_ = leaf_base_ + leaf.size();
+      col_s_ = leaf.k0.data();
+      col_p_ = leaf.k1.data();
+      col_o_ = leaf.k2.data();
+    }
 
     const Spine* spine_ = nullptr;
-    size_t idx_ = 0;
+    size_t idx_ = 0;        // current global slot
+    size_t leaf_ = 0;       // index of the cached leaf
+    size_t leaf_base_ = 0;  // global slot of the cached leaf's start
+    size_t leaf_end_ = 0;   // global slot one past the cached leaf
+    const uint32_t* col_s_ = nullptr;  // cached leaf columns
+    const uint32_t* col_p_ = nullptr;
+    const uint32_t* col_o_ = nullptr;
     mutable Triple scratch_;
   };
 
@@ -310,8 +329,24 @@ class Graph {
   bool operator==(const Graph& other) const;
   bool operator!=(const Graph& other) const { return !(*this == other); }
 
+  friend bool TriplesLess(const Graph& a, const Graph& b);
+
   /// True if *this ⊆ other as sets of triples (i.e. *this is a subgraph).
   bool IsSubgraphOf(const Graph& other) const;
+
+  /// The sorted symmetric difference with `to`, split into the triples
+  /// `to` lost (*removed) and gained (*added) relative to *this. Primary
+  /// leaves the two graphs share at the same position are skipped
+  /// unread (see Spine::Diff), so the cost follows the leaves that
+  /// differ. Returns the number of triples read.
+  size_t DiffTo(const Graph& to, std::vector<Triple>* removed,
+                std::vector<Triple>* added) const;
+
+  /// The triples whose position `pos` (0=s, 1=p, 2=o) holds a term of
+  /// `kind`: one contiguous run of the order led by that position
+  /// (spo, pso or osp; kinds occupy disjoint bit ranges). Builds stale
+  /// permutation spines for pos 1 and 2, like Matches.
+  MatchRange KindRun(int pos, TermKind kind) const;
 
   /// universe(G): all elements of UB (and variables, for patterns)
   /// occurring in some triple. Sorted ascending.
@@ -405,6 +440,10 @@ class Graph {
   RelaxedCounter rows_scanned_;
   RelaxedCounter rows_yielded_;
 };
+
+/// a.triples() < b.triples(), computed by one walk over the two primary
+/// spines with no allocation — the order of answer vectors.
+bool TriplesLess(const Graph& a, const Graph& b);
 
 }  // namespace swdb
 

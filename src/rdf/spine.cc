@@ -291,6 +291,92 @@ bool Spine::EqualContents(const Spine& other) const {
   return true;
 }
 
+bool Spine::LexLess(const Spine& other) const {
+  // Leaves are never empty, so a leaf index past the end means the
+  // sequence is exhausted.
+  size_t ai = 0, ao = 0;
+  size_t bi = 0, bo = 0;
+  for (;;) {
+    if (bi == other.leaves_.size()) return false;
+    if (ai == leaves_.size()) return true;
+    const SpineLeaf& la = *leaves_[ai];
+    const SpineLeaf& lb = *other.leaves_[bi];
+    if (ao == 0 && bo == 0 && &la == &lb) {
+      ++ai;
+      ++bi;
+      continue;
+    }
+    const SpineKey ka = la.at(ao);
+    const SpineKey kb = lb.at(bo);
+    if (ka != kb) return ka < kb;
+    if (++ao == la.size()) {
+      ++ai;
+      ao = 0;
+    }
+    if (++bo == lb.size()) {
+      ++bi;
+      bo = 0;
+    }
+  }
+}
+
+size_t Spine::Diff(const Spine& to, std::vector<SpineKey>* removed,
+                   std::vector<SpineKey>* added) const {
+  // A leaf both spines share holds the same keys on both sides, and
+  // everything below its first key lies in earlier leaves on both
+  // sides, so the merge reaches it at offset 0 on both cursors at once.
+  size_t read = 0;
+  size_t ai = 0, ao = 0;
+  size_t bi = 0, bo = 0;
+  const size_t an = leaves_.size();
+  const size_t bn = to.leaves_.size();
+  while (ai < an && bi < bn) {
+    const SpineLeaf& la = *leaves_[ai];
+    const SpineLeaf& lb = *to.leaves_[bi];
+    if (ao == 0 && bo == 0 && &la == &lb) {
+      ++ai;
+      ++bi;
+      continue;
+    }
+    // Merge the two current leaves until one of them runs out.
+    const size_t ae = la.size();
+    const size_t be = lb.size();
+    const size_t a0 = ao, b0 = bo;
+    while (ao < ae && bo < be) {
+      const SpineKey ka = la.at(ao);
+      const SpineKey kb = lb.at(bo);
+      if (ka == kb) {
+        ++ao;
+        ++bo;
+      } else if (ka < kb) {
+        removed->push_back(ka);
+        ++ao;
+      } else {
+        added->push_back(kb);
+        ++bo;
+      }
+    }
+    read += (ao - a0) + (bo - b0);
+    if (ao == ae) {
+      ++ai;
+      ao = 0;
+    }
+    if (bo == be) {
+      ++bi;
+      bo = 0;
+    }
+  }
+  for (; ai < an; ++ai, ao = 0) {
+    const SpineLeaf& la = *leaves_[ai];
+    for (; ao < la.size(); ++ao, ++read) removed->push_back(la.at(ao));
+  }
+  for (; bi < bn; ++bi, bo = 0) {
+    const SpineLeaf& lb = *to.leaves_[bi];
+    for (; bo < lb.size(); ++bo, ++read) added->push_back(lb.at(bo));
+  }
+  return read;
+}
+
 size_t Spine::CountSharedLeavesWith(const Spine& other) const {
   std::unordered_set<const SpineLeaf*> theirs;
   theirs.reserve(other.leaves_.size() * 2);

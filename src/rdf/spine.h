@@ -103,6 +103,20 @@ class Spine {
   /// aligned shared leaves compare by pointer in O(1).
   bool EqualContents(const Spine& other) const;
 
+  /// Lexicographic order of the two key sequences (std::vector-style
+  /// `<` over the flattened entries), walked leaf by leaf without
+  /// materializing either side.
+  bool LexLess(const Spine& other) const;
+
+  /// The sorted set difference with `to`: appends to *removed the keys
+  /// only this spine holds and to *added the keys only `to` holds. A
+  /// merge walk over both leaf sequences that skips, unread, every leaf
+  /// the two spines share at the same position — so the cost follows
+  /// the leaves a mutation touched, not the spine. Returns the number
+  /// of entries read (both sides).
+  size_t Diff(const Spine& to, std::vector<SpineKey>* removed,
+              std::vector<SpineKey>* added) const;
+
  private:
   // Index of the leaf a key belongs to (the last leaf whose first key
   // is <= key), or 0 when the key precedes everything.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -415,6 +417,79 @@ TEST(BlankComponents, DeepBlankChainDoesNotOverflowTheStack) {
   std::vector<std::vector<Triple>> components = BlankComponents(g);
   ASSERT_EQ(components.size(), 1u);
   EXPECT_EQ(components[0].size(), g.size());
+}
+
+// The full-walk partition BlankComponents reads by blank runs instead:
+// union-find over every triple of g in (s,p,o) order, components in
+// order of first appearance.
+std::vector<std::vector<Triple>> FullWalkBlankComponents(const Graph& g) {
+  std::map<Term, Term> parent;
+  std::function<Term(Term)> find = [&](Term x) {
+    auto it = parent.find(x);
+    if (it == parent.end() || it->second == x) return x;
+    return it->second = find(it->second);
+  };
+  for (const Triple& t : g) {
+    if (t.s.IsBlank() && t.o.IsBlank()) {
+      const Term ra = find(t.s);
+      const Term rb = find(t.o);
+      if (ra != rb) parent[ra] = rb;
+    }
+  }
+  std::map<Term, size_t> index;
+  std::vector<std::vector<Triple>> out;
+  for (const Triple& t : g) {
+    if (t.IsGround()) continue;
+    const auto [it, fresh] =
+        index.try_emplace(find(t.s.IsBlank() ? t.s : t.o), out.size());
+    if (fresh) out.emplace_back();
+    out[it->second].push_back(t);
+  }
+  return out;
+}
+
+TEST(BlankComponents, BlankRunsMatchTheFullWalk) {
+  // Blank subjects only, blank objects only, and both, each over enough
+  // ground triples to span many leaves on either side of the blank run.
+  Dictionary dict;
+  for (int shape = 0; shape < 3; ++shape) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      Rng rng(seed * 31 + static_cast<uint64_t>(shape));
+      std::vector<Term> iris, blanks;
+      for (int i = 0; i < 60; ++i) {
+        iris.push_back(dict.Iri("bc" + std::to_string(i)));
+        blanks.push_back(dict.Blank("bc" + std::to_string(i)));
+      }
+      const bool blank_s = shape != 1;
+      const bool blank_o = shape != 0;
+      Graph g;
+      for (int i = 0; i < 6000; ++i) {
+        const Term p = iris[rng.Below(4)];
+        Term s = iris[rng.Below(iris.size())];
+        Term o = iris[rng.Below(iris.size())];
+        if (rng.Below(8) == 0) {
+          if (blank_s && (!blank_o || rng.Below(2) == 0)) {
+            s = blanks[rng.Below(blanks.size())];
+          }
+          if (blank_o && (!blank_s || rng.Below(2) == 0 || !s.IsBlank())) {
+            o = blanks[rng.Below(blanks.size())];
+          }
+        }
+        g.Insert(Triple(s, p, o));
+      }
+      const std::vector<std::vector<Triple>> want = FullWalkBlankComponents(g);
+      ASSERT_FALSE(want.empty());
+      EXPECT_EQ(BlankComponents(g), want) << "shape " << shape;
+      // A closure whose permutation spines are already built reads the
+      // same runs.
+      g.WarmIndexes();
+      EXPECT_EQ(BlankComponents(g), want) << "shape " << shape;
+    }
+  }
+  Graph ground;
+  ground.Insert(Triple(dict.Iri("g1"), dict.Iri("g2"), dict.Iri("g3")));
+  EXPECT_TRUE(BlankComponents(ground).empty());
+  EXPECT_TRUE(BlankComponents(Graph()).empty());
 }
 
 TEST(Core, BudgetAwareVariantReportsExhaustion) {

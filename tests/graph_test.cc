@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <array>
+#include <iterator>
 #include <random>
+#include <set>
 
 #include "parser/text.h"
 #include "testutil.h"
@@ -452,6 +454,190 @@ TEST(GraphSpine, MutationFuzzMatchesFromScratchBuild) {
     EXPECT_GE(g.CountMatches(t.s, t.p, std::nullopt), 1u);
     EXPECT_GE(g.CountMatches(std::nullopt, t.p, t.o), 1u);
     EXPECT_EQ(g.CountMatches(t.s, t.p, t.o), 1u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Spine::Diff, Spine::LexLess and the leaf-walking iterator.
+
+SpineKey RandomKey(std::mt19937* rng) {
+  return {static_cast<uint32_t>((*rng)() % 900),
+          static_cast<uint32_t>((*rng)() % 5),
+          static_cast<uint32_t>((*rng)() % 900)};
+}
+
+Spine SpineOf(const std::set<SpineKey>& keys) {
+  Spine s;
+  s.BulkBuild(std::vector<SpineKey>(keys.begin(), keys.end()));
+  return s;
+}
+
+// The reference the leaf diff must reproduce: std::set_difference both
+// ways over the flattened key sequences.
+void ExpectDiffMatchesBruteForce(const Spine& from, const Spine& to) {
+  std::vector<SpineKey> removed, added;
+  from.Diff(to, &removed, &added);
+  const std::vector<SpineKey> a = from.Keys();
+  const std::vector<SpineKey> b = to.Keys();
+  std::vector<SpineKey> want_removed, want_added;
+  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
+                      std::back_inserter(want_removed));
+  std::set_difference(b.begin(), b.end(), a.begin(), a.end(),
+                      std::back_inserter(want_added));
+  EXPECT_EQ(removed, want_removed);
+  EXPECT_EQ(added, want_added);
+}
+
+TEST(SpineDiff, FullySharedSpinesDiffEmptyWithoutReadingALeaf) {
+  std::mt19937 rng(7);
+  std::set<SpineKey> keys;
+  while (keys.size() < 6000) keys.insert(RandomKey(&rng));
+  const Spine a = SpineOf(keys);
+  const Spine b = a;  // every leaf shared, at the same position
+  ASSERT_GT(a.leaf_count(), 4u);
+  std::vector<SpineKey> removed, added;
+  EXPECT_EQ(a.Diff(b, &removed, &added), 0u);
+  EXPECT_TRUE(removed.empty());
+  EXPECT_TRUE(added.empty());
+}
+
+TEST(SpineDiff, OneLeafSplitReadsOnlyTheDivergedLeaves) {
+  std::mt19937 rng(11);
+  std::set<SpineKey> keys;
+  while (keys.size() < 8000) keys.insert(RandomKey(&rng));
+  const Spine from = SpineOf(keys);
+  Spine to = from;
+  // Grow one key region until its leaf splits; every other leaf stays
+  // shared and aligned.
+  const SpineKey base = from.At(from.size() / 2);
+  size_t inserted = 0;
+  for (uint32_t i = 0; to.leaf_count() == from.leaf_count(); ++i) {
+    if (to.Insert({base[0], base[1], 1000000 + i})) ++inserted;
+  }
+  ASSERT_EQ(to.leaf_count(), from.leaf_count() + 1);
+  ExpectDiffMatchesBruteForce(from, to);
+  ExpectDiffMatchesBruteForce(to, from);
+  std::vector<SpineKey> removed, added;
+  const size_t read = from.Diff(to, &removed, &added);
+  EXPECT_EQ(added.size(), inserted);
+  EXPECT_TRUE(removed.empty());
+  // The old leaf plus its two halves, not the spine.
+  EXPECT_LE(read, 3 * Spine::kLeafMax);
+  EXPECT_LT(read, from.size() / 2);
+}
+
+TEST(SpineDiff, UnsharedCopiesWithEqualContentsDiffEmpty) {
+  std::mt19937 rng(13);
+  std::set<SpineKey> keys;
+  while (keys.size() < 5000) keys.insert(RandomKey(&rng));
+  const Spine bulk = SpineOf(keys);
+  Spine incremental;  // same contents, different leaf boundaries
+  for (const SpineKey& k : keys) incremental.Insert(k);
+  ASSERT_EQ(bulk.CountSharedLeavesWith(incremental), 0u);
+  std::vector<SpineKey> removed, added;
+  EXPECT_EQ(bulk.Diff(incremental, &removed, &added),
+            bulk.size() + incremental.size());
+  EXPECT_TRUE(removed.empty());
+  EXPECT_TRUE(added.empty());
+}
+
+TEST(SpineDiff, EmptyOnEitherSide) {
+  std::mt19937 rng(17);
+  std::set<SpineKey> keys;
+  while (keys.size() < 3000) keys.insert(RandomKey(&rng));
+  const Spine full = SpineOf(keys);
+  const Spine empty;
+  ExpectDiffMatchesBruteForce(full, empty);
+  ExpectDiffMatchesBruteForce(empty, full);
+  ExpectDiffMatchesBruteForce(empty, empty);
+}
+
+TEST(SpineDiff, RandomMutationsOfASharedCopyMatchBruteForce) {
+  for (uint32_t seed = 1; seed <= 12; ++seed) {
+    std::mt19937 rng(seed);
+    std::set<SpineKey> keys;
+    const size_t n = 200 + rng() % 9000;
+    while (keys.size() < n) keys.insert(RandomKey(&rng));
+    const Spine from = SpineOf(keys);
+    Spine to = from;
+    // A clustered burst (splits and empties leaves) plus scattered
+    // single edits.
+    const int edits = static_cast<int>(rng() % 3000);
+    for (int i = 0; i < edits; ++i) {
+      const SpineKey k = RandomKey(&rng);
+      if (rng() % 3 == 0) {
+        to.Erase(k);
+        to.Erase(to.At(rng() % std::max<size_t>(1, to.size())));
+      } else {
+        to.Insert(k);
+      }
+      if (to.empty()) break;
+    }
+    ExpectDiffMatchesBruteForce(from, to);
+    ExpectDiffMatchesBruteForce(to, from);
+  }
+}
+
+TEST(SpineLexLess, AgreesWithVectorOrder) {
+  std::mt19937 rng(19);
+  std::vector<Graph> graphs;
+  for (int i = 0; i < 120; ++i) {
+    std::vector<Triple> ts;
+    const size_t n = rng() % 4 == 0 ? 3000 + rng() % 3000 : rng() % 4;
+    for (size_t j = 0; j < n; ++j) {
+      ts.push_back(Triple(Term::Iri(rng() % 5), Term::Iri(rng() % 2),
+                          Term::Iri(rng() % (n < 4 ? 3 : 900))));
+    }
+    graphs.emplace_back(std::move(ts));
+  }
+  graphs.push_back(graphs[7]);  // a leaf-sharing copy
+  graphs.push_back(graphs.back());
+  graphs.back().Insert(Triple(Term::Iri(9), Term::Iri(9), Term::Iri(9)));
+  for (const Graph& a : graphs) {
+    for (const Graph& b : graphs) {
+      ASSERT_EQ(TriplesLess(a, b), a.triples() < b.triples());
+    }
+  }
+}
+
+TEST(GraphIterator, WalksLeavesAndSlicesAcrossThem) {
+  Graph g;
+  for (uint32_t i = 0; i < 7000; ++i) {
+    g.Insert(Triple(Term::Iri(i % 901), Term::Iri(i % 3), Term::Iri(i)));
+  }
+  const std::vector<Triple> all = g.triples();
+  std::vector<Triple> walked(g.begin(), g.end());
+  EXPECT_EQ(walked, all);
+  for (size_t from : {size_t{0}, size_t{1}, size_t{1023}, size_t{1024},
+                      size_t{4097}, all.size() - 1, all.size()}) {
+    const auto offset = static_cast<std::ptrdiff_t>(from);
+    const Graph::const_iterator it = g.begin() + offset;
+    EXPECT_EQ(static_cast<size_t>(it - g.begin()), from);
+    EXPECT_EQ(std::vector<Triple>(it, g.end()),
+              std::vector<Triple>(all.begin() + offset, all.end()));
+  }
+}
+
+TEST(GraphKindRun, HoldsExactlyTheTriplesWithThatKindAtThePosition) {
+  std::mt19937 rng(23);
+  Graph g;
+  auto term = [&]() {
+    return rng() % 3 == 0 ? Term::Blank(rng() % 40) : Term::Iri(rng() % 40);
+  };
+  for (int i = 0; i < 5000; ++i) {
+    g.Insert(Triple(term(), Term::Iri(rng() % 4), term()));
+  }
+  for (int pos = 0; pos < 3; ++pos) {
+    for (TermKind kind : {TermKind::kIri, TermKind::kBlank, TermKind::kVar}) {
+      std::set<Triple> got;
+      for (const Triple& t : g.KindRun(pos, kind)) got.insert(t);
+      std::set<Triple> want;
+      for (const Triple& t : g) {
+        const Term x = pos == 0 ? t.s : pos == 1 ? t.p : t.o;
+        if (x.kind() == kind) want.insert(t);
+      }
+      EXPECT_EQ(got, want) << "pos " << pos;
+    }
   }
 }
 

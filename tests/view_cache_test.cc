@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "query/answer.h"
 #include "query/database.h"
 #include "query/query.h"
 #include "query/union_query.h"
@@ -285,6 +287,45 @@ TEST(ViewCacheDatabase, EraseEmptyingTheNfPatchesViewsToEmpty) {
   EXPECT_EQ(*revived, *scratch2);
 }
 
+TEST(ViewCacheDatabase, ProjectedAnswerLivesUntilItsLastMatchingDies) {
+  // "a has p" is derived by two matchings (Y = b and Y = c): it must
+  // survive the first one's death and go with the second's. Then one
+  // commit erases and inserts at once.
+  Dictionary dict;
+  Database db(&dict, EagerViews());
+  ASSERT_TRUE(db.InsertText("a p b .\na p c .\nd p e .\n").ok());
+  Query q = Q(&dict,
+              "head: ?X has p .\n"
+              "body: ?X p ?Y .\n");
+  auto expect_fresh = [&](size_t size) {
+    Result<std::vector<Graph>> cached = db.PreAnswer(q);
+    ASSERT_TRUE(cached.ok());
+    Result<std::vector<Graph>> scratch =
+        db.evaluator()->PreAnswer(q, db.graph());
+    ASSERT_TRUE(scratch.ok());
+    EXPECT_EQ(*cached, *scratch);
+    EXPECT_EQ(cached->size(), size);
+  };
+  expect_fresh(2);  // installs the view
+  const Term a = dict.Iri("a");
+  const Term p = dict.Iri("p");
+  db.Erase(Triple(a, p, dict.Iri("b")));
+  expect_fresh(2);
+  db.Erase(Triple(a, p, dict.Iri("c")));
+  expect_fresh(1);
+  MutationBatch batch;
+  batch.Insert(Triple(a, p, dict.Iri("f")));
+  batch.Erase(Triple(dict.Iri("d"), p, dict.Iri("e")));
+  db.Apply(batch);
+  expect_fresh(1);
+
+  DatabaseStats stats = db.CollectStats();
+  EXPECT_EQ(stats.views.installs, 1u);
+  EXPECT_GE(stats.views.patches, 3u);
+  EXPECT_EQ(stats.views.invalidations, 0u);
+  EXPECT_EQ(stats.views.hits, 3u);  // every read after the install
+}
+
 TEST(ViewCacheDatabase, HeadBlankAnswersReplayTheSameSkolemMints) {
   Dictionary dict;
   Database db(&dict, EagerViews());
@@ -540,6 +581,132 @@ TEST(ViewCacheFuzz, CachedEqualsFromScratchAcrossInterleavedMutations) {
     EXPECT_GT(stats.views.installs, 0u) << "seed " << seed;
     EXPECT_GT(stats.views.patches + stats.views.revalidations, 0u)
         << "seed " << seed;
+  }
+}
+
+// Projections: several matchings derive one answer, so answers must
+// move by their multiplicities. Variable predicates and the blanks of
+// the universe give blank-valued seeds.
+std::vector<Query> ProjectionQueries(Dictionary* dict) {
+  std::vector<Query> queries;
+  queries.push_back(Q(dict,
+                      "head: ?X hasOut u:x .\n"
+                      "body: ?X u:p ?Y .\n"));
+  queries.push_back(Q(dict,
+                      "head: ?Y reached u:x .\n"
+                      "body: ?X ?P ?Y .\nbody: ?Y u:q ?Z .\n"));
+  queries.push_back(Q(dict,
+                      "head: ?X typed ?C .\n"
+                      "body: ?X type ?C .\nbody: ?C sc ?D .\n"));
+  queries.push_back(Q(dict,
+                      "head: ?P usedOn ?X .\n"
+                      "body: ?X ?P ?Y .\n"
+                      "bind: ?X\n"));
+  return queries;
+}
+
+// One materialized view the parity fuzz follows.
+struct FollowedView {
+  ViewKey key;
+  Query canonical;
+};
+
+// The stored matchings, answer counts and answers of every followed
+// view equal a from-scratch PreAnswerPrenormalized capture on `nf`
+// (which mints nothing new: the patch already minted each new
+// matching's Skolem blanks).
+void ExpectViewsEqualTheMatcher(const ViewCache& cache,
+                                const std::vector<FollowedView>& views,
+                                QueryEvaluator* evaluator, const Graph& nf,
+                                uint64_t version, const std::string& where) {
+  for (const FollowedView& v : views) {
+    std::optional<Materialization> stored =
+        cache.StoredMaterialization(v.key);
+    ASSERT_TRUE(stored.has_value()) << where;
+    std::optional<std::vector<Graph>> answers =
+        cache.Lookup(v.key, version, cache.erase_stamp());
+    ASSERT_TRUE(answers.has_value()) << where;
+    Materialization want_table;
+    Result<std::vector<Graph>> want =
+        evaluator->PreAnswerPrenormalized(v.canonical, nf, &want_table);
+    ASSERT_TRUE(want.ok()) << where;
+    ASSERT_EQ(stored->width, want_table.width) << where;
+    ASSERT_EQ(stored->rows, want_table.rows) << where << ": matchings";
+    ASSERT_EQ(stored->values, want_table.values) << where << ": matchings";
+    ASSERT_EQ(stored->counts, want_table.counts) << where << ": counts";
+    ASSERT_EQ(*answers, *want) << where << ": answers";
+  }
+}
+
+TEST(ViewCacheFuzz, StoredMatchingsAndAnswersEqualTheMatcherAfterMaintain) {
+  // A standalone cache driven the way snapshots drive the shared one:
+  // adopt the first nf, install every shape, then Maintain across each
+  // commit's nf. Commits mix inserts and erases; the database (views
+  // off) supplies leaf-sharing closures and in-place nfs.
+  constexpr uint64_t kSeeds = 6;
+  constexpr int kCommits = 40;
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    Dictionary dict;
+    Rng rng(seed * 104729);
+    EvalOptions no_views;
+    no_views.views.enabled = false;
+    Database db(&dict, no_views);
+    QueryEvaluator evaluator(&dict);
+    ViewCache cache;
+    const MatchOptions match;
+    std::vector<Term> universe = Universe(&dict);
+    std::vector<Query> queries = FuzzQueries(&dict);
+    for (Query& q : ProjectionQueries(&dict)) queries.push_back(std::move(q));
+
+    MutationBatch initial;
+    for (int i = 0; i < 16; ++i) {
+      initial.Insert(RandomTriple(universe, &rng, 0.4));
+    }
+    db.Apply(initial);
+    uint64_t version = 1;
+    Graph nf = db.Snapshot()->normalized();
+    cache.Maintain(nf, version, cache.erase_stamp(), &evaluator, match);
+    std::vector<FollowedView> views;
+    for (const Query& q : queries) {
+      CanonicalQuery canon;
+      const ViewKey key = MakeViewKey(q, &canon);
+      Materialization table;
+      Result<std::vector<Graph>> pre =
+          evaluator.PreAnswerPrenormalized(canon.query, nf, &table);
+      ASSERT_TRUE(pre.ok());
+      cache.Install(key, canon.query, std::move(table), *pre, version,
+                    cache.erase_stamp());
+      views.push_back({key, canon.query});
+    }
+    ExpectViewsEqualTheMatcher(cache, views, &evaluator, nf, version,
+                               "seed " + std::to_string(seed) + " install");
+
+    for (int commit = 0; commit < kCommits; ++commit) {
+      MutationBatch batch;
+      const std::vector<Triple> present = db.graph().triples();
+      const uint64_t erases = present.empty() ? 0 : rng.Below(4);
+      for (uint64_t i = 0; i < erases; ++i) {
+        batch.Erase(present[rng.Below(present.size())]);
+      }
+      const uint64_t inserts = rng.Below(4);
+      for (uint64_t i = 0; i < inserts; ++i) {
+        batch.Insert(RandomTriple(universe, &rng, 0.4));
+      }
+      if (db.Apply(batch).erased > 0) cache.OnErase();
+      ++version;
+      nf = db.Snapshot()->normalized();
+      cache.Maintain(nf, version, cache.erase_stamp(), &evaluator, match);
+      ExpectViewsEqualTheMatcher(
+          cache, views, &evaluator, nf, version,
+          "seed " + std::to_string(seed) + " commit " +
+              std::to_string(commit));
+    }
+
+    const ViewCacheStats stats = cache.stats();
+    EXPECT_GT(stats.patches, 0u) << "seed " << seed;
+    EXPECT_GT(stats.patch_added, 0u) << "seed " << seed;
+    EXPECT_GT(stats.patch_removed, 0u) << "seed " << seed;
+    EXPECT_EQ(stats.invalidations, 0u) << "seed " << seed;
   }
 }
 
