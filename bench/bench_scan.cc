@@ -12,18 +12,35 @@
 //                           reject the off-diagonal ones one by one.
 //   * RepeatedSlotMatcher — PatternMatcher on (X, p, X), which takes the
 //                           FilterPairEqual path.
+//
+// And the read path's lookups on a 200k-triple sp2b closure (ground, so
+// it is also the nf the serving path answers against):
+//   * EqualRangeSp2b/k    — Graph::Matches on random (s,p) [k=0], (p,o)
+//                           [k=1] and (o) [k=2] keys drawn from the
+//                           closure: the spines' two-level search.
+//                           `scanned` is probes per lookup.
+//   * PreAnswerSp2bJoin/t — PreAnswerPrenormalized on year_articles [t=0]
+//                           and venue_papers [t=1] requests of the serving
+//                           mix: matching plus flat answer building.
 
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <random>
+#include <string>
 #include <vector>
 
+#include "gen/sp2b.h"
+#include "inference/closure.h"
+#include "query/answer.h"
 #include "rdf/graph.h"
 #include "rdf/hom.h"
 #include "rdf/term.h"
+#include "serve/workload.h"
+#include "util/rng.h"
 
 namespace swdb {
 namespace {
@@ -121,6 +138,97 @@ void BM_RepeatedSlotMatcher(benchmark::State& state) {
   state.counters["binds"] = static_cast<double>(stats.binds_attempted);
 }
 BENCHMARK(BM_RepeatedSlotMatcher);
+
+// The 200k sp2b corpus, its closure (indexes warm) and the serving mix
+// over it, built once.
+struct Sp2bClosure {
+  Dictionary dict;
+  std::unique_ptr<Sp2bGenerator> gen;
+  Graph closure;
+  std::unique_ptr<WorkloadMix> mix;
+};
+
+Sp2bClosure& Sp2b() {
+  static Sp2bClosure* st = [] {
+    auto* s = new Sp2bClosure();
+    Sp2bSpec spec;
+    spec.target_triples = 200000;
+    spec.seed = 1;
+    s->gen = std::make_unique<Sp2bGenerator>(spec, &s->dict);
+    s->closure = RdfsClosure(s->gen->GenerateCorpus());
+    s->closure.WarmIndexes();
+    s->mix = std::make_unique<WorkloadMix>(*s->gen, &s->dict);
+    return s;
+  }();
+  return *st;
+}
+
+void BM_EqualRangeSp2b(benchmark::State& state) {
+  const Graph& g = Sp2b().closure;
+  const int kind = static_cast<int>(state.range(0));
+  constexpr size_t kKeys = 4096;
+  std::mt19937 rng(17);
+  std::vector<Triple> keys;
+  keys.reserve(kKeys);
+  for (size_t i = 0; i < kKeys; ++i) keys.push_back(g[rng() % g.size()]);
+  const GraphStats before = g.Stats();
+  size_t i = 0;
+  size_t rows = 0;
+  for (auto _ : state) {
+    const Triple& t = keys[i++ % kKeys];
+    const MatchRange r =
+        kind == 0   ? g.Matches(t.s, t.p, std::nullopt)
+        : kind == 1 ? g.Matches(std::nullopt, t.p, t.o)
+                    : g.Matches(std::nullopt, std::nullopt, t.o);
+    rows += r.size();
+    benchmark::DoNotOptimize(rows);
+  }
+  const GraphStats after = g.Stats();
+  const double lookups = static_cast<double>(state.iterations());
+  state.SetLabel(kind == 0 ? "(s,p)" : kind == 1 ? "(p,o)" : "(o)");
+  state.counters["triples"] = static_cast<double>(g.size());
+  state.counters["scanned"] =
+      static_cast<double>(after.rows_scanned - before.rows_scanned) / lookups;
+  state.counters["rows"] = static_cast<double>(rows) / lookups;
+}
+BENCHMARK(BM_EqualRangeSp2b)->Arg(0)->Arg(1)->Arg(2);
+
+void BM_PreAnswerSp2bJoin(benchmark::State& state) {
+  Sp2bClosure& st = Sp2b();
+  const TemplateId id = state.range(0) == 0 ? TemplateId::kYearArticles
+                                            : TemplateId::kVenuePapers;
+  constexpr size_t kRequests = 64;
+  Rng rng(5);
+  std::vector<Query> queries;
+  for (size_t i = 0; i < kRequests; ++i) {
+    queries.push_back(st.mix->Build(id, &rng).query);
+  }
+  QueryEvaluator eval(&st.dict);
+  // Matchings and answers per request, counted once outside the timing.
+  double matchings = 0;
+  double answers = 0;
+  for (const Query& q : queries) {
+    Materialization table;
+    Result<std::vector<Graph>> pre =
+        eval.PreAnswerPrenormalized(q, st.closure, &table);
+    if (!pre.ok()) {
+      state.SkipWithError("pre-answer failed");
+      return;
+    }
+    matchings += static_cast<double>(table.rows);
+    answers += static_cast<double>(pre->size());
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    Result<std::vector<Graph>> pre =
+        eval.PreAnswerPrenormalized(queries[i++ % kRequests], st.closure);
+    benchmark::DoNotOptimize(pre.ok());
+  }
+  state.SetLabel(std::string(TemplateName(id)));
+  state.counters["matchings"] = matchings / kRequests;
+  state.counters["answers"] = answers / kRequests;
+}
+BENCHMARK(BM_PreAnswerSp2bJoin)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace swdb

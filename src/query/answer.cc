@@ -48,10 +48,14 @@ Result<std::vector<Graph>> QueryEvaluator::PreAnswerPrenormalized(
   Status valid = q.Validate();
   if (!valid.ok()) return valid;
 
-  std::vector<Term> body_vars = q.body.Variables();
+  const std::vector<Term> body_vars = q.body.Variables();
+  const std::vector<Triple> head = q.head.triples();
   const size_t width = body_vars.size();
 
-  std::vector<Graph> answers;
+  // Every single answer v(H) as one sorted, distinct span of `images`:
+  // answer i is [bounds[i], bounds[i + 1]).
+  std::vector<Triple> images;
+  std::vector<size_t> bounds = {0};
   std::vector<Term> values;  // captured rows, in enumeration order
   size_t rows = 0;
   PatternMatcher matcher(q.body, &target, options_.match);
@@ -61,8 +65,9 @@ Result<std::vector<Graph>> QueryEvaluator::PreAnswerPrenormalized(
       for (Term var : body_vars) values.push_back(v.Apply(var));
       ++rows;
     }
-    std::optional<Graph> answer = AnswerFromMatching(q, body_vars, v);
-    if (answer.has_value()) answers.push_back(*std::move(answer));
+    if (AppendAnswer(head, body_vars, v, &images)) {
+      bounds.push_back(images.size());
+    }
     return true;
   });
   if (!status.ok()) return status;
@@ -86,46 +91,82 @@ Result<std::vector<Graph>> QueryEvaluator::PreAnswerPrenormalized(
                              base + (r + 1) * width);
     }
   }
-  // Deduplicate; equal answers are adjacent after the sort, and each
-  // run's length is the number of valuations deriving that answer.
-  std::sort(answers.begin(), answers.end(), TriplesLess);
-  size_t kept = 0;
-  for (size_t i = 0; i < answers.size();) {
+
+  // Sort the spans lexicographically — over sorted triple sequences
+  // that is exactly TriplesLess on the graphs they spell — then
+  // deduplicate: equal answers are adjacent, and each run's length is
+  // the number of valuations deriving that answer.
+  const Triple* img = images.data();
+  std::vector<size_t> order(bounds.size() - 1);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return std::lexicographical_compare(img + bounds[a], img + bounds[a + 1],
+                                        img + bounds[b], img + bounds[b + 1]);
+  });
+  std::vector<uint32_t> counts;
+  for (size_t i = 0; i < order.size();) {
+    const size_t a = order[i];
     size_t j = i + 1;
-    while (j < answers.size() && answers[j] == answers[i]) ++j;
-    if (capture != nullptr) {
-      capture->counts.push_back(static_cast<uint32_t>(j - i));
+    while (j < order.size() &&
+           std::equal(img + bounds[a], img + bounds[a + 1],
+                      img + bounds[order[j]], img + bounds[order[j] + 1])) {
+      ++j;
     }
-    if (kept != i) answers[kept] = std::move(answers[i]);
-    ++kept;
+    counts.push_back(static_cast<uint32_t>(j - i));
     i = j;
   }
-  answers.resize(kept);
+  std::vector<Graph> answers;
+  answers.reserve(counts.size());
+  for (size_t i = 0, run = 0; run < counts.size(); i += counts[run++]) {
+    const size_t a = order[i];
+    answers.push_back(
+        Graph::FromSorted(img + bounds[a], bounds[a + 1] - bounds[a]));
+  }
+  if (capture != nullptr) capture->counts = std::move(counts);
   return answers;
+}
+
+bool QueryEvaluator::AppendAnswer(const std::vector<Triple>& head,
+                                  const std::vector<Term>& body_vars,
+                                  const TermMap& v,
+                                  std::vector<Triple>* out) {
+  // Skolem arguments: the valuation of all body variables, in sorted
+  // variable order (the tuple (v(?X1), ..., v(?Xk)) of Def. 4.3),
+  // built on the first head blank only.
+  std::vector<Term> args;
+  auto value = [&](Term x) {
+    if (x.IsVar()) return v.Apply(x);
+    if (x.IsBlank()) {
+      if (args.empty()) {
+        for (Term var : body_vars) args.push_back(v.Apply(var));
+      }
+      return SkolemBlank(x, args);
+    }
+    return x;
+  };
+
+  // Build v(H): substitute variables, Skolemize head blanks.
+  const auto begin = static_cast<std::ptrdiff_t>(out->size());
+  for (const Triple& t : head) {
+    Triple image(value(t.s), value(t.p), value(t.o));
+    if (!image.IsWellFormedData()) {
+      out->resize(static_cast<size_t>(begin));
+      return false;
+    }
+    out->push_back(image);
+  }
+  std::sort(out->begin() + begin, out->end());
+  out->erase(std::unique(out->begin() + begin, out->end()), out->end());
+  return true;
 }
 
 std::optional<Graph> QueryEvaluator::AnswerFromMatching(
     const Query& q, const std::vector<Term>& body_vars, const TermMap& v) {
-  // Skolem arguments: the valuation of all body variables, in sorted
-  // variable order (the tuple (v(?X1), ..., v(?Xk)) of Def. 4.3).
-  std::vector<Term> args;
-  args.reserve(body_vars.size());
-  for (Term var : body_vars) args.push_back(v.Apply(var));
-
-  // Build v(H): substitute variables, Skolemize head blanks.
-  std::vector<Triple> triples;
-  triples.reserve(q.head.size());
-  for (const Triple& t : q.head) {
-    auto value = [&](Term x) {
-      if (x.IsVar()) return v.Apply(x);
-      if (x.IsBlank()) return SkolemBlank(x, args);
-      return x;
-    };
-    Triple image(value(t.s), value(t.p), value(t.o));
-    if (!image.IsWellFormedData()) return std::nullopt;
-    triples.push_back(image);
+  std::vector<Triple> image;
+  if (!AppendAnswer(q.head.triples(), body_vars, v, &image)) {
+    return std::nullopt;
   }
-  return Graph(std::move(triples));
+  return Graph::FromSorted(image.data(), image.size());
 }
 
 Result<std::vector<TermMap>> QueryEvaluator::Matchings(const Query& q,

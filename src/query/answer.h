@@ -115,6 +115,14 @@ class QueryEvaluator {
 
   Term SkolemBlank(Term head_blank, const std::vector<Term>& args);
 
+  // Appends v(H) (`head` is q.head's triples) to *out as one sorted,
+  // distinct span — the single-answer builder PreAnswerPrenormalized
+  // and AnswerFromMatching share. False, with *out unchanged, when the
+  // image is not a well-formed data graph.
+  bool AppendAnswer(const std::vector<Triple>& head,
+                    const std::vector<Term>& body_vars, const TermMap& v,
+                    std::vector<Triple>* out);
+
   Dictionary* dict_;
   EvalOptions options_;
   // f_N(args) cache: the same (blank, argument-tuple) always yields the

@@ -122,17 +122,23 @@ std::vector<BodySlot> SlotsOf(const std::vector<Triple>& body,
 
 std::optional<std::vector<Graph>> ViewCache::Lookup(
     const ViewKey& key, uint64_t version, uint64_t erase_stamp) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(key);
-  // Valid iff proven against the consumer's nf version and not written
-  // behind an erase/clear fence the consumer predates.
-  if (it != entries_.end() && it->second.version == version &&
-      it->second.stamp <= erase_stamp) {
+  std::shared_ptr<const std::vector<Graph>> answers;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = entries_.find(key);
+    // Valid iff proven against the consumer's nf version and not written
+    // behind an erase/clear fence the consumer predates.
+    if (it == entries_.end() || it->second.version != version ||
+        it->second.stamp > erase_stamp) {
+      ++counters_.misses;
+      return std::nullopt;
+    }
     ++counters_.hits;
-    return it->second.answers;  // Graph copies share spines (COW)
+    answers = it->second.answers;
   }
-  ++counters_.misses;
-  return std::nullopt;
+  // Copy outside the lock: a patch replaces the entry's vector rather
+  // than mutating it, so this one stays intact while we hold it.
+  return *answers;  // Graph copies share spines (COW)
 }
 
 bool ViewCache::RecordMiss(const ViewKey& key) {
@@ -174,7 +180,8 @@ void ViewCache::Install(const ViewKey& key, const Query& canonical,
   e.query = canonical;
   e.body_vars = canonical.body.Variables();
   e.table = std::move(materialization);
-  e.answers = std::move(answers);
+  e.answers =
+      std::make_shared<const std::vector<Graph>>(std::move(answers));
   e.version = version_;
   e.stamp = erase_stamp_;
   ++counters_.installs;
@@ -325,12 +332,13 @@ bool ViewCache::PatchEntry(Entry* e, const std::vector<Triple>& added,
   // Answers by multiplicity. The Skolem cache only grows, so a dropped
   // matching re-derives exactly the answer it was counted for, and new
   // matchings mint in the same (sorted) order a full re-derive would.
+  const std::vector<Graph>& resident = *e->answers;
   bool emptied = false;
   for (const Row& m : dropped) {
     if (std::optional<Graph> answer = evaluator->AnswerFromMatching(
             e->query, e->body_vars, MapOf(m.data(), e->body_vars))) {
-      const size_t at = AnswerIndex(e->answers, *answer);
-      assert(at < e->answers.size() && table.counts[at] > 0);
+      const size_t at = AnswerIndex(resident, *answer);
+      assert(at < resident.size() && table.counts[at] > 0);
       emptied |= --table.counts[at] == 0;
     }
   }
@@ -339,8 +347,8 @@ bool ViewCache::PatchEntry(Entry* e, const std::vector<Triple>& added,
     std::optional<Graph> answer = evaluator->AnswerFromMatching(
         e->query, e->body_vars, MapOf(m.data(), e->body_vars));
     if (!answer.has_value()) continue;
-    const size_t at = AnswerIndex(e->answers, *answer);
-    if (at < e->answers.size()) {
+    const size_t at = AnswerIndex(resident, *answer);
+    if (at < resident.size()) {
       ++table.counts[at];
     } else {
       novel.push_back(*std::move(answer));
@@ -349,18 +357,20 @@ bool ViewCache::PatchEntry(Entry* e, const std::vector<Triple>& added,
   if (emptied || !novel.empty()) {
     // One merge pass: drop answers no matching derives any more, and
     // fold in the new ones (equal new answers collapse into one count).
+    // Readers may still be copying the resident vector, so the merge
+    // copies its survivors (leaf pointers only) into a new one.
     std::sort(novel.begin(), novel.end(), TriplesLess);
     std::vector<Graph> answers;
     std::vector<uint32_t> counts;
-    answers.reserve(e->answers.size() + novel.size());
+    answers.reserve(resident.size() + novel.size());
     counts.reserve(answers.capacity());
     // A novel answer equals no resident one, so equal novel answers
     // are the only neighbours to collapse.
     size_t i = 0;
     size_t j = 0;
-    while (i < e->answers.size() || j < novel.size()) {
-      if (j < novel.size() && (i == e->answers.size() ||
-                               TriplesLess(novel[j], e->answers[i]))) {
+    while (i < resident.size() || j < novel.size()) {
+      if (j < novel.size() && (i == resident.size() ||
+                               TriplesLess(novel[j], resident[i]))) {
         if (!answers.empty() && answers.back() == novel[j]) {
           ++counts.back();
         } else {
@@ -370,13 +380,14 @@ bool ViewCache::PatchEntry(Entry* e, const std::vector<Triple>& added,
         ++j;
       } else {
         if (table.counts[i] > 0) {
-          answers.push_back(std::move(e->answers[i]));
+          answers.push_back(resident[i]);
           counts.push_back(table.counts[i]);
         }
         ++i;
       }
     }
-    e->answers = std::move(answers);
+    e->answers =
+        std::make_shared<const std::vector<Graph>>(std::move(answers));
     table.counts = std::move(counts);
   }
 

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -120,7 +121,8 @@ struct ViewCacheRef {
 ///
 /// All methods are thread-safe behind one mutex; Maintain holds it for
 /// the duration of the patch (concurrent snapshot lookups at the old
-/// version would miss anyway).
+/// version would miss anyway). Lookup holds it only to take a reference
+/// to the hit's answer vector and copies the answers after releasing it.
 class ViewCache {
  public:
   explicit ViewCache(ViewCacheOptions options = {}) : options_(options) {}
@@ -183,7 +185,9 @@ class ViewCache {
     Query query;                     // canonical spelling (view_key.h)
     std::vector<Term> body_vars;     // sorted body variables
     Materialization table;           // matchings + answer counts
-    std::vector<Graph> answers;      // derived pre-answers, sorted+unique
+    // Derived pre-answers, sorted+unique. Shared so that Lookup copies
+    // them after releasing mu_; a patch swaps in a new vector.
+    std::shared_ptr<const std::vector<Graph>> answers;
     uint64_t version = 0;            // nf version this view reflects
     uint64_t stamp = 0;              // fence stamp at write/last patch
   };

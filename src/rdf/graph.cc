@@ -114,20 +114,19 @@ size_t MatchRange::FilterPairEqual(int pos_a, int pos_b,
 
 // --- Graph -----------------------------------------------------------
 
-Graph::Graph(std::initializer_list<Triple> triples) {
-  BuildFrom(std::vector<Triple>(triples));
-}
+Graph::Graph(std::initializer_list<Triple> triples)
+    : Graph(std::vector<Triple>(triples)) {}
 
-Graph::Graph(std::vector<Triple> triples) { BuildFrom(std::move(triples)); }
-
-void Graph::BuildFrom(std::vector<Triple> triples) {
+Graph::Graph(std::vector<Triple> triples) {
   std::sort(triples.begin(), triples.end());
   triples.erase(std::unique(triples.begin(), triples.end()), triples.end());
-  std::vector<SpineKey> keys;
-  keys.reserve(triples.size());
-  for (const Triple& t : triples) keys.push_back(KeySpo(t));
-  spo_.BulkBuild(keys);
-  indexes_valid_ = false;
+  *this = FromSorted(triples.data(), triples.size());
+}
+
+Graph Graph::FromSorted(const Triple* triples, size_t n) {
+  Graph g;
+  g.spo_.BulkBuild(n, [triples](size_t i) { return KeySpo(triples[i]); });
+  return g;
 }
 
 bool Graph::Insert(const Triple& t) {
@@ -394,8 +393,8 @@ MatchRange Graph::Matches(std::optional<Term> s, std::optional<Term> p,
   matches_calls_.Add(1);
 
   // One- or two-key equal range over a spine's sorted columns: k0 ==
-  // key0, then (optionally) k1 == key1 within the k0 run. The probes
-  // are global-slot binary searches resolving leaves on the fly.
+  // key0, then (optionally) k1 == key1 within the k0 run. Each bound is
+  // a search over the leaves' first keys plus one in-leaf search.
   auto range_of = [&](const Spine& ix, uint32_t key0, const uint32_t* key1,
                       IndexOrder order) {
     size_t scanned = 0;

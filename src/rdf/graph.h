@@ -6,6 +6,7 @@
 #include <initializer_list>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "rdf/spine.h"
@@ -51,8 +52,10 @@ int ColumnOfPosition(IndexOrder order, int pos);
 class RelaxedCounter {
  public:
   RelaxedCounter() = default;
-  RelaxedCounter(const RelaxedCounter& o) : v_(o.value()) {}
-  RelaxedCounter& operator=(const RelaxedCounter& o) {
+  // noexcept so that Graph's implicit moves are too: a std::vector<Graph>
+  // then moves its elements on reallocation instead of copying them.
+  RelaxedCounter(const RelaxedCounter& o) noexcept : v_(o.value()) {}
+  RelaxedCounter& operator=(const RelaxedCounter& o) noexcept {
     v_.store(o.value(), std::memory_order_relaxed);
     return *this;
   }
@@ -296,6 +299,10 @@ class Graph {
   Graph(std::initializer_list<Triple> triples);
   explicit Graph(std::vector<Triple> triples);
 
+  /// The graph of `n` triples that are already sorted ascending and
+  /// distinct: fills the primary spine's columns straight from them.
+  static Graph FromSorted(const Triple* triples, size_t n);
+
   /// Inserts a triple; returns true if it was not already present.
   bool Insert(const Triple& t);
   void Insert(Term s, Term p, Term o) { Insert(Triple(s, p, o)); }
@@ -370,7 +377,7 @@ class Graph {
   static Graph Union(const Graph& g1, const Graph& g2);
 
   /// Resolves a pattern (wildcard = std::nullopt) to the contiguous
-  /// spine range holding exactly its matches, in O(log² |G|). The range
+  /// spine range holding exactly its matches, in O(log |G|). The range
   /// is invalidated by any mutation of the graph.
   MatchRange Matches(std::optional<Term> s, std::optional<Term> p,
                      std::optional<Term> o) const;
@@ -387,7 +394,7 @@ class Graph {
     return true;
   }
 
-  /// Number of triples matching the given pattern. O(log² |G|): the
+  /// Number of triples matching the given pattern. O(log |G|): the
   /// size of the resolved spine range, with no scan.
   size_t CountMatches(std::optional<Term> s, std::optional<Term> p,
                       std::optional<Term> o) const {
@@ -411,7 +418,6 @@ class Graph {
   SpineSharing SharedLeaves(const Graph& other) const;
 
  private:
-  void BuildFrom(std::vector<Triple> triples);
   void EnsureIndexes() const;
   // COW maintenance of built permutations around a single-triple
   // mutation (no-ops when the permutations are stale).
@@ -444,6 +450,10 @@ class Graph {
 /// a.triples() < b.triples(), computed by one walk over the two primary
 /// spines with no allocation — the order of answer vectors.
 bool TriplesLess(const Graph& a, const Graph& b);
+
+static_assert(std::is_nothrow_move_constructible_v<Graph>,
+              "vectors of Graph must move, not copy, on reallocation");
+static_assert(std::is_nothrow_move_assignable_v<Graph>);
 
 }  // namespace swdb
 

@@ -1,17 +1,18 @@
 #include "rdf/spine.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace swdb {
 
 namespace {
 
 // Lexicographic lower bound of `key` within one leaf's columns.
-size_t LeafLowerBound(const SpineLeaf& leaf, const SpineKey& key) {
+size_t LeafLowerBound(const SpineLeaf& leaf, const SpineKey& key,
+                      size_t* probes) {
   size_t lo = 0, hi = leaf.size();
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
+    ++*probes;
     bool less;
     if (leaf.k0[mid] != key[0]) {
       less = leaf.k0[mid] < key[0];
@@ -46,50 +47,24 @@ void EraseAt(Col& col, size_t slot) {
 }  // namespace
 
 size_t Spine::bytes() const {
-  size_t total = leaves_.capacity() * sizeof(leaves_[0]) +
-                 starts_.capacity() * sizeof(size_t);
-  for (const auto& leaf : leaves_) total += leaf->bytes();
+  size_t total = leaves_.capacity() * sizeof(LeafRef);
+  for (const LeafRef& ref : leaves_) total += ref.leaf->bytes();
   return total;
 }
 
 void Spine::Clear() {
   leaves_.clear();
-  starts_.clear();
   size_ = 0;
 }
 
-void Spine::BulkBuild(const std::vector<SpineKey>& entries) {
-  Clear();
-  const size_t fill = kLeafMax / 2;
-  const size_t n = entries.size();
-  leaves_.reserve((n + fill - 1) / fill);
-  starts_.reserve(leaves_.capacity());
-  for (size_t base = 0; base < n; base += fill) {
-    const size_t count = std::min(fill, n - base);
-    auto leaf = std::make_shared<SpineLeaf>();
-    leaf->k0.reserve(count);
-    leaf->k1.reserve(count);
-    leaf->k2.reserve(count);
-    for (size_t i = base; i < base + count; ++i) {
-      leaf->k0.push_back(entries[i][0]);
-      leaf->k1.push_back(entries[i][1]);
-      leaf->k2.push_back(entries[i][2]);
-    }
-    starts_.push_back(base);
-    leaves_.push_back(std::move(leaf));
-  }
-  size_ = n;
-}
-
-size_t Spine::LeafForKey(const SpineKey& key) const {
+size_t Spine::LeafForKey(const SpineKey& key, size_t* probes) const {
   // Last leaf whose first key is <= key: partition the leaves by
   // "first key > key" and step back one.
   size_t lo = 0, hi = leaves_.size();
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
-    const SpineLeaf& leaf = *leaves_[mid];
-    const SpineKey first = leaf.at(0);
-    if (first <= key) {
+    ++*probes;
+    if (leaves_[mid].first <= key) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -100,21 +75,20 @@ size_t Spine::LeafForKey(const SpineKey& key) const {
 
 bool Spine::Contains(const SpineKey& key) const {
   if (empty()) return false;
-  const size_t li = LeafForKey(key);
-  const SpineLeaf& leaf = *leaves_[li];
-  const size_t slot = LeafLowerBound(leaf, key);
+  size_t probes = 0;
+  const SpineLeaf& leaf = *leaves_[LeafForKey(key, &probes)].leaf;
+  const size_t slot = LeafLowerBound(leaf, key, &probes);
   return slot < leaf.size() && LeafKeyEquals(leaf, slot, key);
 }
 
 SpineLeaf* Spine::Mutable(size_t li) {
-  if (leaves_[li].use_count() != 1) {
-    leaves_[li] = std::make_shared<SpineLeaf>(*leaves_[li]);
-  }
-  return leaves_[li].get();
+  std::shared_ptr<SpineLeaf>& leaf = leaves_[li].leaf;
+  if (leaf.use_count() != 1) leaf = std::make_shared<SpineLeaf>(*leaf);
+  return leaf.get();
 }
 
 void Spine::Split(size_t li) {
-  SpineLeaf& left = *leaves_[li];  // caller just made it unshared
+  SpineLeaf& left = *leaves_[li].leaf;  // caller just made it unshared
   const size_t half = left.size() / 2;
   auto right = std::make_shared<SpineLeaf>();
   right->k0.assign(left.k0.begin() + half, left.k0.end());
@@ -126,10 +100,10 @@ void Spine::Split(size_t li) {
   left.k0.shrink_to_fit();
   left.k1.shrink_to_fit();
   left.k2.shrink_to_fit();
+  const size_t start = leaves_[li].start + half;
+  const SpineKey first = right->at(0);
   leaves_.insert(leaves_.begin() + static_cast<std::ptrdiff_t>(li) + 1,
-                 std::move(right));
-  starts_.insert(starts_.begin() + static_cast<std::ptrdiff_t>(li) + 1,
-                 starts_[li] + half);
+                 LeafRef{std::move(right), start, first});
 }
 
 bool Spine::Insert(const SpineKey& key) {
@@ -138,25 +112,27 @@ bool Spine::Insert(const SpineKey& key) {
     leaf->k0.push_back(key[0]);
     leaf->k1.push_back(key[1]);
     leaf->k2.push_back(key[2]);
-    leaves_.push_back(std::move(leaf));
-    starts_.push_back(0);
+    leaves_.push_back(LeafRef{std::move(leaf), 0, key});
     size_ = 1;
     return true;
   }
-  const size_t li = LeafForKey(key);
-  {
-    const SpineLeaf& leaf = *leaves_[li];
-    const size_t slot = LeafLowerBound(leaf, key);
-    if (slot < leaf.size() && LeafKeyEquals(leaf, slot, key)) return false;
+  size_t probes = 0;
+  const size_t li = LeafForKey(key, &probes);
+  const size_t slot = LeafLowerBound(*leaves_[li].leaf, key, &probes);
+  if (slot < leaves_[li].leaf->size() &&
+      LeafKeyEquals(*leaves_[li].leaf, slot, key)) {
+    return false;
   }
   SpineLeaf* leaf = Mutable(li);
-  const size_t slot = LeafLowerBound(*leaf, key);
   InsertAt(leaf->k0, slot, key[0]);
   InsertAt(leaf->k1, slot, key[1]);
   InsertAt(leaf->k2, slot, key[2]);
+  // Only a key below every other lands at slot 0 (LeafForKey picks leaf
+  // 0 for it), so this is the one case that moves a first key.
+  if (slot == 0) leaves_[li].first = key;
   // Renumber the tail before any split: Split computes the new leaf's
   // start in post-insert numbering already.
-  for (size_t j = li + 1; j < starts_.size(); ++j) ++starts_[j];
+  for (size_t j = li + 1; j < leaves_.size(); ++j) ++leaves_[j].start;
   if (leaf->size() > kLeafMax) Split(li);
   ++size_;
   return true;
@@ -164,92 +140,79 @@ bool Spine::Insert(const SpineKey& key) {
 
 bool Spine::Erase(const SpineKey& key) {
   if (empty()) return false;
-  const size_t li = LeafForKey(key);
-  {
-    const SpineLeaf& leaf = *leaves_[li];
-    const size_t slot = LeafLowerBound(leaf, key);
-    if (slot == leaf.size() || !LeafKeyEquals(leaf, slot, key)) return false;
+  size_t probes = 0;
+  const size_t li = LeafForKey(key, &probes);
+  const size_t slot = LeafLowerBound(*leaves_[li].leaf, key, &probes);
+  if (slot == leaves_[li].leaf->size() ||
+      !LeafKeyEquals(*leaves_[li].leaf, slot, key)) {
+    return false;
   }
   SpineLeaf* leaf = Mutable(li);
-  const size_t slot = LeafLowerBound(*leaf, key);
   EraseAt(leaf->k0, slot);
   EraseAt(leaf->k1, slot);
   EraseAt(leaf->k2, slot);
   const bool emptied = leaf->size() == 0;
   if (emptied) {
     leaves_.erase(leaves_.begin() + static_cast<std::ptrdiff_t>(li));
-    starts_.erase(starts_.begin() + static_cast<std::ptrdiff_t>(li));
+  } else if (slot == 0) {
+    leaves_[li].first = leaf->at(0);
   }
-  for (size_t j = li + (emptied ? 0 : 1); j < starts_.size(); ++j) {
-    --starts_[j];
+  for (size_t j = li + (emptied ? 0 : 1); j < leaves_.size(); ++j) {
+    --leaves_[j].start;
   }
   --size_;
   return true;
 }
 
 SpineKey Spine::At(size_t slot) const {
-  const size_t li = LeafIndexOf(slot);
-  return leaves_[li]->at(slot - starts_[li]);
+  const LeafRef& ref = leaves_[LeafIndexOf(slot)];
+  return ref.leaf->at(slot - ref.start);
 }
 
 std::vector<SpineKey> Spine::Keys() const {
   std::vector<SpineKey> out;
   out.reserve(size_);
-  for (const auto& leaf : leaves_) {
-    for (size_t i = 0; i < leaf->size(); ++i) out.push_back(leaf->at(i));
+  for (const LeafRef& ref : leaves_) {
+    const SpineLeaf& leaf = *ref.leaf;
+    for (size_t i = 0; i < leaf.size(); ++i) out.push_back(leaf.at(i));
   }
   return out;
 }
 
 size_t Spine::LeafIndexOf(size_t slot) const {
   // Last leaf whose start is <= slot.
-  const auto it = std::upper_bound(starts_.begin(), starts_.end(), slot);
-  return static_cast<size_t>(it - starts_.begin()) - 1;
+  const auto it = std::upper_bound(
+      leaves_.begin(), leaves_.end(), slot,
+      [](size_t s, const LeafRef& ref) { return s < ref.start; });
+  return static_cast<size_t>(it - leaves_.begin()) - 1;
 }
 
-size_t Spine::LowerBound(const SpineKey& key) const {
+size_t Spine::LowerBound(const SpineKey& key, size_t* scanned) const {
   if (empty()) return 0;
-  const size_t li = LeafForKey(key);
-  const size_t slot = LeafLowerBound(*leaves_[li], key);
-  if (slot == leaves_[li]->size() && li + 1 < leaves_.size()) {
-    return starts_[li + 1];
-  }
-  return starts_[li] + slot;
+  size_t probes = 0;
+  const LeafRef& ref = leaves_[LeafForKey(key, &probes)];
+  // A key past the leaf's last entry yields slot == leaf size, which is
+  // the next leaf's start: the key lies below that leaf's first key.
+  const size_t slot = ref.start + LeafLowerBound(*ref.leaf, key, &probes);
+  if (scanned != nullptr) *scanned += probes;
+  return slot;
 }
 
 std::pair<size_t, size_t> Spine::EqualRange(uint32_t key0,
                                             const uint32_t* key1,
                                             size_t* scanned) const {
-  // Column-wise equal_range in global slot space: each probe resolves
-  // its leaf by binary search on starts_, so a probe is O(log leaves)
-  // and a range O(log^2 n) — no row indirection, no leaf gathering.
-  size_t probes = 0;
-  auto col_at = [&](int c, size_t slot) -> uint32_t {
-    ++probes;
-    const size_t li = LeafIndexOf(slot);
-    return leaves_[li]->column(c)[slot - starts_[li]];
-  };
-  auto bound = [&](int c, size_t lo, size_t hi, uint32_t key,
-                   bool upper) -> size_t {
-    while (lo < hi) {
-      const size_t mid = lo + (hi - lo) / 2;
-      const uint32_t v = col_at(c, mid);
-      if (upper ? v <= key : v < key) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo;
-  };
-  size_t lo = bound(0, 0, size_, key0, /*upper=*/false);
-  size_t hi = bound(0, lo, size_, key0, /*upper=*/true);
-  if (key1 != nullptr && lo < hi) {
-    const size_t k1_lo = bound(1, lo, hi, *key1, /*upper=*/false);
-    hi = bound(1, k1_lo, hi, *key1, /*upper=*/true);
-    lo = k1_lo;
+  // The run of a prefix is [LowerBound(prefix, 0..), LowerBound(next
+  // prefix, 0..)). A prefix with no successor (every remaining key part
+  // is UINT32_MAX) runs to the end.
+  constexpr uint32_t kMax = UINT32_MAX;
+  const SpineKey from = {key0, key1 != nullptr ? *key1 : 0, 0};
+  const size_t lo = LowerBound(from, scanned);
+  size_t hi = size_;
+  if (key1 != nullptr && *key1 != kMax) {
+    hi = LowerBound({key0, *key1 + 1, 0}, scanned);
+  } else if (key0 != kMax) {
+    hi = LowerBound({key0 + 1, 0, 0}, scanned);
   }
-  if (scanned != nullptr) *scanned += probes;
   return {lo, hi};
 }
 
@@ -258,8 +221,8 @@ bool Spine::EqualContents(const Spine& other) const {
   size_t ai = 0, ao = 0;  // our leaf index / offset within it
   size_t bi = 0, bo = 0;  // theirs
   for (size_t done = 0; done < size_;) {
-    const SpineLeaf& la = *leaves_[ai];
-    const SpineLeaf& lb = *other.leaves_[bi];
+    const SpineLeaf& la = *leaves_[ai].leaf;
+    const SpineLeaf& lb = *other.leaves_[bi].leaf;
     if (ao == 0 && bo == 0 && &la == &lb) {
       done += la.size();
       ++ai;
@@ -299,8 +262,8 @@ bool Spine::LexLess(const Spine& other) const {
   for (;;) {
     if (bi == other.leaves_.size()) return false;
     if (ai == leaves_.size()) return true;
-    const SpineLeaf& la = *leaves_[ai];
-    const SpineLeaf& lb = *other.leaves_[bi];
+    const SpineLeaf& la = *leaves_[ai].leaf;
+    const SpineLeaf& lb = *other.leaves_[bi].leaf;
     if (ao == 0 && bo == 0 && &la == &lb) {
       ++ai;
       ++bi;
@@ -331,8 +294,8 @@ size_t Spine::Diff(const Spine& to, std::vector<SpineKey>* removed,
   const size_t an = leaves_.size();
   const size_t bn = to.leaves_.size();
   while (ai < an && bi < bn) {
-    const SpineLeaf& la = *leaves_[ai];
-    const SpineLeaf& lb = *to.leaves_[bi];
+    const SpineLeaf& la = *leaves_[ai].leaf;
+    const SpineLeaf& lb = *to.leaves_[bi].leaf;
     if (ao == 0 && bo == 0 && &la == &lb) {
       ++ai;
       ++bi;
@@ -367,23 +330,34 @@ size_t Spine::Diff(const Spine& to, std::vector<SpineKey>* removed,
     }
   }
   for (; ai < an; ++ai, ao = 0) {
-    const SpineLeaf& la = *leaves_[ai];
+    const SpineLeaf& la = *leaves_[ai].leaf;
     for (; ao < la.size(); ++ao, ++read) removed->push_back(la.at(ao));
   }
   for (; bi < bn; ++bi, bo = 0) {
-    const SpineLeaf& lb = *to.leaves_[bi];
+    const SpineLeaf& lb = *to.leaves_[bi].leaf;
     for (; bo < lb.size(); ++bo, ++read) added->push_back(lb.at(bo));
   }
   return read;
 }
 
 size_t Spine::CountSharedLeavesWith(const Spine& other) const {
-  std::unordered_set<const SpineLeaf*> theirs;
-  theirs.reserve(other.leaves_.size() * 2);
-  for (const auto& leaf : other.leaves_) theirs.insert(leaf.get());
+  // First keys strictly increase along each spine, and a shared leaf
+  // holds the same keys on both sides, so every shared pair meets at
+  // equal first keys in one merge walk.
   size_t shared = 0;
-  for (const auto& leaf : leaves_) {
-    if (theirs.count(leaf.get()) != 0) ++shared;
+  size_t i = 0, j = 0;
+  while (i < leaves_.size() && j < other.leaves_.size()) {
+    const LeafRef& a = leaves_[i];
+    const LeafRef& b = other.leaves_[j];
+    if (a.first < b.first) {
+      ++i;
+    } else if (b.first < a.first) {
+      ++j;
+    } else {
+      if (a.leaf == b.leaf) ++shared;
+      ++i;
+      ++j;
+    }
   }
   return shared;
 }

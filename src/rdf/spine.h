@@ -1,6 +1,7 @@
 #ifndef SWDB_RDF_SPINE_H_
 #define SWDB_RDF_SPINE_H_
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -63,7 +64,13 @@ class Spine {
 
   void Clear();
   /// Rebuilds from entries that are already sorted and deduplicated.
-  void BulkBuild(const std::vector<SpineKey>& entries);
+  void BulkBuild(const std::vector<SpineKey>& entries) {
+    BulkBuild(entries.size(), [&](size_t i) { return entries[i]; });
+  }
+  /// Rebuilds from `n` sorted, deduplicated keys produced by
+  /// `key_at(i)`, filling the leaf columns directly (no key vector).
+  template <typename KeyAt>
+  void BulkBuild(size_t n, KeyAt key_at);
 
   bool Contains(const SpineKey& key) const;
   /// Inserts `key`; returns false if already present.
@@ -77,25 +84,34 @@ class Spine {
   /// All keys in order, materialized (O(n)) — the bulk-merge input.
   std::vector<SpineKey> Keys() const;
 
-  /// First global slot whose key is >= `key` (== size() if none).
-  size_t LowerBound(const SpineKey& key) const;
+  /// First global slot whose key is >= `key` (== size() if none): a
+  /// binary search over the leaves' first keys, then one over the
+  /// chosen leaf's columns. `scanned` (optional) accumulates the probes
+  /// of both searches.
+  size_t LowerBound(const SpineKey& key, size_t* scanned = nullptr) const;
 
   /// Global slot range of entries with k0 == key0 (and, when key1 is
   /// non-null, k1 == *key1 within that run). Exactly std::equal_range
-  /// over the flattened columns. `scanned` (optional) accumulates the
-  /// number of binary-search probes, for scan observability.
+  /// over the flattened columns, computed as two LowerBounds: the
+  /// prefix padded with zeros and its successor. `scanned` (optional)
+  /// accumulates the probes of both, for scan observability.
   std::pair<size_t, size_t> EqualRange(uint32_t key0, const uint32_t* key1,
                                        size_t* scanned = nullptr) const;
 
   /// Leaf geometry, for range iteration and per-leaf filter kernels.
   /// LeafIndexOf requires slot < size().
   size_t LeafIndexOf(size_t slot) const;
-  const SpineLeaf& leaf(size_t li) const { return *leaves_[li]; }
-  size_t leaf_start(size_t li) const { return starts_[li]; }
+  const SpineLeaf& leaf(size_t li) const { return *leaves_[li].leaf; }
+  size_t leaf_start(size_t li) const { return leaves_[li].start; }
+  /// The first key of leaf li, as the per-leaf metadata caches it
+  /// (always equal to leaf(li).at(0)).
+  const SpineKey& leaf_first(size_t li) const { return leaves_[li].first; }
 
   /// Number of this spine's leaves that are the *same object* (pointer
   /// equality) as some leaf of `other` — the shared fraction of a
-  /// published snapshot. O(leaves).
+  /// published snapshot. A shared leaf has the same first key on both
+  /// sides, so this is one merge walk over the two metadata arrays by
+  /// first key. O(leaves), no hashing.
   size_t CountSharedLeavesWith(const Spine& other) const;
 
   /// Set equality with `other`. Streaming merge-walk over both leaf
@@ -119,19 +135,50 @@ class Spine {
 
  private:
   // Index of the leaf a key belongs to (the last leaf whose first key
-  // is <= key), or 0 when the key precedes everything.
-  size_t LeafForKey(const SpineKey& key) const;
+  // is <= key), or 0 when the key precedes everything. Adds its probes
+  // to *probes.
+  size_t LeafForKey(const SpineKey& key, size_t* probes) const;
   // A mutable reference to leaf li, cloning it first if shared.
   SpineLeaf* Mutable(size_t li);
   // Splits leaf li in half (after an insert pushed it past kLeafMax).
   void Split(size_t li);
 
-  std::vector<std::shared_ptr<SpineLeaf>> leaves_;
-  // starts_[i] = global slot of leaves_[i]'s first entry; starts_.size()
-  // == leaves_.size(). Maintained on every mutation (O(leaves)).
-  std::vector<size_t> starts_;
+  // One entry per leaf, in key order: the leaf, the global slot of its
+  // first entry and a copy of its first key. The first keys sit in one
+  // contiguous array, so finding a key's leaf dereferences no leaf.
+  // Maintained on every mutation (O(leaves)).
+  struct LeafRef {
+    std::shared_ptr<SpineLeaf> leaf;
+    size_t start = 0;
+    SpineKey first{};
+  };
+
+  std::vector<LeafRef> leaves_;
   size_t size_ = 0;
 };
+
+template <typename KeyAt>
+void Spine::BulkBuild(size_t n, KeyAt key_at) {
+  Clear();
+  const size_t fill = kLeafMax / 2;
+  leaves_.reserve((n + fill - 1) / fill);
+  for (size_t base = 0; base < n; base += fill) {
+    const size_t count = std::min(fill, n - base);
+    auto leaf = std::make_shared<SpineLeaf>();
+    leaf->k0.resize(count);
+    leaf->k1.resize(count);
+    leaf->k2.resize(count);
+    for (size_t i = 0; i < count; ++i) {
+      const SpineKey k = key_at(base + i);
+      leaf->k0[i] = k[0];
+      leaf->k1[i] = k[1];
+      leaf->k2[i] = k[2];
+    }
+    const SpineKey first = leaf->at(0);
+    leaves_.push_back(LeafRef{std::move(leaf), base, first});
+  }
+  size_ = n;
+}
 
 }  // namespace swdb
 

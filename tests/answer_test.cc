@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "gen/generators.h"
 #include "inference/closure.h"
 #include "rdf/iso.h"
@@ -278,6 +284,181 @@ TEST(Answer, EvaluationRejectsInvalidQuery) {
   QueryEvaluator eval(&dict);
   Result<std::vector<Graph>> pre = eval.PreAnswer(q, Graph());
   EXPECT_FALSE(pre.ok());
+}
+
+// ---------------------------------------------------------------------------
+// Flat answer building against one Graph per matching.
+
+// The pre-answer built the way it was before flat span building: one
+// Graph per constraint-satisfying matching, head blanks minted from
+// `dict` on the first sight of their (blank, argument tuple), sorted with
+// TriplesLess and deduplicated with ==; `counts` are the run lengths.
+// Heads here hold at most one blank per triple, so the mint order is
+// enumeration order on both sides.
+struct ReferenceAnswers {
+  std::vector<Graph> answers;
+  std::vector<uint32_t> counts;
+};
+
+ReferenceAnswers ReferencePreAnswer(const Query& q, const Graph& target,
+                                    Dictionary* dict) {
+  const std::vector<Term> vars = q.body.Variables();
+  std::map<std::pair<Term, std::vector<Term>>, Term> skolem;
+  std::vector<Graph> per_matching;
+  PatternMatcher matcher(q.body, &target, MatchOptions());
+  const Status status = matcher.Enumerate([&](const TermMap& v) {
+    if (!q.SatisfiesConstraints(v)) return true;
+    std::vector<Term> args;
+    for (Term var : vars) args.push_back(v.Apply(var));
+    auto value = [&](Term x) {
+      if (x.IsVar()) return v.Apply(x);
+      if (!x.IsBlank()) return x;
+      auto [it, fresh] = skolem.try_emplace({x, args}, Term());
+      if (fresh) it->second = dict->FreshBlank();
+      return it->second;
+    };
+    std::vector<Triple> image;
+    for (const Triple& t : q.head) {
+      const Triple i(value(t.s), value(t.p), value(t.o));
+      if (!i.IsWellFormedData()) return true;
+      image.push_back(i);
+    }
+    per_matching.emplace_back(std::move(image));
+    return true;
+  });
+  EXPECT_TRUE(status.ok());
+  std::sort(per_matching.begin(), per_matching.end(), TriplesLess);
+  ReferenceAnswers out;
+  for (size_t i = 0; i < per_matching.size();) {
+    size_t j = i + 1;
+    while (j < per_matching.size() && per_matching[j] == per_matching[i]) ++j;
+    out.answers.push_back(per_matching[i]);
+    out.counts.push_back(static_cast<uint32_t>(j - i));
+    i = j;
+  }
+  return out;
+}
+
+// PreAnswerPrenormalized (with and without capture) equals the
+// reference, run on a copy of the dictionary so both mint the same
+// Skolem blanks. Returns the answers for further checks.
+std::vector<Graph> ExpectMatchesReference(const Query& q, const Graph& target,
+                                          Dictionary* dict) {
+  Dictionary ref_dict(*dict);
+  QueryEvaluator eval(dict);
+  Materialization capture;
+  Result<std::vector<Graph>> got =
+      eval.PreAnswerPrenormalized(q, target, &capture);
+  EXPECT_TRUE(got.ok());
+  if (!got.ok()) return {};
+  const ReferenceAnswers want = ReferencePreAnswer(q, target, &ref_dict);
+  EXPECT_TRUE(*got == want.answers);
+  EXPECT_EQ(capture.counts, want.counts);
+  EXPECT_EQ(capture.counts.size(), got->size());
+  // Replays against the grown Skolem cache are identical.
+  Result<std::vector<Graph>> again = eval.PreAnswerPrenormalized(q, target);
+  EXPECT_TRUE(again.ok() && *again == want.answers);
+  return *got;
+}
+
+TEST(AnswerFlat, MultiTripleHeadsWhoseImagesCollapse) {
+  Dictionary dict;
+  const Graph target = Data(&dict,
+                            "a r a .\n"
+                            "a r b .\n"
+                            "b r a .\n"
+                            "c r c .\n"
+                            "c r d .\n");
+  // (a,a) and (c,c) collapse to one triple; (a,b) and (b,a) derive the
+  // same two-triple answer.
+  const Query q = Q(&dict,
+                    "head: ?X s ?Y .\n"
+                    "head: ?Y s ?X .\n"
+                    "body: ?X r ?Y .\n");
+  const std::vector<Graph> answers = ExpectMatchesReference(q, target, &dict);
+  ASSERT_EQ(answers.size(), 4u);
+  size_t singletons = 0;
+  for (const Graph& g : answers) singletons += g.size() == 1 ? 1 : 0;
+  EXPECT_EQ(singletons, 2u);
+  // A constant head: every matching derives the one answer.
+  const Query constant = Q(&dict,
+                           "head: r used yes .\n"
+                           "head: r used yes .\n"
+                           "body: ?X r ?Y .\n");
+  const std::vector<Graph> one = ExpectMatchesReference(constant, target, &dict);
+  ASSERT_EQ(one.size(), 1u);
+}
+
+TEST(AnswerFlat, HeadBlanksAreSkolemizedPerMatching) {
+  Dictionary dict;
+  const Graph target = Data(&dict,
+                            "a lives paris .\n"
+                            "b lives paris .\n"
+                            "a lives rome .\n"
+                            "_:P lives rome .\n");
+  const Query q = Q(&dict,
+                    "head: ?X addr _:A .\n"
+                    "head: _:A city ?C .\n"
+                    "body: ?X lives ?C .\n");
+  const std::vector<Graph> answers = ExpectMatchesReference(q, target, &dict);
+  ASSERT_EQ(answers.size(), 4u);
+  // Each matching mints its own Skolem blank.
+  std::set<Term> skolems;
+  for (const Graph& g : answers) {
+    ASSERT_EQ(g.size(), 2u);
+    for (const Triple& t : g) {
+      if (t.p == dict.Iri("addr")) skolems.insert(t.o);
+    }
+  }
+  EXPECT_EQ(skolems.size(), 4u);
+  // A head blank next to a variable that only some matchings change.
+  const Query tag = Q(&dict,
+                      "head: ?C tagged _:N .\n"
+                      "body: ?X lives ?C .\n");
+  EXPECT_EQ(ExpectMatchesReference(tag, target, &dict).size(), 4u);
+}
+
+TEST(AnswerFlat, IllFormedImagesAreDroppedAndConstraintsApply) {
+  Dictionary dict;
+  const Graph target = Data(&dict,
+                            "a p _:B .\n"
+                            "_:B r s .\n"
+                            "a p q .\n"
+                            "a p t .\n"
+                            "x q y .\n");
+  // ?P bound to a blank lands in predicate position: dropped.
+  const Query q = Q(&dict,
+                    "head: x ?P y .\n"
+                    "head: x seen ?P .\n"
+                    "body: a p ?P .\n");
+  EXPECT_EQ(ExpectMatchesReference(q, target, &dict).size(), 2u);
+  // The same with a head blank minted before the drop.
+  const Query blank_first = Q(&dict,
+                              "head: _:N ?P y .\n"
+                              "body: a p ?P .\n");
+  EXPECT_EQ(ExpectMatchesReference(blank_first, target, &dict).size(), 2u);
+  // A constraint removes the blank binding before any image is built.
+  const Query bound = Q(&dict,
+                        "head: ?P known yes .\n"
+                        "body: a p ?P .\n"
+                        "bind: ?P\n");
+  EXPECT_EQ(ExpectMatchesReference(bound, target, &dict).size(), 2u);
+}
+
+TEST(AnswerFlat, RandomWorkloadsMatchReference) {
+  Rng rng(77);
+  for (int round = 0; round < 20; ++round) {
+    Dictionary dict;
+    RandomGraphSpec spec;
+    spec.num_nodes = 10;
+    spec.num_triples = 30;
+    spec.num_predicates = 3;
+    spec.blank_ratio = 0.3;
+    const Graph db = RandomSimpleGraph(spec, &dict, &rng);
+    const Query q = PatternQueryFromGraph(db, 2, 0.6, &dict, &rng);
+    if (!q.Validate().ok() || q.body.empty()) continue;
+    ExpectMatchesReference(q, db, &dict);
+  }
 }
 
 TEST(Answer, MatchingsExposeBindingsTable) {

@@ -7,6 +7,8 @@
 #include <iterator>
 #include <random>
 #include <set>
+#include <type_traits>
+#include <unordered_set>
 
 #include "parser/text.h"
 #include "testutil.h"
@@ -667,6 +669,192 @@ TEST(GraphStatsTest, CountsCallsBytesAndYields) {
   EXPECT_GE(st.leaves_primary, 1u);
   EXPECT_GE(st.leaves_index, 3u);
 }
+
+// ---------------------------------------------------------------------------
+// The two-level search: per-leaf metadata and the lookups built on it.
+
+// Keys whose parts include 0 and UINT32_MAX, so prefix successors hit
+// both ends of the key space. ~48k distinct keys: enough to split.
+SpineKey EdgeKey(std::mt19937* rng) {
+  static constexpr uint32_t kLead[] = {0,    1,          2,         7,
+                                       1000, UINT32_MAX - 1, UINT32_MAX};
+  static constexpr uint32_t kMid[] = {0, 3, 4, 9, UINT32_MAX - 1, UINT32_MAX};
+  const uint32_t k2 =
+      (*rng)() % 8 == 0 ? UINT32_MAX : static_cast<uint32_t>((*rng)() % 1200);
+  return {kLead[(*rng)() % 7], kMid[(*rng)() % 6], k2};
+}
+
+// Every metadata entry is {leaf_start, leaf(i).at(0)}, leaves are
+// non-empty and their sizes add up to the spine's.
+void ExpectMetadataCurrent(const Spine& s) {
+  size_t start = 0;
+  for (size_t li = 0; li < s.leaf_count(); ++li) {
+    ASSERT_GT(s.leaf(li).size(), 0u) << "leaf " << li;
+    ASSERT_EQ(s.leaf_start(li), start) << "leaf " << li;
+    ASSERT_EQ(s.leaf_first(li), s.leaf(li).at(0)) << "leaf " << li;
+    start += s.leaf(li).size();
+  }
+  ASSERT_EQ(start, s.size());
+}
+
+// LowerBound and EqualRange (with and without key1) against the
+// standard algorithms over the flattened keys.
+void ExpectLookupsMatchFlattened(const Spine& s, std::mt19937* rng) {
+  const std::vector<SpineKey> flat = s.Keys();
+  auto check = [&](const SpineKey& key) {
+    const size_t want =
+        std::lower_bound(flat.begin(), flat.end(), key) - flat.begin();
+    ASSERT_EQ(s.LowerBound(key), want);
+
+    auto by_k0 = [](const SpineKey& a, const SpineKey& b) {
+      return a[0] < b[0];
+    };
+    const auto r0 = std::equal_range(flat.begin(), flat.end(), key, by_k0);
+    size_t scanned = 0;
+    const auto got0 = s.EqualRange(key[0], nullptr, &scanned);
+    ASSERT_EQ(got0.first, static_cast<size_t>(r0.first - flat.begin()));
+    ASSERT_EQ(got0.second, static_cast<size_t>(r0.second - flat.begin()));
+    if (!s.empty()) ASSERT_GT(scanned, 0u);
+
+    auto by_k01 = [](const SpineKey& a, const SpineKey& b) {
+      return a[0] != b[0] ? a[0] < b[0] : a[1] < b[1];
+    };
+    const auto r1 = std::equal_range(flat.begin(), flat.end(), key, by_k01);
+    const auto got1 = s.EqualRange(key[0], &key[1]);
+    ASSERT_EQ(got1.first, static_cast<size_t>(r1.first - flat.begin()));
+    ASSERT_EQ(got1.second, static_cast<size_t>(r1.second - flat.begin()));
+  };
+  for (int i = 0; i < 300; ++i) check(EdgeKey(rng));
+  for (uint32_t a : {0u, UINT32_MAX}) {
+    for (uint32_t b : {0u, UINT32_MAX}) {
+      for (uint32_t c : {0u, UINT32_MAX}) check({a, b, c});
+    }
+  }
+  for (size_t i = 0; i < flat.size(); i += 1 + flat.size() / 50) {
+    check(flat[i]);
+  }
+}
+
+TEST(SpineSearch, MetadataAndLookupsTrackInsertsErasesAndEmptiedLeaves) {
+  std::mt19937 rng(20261018);
+  Spine s;
+  std::set<SpineKey> ref;
+  ExpectLookupsMatchFlattened(s, &rng);
+  // Growth: random inserts split leaves; a few erases in between.
+  for (int step = 0; step < 16000; ++step) {
+    const SpineKey k = EdgeKey(&rng);
+    if (rng() % 5 != 0) {
+      ASSERT_EQ(s.Insert(k), ref.insert(k).second);
+    } else {
+      ASSERT_EQ(s.Erase(k), ref.erase(k) != 0);
+    }
+    if (step % 500 == 0) ExpectMetadataCurrent(s);
+  }
+  ASSERT_GT(s.leaf_count(), 4u);
+  ASSERT_EQ(s.Keys(), std::vector<SpineKey>(ref.begin(), ref.end()));
+  ExpectMetadataCurrent(s);
+  ExpectLookupsMatchFlattened(s, &rng);
+
+  // A key below everything moves leaf 0's first key.
+  const SpineKey least = {0, 0, 0};
+  if (ref.insert(least).second) ASSERT_TRUE(s.Insert(least));
+  ExpectMetadataCurrent(s);
+
+  // Empty whole leaves: the first, then one in the middle, key by key
+  // from the front so every erase moves that leaf's first key.
+  for (size_t victim : {size_t{0}, s.leaf_count() / 2}) {
+    const size_t before = s.leaf_count();
+    const SpineLeaf doomed = s.leaf(victim);
+    for (size_t i = 0; i < doomed.size(); ++i) {
+      ASSERT_TRUE(s.Erase(doomed.at(i)));
+      ref.erase(doomed.at(i));
+      if (i % 97 == 0) ExpectMetadataCurrent(s);
+    }
+    ASSERT_EQ(s.leaf_count(), before - 1);
+    ExpectMetadataCurrent(s);
+    ExpectLookupsMatchFlattened(s, &rng);
+  }
+  ASSERT_EQ(s.Keys(), std::vector<SpineKey>(ref.begin(), ref.end()));
+
+  // Drain to empty, then lookups on the empty spine.
+  for (const SpineKey& k : ref) ASSERT_TRUE(s.Erase(k));
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.leaf_count(), 0u);
+  ExpectLookupsMatchFlattened(s, &rng);
+}
+
+TEST(SpineSearch, BulkBuildAndCopyThenMutateKeepMetadataCurrent) {
+  std::mt19937 rng(29);
+  std::set<SpineKey> keys;
+  while (keys.size() < 20000) keys.insert(EdgeKey(&rng));
+  const Spine built = SpineOf(keys);
+  ExpectMetadataCurrent(built);
+  ExpectLookupsMatchFlattened(built, &rng);
+
+  // Mutating a leaf-sharing copy clones leaves under it; the original's
+  // metadata and contents stay as they were.
+  Spine copy = built;
+  for (int i = 0; i < 3000; ++i) {
+    const SpineKey k = EdgeKey(&rng);
+    if (rng() % 2 == 0) {
+      copy.Insert(k);
+    } else {
+      copy.Erase(k);
+    }
+  }
+  ExpectMetadataCurrent(copy);
+  ExpectLookupsMatchFlattened(copy, &rng);
+  ExpectMetadataCurrent(built);
+  ASSERT_EQ(built.Keys(), std::vector<SpineKey>(keys.begin(), keys.end()));
+  ExpectLookupsMatchFlattened(built, &rng);
+}
+
+// The sharing count by pointer hashing, as CountSharedLeavesWith once
+// computed it.
+size_t SharedByHash(const Spine& a, const Spine& b) {
+  std::unordered_set<const SpineLeaf*> theirs;
+  for (size_t li = 0; li < b.leaf_count(); ++li) theirs.insert(&b.leaf(li));
+  size_t shared = 0;
+  for (size_t li = 0; li < a.leaf_count(); ++li) {
+    shared += theirs.count(&a.leaf(li));
+  }
+  return shared;
+}
+
+TEST(SpineSearch, SharedLeafCountMatchesPointerHashing) {
+  for (uint32_t seed = 1; seed <= 8; ++seed) {
+    std::mt19937 rng(seed);
+    std::set<SpineKey> keys;
+    const size_t n = 500 + rng() % 20000;
+    while (keys.size() < n) keys.insert(EdgeKey(&rng));
+    const Spine from = SpineOf(keys);
+    Spine to = from;
+    const int edits = static_cast<int>(rng() % 2500);
+    for (int i = 0; i < edits; ++i) {
+      const SpineKey k = EdgeKey(&rng);
+      if (rng() % 3 == 0) {
+        to.Erase(k);
+      } else {
+        to.Insert(k);
+      }
+    }
+    EXPECT_EQ(to.CountSharedLeavesWith(from), SharedByHash(to, from))
+        << "seed " << seed;
+    EXPECT_EQ(from.CountSharedLeavesWith(to), SharedByHash(from, to))
+        << "seed " << seed;
+    EXPECT_EQ(from.CountSharedLeavesWith(from), from.leaf_count());
+    // Equal contents in different leaves share nothing.
+    Spine rebuilt;
+    for (const SpineKey& k : keys) rebuilt.Insert(k);
+    EXPECT_EQ(rebuilt.CountSharedLeavesWith(from), 0u);
+    EXPECT_EQ(SharedByHash(rebuilt, from), 0u);
+  }
+}
+
+// Vectors of Graph (answer vectors) move their elements on
+// reallocation only if these hold; otherwise they copy every spine.
+static_assert(std::is_nothrow_move_constructible_v<Graph>);
+static_assert(std::is_nothrow_move_assignable_v<Graph>);
 
 TEST(GraphParse, RoundTrip) {
   Dictionary dict;
