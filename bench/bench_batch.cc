@@ -5,8 +5,7 @@
 // prefix over its family predicates, variants differing in a 1-triple
 // residual suffix over the bulk predicates, and 2 of the 8 variants
 // (25%) exact variable-respellings of earlier ones (ViewKey-isomorphic,
-// deduped by the batch path). Views are disabled for every series so
-// the numbers isolate dedupe from caching.
+// deduped by the batch path).
 //
 //   * SequentialReplay/N     — the baseline: 64 independent PreAnswer
 //                              calls per iteration.
@@ -124,9 +123,7 @@ Database* SetupDb(const std::string& tag, size_t n) {
   const std::string key = tag + "/" + std::to_string(n);
   auto it = dbs->find(key);
   if (it == dbs->end()) {
-    EvalOptions opts;
-    opts.views.enabled = false;  // isolate dedupe
-    it = dbs->emplace(key, std::make_unique<Database>(dict, opts)).first;
+    it = dbs->emplace(key, std::make_unique<Database>(dict)).first;
     it->second->InsertGraph(Graph(MakeTriples(n)));
     (void)it->second->Normalized();  // closure + nf built outside timing
   }

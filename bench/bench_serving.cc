@@ -139,9 +139,6 @@ void EmitEntry(const char* name, uint64_t triples, int readers,
       "   \"mismatches\": %" PRIu64 ",\n"
       "   \"mean_snapshot_lag\": %.3f,\n"
       "   \"max_snapshot_lag\": %" PRIu64 ",\n"
-      "   \"view_hits\": %" PRIu64 ",\n"
-      "   \"view_misses\": %" PRIu64 ",\n"
-      "   \"batch_view_hits\": %" PRIu64 ",\n"
       "   \"snapshot_nf_builds\": %" PRIu64 ",\n"
       "   \"snapshot_publishes\": %" PRIu64 ",\n"
       "   \"writer_batches\": %" PRIu64 ",\n"
@@ -151,10 +148,9 @@ void EmitEntry(const char* name, uint64_t triples, int readers,
       "  }",
       name, triples, readers, r.ops, r.p50_us, r.qps, r.mean_us, r.p50_us,
       r.p95_us, r.p99_us, r.max_us, r.ops, r.answers, r.errors, r.checks,
-      r.mismatches, r.mean_snapshot_lag, r.max_snapshot_lag, r.view_hits,
-      r.view_misses, r.batch_view_hits, r.snapshot_nf_builds,
-      r.snapshot_publishes, r.writer_batches, r.writer_inserts,
-      r.writer_erases, r.final_triples);
+      r.mismatches, r.mean_snapshot_lag, r.max_snapshot_lag,
+      r.snapshot_nf_builds, r.snapshot_publishes, r.writer_batches,
+      r.writer_inserts, r.writer_erases, r.final_triples);
 }
 
 int Main(int argc, char** argv) {

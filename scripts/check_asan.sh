@@ -10,7 +10,8 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-$repo_root/build-asan}"
 
 cmake -B "$build_dir" -S "$repo_root" -DSWDB_SANITIZE=address,undefined
-cmake --build "$build_dir" -j
-ctest --test-dir "$build_dir" --output-on-failure -j
+jobs="$(nproc)"
+cmake --build "$build_dir" -j "$jobs"
+ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 
 echo "asan/ubsan: all tests passed"

@@ -1,12 +1,29 @@
 #include "query/answer.h"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 
 #include "inference/closure.h"
 #include "normal/normal_form.h"
 
 namespace swdb {
+
+namespace {
+
+// Lexicographic order of two valuations on `vars`: the deterministic
+// order Matchings() returns them in.
+bool ValuationLess(const TermMap& a, const TermMap& b,
+                   const std::vector<Term>& vars) {
+  for (Term var : vars) {
+    const Term av = a.Apply(var);
+    const Term bv = b.Apply(var);
+    if (av != bv) return av < bv;
+  }
+  return false;
+}
+
+}  // namespace
 
 QueryEvaluator::QueryEvaluator(Dictionary* dict, EvalOptions options)
     : dict_(dict), options_(options) {}
@@ -40,62 +57,75 @@ Result<std::vector<Graph>> QueryEvaluator::PreAnswer(const Query& q,
 
 Result<std::vector<Graph>> QueryEvaluator::PreAnswerPrenormalized(
     const Query& q, const Graph& target) {
-  return PreAnswerPrenormalized(q, target, /*capture=*/nullptr);
-}
-
-Result<std::vector<Graph>> QueryEvaluator::PreAnswerPrenormalized(
-    const Query& q, const Graph& target, Materialization* capture) {
   Status valid = q.Validate();
   if (!valid.ok()) return valid;
 
-  const std::vector<Term> body_vars = q.body.Variables();
-  const std::vector<Triple> head = q.head.triples();
-  const size_t width = body_vars.size();
+  PatternMatcher matcher(q.body, &target, options_.match);
+  // Compile the head, the constraints and the Skolem arguments to row
+  // reads. A valid query's head and constraint variables are body
+  // variables, so each has a slot; a term without one is read as
+  // itself, as TermMap::Apply would.
+  struct HeadTerm {
+    Term term;     // the constant or head blank when slot < 0
+    int32_t slot;  // row index of a variable
+  };
+  const auto compile = [&](Term t) {
+    return HeadTerm{t, t.IsVar() ? matcher.SlotOf(t) : -1};
+  };
+  std::vector<std::array<HeadTerm, 3>> head;
+  for (const Triple& t : q.head) {
+    head.push_back({compile(t.s), compile(t.p), compile(t.o)});
+  }
+  std::vector<int32_t> constrained;
+  for (Term c : q.constraints) {
+    if (const int32_t slot = matcher.SlotOf(c); slot >= 0) {
+      constrained.push_back(slot);
+    }
+  }
+  // Skolem arguments: the valuation of all body variables, in sorted
+  // variable order (the tuple (v(?X1), ..., v(?Xk)) of Def. 4.3).
+  std::vector<int32_t> arg_slots;
+  for (Term var : q.body.Variables()) arg_slots.push_back(matcher.SlotOf(var));
 
   // Every single answer v(H) as one sorted, distinct span of `images`:
   // answer i is [bounds[i], bounds[i + 1]).
   std::vector<Triple> images;
   std::vector<size_t> bounds = {0};
-  std::vector<Term> values;  // captured rows, in enumeration order
-  size_t rows = 0;
-  PatternMatcher matcher(q.body, &target, options_.match);
-  Status status = matcher.Enumerate([&](const TermMap& v) {
-    if (!q.SatisfiesConstraints(v)) return true;
-    if (capture != nullptr) {
-      for (Term var : body_vars) values.push_back(v.Apply(var));
-      ++rows;
+  std::vector<Term> args;
+  Status status = matcher.EnumerateRows([&](const Term* row) {
+    for (int32_t c : constrained) {
+      if (row[c].IsBlank()) return true;
     }
-    if (AppendAnswer(head, body_vars, v, &images)) {
-      bounds.push_back(images.size());
+    // The Skolem tuple is built on the first head blank only.
+    args.clear();
+    const auto value = [&](const HeadTerm& h) {
+      if (h.slot >= 0) return row[h.slot];
+      if (!h.term.IsBlank()) return h.term;
+      if (args.empty()) {
+        for (int32_t s : arg_slots) args.push_back(row[s]);
+      }
+      return SkolemBlank(h.term, args);
+    };
+    const size_t begin = images.size();
+    for (const std::array<HeadTerm, 3>& h : head) {
+      Triple image(value(h[0]), value(h[1]), value(h[2]));
+      if (!image.IsWellFormedData()) {
+        images.resize(begin);  // not a data graph: no answer
+        return true;
+      }
+      images.push_back(image);
     }
+    const auto first = images.begin() + static_cast<std::ptrdiff_t>(begin);
+    std::sort(first, images.end());
+    images.erase(std::unique(first, images.end()), images.end());
+    bounds.push_back(images.size());
     return true;
   });
   if (!status.ok()) return status;
 
-  if (capture != nullptr) {
-    // Distinct matchings have distinct body-variable tuples (a matching
-    // is its tuple), so this row order is total and reproducible.
-    std::vector<size_t> order(rows);
-    std::iota(order.begin(), order.end(), size_t{0});
-    const Term* base = values.data();
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return std::lexicographical_compare(base + a * width,
-                                          base + (a + 1) * width,
-                                          base + b * width,
-                                          base + (b + 1) * width);
-    });
-    *capture = Materialization{width, rows, {}, {}};
-    capture->values.reserve(values.size());
-    for (size_t r : order) {
-      capture->values.insert(capture->values.end(), base + r * width,
-                             base + (r + 1) * width);
-    }
-  }
-
   // Sort the spans lexicographically — over sorted triple sequences
-  // that is exactly TriplesLess on the graphs they spell — then
-  // deduplicate: equal answers are adjacent, and each run's length is
-  // the number of valuations deriving that answer.
+  // that is exactly TriplesLess on the graphs they spell — then keep
+  // the first of each run of equal answers.
   const Triple* img = images.data();
   std::vector<size_t> order(bounds.size() - 1);
   std::iota(order.begin(), order.end(), size_t{0});
@@ -103,70 +133,18 @@ Result<std::vector<Graph>> QueryEvaluator::PreAnswerPrenormalized(
     return std::lexicographical_compare(img + bounds[a], img + bounds[a + 1],
                                         img + bounds[b], img + bounds[b + 1]);
   });
-  std::vector<uint32_t> counts;
-  for (size_t i = 0; i < order.size();) {
-    const size_t a = order[i];
-    size_t j = i + 1;
-    while (j < order.size() &&
-           std::equal(img + bounds[a], img + bounds[a + 1],
-                      img + bounds[order[j]], img + bounds[order[j] + 1])) {
-      ++j;
-    }
-    counts.push_back(static_cast<uint32_t>(j - i));
-    i = j;
-  }
+  const auto last = std::unique(order.begin(), order.end(), [&](size_t a,
+                                                                size_t b) {
+    return std::equal(img + bounds[a], img + bounds[a + 1], img + bounds[b],
+                      img + bounds[b + 1]);
+  });
   std::vector<Graph> answers;
-  answers.reserve(counts.size());
-  for (size_t i = 0, run = 0; run < counts.size(); i += counts[run++]) {
-    const size_t a = order[i];
+  answers.reserve(static_cast<size_t>(last - order.begin()));
+  for (auto it = order.begin(); it != last; ++it) {
     answers.push_back(
-        Graph::FromSorted(img + bounds[a], bounds[a + 1] - bounds[a]));
+        Graph::FromSorted(img + bounds[*it], bounds[*it + 1] - bounds[*it]));
   }
-  if (capture != nullptr) capture->counts = std::move(counts);
   return answers;
-}
-
-bool QueryEvaluator::AppendAnswer(const std::vector<Triple>& head,
-                                  const std::vector<Term>& body_vars,
-                                  const TermMap& v,
-                                  std::vector<Triple>* out) {
-  // Skolem arguments: the valuation of all body variables, in sorted
-  // variable order (the tuple (v(?X1), ..., v(?Xk)) of Def. 4.3),
-  // built on the first head blank only.
-  std::vector<Term> args;
-  auto value = [&](Term x) {
-    if (x.IsVar()) return v.Apply(x);
-    if (x.IsBlank()) {
-      if (args.empty()) {
-        for (Term var : body_vars) args.push_back(v.Apply(var));
-      }
-      return SkolemBlank(x, args);
-    }
-    return x;
-  };
-
-  // Build v(H): substitute variables, Skolemize head blanks.
-  const auto begin = static_cast<std::ptrdiff_t>(out->size());
-  for (const Triple& t : head) {
-    Triple image(value(t.s), value(t.p), value(t.o));
-    if (!image.IsWellFormedData()) {
-      out->resize(static_cast<size_t>(begin));
-      return false;
-    }
-    out->push_back(image);
-  }
-  std::sort(out->begin() + begin, out->end());
-  out->erase(std::unique(out->begin() + begin, out->end()), out->end());
-  return true;
-}
-
-std::optional<Graph> QueryEvaluator::AnswerFromMatching(
-    const Query& q, const std::vector<Term>& body_vars, const TermMap& v) {
-  std::vector<Triple> image;
-  if (!AppendAnswer(q.head.triples(), body_vars, v, &image)) {
-    return std::nullopt;
-  }
-  return Graph::FromSorted(image.data(), image.size());
 }
 
 Result<std::vector<TermMap>> QueryEvaluator::Matchings(const Query& q,
@@ -190,16 +168,6 @@ Result<std::vector<TermMap>> QueryEvaluator::Matchings(const Query& q,
               return ValuationLess(a, b, body_vars);
             });
   return matchings;
-}
-
-bool ValuationLess(const TermMap& a, const TermMap& b,
-                   const std::vector<Term>& vars) {
-  for (Term var : vars) {
-    const Term av = a.Apply(var);
-    const Term bv = b.Apply(var);
-    if (av != bv) return av < bv;
-  }
-  return false;
 }
 
 Result<Graph> QueryEvaluator::AnswerUnion(const Query& q, const Graph& db) {

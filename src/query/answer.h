@@ -4,13 +4,11 @@
 #include <cstddef>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "query/query.h"
-#include "query/view_cache.h"
 #include "rdf/hom.h"
 #include "util/hash.h"
 #include "util/status.h"
@@ -26,9 +24,6 @@ struct EvalOptions {
   /// database equivalence; this switch exists so benches and tests can
   /// exhibit the difference (closure is cheaper but syntax dependent).
   bool use_closure_only = false;
-  /// Materialized pre-answer view layer (Database/DatabaseSnapshot
-  /// only; bare evaluator calls never cache).
-  ViewCacheOptions views;
 };
 
 /// Evaluates queries over databases with the semantics of §4.1:
@@ -53,26 +48,11 @@ class QueryEvaluator {
   /// PreAnswer against an already-normalized database: the caller
   /// guarantees `normalized` equals nf(D + P) (or the closure under
   /// use_closure_only). Used by Database to amortize normalization over
-  /// many premise-free queries.
+  /// many premise-free queries. The head, the constraints and the
+  /// Skolem arguments are compiled to reads of the matcher's binding
+  /// rows once per call; no valuation map is built per matching.
   Result<std::vector<Graph>> PreAnswerPrenormalized(const Query& q,
                                                     const Graph& normalized);
-
-  /// As above, additionally capturing the view materialization (every
-  /// constraint-satisfying body valuation in ValuationLess order, and
-  /// per answer how many of them derive it) when `capture` is non-null
-  /// — the materialization entry point of the view layer.
-  Result<std::vector<Graph>> PreAnswerPrenormalized(
-      const Query& q, const Graph& normalized, Materialization* capture);
-
-  /// v(H) for one constraint-passing body valuation: substitutes
-  /// variables, Skolemizes head blanks from the sorted-body-variable
-  /// argument tuple, and returns nullopt when the image is not a
-  /// well-formed data graph. Deterministic given the Skolem cache state;
-  /// the view cache re-derives patched answers through this so cached
-  /// and from-scratch answers stay bit-identical.
-  std::optional<Graph> AnswerFromMatching(const Query& q,
-                                          const std::vector<Term>& body_vars,
-                                          const TermMap& v);
 
   /// The raw matchings: every constraint-satisfying valuation of the
   /// body variables (Def. 4.3's v), as variable→term maps in
@@ -115,14 +95,6 @@ class QueryEvaluator {
 
   Term SkolemBlank(Term head_blank, const std::vector<Term>& args);
 
-  // Appends v(H) (`head` is q.head's triples) to *out as one sorted,
-  // distinct span — the single-answer builder PreAnswerPrenormalized
-  // and AnswerFromMatching share. False, with *out unchanged, when the
-  // image is not a well-formed data graph.
-  bool AppendAnswer(const std::vector<Triple>& head,
-                    const std::vector<Term>& body_vars, const TermMap& v,
-                    std::vector<Triple>* out);
-
   Dictionary* dict_;
   EvalOptions options_;
   // f_N(args) cache: the same (blank, argument-tuple) always yields the
@@ -133,12 +105,6 @@ class QueryEvaluator {
   std::mutex skolem_mu_;
   std::unordered_map<SkolemKey, Term, SkolemKeyHash> skolem_cache_;
 };
-
-/// Lexicographic order of two valuations on `vars` — the deterministic
-/// storage order of captured matchings (Matchings() and the view cache
-/// both sort by it).
-bool ValuationLess(const TermMap& a, const TermMap& b,
-                   const std::vector<Term>& vars);
 
 }  // namespace swdb
 

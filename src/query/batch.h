@@ -7,7 +7,6 @@
 
 #include "query/answer.h"
 #include "query/query.h"
-#include "query/view_cache.h"
 #include "rdf/graph.h"
 #include "rdf/hom.h"
 #include "util/status.h"
@@ -15,22 +14,19 @@
 namespace swdb {
 
 /// Counters of one PreAnswerBatch call. Every field is structural — a
-/// function of the batch, the normalized graph, and the view-cache
-/// state — so the same batch yields the same BatchStats on every run
-/// (asserted by the parity fuzz).
+/// function of the batch and the normalized graph — so the same batch
+/// yields the same BatchStats on every run (asserted by the parity
+/// fuzz).
 struct BatchStats {
   /// Slots in the batch (== queries.size()).
   uint64_t queries = 0;
   /// Slots served by another slot's group: every member of a ViewKey
-  /// group beyond its first spelling, whether the group was resolved by
-  /// a view hit or by evaluation.
+  /// group beyond its first spelling.
   uint64_t deduped = 0;
   /// Premise-bearing slots: the D + P merge mints fresh blanks per
   /// call, so these fall through to per-query evaluation via
   /// `premise_eval`, in batch order.
   uint64_t premise_fallthroughs = 0;
-  /// Groups served by the view cache.
-  uint64_t view_hits = 0;
   /// Groups whose step budget ran out (their slots return
   /// kLimitExceeded; the rest of the batch is unaffected).
   uint64_t limit_exceeded = 0;
@@ -50,29 +46,22 @@ struct BatchStats {
 ///      the CanonicalQuery contract; head-blank queries key on their
 ///      exact spelling, so only identical spellings share and the
 ///      Skolem mints match a sequential run);
-///   3. groups are probed against `views` first (a fully-hit batch
-///      never calls `normalized`); on any miss the normalized graph is
-///      obtained once, the cache is brought up to date (Maintain), and
-///      the groups are re-probed;
-///   4. in slot order on the calling thread, premise slots run through
-///      `premise_eval` and each surviving group runs once, at its first
-///      member, through QueryEvaluator::PreAnswerPrenormalized on its
-///      canonical spelling — the sequential call, with the sequential
-///      step budget and mint sequence;
-///   5. promoted shapes are installed into the view cache, and each
-///      group's answers are replayed to every member slot.
+///   3. in slot order on the calling thread, premise slots run through
+///      `premise_eval` and each group runs once, at its first member,
+///      through QueryEvaluator::PreAnswerPrenormalized on its canonical
+///      spelling — the sequential call, with the sequential step budget
+///      and mint sequence;
+///   4. each group's answers are replayed to every member slot.
 ///
-/// `normalized` is called at most once per batch and must return the
-/// normalized graph the sequential path would evaluate against;
-/// `premise_eval` must be the per-query premise path. `views` may hold
-/// a null cache (view layer disabled); `match` is the option set the
-/// cache's Maintain re-evaluates with.
+/// `normalized` is called at most once per batch (never when no slot
+/// is groupable) and must return the normalized graph the sequential
+/// path would evaluate against; `premise_eval` must be the per-query
+/// premise path.
 std::vector<Result<std::vector<Graph>>> PreAnswerBatchImpl(
     const std::vector<Query>& queries, QueryEvaluator* evaluator,
     const std::function<const Graph&()>& normalized,
     const std::function<Result<std::vector<Graph>>(const Query&)>&
         premise_eval,
-    const ViewCacheRef& views, const MatchOptions& match,
     BatchStats* stats_out);
 
 }  // namespace swdb

@@ -5,7 +5,6 @@
 #include "parser/text.h"
 #include "query/batch.h"
 #include "query/union_query.h"
-#include "query/view_key.h"
 #include "rdf/map.h"
 #include "util/check.h"
 #include "util/lock_rank.h"
@@ -24,17 +23,13 @@ void AccumulateBatchStats(const BatchStats& s, DatabaseStats* out) {
   add(out->batch_queries, s.queries);
   add(out->batch_deduped, s.deduped);
   add(out->batch_premise_fallthroughs, s.premise_fallthroughs);
-  add(out->batch_view_hits, s.view_hits);
   add(out->batch_limit_exceeded, s.limit_exceeded);
 }
 
 }  // namespace
 
 Database::Database(Dictionary* dict, EvalOptions options)
-    : dict_(dict),
-      evaluator_(dict, options),
-      options_(options),
-      view_cache_(options.views) {}
+    : dict_(dict), evaluator_(dict, options), options_(options) {}
 
 bool Database::Insert(const Triple& t) {
   std::lock_guard<std::mutex> lock(write_mu_);
@@ -69,10 +64,6 @@ void Database::InsertGraph(const Graph& g) {
     // slower than one batched refixpoint on next use.
     closure_.reset();
     nf_slot_.reset();
-    // The closure incarnation (and its version counter) is gone; the
-    // view cache's Clear bumps its fence stamp so counter reuse by the
-    // next incarnation can never revalidate an old consumer.
-    view_cache_.Clear();
     ++stats_.closure_bulk_resets;
   } else {
     MaintainInsert(delta);
@@ -137,15 +128,11 @@ void Database::MaintainInsert(const Graph& delta) {
 void Database::MaintainErase(const Graph& deleted) {
   if (!closure_.has_value()) return;
   ClosureDeltaStats ds;
-  const uint64_t version_before = closure_->version();
   closure_->EraseDelta(data_, deleted, &ds);
   closure_epoch_ = data_.epoch();
   ++stats_.closure_erase_updates;
   stats_.closure_overdeleted += ds.overdeleted;
   stats_.closure_rederived += ds.rederived;
-  // Views are patched by the nf delta on the next Maintain; the stamp
-  // bump only fences pre-erase snapshots out of post-erase entries.
-  if (closure_->version() != version_before) view_cache_.OnErase();
 }
 
 DatabaseStats Database::CollectStats() const {
@@ -153,7 +140,6 @@ DatabaseStats Database::CollectStats() const {
   out.data_graph = data_.Stats();
   if (closure_.has_value()) out.closure_graph = closure_->closure().Stats();
   out.dictionary = dict_->Stats();
-  out.views = view_cache_.stats();
   return out;
 }
 
@@ -161,7 +147,6 @@ const Graph& Database::Closure() {
   if (!closure_.has_value()) {
     closure_.emplace(data_);
     closure_epoch_ = data_.epoch();
-    view_cache_.Clear();
     ++stats_.closure_full_builds;
   } else {
     SWDB_CHECK(closure_epoch_ == data_.epoch(),
@@ -292,9 +277,7 @@ void Database::PublishSnapshotLocked() {
   }
   std::shared_ptr<const DatabaseSnapshot> snap(new DatabaseSnapshot(
       data_.epoch(), std::move(data), std::move(cl), nf_slot_, &evaluator_,
-      options_, &stats_,
-      ViewCacheRef{options_.views.enabled ? &view_cache_ : nullptr, version,
-                   view_cache_.erase_stamp()}));
+      options_, &stats_));
   std::lock_guard<std::mutex> snap_lock(snapshot_mu_);
   LockRankScope snap_rank(kLockRankSnapshot);
   // COW observability: compare the outgoing snapshot's leaves against
@@ -344,53 +327,16 @@ Result<std::vector<Graph>> DatabaseSnapshot::PreAnswer(const Query& q) const {
     // comment for the synchronization requirement.
     return evaluator_->PreAnswer(q, *data_);
   }
-  if (views_.cache == nullptr) {
-    return evaluator_->PreAnswerPrenormalized(q, normalized());
-  }
-  CanonicalQuery canon;
-  const ViewKey key = MakeViewKey(q, &canon);
-  // First probe before touching normalized(): a hit skips the lazy nf
-  // build entirely — the common case for a fresh snapshot of a hot
-  // shape.
-  if (std::optional<std::vector<Graph>> hit =
-          views_.cache->Lookup(key, views_.version, views_.erase_stamp)) {
-    return *std::move(hit);
-  }
-  const Graph& nf = normalized();
-  // A current snapshot (stamp matches) that is ahead of the cache's
-  // base advances it by the nf delta, then re-probes — the same
-  // maintain-then-look path the writer takes. Lagging snapshots fall
-  // straight through (Maintain fences them out).
-  views_.cache->Maintain(nf, views_.version, views_.erase_stamp, evaluator_,
-                         options_.match);
-  if (std::optional<std::vector<Graph>> hit =
-          views_.cache->Lookup(key, views_.version, views_.erase_stamp)) {
-    return *std::move(hit);
-  }
-  const bool materialize = views_.cache->RecordMiss(key);
-  Materialization materialization;
-  Result<std::vector<Graph>> pre = evaluator_->PreAnswerPrenormalized(
-      canon.query, nf, materialize ? &materialization : nullptr);
-  if (!pre.ok()) return pre;
-  if (materialize) {
-    // Installed at this snapshot's captured (version, stamp); the write
-    // rule drops the offer when the writer has moved past it.
-    views_.cache->Install(key, canon.query, std::move(materialization), *pre,
-                          views_.version, views_.erase_stamp);
-  }
-  return pre;
+  return evaluator_->PreAnswerPrenormalized(q, normalized());
 }
 
 std::vector<Result<std::vector<Graph>>> DatabaseSnapshot::PreAnswerBatch(
     const std::vector<Query>& queries, BatchStats* stats_out) const {
-  // The pipeline probes the view cache before calling the normalized
-  // lambda, so a fully-hit batch skips the lazy nf build — the same
-  // short-circuit the sequential snapshot PreAnswer has per query.
   BatchStats stats;
   std::vector<Result<std::vector<Graph>>> out = PreAnswerBatchImpl(
       queries, evaluator_, [this]() -> const Graph& { return normalized(); },
       [this](const Query& q) { return evaluator_->PreAnswer(q, *data_); },
-      views_, options_.match, &stats);
+      &stats);
   AccumulateBatchStats(stats, stats_);
   if (stats_out != nullptr) *stats_out = stats;
   return out;

@@ -22,11 +22,23 @@ namespace swdb {
 struct UnionQuery;
 
 /// Cross-build lean-cache counters, always zero: nf(D) is built once per
-/// closure version, so no refutation is shared between builds. Kept only
-/// for readers of DatabaseStats::lean_cache.
+/// closure version, so no refutation is shared between builds. Kept
+/// because servebench still reads them.
 struct LeanCacheStats {
   uint64_t cross_hits = 0;
   uint64_t misses = 0;
+};
+
+/// Materialized-view counters, always zero: every read is answered by
+/// the matcher, and no view layer exists. Kept because servebench still
+/// reads them.
+struct ViewStats {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t installs = 0;
+  uint64_t patches = 0;
+  uint64_t revalidations = 0;
+  uint64_t invalidations = 0;
 };
 
 /// Observability counters for the incremental maintenance engine. All
@@ -79,10 +91,8 @@ struct DatabaseStats {
   DictionaryStats dictionary;
   /// Always zero (see LeanCacheStats).
   LeanCacheStats lean_cache;
-  /// Materialized pre-answer view layer counters (hits, misses, patches,
-  /// invalidations, advisor promotions); plain snapshot filled by
-  /// CollectStats.
-  ViewCacheStats views;
+  /// Always zero (see ViewStats).
+  ViewStats views;
 
   /// Batched multi-query evaluation (PreAnswerBatch, writer and
   /// snapshots): cumulative BatchStats sums plus the call count. See
@@ -91,12 +101,12 @@ struct DatabaseStats {
   std::atomic<uint64_t> batch_queries{0};
   std::atomic<uint64_t> batch_deduped{0};
   std::atomic<uint64_t> batch_premise_fallthroughs{0};
-  std::atomic<uint64_t> batch_view_hits{0};
   std::atomic<uint64_t> batch_limit_exceeded{0};
-  /// Always zero: the shared-prefix batch trie they counted is gone.
-  /// Kept because servebench still reads them.
+  /// Always zero: the shared-prefix batch trie and the view cache they
+  /// counted are gone. Kept because servebench still reads them.
   std::atomic<uint64_t> batch_trie_groups{0};
   std::atomic<uint64_t> batch_prefix_hits{0};
+  std::atomic<uint64_t> batch_view_hits{0};
 
   DatabaseStats() = default;
   DatabaseStats(const DatabaseStats& o) { *this = o; }
@@ -133,7 +143,6 @@ struct DatabaseStats {
     batch_deduped = o.batch_deduped.load(std::memory_order_relaxed);
     batch_premise_fallthroughs =
         o.batch_premise_fallthroughs.load(std::memory_order_relaxed);
-    batch_view_hits = o.batch_view_hits.load(std::memory_order_relaxed);
     batch_limit_exceeded =
         o.batch_limit_exceeded.load(std::memory_order_relaxed);
     data_graph = o.data_graph;
@@ -205,22 +214,17 @@ class DatabaseSnapshot {
   /// out.
   Result<bool> Entails(const Graph& q) const;
   /// Single answers of a query (§4.1). Invalid queries are rejected
-  /// before any other work. A premise-free query is served from the
-  /// owning Database's view cache when a view valid for this snapshot's
-  /// (closure version, erase stamp) exists — a hit skips even the lazy
-  /// nf build. On a miss the snapshot evaluates against its own nf and,
-  /// when the advisor promotes the shape, offers the view back at its
-  /// captured version (the cache's write rule drops the offer if the
-  /// writer has moved on). See the class comment for the
-  /// premise-bearing caveat.
+  /// before any other work. A premise-free query is matched against
+  /// this snapshot's nf: QueryEvaluator::PreAnswerPrenormalized(q,
+  /// normalized()). See the class comment for the premise-bearing
+  /// caveat.
   Result<std::vector<Graph>> PreAnswer(const Query& q) const;
   /// Single answers for a whole batch of queries against this one
   /// snapshot, slot for slot bit-identical to calling PreAnswer on each
-  /// in order (same answers, same order, same Skolem mints). Isomorphic shapes are answered once and replayed per
-  /// spelling; survivors evaluate once per shape, in slot order (see
-  /// query/batch.h). A batch fully served by the view cache
-  /// skips even the lazy nf build. Premise-bearing slots serialize with
-  /// the writer exactly like PreAnswer on them would.
+  /// in order (same answers, same order, same Skolem mints). Isomorphic
+  /// shapes are answered once and replayed per spelling, in slot order
+  /// (see query/batch.h). Premise-bearing slots serialize with the
+  /// writer exactly like PreAnswer on them would.
   std::vector<Result<std::vector<Graph>>> PreAnswerBatch(
       const std::vector<Query>& queries, BatchStats* stats_out = nullptr) const;
 
@@ -236,16 +240,14 @@ class DatabaseSnapshot {
   DatabaseSnapshot(uint64_t epoch, std::shared_ptr<const Graph> data,
                    std::shared_ptr<const Graph> closure,
                    std::shared_ptr<NfSlot> nf, QueryEvaluator* evaluator,
-                   EvalOptions options, DatabaseStats* stats,
-                   ViewCacheRef views)
+                   EvalOptions options, DatabaseStats* stats)
       : epoch_(epoch),
         data_(std::move(data)),
         closure_(std::move(closure)),
         nf_(std::move(nf)),
         evaluator_(evaluator),
         options_(options),
-        stats_(stats),
-        views_(views) {}
+        stats_(stats) {}
 
   uint64_t epoch_;
   std::shared_ptr<const Graph> data_;
@@ -254,10 +256,6 @@ class DatabaseSnapshot {
   QueryEvaluator* evaluator_;
   EvalOptions options_;
   DatabaseStats* stats_;   // the owning Database's counters
-  // The owning Database's view cache, addressed at this snapshot's
-  // (closure version, erase stamp); null cache when the view layer is
-  // disabled.
-  ViewCacheRef views_;
 
   mutable std::once_flag membership_once_;
   mutable std::optional<ClosureMembership> membership_;
@@ -340,10 +338,6 @@ class Database {
   bool EntailsTriple(const Triple& t);
 
   /// Single answers of a query (§4.1): the current snapshot's PreAnswer.
-  /// Premise-free queries route through the materialized view layer
-  /// (EvalOptions::views), with answers bit-identical to the uncached
-  /// path. Premise-bearing queries always evaluate (the D + P merge
-  /// mints fresh blanks per call, so those answers are not replayable).
   Result<std::vector<Graph>> PreAnswer(const Query& q);
   /// Pre-answers of a union query: one PreAnswerBatch over the branches,
   /// combined by CombineBranches (query/union_query.h) — bit-identical
@@ -356,13 +350,11 @@ class Database {
   /// query/batch.h). Writer-thread only, like PreAnswer.
   std::vector<Result<std::vector<Graph>>> PreAnswerBatch(
       const std::vector<Query>& queries, BatchStats* stats_out = nullptr);
-  /// ans∪(q, D). Shares one PreAnswer materialization with any earlier
-  /// PreAnswer/AnswerMerge of the same shape through the view layer
-  /// instead of re-running the matcher.
+  /// ans∪(q, D): the union of PreAnswer(q).
   Result<Graph> AnswerUnion(const Query& q);
-  /// ans∪ of a union query (branches through the view layer).
+  /// ans∪ of a union query.
   Result<Graph> AnswerUnion(const UnionQuery& q);
-  /// ans+(q, D); shares the PreAnswer materialization like AnswerUnion.
+  /// ans+(q, D): the merge of PreAnswer(q).
   Result<Graph> AnswerMerge(const Query& q);
   /// Parses the query text and evaluates under union semantics.
   Result<Graph> ExecuteQuery(std::string_view query_text);
@@ -376,9 +368,9 @@ class Database {
   std::shared_ptr<const DatabaseSnapshot> Snapshot();
 
   /// The database's evaluator — the Skolem-function identity every
-  /// cached and uncached answer path shares (Prop. 4.5). Tests use it to
-  /// cross-check view-cache replays against from-scratch evaluation
-  /// with bit-identical minted blanks.
+  /// answer path shares (Prop. 4.5). Tests use it to cross-check
+  /// snapshot reads against from-scratch evaluation with bit-identical
+  /// minted blanks.
   QueryEvaluator* evaluator() { return &evaluator_; }
 
   /// Maintenance-engine counters.
@@ -415,12 +407,6 @@ class Database {
   // version counter the next incarnation restarts. Guarded by write_mu_.
   std::shared_ptr<DatabaseSnapshot::NfSlot> nf_slot_;
   uint64_t nf_slot_version_ = 0;
-
-  // Materialized pre-answer views (see ViewCache): consulted by every
-  // snapshot's PreAnswer, delta-patched against each new nf, fully
-  // cleared whenever the closure incarnation is dropped (bulk resets),
-  // and erase-fenced on every erase that changes the closure.
-  ViewCache view_cache_;
 
   // Concurrent read path: mutators hold write_mu_ end to end and, once
   // snapshots_on_, republish before releasing it. snapshot_ is guarded

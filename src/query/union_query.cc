@@ -56,7 +56,7 @@ Result<std::vector<Graph>> PreAnswerUnionQuery(QueryEvaluator* evaluator,
         return *nf;
       },
       [&](const Query& branch) { return evaluator->PreAnswer(branch, db); },
-      ViewCacheRef{}, evaluator->options().match, /*stats_out=*/nullptr));
+      /*stats_out=*/nullptr));
 }
 
 Result<std::vector<Graph>> CombineBranches(

@@ -9,12 +9,12 @@
 
 namespace swdb {
 
-/// A query rewritten into the normal form the view layer keys on: the
+/// A query rewritten into the normal form batch dedupe keys on: the
 /// same shape as the input, with variables renamed to canonical ids
 /// Var(0..k-1) when the renaming is answer-preserving. Evaluating
 /// `query` yields pre-answers bit-identical to evaluating the original
-/// (answers never mention variable names), so one materialized view can
-/// serve every query that canonicalizes to the same form.
+/// (answers never mention variable names), so one evaluation can serve
+/// every query of a batch that canonicalizes to the same form.
 struct CanonicalQuery {
   Query query;
   /// True when variables were actually canonicalized. False for queries
@@ -33,7 +33,7 @@ struct CanonicalQuery {
 /// one canonical spelling), so their pre-answers coincide bit for bit;
 /// the converse is best-effort — a WL-refinement tie on pathologically
 /// symmetric bodies may give isomorphic queries distinct keys, which
-/// costs a cache miss, never a wrong answer.
+/// costs a second evaluation, never a wrong answer.
 struct ViewKey {
   std::vector<uint32_t> words;
   size_t hash = 0;
@@ -52,8 +52,8 @@ struct ViewKeyHash {
 /// ViewKey. The caller must have validated q (Query::Validate): the
 /// renaming is answer-preserving only for valid queries, so every read
 /// path validates once, up front, and keys only what passed.
-/// `canonical_out`, if non-null, receives the canonical query the view
-/// layer should evaluate and store.
+/// `canonical_out`, if non-null, receives the canonical query to
+/// evaluate in place of q.
 ViewKey MakeViewKey(const Query& q, CanonicalQuery* canonical_out = nullptr);
 
 }  // namespace swdb

@@ -245,16 +245,6 @@ bool Graph::IsSubgraphOf(const Graph& other) const {
   return true;
 }
 
-size_t Graph::DiffTo(const Graph& to, std::vector<Triple>* removed,
-                     std::vector<Triple>* added) const {
-  std::vector<SpineKey> lost;
-  std::vector<SpineKey> gained;
-  const size_t read = spo_.Diff(to.spo_, &lost, &gained);
-  for (const SpineKey& k : lost) removed->push_back(TripleOfSpoKey(k));
-  for (const SpineKey& k : gained) added->push_back(TripleOfSpoKey(k));
-  return read;
-}
-
 MatchRange Graph::KindRun(int pos, TermKind kind) const {
   const uint32_t lo_bits = static_cast<uint32_t>(kind) << 30;
   const uint32_t hi_bits = (static_cast<uint32_t>(kind) + 1) << 30;
@@ -407,12 +397,9 @@ MatchRange Graph::Matches(std::optional<Term> s, std::optional<Term> p,
   if (s) {
     if (p && o) {
       // Fully bound: a zero- or one-element run in the primary order.
-      const SpineKey key = KeySpo(Triple(*s, *p, *o));
-      const size_t lo = spo_.LowerBound(key);
-      const size_t hi =
-          lo + ((lo < spo_.size() && spo_.At(lo) == key) ? 1 : 0);
-      rows_yielded_.Add(hi - lo);
-      return MatchRange::Over(&spo_, lo, hi, IndexOrder::kSpo);
+      const auto [lo, hit] = spo_.Locate(KeySpo(Triple(*s, *p, *o)));
+      rows_yielded_.Add(hit ? 1 : 0);
+      return MatchRange::Over(&spo_, lo, lo + (hit ? 1 : 0), IndexOrder::kSpo);
     }
     if (o) {
       // (s, *, o): contiguous under (o,s,p).

@@ -341,14 +341,6 @@ class Graph {
   /// True if *this ⊆ other as sets of triples (i.e. *this is a subgraph).
   bool IsSubgraphOf(const Graph& other) const;
 
-  /// The sorted symmetric difference with `to`, split into the triples
-  /// `to` lost (*removed) and gained (*added) relative to *this. Primary
-  /// leaves the two graphs share at the same position are skipped
-  /// unread (see Spine::Diff), so the cost follows the leaves that
-  /// differ. Returns the number of triples read.
-  size_t DiffTo(const Graph& to, std::vector<Triple>* removed,
-                std::vector<Triple>* added) const;
-
   /// The triples whose position `pos` (0=s, 1=p, 2=o) holds a term of
   /// `kind`: one contiguous run of the order led by that position
   /// (spo, pso or osp; kinds occupy disjoint bit ranges). Builds stale

@@ -126,7 +126,6 @@ bool PatternMatcher::ResetSearchState() {
   std::fill(bound_.begin(), bound_.end(), uint8_t{0});
   std::fill(slot_version_.begin(), slot_version_.end(), 1u);
   std::fill(sel_.begin(), sel_.end(), Selectivity());
-  solution_map_ = TermMap();
   pending_.clear();
   size_t blank_slots = 0;
   for (const SlotInfo& s : slots_) blank_slots += s.is_blank ? 1 : 0;
@@ -155,8 +154,28 @@ bool PatternMatcher::ConsumeStep() {
   return true;
 }
 
+int32_t PatternMatcher::SlotOf(Term t) const {
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].term == t) return static_cast<int32_t>(i);
+  }
+  return kNoSlot;
+}
+
 Status PatternMatcher::Enumerate(
     const std::function<bool(const TermMap&)>& visitor) {
+  TermMap solution;
+  return EnumerateRows([&](const Term* row) {
+    // Bind overwrites in place, so after the first solution this
+    // allocates nothing.
+    for (size_t i = 0; i < slots_.size(); ++i) {
+      solution.Bind(slots_[i].term, row[i]);
+    }
+    return visitor(solution);
+  });
+}
+
+Status PatternMatcher::EnumerateRows(
+    const std::function<bool(const Term*)>& visitor) {
   if (ResetSearchState()) {
     bool stopped = false;
     Search(0, visitor, &stopped);
@@ -197,16 +216,16 @@ size_t PatternMatcher::PickNext(size_t depth) {
       }
     }
     if (!valid) {
-      sel.count = target_->CountMatches(Resolve(ct, 0), Resolve(ct, 1),
-                                        Resolve(ct, 2));
+      sel.range =
+          target_->Matches(Resolve(ct, 0), Resolve(ct, 1), Resolve(ct, 2));
       for (int pos = 0; pos < 3; ++pos) {
         int32_t slot = ct.slot[pos];
         sel.version[pos] = slot == kNoSlot ? 0 : slot_version_[slot];
       }
       ++stats_.selectivity_recomputes;
     }
-    if (sel.count < best_count) {
-      best_count = sel.count;
+    if (sel.range.size() < best_count) {
+      best_count = sel.range.size();
       best = i;
       if (best_count == 0) break;
     }
@@ -255,24 +274,15 @@ void PatternMatcher::UndoTo(size_t mark) {
   }
 }
 
-void PatternMatcher::EmitSolutionMap() {
-  // Every slot is bound at a solution leaf; Bind overwrites in place, so
-  // after the first solution this allocates nothing.
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    assert(bound_[i] && "open term unbound at solution depth");
-    solution_map_.Bind(slots_[i].term, binding_[i]);
-  }
-}
-
 bool PatternMatcher::Search(size_t depth,
-                            const std::function<bool(const TermMap&)>& visitor,
+                            const std::function<bool(const Term*)>& visitor,
                             bool* stopped) {
   if (budget_exhausted_ || *stopped) return false;
   if (!ConsumeStep()) return false;
   if (depth == pending_.size()) {
-    EmitSolutionMap();
+    // Every slot is bound at a solution leaf: binding_ is the row.
     ++stats_.solutions_found;
-    if (!visitor(solution_map_)) *stopped = true;
+    if (!visitor(binding_.data())) *stopped = true;
     return true;
   }
 
@@ -280,8 +290,13 @@ bool PatternMatcher::Search(size_t depth,
   std::swap(pending_[depth], pending_[pick]);
   const CompiledTriple& ct = compiled_[pending_[depth]];
 
-  MatchRange range =
-      target_->Matches(Resolve(ct, 0), Resolve(ct, 1), Resolve(ct, 2));
+  // PickNext just resolved the picked triple's range under the current
+  // bindings (deeper nodes only touch the entries of later pending
+  // triples), so only the static order resolves it here.
+  const MatchRange range =
+      options_.static_order
+          ? target_->Matches(Resolve(ct, 0), Resolve(ct, 1), Resolve(ct, 2))
+          : sel_[pending_[depth]].range;
   ++stats_.nodes_expanded;
   ++stats_.index_hits[static_cast<size_t>(range.order())];
 

@@ -29,7 +29,7 @@ struct MatchStats {
   uint64_t solutions_found = 0;
   /// Budget steps consumed (== PatternMatcher::steps_used()).
   uint64_t steps_used = 0;
-  /// Selectivity-cache misses: CountMatches calls made by PickNext. The
+  /// Selectivity-cache misses: range resolutions made by PickNext. The
   /// incremental cache makes this far smaller than nodes × pending.
   uint64_t selectivity_recomputes = 0;
   /// Candidate ranges served, bucketed by the index order that served
@@ -96,12 +96,25 @@ class PatternMatcher {
   PatternMatcher(const Graph& pattern, const Graph* target,
                  MatchOptions options = MatchOptions());
 
-  /// Enumerates assignments. The visitor is called once per solution map
-  /// (distinct solutions, no duplicates); returning false stops the
-  /// enumeration early. Returns kLimitExceeded if the step budget was
-  /// exhausted before the search space was covered, OK otherwise (early
-  /// stop by the visitor is still OK).
+  /// Enumerates assignments as dense binding rows: the visitor is
+  /// called once per solution (distinct solutions, no duplicates) with
+  /// row[i] = the value of open term i, numbered as SlotOf numbers
+  /// them. The row is only valid during the call. Returning false stops
+  /// the enumeration early. Returns kLimitExceeded if the step budget
+  /// was exhausted before the search space was covered, OK otherwise
+  /// (early stop by the visitor is still OK).
+  Status EnumerateRows(const std::function<bool(const Term*)>& visitor);
+
+  /// EnumerateRows with each row turned into a TermMap over the open
+  /// terms — for callers at the API edge that want a map (witnesses,
+  /// containment, iso); the query read path reads rows.
   Status Enumerate(const std::function<bool(const TermMap&)>& visitor);
+
+  /// The row index of an open term of the pattern (a blank node or
+  /// variable), or -1 when the term is not an open term of it. Indices
+  /// are dense, 0..num_slots()-1, in first-appearance order.
+  int32_t SlotOf(Term t) const;
+  size_t num_slots() const { return slots_.size(); }
 
   /// Convenience: the first solution found, if any.
   Result<std::optional<TermMap>> FindAny();
@@ -141,10 +154,12 @@ class PatternMatcher {
     Term term;      // the pattern's blank node or variable
     bool is_blank;  // blank nodes are subject to the blank-only options
   };
-  // Per-pattern-triple cached candidate count with the slot-version
-  // stamps it was computed under.
+  // Per-pattern-triple cached candidate range (its size is the count
+  // PickNext ranks by) with the slot-version stamps it was resolved
+  // under. Search iterates the picked triple's range without resolving
+  // it again.
   struct Selectivity {
-    size_t count = 0;
+    MatchRange range;
     std::array<uint32_t, 3> version = {};  // 0 = never computed
   };
 
@@ -176,10 +191,10 @@ class PatternMatcher {
   // One backtracking step against the budget. Returns false (and
   // latches budget_exhausted_) on exhaustion.
   bool ConsumeStep();
-  bool Search(size_t depth, const std::function<bool(const TermMap&)>& visitor,
+  bool Search(size_t depth, const std::function<bool(const Term*)>& visitor,
               bool* stopped);
   // Returns the index (into pending_) of the cheapest pending triple,
-  // refreshing stale selectivity-cache entries along the way.
+  // re-resolving stale selectivity-cache ranges along the way.
   size_t PickNext(size_t depth);
   // The pattern triple's position `pos` under the current bindings:
   // its constant, its slot's value, or nullopt if the slot is open.
@@ -190,8 +205,6 @@ class PatternMatcher {
   bool TryBind(const CompiledTriple& ct, const Triple& tt);
   // Unwinds the trail back to the given mark.
   void UndoTo(size_t mark);
-  // Refreshes solution_map_ from the dense bindings.
-  void EmitSolutionMap();
 
   std::vector<Triple> pattern_;
   const Graph* target_;
@@ -203,7 +216,7 @@ class PatternMatcher {
 
   // Search state (reset by Enumerate; no allocation inside the search).
   std::vector<size_t> pending_;  // indices of unprocessed pattern triples
-  std::vector<Term> binding_;         // value per slot
+  std::vector<Term> binding_;         // value per slot (the solution row)
   std::vector<uint8_t> bound_;        // 1 if the slot is bound
   std::vector<uint32_t> slot_version_;  // bumped on every bind/unbind
   std::vector<uint32_t> trail_;       // bound slot ids, in bind order
@@ -213,7 +226,6 @@ class PatternMatcher {
   // once in CompilePattern so recursion never reallocates the vector of
   // vectors; each depth owns its buffer across its candidate loop).
   std::vector<std::vector<uint32_t>> row_scratch_;
-  TermMap solution_map_;              // scratch map handed to visitors
   uint64_t steps_ = 0;
   bool budget_exhausted_ = false;
   MatchStats stats_;

@@ -73,12 +73,15 @@ size_t Spine::LeafForKey(const SpineKey& key, size_t* probes) const {
   return lo == 0 ? 0 : lo - 1;
 }
 
-bool Spine::Contains(const SpineKey& key) const {
-  if (empty()) return false;
+bool Spine::Contains(const SpineKey& key) const { return Locate(key).second; }
+
+std::pair<size_t, bool> Spine::Locate(const SpineKey& key) const {
+  if (empty()) return {0, false};
   size_t probes = 0;
-  const SpineLeaf& leaf = *leaves_[LeafForKey(key, &probes)].leaf;
-  const size_t slot = LeafLowerBound(leaf, key, &probes);
-  return slot < leaf.size() && LeafKeyEquals(leaf, slot, key);
+  const LeafRef& ref = leaves_[LeafForKey(key, &probes)];
+  const size_t slot = LeafLowerBound(*ref.leaf, key, &probes);
+  return {ref.start + slot,
+          slot < ref.leaf->size() && LeafKeyEquals(*ref.leaf, slot, key)};
 }
 
 SpineLeaf* Spine::Mutable(size_t li) {
@@ -201,19 +204,67 @@ size_t Spine::LowerBound(const SpineKey& key, size_t* scanned) const {
 std::pair<size_t, size_t> Spine::EqualRange(uint32_t key0,
                                             const uint32_t* key1,
                                             size_t* scanned) const {
-  // The run of a prefix is [LowerBound(prefix, 0..), LowerBound(next
-  // prefix, 0..)). A prefix with no successor (every remaining key part
-  // is UINT32_MAX) runs to the end.
-  constexpr uint32_t kMax = UINT32_MAX;
+  if (empty()) return {0, 0};
+  // The run starts at the prefix's lower bound. Every entry from there
+  // on is >= the prefix, so the run is the stretch that still matches.
+  const auto in_run = [&](const SpineKey& k) {
+    return k[0] == key0 && (key1 == nullptr || k[1] == *key1);
+  };
+  size_t probes = 0;
   const SpineKey from = {key0, key1 != nullptr ? *key1 : 0, 0};
-  const size_t lo = LowerBound(from, scanned);
-  size_t hi = size_;
-  if (key1 != nullptr && *key1 != kMax) {
-    hi = LowerBound({key0, *key1 + 1, 0}, scanned);
-  } else if (key0 != kMax) {
-    hi = LowerBound({key0 + 1, 0, 0}, scanned);
+  size_t li = LeafForKey(from, &probes);
+  size_t lo = LeafLowerBound(*leaves_[li].leaf, from, &probes);
+  if (lo == leaves_[li].leaf->size() && li + 1 < leaves_.size()) {
+    ++li;  // the prefix lies past this leaf: its run opens the next
+    lo = 0;
   }
-  return {lo, hi};
+  const SpineLeaf& leaf = *leaves_[li].leaf;
+  const size_t start = leaves_[li].start;
+  const size_t n = leaf.size();
+  size_t hi;  // in-leaf end of the run
+  if (lo == n || !in_run(leaf.at(lo))) {
+    hi = lo;  // empty run
+  } else if (!in_run(leaf.at(n - 1))) {
+    // The run ends inside this leaf: gallop from its first entry to
+    // bracket the first entry past it, then bisect.
+    size_t in = lo;       // in the run
+    size_t past = n - 1;  // past the run
+    for (size_t step = 1; in + step < past; step <<= 1) {
+      ++probes;
+      if (!in_run(leaf.at(in + step))) {
+        past = in + step;
+        break;
+      }
+      in += step;
+    }
+    while (past - in > 1) {
+      const size_t mid = in + (past - in) / 2;
+      ++probes;
+      if (in_run(leaf.at(mid))) {
+        in = mid;
+      } else {
+        past = mid;
+      }
+    }
+    hi = past;
+  } else if (li + 1 == leaves_.size() || !in_run(leaves_[li + 1].first)) {
+    hi = n;  // the run ends with the leaf
+  } else {
+    // The run continues into later leaves: search for the prefix's
+    // successor. A prefix with no successor (every remaining key part
+    // is UINT32_MAX) runs to the end.
+    constexpr uint32_t kMax = UINT32_MAX;
+    size_t end = size_;
+    if (key1 != nullptr && *key1 != kMax) {
+      end = LowerBound({key0, *key1 + 1, 0}, &probes);
+    } else if (key0 != kMax) {
+      end = LowerBound({key0 + 1, 0, 0}, &probes);
+    }
+    if (scanned != nullptr) *scanned += probes;
+    return {start + lo, end};
+  }
+  if (scanned != nullptr) *scanned += probes;
+  return {start + lo, start + hi};
 }
 
 bool Spine::EqualContents(const Spine& other) const {
@@ -281,63 +332,6 @@ bool Spine::LexLess(const Spine& other) const {
       bo = 0;
     }
   }
-}
-
-size_t Spine::Diff(const Spine& to, std::vector<SpineKey>* removed,
-                   std::vector<SpineKey>* added) const {
-  // A leaf both spines share holds the same keys on both sides, and
-  // everything below its first key lies in earlier leaves on both
-  // sides, so the merge reaches it at offset 0 on both cursors at once.
-  size_t read = 0;
-  size_t ai = 0, ao = 0;
-  size_t bi = 0, bo = 0;
-  const size_t an = leaves_.size();
-  const size_t bn = to.leaves_.size();
-  while (ai < an && bi < bn) {
-    const SpineLeaf& la = *leaves_[ai].leaf;
-    const SpineLeaf& lb = *to.leaves_[bi].leaf;
-    if (ao == 0 && bo == 0 && &la == &lb) {
-      ++ai;
-      ++bi;
-      continue;
-    }
-    // Merge the two current leaves until one of them runs out.
-    const size_t ae = la.size();
-    const size_t be = lb.size();
-    const size_t a0 = ao, b0 = bo;
-    while (ao < ae && bo < be) {
-      const SpineKey ka = la.at(ao);
-      const SpineKey kb = lb.at(bo);
-      if (ka == kb) {
-        ++ao;
-        ++bo;
-      } else if (ka < kb) {
-        removed->push_back(ka);
-        ++ao;
-      } else {
-        added->push_back(kb);
-        ++bo;
-      }
-    }
-    read += (ao - a0) + (bo - b0);
-    if (ao == ae) {
-      ++ai;
-      ao = 0;
-    }
-    if (bo == be) {
-      ++bi;
-      bo = 0;
-    }
-  }
-  for (; ai < an; ++ai, ao = 0) {
-    const SpineLeaf& la = *leaves_[ai].leaf;
-    for (; ao < la.size(); ++ao, ++read) removed->push_back(la.at(ao));
-  }
-  for (; bi < bn; ++bi, bo = 0) {
-    const SpineLeaf& lb = *to.leaves_[bi].leaf;
-    for (; bo < lb.size(); ++bo, ++read) added->push_back(lb.at(bo));
-  }
-  return read;
 }
 
 size_t Spine::CountSharedLeavesWith(const Spine& other) const {

@@ -90,11 +90,18 @@ class Spine {
   /// of both searches.
   size_t LowerBound(const SpineKey& key, size_t* scanned = nullptr) const;
 
+  /// LowerBound(key) together with whether that slot holds `key` — one
+  /// two-level search for a fully bound lookup.
+  std::pair<size_t, bool> Locate(const SpineKey& key) const;
+
   /// Global slot range of entries with k0 == key0 (and, when key1 is
   /// non-null, k1 == *key1 within that run). Exactly std::equal_range
-  /// over the flattened columns, computed as two LowerBounds: the
-  /// prefix padded with zeros and its successor. `scanned` (optional)
-  /// accumulates the probes of both, for scan observability.
+  /// over the flattened columns. The lower end is a LowerBound of the
+  /// prefix padded with zeros; the upper end is found by galloping from
+  /// it inside the same leaf when the run ends there (or at the leaf's
+  /// end, with the next leaf's first key outside the run), and
+  /// otherwise by a LowerBound of the prefix's successor. `scanned`
+  /// (optional) accumulates the probes, for scan observability.
   std::pair<size_t, size_t> EqualRange(uint32_t key0, const uint32_t* key1,
                                        size_t* scanned = nullptr) const;
 
@@ -123,15 +130,6 @@ class Spine {
   /// `<` over the flattened entries), walked leaf by leaf without
   /// materializing either side.
   bool LexLess(const Spine& other) const;
-
-  /// The sorted set difference with `to`: appends to *removed the keys
-  /// only this spine holds and to *added the keys only `to` holds. A
-  /// merge walk over both leaf sequences that skips, unread, every leaf
-  /// the two spines share at the same position — so the cost follows
-  /// the leaves a mutation touched, not the spine. Returns the number
-  /// of entries read (both sides).
-  size_t Diff(const Spine& to, std::vector<SpineKey>* removed,
-              std::vector<SpineKey>* added) const;
 
  private:
   // Index of the leaf a key belongs to (the last leaf whose first key

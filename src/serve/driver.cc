@@ -419,12 +419,6 @@ DriverReport TrafficDriver::Finish(std::vector<ReaderAccum>* accums,
           : 0;
 
   const DatabaseStats after = db_->CollectStats();
-  r.view_hits = after.views.hits - before.views.hits;
-  r.view_misses = after.views.misses - before.views.misses;
-  r.view_installs = after.views.installs - before.views.installs;
-  r.batch_view_hits =
-      after.batch_view_hits.load(std::memory_order_relaxed) -
-      before.batch_view_hits.load(std::memory_order_relaxed);
   r.snapshot_nf_builds =
       after.snapshot_nf_builds.load(std::memory_order_relaxed) -
       before.snapshot_nf_builds.load(std::memory_order_relaxed);

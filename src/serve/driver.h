@@ -73,10 +73,6 @@ struct DriverReport {
   uint64_t writer_erases = 0;
 
   /// Deltas of the owning Database's counters across the run.
-  uint64_t view_hits = 0;
-  uint64_t view_misses = 0;
-  uint64_t view_installs = 0;
-  uint64_t batch_view_hits = 0;
   uint64_t snapshot_nf_builds = 0;
   uint64_t snapshot_publishes = 0;
 

@@ -292,16 +292,11 @@ TEST(Answer, EvaluationRejectsInvalidQuery) {
 // The pre-answer built the way it was before flat span building: one
 // Graph per constraint-satisfying matching, head blanks minted from
 // `dict` on the first sight of their (blank, argument tuple), sorted with
-// TriplesLess and deduplicated with ==; `counts` are the run lengths.
-// Heads here hold at most one blank per triple, so the mint order is
-// enumeration order on both sides.
-struct ReferenceAnswers {
-  std::vector<Graph> answers;
-  std::vector<uint32_t> counts;
-};
-
-ReferenceAnswers ReferencePreAnswer(const Query& q, const Graph& target,
-                                    Dictionary* dict) {
+// TriplesLess and deduplicated with ==. Heads here hold at most one
+// blank per triple, so the mint order is enumeration order on both
+// sides.
+std::vector<Graph> ReferencePreAnswer(const Query& q, const Graph& target,
+                                      Dictionary* dict) {
   const std::vector<Term> vars = q.body.Variables();
   std::map<std::pair<Term, std::vector<Term>>, Term> skolem;
   std::vector<Graph> per_matching;
@@ -328,36 +323,26 @@ ReferenceAnswers ReferencePreAnswer(const Query& q, const Graph& target,
   });
   EXPECT_TRUE(status.ok());
   std::sort(per_matching.begin(), per_matching.end(), TriplesLess);
-  ReferenceAnswers out;
-  for (size_t i = 0; i < per_matching.size();) {
-    size_t j = i + 1;
-    while (j < per_matching.size() && per_matching[j] == per_matching[i]) ++j;
-    out.answers.push_back(per_matching[i]);
-    out.counts.push_back(static_cast<uint32_t>(j - i));
-    i = j;
-  }
-  return out;
+  per_matching.erase(std::unique(per_matching.begin(), per_matching.end()),
+                     per_matching.end());
+  return per_matching;
 }
 
-// PreAnswerPrenormalized (with and without capture) equals the
-// reference, run on a copy of the dictionary so both mint the same
-// Skolem blanks. Returns the answers for further checks.
+// PreAnswerPrenormalized equals the reference, run on a copy of the
+// dictionary so both mint the same Skolem blanks. Returns the answers
+// for further checks.
 std::vector<Graph> ExpectMatchesReference(const Query& q, const Graph& target,
                                           Dictionary* dict) {
   Dictionary ref_dict(*dict);
   QueryEvaluator eval(dict);
-  Materialization capture;
-  Result<std::vector<Graph>> got =
-      eval.PreAnswerPrenormalized(q, target, &capture);
+  Result<std::vector<Graph>> got = eval.PreAnswerPrenormalized(q, target);
   EXPECT_TRUE(got.ok());
   if (!got.ok()) return {};
-  const ReferenceAnswers want = ReferencePreAnswer(q, target, &ref_dict);
-  EXPECT_TRUE(*got == want.answers);
-  EXPECT_EQ(capture.counts, want.counts);
-  EXPECT_EQ(capture.counts.size(), got->size());
+  const std::vector<Graph> want = ReferencePreAnswer(q, target, &ref_dict);
+  EXPECT_TRUE(*got == want);
   // Replays against the grown Skolem cache are identical.
   Result<std::vector<Graph>> again = eval.PreAnswerPrenormalized(q, target);
-  EXPECT_TRUE(again.ok() && *again == want.answers);
+  EXPECT_TRUE(again.ok() && *again == want);
   return *got;
 }
 

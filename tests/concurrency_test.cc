@@ -613,152 +613,15 @@ TEST(NormalFormEpochs, LaggingSnapshotKeepsItsOwnNormalForm) {
   EXPECT_EQ(nf, Core(RdfsClosure(lagging->data())));
 }
 
-// --- Materialized view layer vs the snapshot read path ----------------
-
-// Views promoted on first sight, so every test below exercises the
-// install/patch machinery without warm-up loops.
-EvalOptions EagerViewOptions() {
-  EvalOptions o;
-  o.views.promote_after = 1;
-  return o;
-}
-
-TEST(ViewCacheSnapshots, LaggingSnapshotStaysOnItsOwnNormalForm) {
-  // A snapshot materializes a view at version V1; the writer then moves
-  // on (insert patches the view, erase bumps the fence stamp). The
-  // lagging snapshot must keep answering against *its* normal form —
-  // bit-identical to its first run — never consuming entries written
-  // for a later state.
-  Dictionary dict;
-  Database db(&dict, EagerViewOptions());
-  Term a = dict.Iri("u:a");
-  Term b = dict.Iri("u:b");
-  Term c = dict.Iri("u:c");
-  Term p = dict.Iri("u:p");
-  db.Insert(Triple(a, p, b));
-  db.Insert(Triple(b, p, c));
-  db.Insert(Triple(c, p, a));
-  Query q = testing::Q(&dict,
-                       "head: ?X u:p ?Y .\n"
-                       "body: ?X u:p ?Y .\n");
-
-  std::shared_ptr<const DatabaseSnapshot> lagging = db.Snapshot();
-  Result<std::vector<Graph>> first = lagging->PreAnswer(q);
-  ASSERT_TRUE(first.ok());
-  EXPECT_GT(db.CollectStats().views.installs, 0u)
-      << "snapshot miss at the current version should install the view";
-
-  // Writer moves two states ahead and queries through the cache both
-  // times (the insert patches the view, the erase fences it).
-  db.Insert(Triple(c, p, dict.Iri("u:d")));
-  Result<std::vector<Graph>> after_insert = db.PreAnswer(q);
-  ASSERT_TRUE(after_insert.ok());
-  db.Erase(Triple(a, p, b));
-  Result<std::vector<Graph>> after_erase = db.PreAnswer(q);
-  ASSERT_TRUE(after_erase.ok());
-
-  // The lagging snapshot's repeat is bit-identical to its first run and
-  // to from-scratch evaluation of its frozen data.
-  Result<std::vector<Graph>> again = lagging->PreAnswer(q);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(*again, *first);
-  Result<std::vector<Graph>> lagging_scratch =
-      db.evaluator()->PreAnswer(q, lagging->data());
-  ASSERT_TRUE(lagging_scratch.ok());
-  EXPECT_EQ(*again, *lagging_scratch);
-
-  // And the writer's cached answers match from-scratch on the current
-  // graph — patch and fence left both sides sound.
-  Result<std::vector<Graph>> writer_scratch =
-      db.evaluator()->PreAnswer(q, db.graph());
-  ASSERT_TRUE(writer_scratch.ok());
-  EXPECT_EQ(*after_erase, *writer_scratch);
-}
-
-TEST(ViewCacheSnapshots, SnapshotHitSkipsItsOwnNormalFormBuild) {
-  // A view materialized by the writer serves a fresh snapshot directly:
-  // same answers, and the snapshot's lazy nf(D) build never runs.
-  Dictionary dict;
-  Database db(&dict, EagerViewOptions());
-  Term a = dict.Iri("u:a");
-  Term p = dict.Iri("u:p");
-  db.Insert(Triple(a, p, dict.Iri("u:b")));
-  db.Insert(Triple(dict.Iri("u:b"), p, dict.Iri("u:c")));
-  Query q = testing::Q(&dict,
-                       "head: ?X u:p ?Y .\n"
-                       "body: ?X u:p ?Y .\n");
-
-  Result<std::vector<Graph>> writer = db.PreAnswer(q);
-  ASSERT_TRUE(writer.ok());
-  const uint64_t builds_before =
-      db.stats().snapshot_nf_builds.load(std::memory_order_relaxed);
-
-  std::shared_ptr<const DatabaseSnapshot> snap = db.Snapshot();
-  Result<std::vector<Graph>> from_snap = snap->PreAnswer(q);
-  ASSERT_TRUE(from_snap.ok());
-  EXPECT_EQ(*from_snap, *writer);
-  EXPECT_EQ(db.stats().snapshot_nf_builds.load(std::memory_order_relaxed),
-            builds_before)
-      << "a view hit must not trigger the snapshot's lazy core build";
-  EXPECT_GT(db.CollectStats().views.hits, 0u);
-}
-
-TEST(ViewCacheMaintenance, SymmetricBodyPatchKeepsSeededBlanksPinned) {
-  // Regression: the semi-naive patch seeds the matcher with variables
-  // already bound to concrete nf terms. When such a binding is a blank
-  // node, the specialized pattern shows the matcher a *blank*, which
-  // hom.h treats as an open term — the matcher could satisfy the
-  // pattern by sending it elsewhere while the patched matching kept the
-  // literal binding, materializing answers whose body image is not in
-  // nf. A symmetric body over a variable predicate is the shape that
-  // exposed it.
-  Dictionary dict;
-  Database db(&dict, EagerViewOptions());
-  std::vector<Term> universe = Universe(&dict);
-  Rng writer_rng(11);
-  for (int i = 0; i < 12; ++i) {
-    db.Insert(RandomTriple(universe, &writer_rng, 0.4));
-  }
-  std::vector<Query> queries;
-  queries.push_back(testing::Q(&dict,
-                               "head: ?X u:p ?Y .\n"
-                               "body: ?X u:p ?Y .\n"));
-  queries.push_back(testing::Q(&dict,
-                               "head: ?X u:q ?Y .\n"
-                               "body: ?X ?P ?Y .\n"
-                               "body: ?Y ?P ?X .\n"));
-  queries.push_back(testing::Q(&dict,
-                               "head: _:m u:p ?Y .\n"
-                               "body: ?X u:p ?Y .\n"));
-  for (int step = 0; step < 25; ++step) {
-    MutationBatch batch;
-    batch.Insert(RandomTriple(universe, &writer_rng, 0.5));
-    batch.Insert(RandomTriple(universe, &writer_rng, 0.5));
-    if (db.size() > 0 && writer_rng.Chance(0.3)) {
-      batch.Erase(db.graph().triples()[writer_rng.Below(db.size())]);
-    }
-    db.Apply(batch);
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      Result<std::vector<Graph>> cached = db.PreAnswer(queries[qi]);
-      Result<std::vector<Graph>> scratch =
-          db.evaluator()->PreAnswer(queries[qi], db.graph());
-      ASSERT_TRUE(cached.ok() && scratch.ok());
-      ASSERT_EQ(*cached, *scratch) << "step=" << step << " q=" << qi
-                                   << " cached=" << cached->size()
-                                   << " scratch=" << scratch->size();
-    }
-  }
-}
-
-TEST(ViewCacheSnapshots, ConcurrentReadersStayBitIdenticalWhileWriterPatches) {
+TEST(DatabaseSnapshot, ConcurrentReadersStayBitIdenticalWhileWriterCommits) {
   // Reader threads answer a fixed query set through epoch-tagged
-  // snapshots (view lookups, installs, fenced fallthroughs) while the
-  // writer applies mutation batches and queries through the same cache
-  // (Maintain patches under concurrent lookups). Every reader-observed
-  // answer vector must equal from-scratch evaluation of that snapshot's
-  // frozen data — bit-identical, including Skolem-minted head blanks.
+  // snapshots while the writer applies mutation batches and queries
+  // through its own snapshots; all of them share one evaluator's Skolem
+  // cache. Every reader-observed answer vector must equal from-scratch
+  // evaluation of that snapshot's frozen data — bit-identical,
+  // including Skolem-minted head blanks.
   Dictionary dict;
-  Database db(&dict, EagerViewOptions());
+  Database db(&dict);
   std::vector<Term> universe = Universe(&dict);
   Rng writer_rng(11);
   for (int i = 0; i < 12; ++i) {
@@ -791,10 +654,10 @@ TEST(ViewCacheSnapshots, ConcurrentReadersStayBitIdenticalWhileWriterPatches) {
       while (!stop.load(std::memory_order_relaxed)) {
         std::shared_ptr<const DatabaseSnapshot> snap = db.Snapshot();
         for (const Query& q : queries) {
-          Result<std::vector<Graph>> cached = snap->PreAnswer(q);
+          Result<std::vector<Graph>> served = snap->PreAnswer(q);
           Result<std::vector<Graph>> scratch =
               db.evaluator()->PreAnswer(q, snap->data());
-          if (!cached.ok() || !scratch.ok() || *cached != *scratch) {
+          if (!served.ok() || !scratch.ok() || *served != *scratch) {
             reader_failures.fetch_add(1, std::memory_order_relaxed);
           }
           answers_checked.fetch_add(1, std::memory_order_relaxed);
@@ -821,9 +684,6 @@ TEST(ViewCacheSnapshots, ConcurrentReadersStayBitIdenticalWhileWriterPatches) {
 
   EXPECT_EQ(reader_failures.load(), 0);
   EXPECT_GT(answers_checked.load(), 0u);
-  const DatabaseStats stats = db.CollectStats();
-  EXPECT_GT(stats.views.installs, 0u);
-  EXPECT_GT(stats.views.hits, 0u);
 }
 
 TEST(DatabaseStatsAtomics, CopyAndResetBehave) {

@@ -201,10 +201,8 @@ TEST(ReadPipeline, WriterReadsMatchAPinnedSnapshot) {
   // writer methods, the other through an explicitly pinned snapshot,
   // call for call. Answers, their order and every Skolem/merge mint must
   // agree bit for bit, before and after a mutation.
-  EvalOptions options;
-  options.views.promote_after = 1;  // exercise view installs and hits
   Dictionary dict_w, dict_s;
-  Database writer(&dict_w, options), pinned(&dict_s, options);
+  Database writer(&dict_w), pinned(&dict_s);
   ASSERT_TRUE(writer.InsertText(kPipelineData).ok());
   ASSERT_TRUE(pinned.InsertText(kPipelineData).ok());
   const std::vector<Query> qw = PipelineQueries(&dict_w);
@@ -289,7 +287,7 @@ TEST(ReadPipeline, OneNfBuildPerClosureVersion) {
 // ---------------------------------------------------------------------------
 // Invalid queries are rejected before any work on the read path.
 
-TEST(ReadPipeline, InvalidQueryBuildsNoNormalFormAndProbesNoView) {
+TEST(ReadPipeline, InvalidQueryBuildsNoNormalForm) {
   Dictionary dict;
   Database db(&dict);
   ASSERT_TRUE(db.InsertText(kPipelineData).ok());
@@ -310,8 +308,6 @@ TEST(ReadPipeline, InvalidQueryBuildsNoNormalFormAndProbesNoView) {
 
   const DatabaseStats after = db.CollectStats();
   EXPECT_EQ(after.snapshot_nf_builds, before.snapshot_nf_builds);
-  EXPECT_EQ(after.views.misses, before.views.misses);
-  EXPECT_EQ(after.views.hits, before.views.hits);
 }
 
 TEST(ReadPipeline, InvalidPremiseQueryMintsNoBlank) {

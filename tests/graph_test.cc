@@ -460,124 +460,12 @@ TEST(GraphSpine, MutationFuzzMatchesFromScratchBuild) {
 }
 
 // ---------------------------------------------------------------------------
-// Spine::Diff, Spine::LexLess and the leaf-walking iterator.
-
-SpineKey RandomKey(std::mt19937* rng) {
-  return {static_cast<uint32_t>((*rng)() % 900),
-          static_cast<uint32_t>((*rng)() % 5),
-          static_cast<uint32_t>((*rng)() % 900)};
-}
+// Spine::LexLess and the leaf-walking iterator.
 
 Spine SpineOf(const std::set<SpineKey>& keys) {
   Spine s;
   s.BulkBuild(std::vector<SpineKey>(keys.begin(), keys.end()));
   return s;
-}
-
-// The reference the leaf diff must reproduce: std::set_difference both
-// ways over the flattened key sequences.
-void ExpectDiffMatchesBruteForce(const Spine& from, const Spine& to) {
-  std::vector<SpineKey> removed, added;
-  from.Diff(to, &removed, &added);
-  const std::vector<SpineKey> a = from.Keys();
-  const std::vector<SpineKey> b = to.Keys();
-  std::vector<SpineKey> want_removed, want_added;
-  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
-                      std::back_inserter(want_removed));
-  std::set_difference(b.begin(), b.end(), a.begin(), a.end(),
-                      std::back_inserter(want_added));
-  EXPECT_EQ(removed, want_removed);
-  EXPECT_EQ(added, want_added);
-}
-
-TEST(SpineDiff, FullySharedSpinesDiffEmptyWithoutReadingALeaf) {
-  std::mt19937 rng(7);
-  std::set<SpineKey> keys;
-  while (keys.size() < 6000) keys.insert(RandomKey(&rng));
-  const Spine a = SpineOf(keys);
-  const Spine b = a;  // every leaf shared, at the same position
-  ASSERT_GT(a.leaf_count(), 4u);
-  std::vector<SpineKey> removed, added;
-  EXPECT_EQ(a.Diff(b, &removed, &added), 0u);
-  EXPECT_TRUE(removed.empty());
-  EXPECT_TRUE(added.empty());
-}
-
-TEST(SpineDiff, OneLeafSplitReadsOnlyTheDivergedLeaves) {
-  std::mt19937 rng(11);
-  std::set<SpineKey> keys;
-  while (keys.size() < 8000) keys.insert(RandomKey(&rng));
-  const Spine from = SpineOf(keys);
-  Spine to = from;
-  // Grow one key region until its leaf splits; every other leaf stays
-  // shared and aligned.
-  const SpineKey base = from.At(from.size() / 2);
-  size_t inserted = 0;
-  for (uint32_t i = 0; to.leaf_count() == from.leaf_count(); ++i) {
-    if (to.Insert({base[0], base[1], 1000000 + i})) ++inserted;
-  }
-  ASSERT_EQ(to.leaf_count(), from.leaf_count() + 1);
-  ExpectDiffMatchesBruteForce(from, to);
-  ExpectDiffMatchesBruteForce(to, from);
-  std::vector<SpineKey> removed, added;
-  const size_t read = from.Diff(to, &removed, &added);
-  EXPECT_EQ(added.size(), inserted);
-  EXPECT_TRUE(removed.empty());
-  // The old leaf plus its two halves, not the spine.
-  EXPECT_LE(read, 3 * Spine::kLeafMax);
-  EXPECT_LT(read, from.size() / 2);
-}
-
-TEST(SpineDiff, UnsharedCopiesWithEqualContentsDiffEmpty) {
-  std::mt19937 rng(13);
-  std::set<SpineKey> keys;
-  while (keys.size() < 5000) keys.insert(RandomKey(&rng));
-  const Spine bulk = SpineOf(keys);
-  Spine incremental;  // same contents, different leaf boundaries
-  for (const SpineKey& k : keys) incremental.Insert(k);
-  ASSERT_EQ(bulk.CountSharedLeavesWith(incremental), 0u);
-  std::vector<SpineKey> removed, added;
-  EXPECT_EQ(bulk.Diff(incremental, &removed, &added),
-            bulk.size() + incremental.size());
-  EXPECT_TRUE(removed.empty());
-  EXPECT_TRUE(added.empty());
-}
-
-TEST(SpineDiff, EmptyOnEitherSide) {
-  std::mt19937 rng(17);
-  std::set<SpineKey> keys;
-  while (keys.size() < 3000) keys.insert(RandomKey(&rng));
-  const Spine full = SpineOf(keys);
-  const Spine empty;
-  ExpectDiffMatchesBruteForce(full, empty);
-  ExpectDiffMatchesBruteForce(empty, full);
-  ExpectDiffMatchesBruteForce(empty, empty);
-}
-
-TEST(SpineDiff, RandomMutationsOfASharedCopyMatchBruteForce) {
-  for (uint32_t seed = 1; seed <= 12; ++seed) {
-    std::mt19937 rng(seed);
-    std::set<SpineKey> keys;
-    const size_t n = 200 + rng() % 9000;
-    while (keys.size() < n) keys.insert(RandomKey(&rng));
-    const Spine from = SpineOf(keys);
-    Spine to = from;
-    // A clustered burst (splits and empties leaves) plus scattered
-    // single edits.
-    const int edits = static_cast<int>(rng() % 3000);
-    for (int i = 0; i < edits; ++i) {
-      const SpineKey k = RandomKey(&rng);
-      if (rng() % 3 == 0) {
-        to.Erase(k);
-        to.Erase(to.At(rng() % std::max<size_t>(1, to.size())));
-      } else {
-        to.Insert(k);
-      }
-      if (to.empty()) break;
-    }
-    ExpectDiffMatchesBruteForce(from, to);
-    ExpectDiffMatchesBruteForce(to, from);
-  }
 }
 
 TEST(SpineLexLess, AgreesWithVectorOrder) {
@@ -697,41 +585,52 @@ void ExpectMetadataCurrent(const Spine& s) {
   ASSERT_EQ(start, s.size());
 }
 
-// LowerBound and EqualRange (with and without key1) against the
-// standard algorithms over the flattened keys.
+// LowerBound, Locate and EqualRange (with and without key1) for one
+// key against the standard algorithms over the flattened keys.
+void ExpectLookupMatchesFlattened(const Spine& s,
+                                  const std::vector<SpineKey>& flat,
+                                  const SpineKey& key) {
+  const auto lb = std::lower_bound(flat.begin(), flat.end(), key);
+  const size_t want = static_cast<size_t>(lb - flat.begin());
+  ASSERT_EQ(s.LowerBound(key), want);
+  const auto [slot, hit] = s.Locate(key);
+  ASSERT_EQ(slot, want);
+  ASSERT_EQ(hit, lb != flat.end() && *lb == key);
+  ASSERT_EQ(s.Contains(key), hit);
+
+  auto by_k0 = [](const SpineKey& a, const SpineKey& b) {
+    return a[0] < b[0];
+  };
+  const auto r0 = std::equal_range(flat.begin(), flat.end(), key, by_k0);
+  size_t scanned = 0;
+  const auto got0 = s.EqualRange(key[0], nullptr, &scanned);
+  ASSERT_EQ(got0.first, static_cast<size_t>(r0.first - flat.begin()));
+  ASSERT_EQ(got0.second, static_cast<size_t>(r0.second - flat.begin()));
+  if (!s.empty()) ASSERT_GT(scanned, 0u);
+
+  auto by_k01 = [](const SpineKey& a, const SpineKey& b) {
+    return a[0] != b[0] ? a[0] < b[0] : a[1] < b[1];
+  };
+  const auto r1 = std::equal_range(flat.begin(), flat.end(), key, by_k01);
+  const auto got1 = s.EqualRange(key[0], &key[1]);
+  ASSERT_EQ(got1.first, static_cast<size_t>(r1.first - flat.begin()));
+  ASSERT_EQ(got1.second, static_cast<size_t>(r1.second - flat.begin()));
+}
+
 void ExpectLookupsMatchFlattened(const Spine& s, std::mt19937* rng) {
   const std::vector<SpineKey> flat = s.Keys();
-  auto check = [&](const SpineKey& key) {
-    const size_t want =
-        std::lower_bound(flat.begin(), flat.end(), key) - flat.begin();
-    ASSERT_EQ(s.LowerBound(key), want);
-
-    auto by_k0 = [](const SpineKey& a, const SpineKey& b) {
-      return a[0] < b[0];
-    };
-    const auto r0 = std::equal_range(flat.begin(), flat.end(), key, by_k0);
-    size_t scanned = 0;
-    const auto got0 = s.EqualRange(key[0], nullptr, &scanned);
-    ASSERT_EQ(got0.first, static_cast<size_t>(r0.first - flat.begin()));
-    ASSERT_EQ(got0.second, static_cast<size_t>(r0.second - flat.begin()));
-    if (!s.empty()) ASSERT_GT(scanned, 0u);
-
-    auto by_k01 = [](const SpineKey& a, const SpineKey& b) {
-      return a[0] != b[0] ? a[0] < b[0] : a[1] < b[1];
-    };
-    const auto r1 = std::equal_range(flat.begin(), flat.end(), key, by_k01);
-    const auto got1 = s.EqualRange(key[0], &key[1]);
-    ASSERT_EQ(got1.first, static_cast<size_t>(r1.first - flat.begin()));
-    ASSERT_EQ(got1.second, static_cast<size_t>(r1.second - flat.begin()));
-  };
-  for (int i = 0; i < 300; ++i) check(EdgeKey(rng));
+  for (int i = 0; i < 300; ++i) {
+    ExpectLookupMatchesFlattened(s, flat, EdgeKey(rng));
+  }
   for (uint32_t a : {0u, UINT32_MAX}) {
     for (uint32_t b : {0u, UINT32_MAX}) {
-      for (uint32_t c : {0u, UINT32_MAX}) check({a, b, c});
+      for (uint32_t c : {0u, UINT32_MAX}) {
+        ExpectLookupMatchesFlattened(s, flat, {a, b, c});
+      }
     }
   }
   for (size_t i = 0; i < flat.size(); i += 1 + flat.size() / 50) {
-    check(flat[i]);
+    ExpectLookupMatchesFlattened(s, flat, flat[i]);
   }
 }
 
@@ -849,6 +748,164 @@ TEST(SpineSearch, SharedLeafCountMatchesPointerHashing) {
     EXPECT_EQ(rebuilt.CountSharedLeavesWith(from), 0u);
     EXPECT_EQ(SharedByHash(rebuilt, from), 0u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// EqualRange's in-leaf gallop and the one-call fully bound lookup, on
+// spines whose runs are laid out against the leaf boundaries.
+
+// n keys in runs of `run` entries sharing a (k0, k1) prefix: entry i is
+// (base + 2 * (i / run), 7, i), so odd k0 values fall between runs.
+// BulkBuild fills each leaf with kLeafMax / 2 entries: a run length
+// dividing that ends runs exactly at leaf ends, any other length makes
+// some runs straddle two leaves.
+Spine RunSpine(size_t n, size_t run, uint32_t base) {
+  Spine s;
+  s.BulkBuild(n, [&](size_t i) {
+    return SpineKey{base + static_cast<uint32_t>(2 * (i / run)), 7,
+                    static_cast<uint32_t>(i)};
+  });
+  return s;
+}
+
+// Every run prefix, the gaps on either side of it, the keys on both
+// sides of every leaf boundary and keys past the last leaf.
+void ExpectRunLookupsMatchFlattened(const Spine& s) {
+  const std::vector<SpineKey> flat = s.Keys();
+  std::set<SpineKey> probes;
+  for (size_t i = 0; i < flat.size(); ++i) {
+    if (i > 0 && flat[i][0] == flat[i - 1][0]) continue;
+    for (uint32_t d : {0u, 1u, 2u}) {
+      for (uint32_t k1 : {6u, 7u, 8u}) {
+        probes.insert({flat[i][0] + d - 1, k1, 0});
+        probes.insert({flat[i][0] + d - 1, k1, UINT32_MAX});
+      }
+    }
+  }
+  for (size_t li = 0; li < s.leaf_count(); ++li) {
+    const size_t start = s.leaf_start(li);
+    probes.insert(flat[start]);
+    if (start > 0) probes.insert(flat[start - 1]);
+    SpineKey after = flat[start];
+    ++after[2];
+    probes.insert(after);
+  }
+  probes.insert({flat.back()[0] + 2, 7, 0});
+  probes.insert({UINT32_MAX, UINT32_MAX, UINT32_MAX});
+  for (const SpineKey& key : probes) {
+    ExpectLookupMatchesFlattened(s, flat, key);
+  }
+}
+
+TEST(SpineEqualRange, RunsEndingAtLeafEndsAndSpanningLeavesMatchBruteForce) {
+  const size_t fill = Spine::kLeafMax / 2;
+  for (size_t run : {size_t{1}, size_t{3}, size_t{256}, fill / 2, fill,
+                     size_t{300}, size_t{1500}, size_t{5000}}) {
+    SCOPED_TRACE(run);
+    const Spine s = RunSpine(8 * fill + 17, run, 10);
+    ASSERT_GE(s.leaf_count(), 8u);
+    ExpectRunLookupsMatchFlattened(s);
+  }
+  // A run ending at leaf 0's last slot ends exactly at leaf 1's start.
+  const Spine halves = RunSpine(8 * fill, fill / 2, 10);
+  const uint32_t second_run = 12;
+  EXPECT_EQ(halves.EqualRange(second_run, nullptr),
+            std::make_pair(fill / 2, fill));
+  const uint32_t seven = 7;
+  EXPECT_EQ(halves.EqualRange(second_run, &seven),
+            std::make_pair(fill / 2, fill));
+  // A run spanning two leaves.
+  const Spine spanning = RunSpine(8 * fill, 1500, 10);
+  EXPECT_EQ(spanning.EqualRange(12, nullptr), std::make_pair(size_t{1500},
+                                                             size_t{3000}));
+  // A key past the last leaf, with and without key1.
+  EXPECT_EQ(spanning.EqualRange(1000, nullptr),
+            std::make_pair(spanning.size(), spanning.size()));
+  EXPECT_EQ(spanning.EqualRange(1000, &seven),
+            std::make_pair(spanning.size(), spanning.size()));
+}
+
+TEST(SpineEqualRange, UintMaxPrefixesRunToTheEnd) {
+  std::set<SpineKey> keys;
+  for (uint32_t i = 0; i < 2000; ++i) keys.insert({3, 3, i});
+  for (uint32_t i = 0; i < 1500; ++i) keys.insert({UINT32_MAX - 1, UINT32_MAX, i});
+  for (uint32_t i = 0; i < 500; ++i) keys.insert({UINT32_MAX, 5, i});
+  for (uint32_t i = 0; i < 3000; ++i) keys.insert({UINT32_MAX, UINT32_MAX, i});
+  Spine s = SpineOf(keys);
+  ASSERT_GE(s.leaf_count(), 6u);
+  ExpectRunLookupsMatchFlattened(s);
+  const uint32_t max = UINT32_MAX;
+  EXPECT_EQ(s.EqualRange(max, &max).second, s.size());
+  EXPECT_EQ(s.EqualRange(max, nullptr).second, s.size());
+  EXPECT_EQ(s.EqualRange(max - 1, &max).second, 2000u + 1500u);
+  // Inserts split leaves off the bulk-built boundaries.
+  std::mt19937 rng(31);
+  for (int i = 0; i < 4000; ++i) {
+    const uint32_t lead = rng() % 2 == 0 ? UINT32_MAX : 3;
+    s.Insert({lead, rng() % 3 == 0 ? 5u : UINT32_MAX,
+              static_cast<uint32_t>(rng())});
+  }
+  ExpectMetadataCurrent(s);
+  ExpectRunLookupsMatchFlattened(s);
+}
+
+TEST(SpineEqualRange, ShortRunInsideALeafGallopsInsteadOfASecondSearch) {
+  const Spine s = RunSpine(64 * (Spine::kLeafMax / 2), 4, 10);
+  ASSERT_GE(s.leaf_count(), 64u);
+  const std::vector<SpineKey> flat = s.Keys();
+  for (size_t i = 100; i < flat.size(); i += 4 * 97) {
+    const SpineKey key = flat[i - i % 4];
+    size_t lower = 0;
+    s.LowerBound({key[0], 0, 0}, &lower);
+    size_t scanned = 0;
+    const auto range = s.EqualRange(key[0], nullptr, &scanned);
+    ASSERT_EQ(range.second - range.first, 4u);
+    // The first end's probes plus a gallop over four entries, not a
+    // second two-level search.
+    EXPECT_LE(scanned, lower + 6) << i;
+    EXPECT_LT(scanned, 2 * lower) << i;
+  }
+}
+
+TEST(GraphFullyBoundLookup, OneSpineCallAgreesWithBruteForceOverManyLeaves) {
+  std::vector<Triple> ts;
+  for (uint32_t i = 0; i < 9000; ++i) {
+    ts.push_back(Triple(Term::Iri(i / 6 * 2), Term::Iri(1 + i % 2),
+                        Term::Iri(i % 6 * 2)));
+  }
+  const Graph g(ts);
+  ASSERT_GE(g.Stats().leaves_primary, 4u);
+  const std::set<Triple> present(ts.begin(), ts.end());
+  auto check = [&](const Triple& t) {
+    const bool hit = present.count(t) > 0;
+    const MatchRange r = g.Matches(t.s, t.p, t.o);
+    ASSERT_EQ(r.size(), hit ? 1u : 0u);
+    ASSERT_EQ(r.order(), IndexOrder::kSpo);
+    if (hit) {
+      ASSERT_EQ(*r.begin(), t);
+    }
+    ASSERT_EQ(g.Contains(t), hit);
+    ASSERT_EQ(g.CountMatches(t.s, t.p, t.o), hit ? 1u : 0u);
+  };
+  const std::vector<Triple> sorted = g.triples();
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    const Triple& t = sorted[i];
+    // Every leaf boundary and a sample in between, plus absent
+    // neighbours (odd ids never occur).
+    const size_t in_leaf = i % (Spine::kLeafMax / 2);
+    if (in_leaf != 0 && in_leaf + 1 != Spine::kLeafMax / 2 && i % 37 != 0) {
+      continue;
+    }
+    check(t);
+    check(Triple(t.s, t.p, Term::Iri(t.o.id() + 1)));
+    check(Triple(Term::Iri(t.s.id() + 1), t.p, t.o));
+  }
+  check(Triple(Term::Iri(1u << 29), Term::Iri(1), Term::Iri(0)));
+  check(Triple(Term::Iri(0), Term::Iri(0), Term::Iri(0)));
+  const uint64_t yielded = g.Stats().rows_yielded;
+  (void)g.Matches(sorted[5].s, sorted[5].p, sorted[5].o);
+  (void)g.Matches(Term::Iri(1), Term::Iri(1), Term::Iri(1));
+  EXPECT_EQ(g.Stats().rows_yielded, yielded + 1);
 }
 
 // Vectors of Graph (answer vectors) move their elements on

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "gen/generators.h"
@@ -486,6 +488,204 @@ TEST_F(HomTest, RepeatedSlotFastPathFiltersResiduals) {
                   .ok());
   EXPECT_EQ(count, 7u);
   EXPECT_EQ(stats2.binds_attempted, 7u);
+}
+
+// ---------------------------------------------------------------------------
+// Binding rows. The row visitor and the TermMap wrapper deliver the same
+// solutions in the same order, and the search counters are the ones the
+// matcher gave when Search still resolved the picked triple's range a
+// second time instead of reusing PickNext's.
+
+struct MatcherCase {
+  Graph pattern;
+  Graph target;
+  bool static_order = false;
+  // When non-empty, the same matcher is then re-pointed here with
+  // set_target and enumerates again.
+  Graph retarget;
+};
+
+// Random patterns with variables and blanks, the blank part of a data
+// graph as a pattern, and repeated-slot patterns, each under the
+// dynamic and the static order.
+std::vector<MatcherCase> MatcherCases(Dictionary* dict) {
+  std::vector<MatcherCase> cases;
+  RandomGraphSpec spec;
+  spec.num_nodes = 18;
+  spec.num_triples = 120;
+  spec.num_predicates = 3;
+  spec.blank_ratio = 0.2;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    const Graph data = RandomSimpleGraph(spec, dict, &rng);
+    const Graph body = PatternQueryFromGraph(data, 3, 0.6, dict, &rng).body;
+    const Graph other = RandomSimpleGraph(spec, dict, &rng);
+    std::vector<Triple> blank_part;
+    for (const Triple& t : data) {
+      if (blank_part.size() < 3 && (t.s.IsBlank() || t.o.IsBlank())) {
+        blank_part.push_back(t);
+      }
+    }
+    for (bool static_order : {false, true}) {
+      cases.push_back({body, data, static_order, other});
+      cases.push_back({Graph(blank_part), data, static_order, other});
+    }
+  }
+  Graph loops;
+  const Term p = dict->Iri("p");
+  const Term q = dict->Iri("q");
+  const auto node = [dict](uint32_t i) {
+    std::string name = "n";
+    name += std::to_string(i);
+    return dict->Iri(name);
+  };
+  for (uint32_t i = 0; i < 30; ++i) {
+    const Term n = node(i);
+    loops.Insert(Triple(n, p, node(i % 7)));
+    loops.Insert(Triple(n, q, node(i * 3 % 11)));
+  }
+  for (const char* text : {"?X p ?X .\n?X q ?Y .", "?X ?P ?X .",
+                           "?X p ?Y .\n?Y p ?X .\n?Y q ?Z .",
+                           "_:a p _:a .\n_:a q _:b ."}) {
+    for (bool static_order : {false, true}) {
+      cases.push_back({swdb::testing::G(dict, text), loops, static_order,
+                       Graph()});
+    }
+  }
+  return cases;
+}
+
+// The counters of every MatcherCases run and of its set_target rerun, in
+// order: {steps_used, nodes_expanded, candidates_scanned,
+// selectivity_recomputes, binds_attempted, solutions_found}.
+constexpr uint64_t kPinnedStats[][6] = {
+    {231, 3, 230, 3, 230, 228},
+    {0, 0, 0, 0, 0, 0},
+    {8, 3, 7, 4, 7, 5},
+    {7, 7, 6, 9, 6, 0},
+    {231, 3, 230, 0, 230, 228},
+    {0, 0, 0, 0, 0, 0},
+    {16, 11, 15, 0, 15, 5},
+    {7, 7, 6, 0, 6, 0},
+    {8, 3, 7, 4, 7, 5},
+    {2, 2, 1, 4, 1, 0},
+    {7, 4, 6, 5, 6, 3},
+    {19, 16, 18, 19, 18, 3},
+    {11, 6, 10, 0, 10, 5},
+    {2, 2, 1, 0, 1, 0},
+    {12, 9, 11, 0, 11, 3},
+    {20, 17, 19, 0, 19, 3},
+    {69, 3, 68, 3, 68, 66},
+    {0, 0, 0, 0, 0, 0},
+    {9, 5, 8, 6, 8, 4},
+    {1, 1, 0, 2, 0, 0},
+    {69, 3, 68, 0, 68, 66},
+    {0, 0, 0, 0, 0, 0},
+    {9, 5, 8, 0, 8, 4},
+    {4, 4, 3, 0, 3, 0},
+    {1571, 196, 1570, 201, 1570, 1375},
+    {1114, 127, 1113, 130, 1113, 987},
+    {10, 5, 9, 6, 9, 5},
+    {2, 2, 1, 4, 1, 0},
+    {1946, 571, 1945, 0, 1945, 1375},
+    {1327, 340, 1326, 0, 1326, 987},
+    {36, 31, 35, 0, 35, 5},
+    {13, 13, 12, 0, 12, 0},
+    {2904, 104, 2903, 105, 2903, 2800},
+    {2803, 105, 2802, 106, 2802, 2698},
+    {7, 4, 6, 5, 6, 3},
+    {9, 9, 8, 11, 8, 0},
+    {2909, 109, 2908, 0, 2908, 2800},
+    {2803, 105, 2802, 0, 2802, 2698},
+    {12, 9, 11, 0, 11, 3},
+    {10, 10, 9, 0, 9, 0},
+    {150, 120, 149, 161, 149, 30},
+    {161, 118, 160, 152, 160, 43},
+    {5, 3, 4, 4, 4, 2},
+    {1, 1, 0, 1, 0, 0},
+    {378, 348, 377, 0, 377, 30},
+    {417, 374, 416, 0, 416, 43},
+    {6, 4, 5, 0, 5, 2},
+    {1, 1, 0, 0, 0, 0},
+    {15, 8, 37, 9, 14, 7},
+    {15, 8, 37, 0, 14, 7},
+    {9, 1, 60, 1, 8, 8},
+    {9, 1, 60, 0, 8, 8},
+    {45, 38, 44, 40, 44, 7},
+    {45, 38, 44, 0, 44, 7},
+    {15, 8, 37, 9, 14, 7},
+    {15, 8, 37, 0, 14, 7},
+};
+
+std::vector<Term> OpenTerms(const Graph& pattern) {
+  std::vector<Term> open;
+  for (Term t : pattern.Universe()) {
+    if (!t.IsIri()) open.push_back(t);
+  }
+  return open;
+}
+
+void ExpectSameStats(const MatchStats& a, const MatchStats& b) {
+  EXPECT_EQ(a.nodes_expanded, b.nodes_expanded);
+  EXPECT_EQ(a.candidates_scanned, b.candidates_scanned);
+  EXPECT_EQ(a.binds_attempted, b.binds_attempted);
+  EXPECT_EQ(a.solutions_found, b.solutions_found);
+  EXPECT_EQ(a.steps_used, b.steps_used);
+  EXPECT_EQ(a.selectivity_recomputes, b.selectivity_recomputes);
+  EXPECT_EQ(a.index_hits, b.index_hits);
+}
+
+TEST(MatcherRows, RowVisitorAndTermMapWrapperAgreeAndCountersArePinned) {
+  Dictionary dict;
+  const std::vector<MatcherCase> cases = MatcherCases(&dict);
+  size_t run = 0;
+  for (size_t ci = 0; ci < cases.size(); ++ci) {
+    SCOPED_TRACE(ci);
+    const MatcherCase& c = cases[ci];
+    MatchOptions options;
+    options.static_order = c.static_order;
+    PatternMatcher matcher(c.pattern, &c.target, options);
+    const std::vector<Term> open = OpenTerms(c.pattern);
+    ASSERT_EQ(matcher.num_slots(), open.size());
+    EXPECT_EQ(matcher.SlotOf(dict.Iri("p")), -1);
+    for (const Graph* target : {&c.target, &c.retarget}) {
+      if (target == &c.retarget) {
+        if (target->empty()) break;
+        matcher.set_target(target);
+      }
+      std::vector<std::vector<Term>> by_row;
+      ASSERT_TRUE(matcher
+                      .EnumerateRows([&](const Term* row) {
+                        by_row.emplace_back(row, row + matcher.num_slots());
+                        return true;
+                      })
+                      .ok());
+      const MatchStats row_stats = matcher.stats();
+      std::vector<std::vector<Term>> by_map;
+      ASSERT_TRUE(matcher
+                      .Enumerate([&](const TermMap& mu) {
+                        EXPECT_EQ(mu.size(), open.size());
+                        std::vector<Term> row(open.size());
+                        for (Term t : open) row[matcher.SlotOf(t)] = mu.Apply(t);
+                        by_map.push_back(std::move(row));
+                        return true;
+                      })
+                      .ok());
+      EXPECT_EQ(by_row, by_map);
+      ExpectSameStats(row_stats, matcher.stats());
+
+      ASSERT_LT(run, std::size(kPinnedStats));
+      const uint64_t* want = kPinnedStats[run++];
+      EXPECT_EQ(row_stats.steps_used, want[0]);
+      EXPECT_EQ(row_stats.nodes_expanded, want[1]);
+      EXPECT_EQ(row_stats.candidates_scanned, want[2]);
+      EXPECT_EQ(row_stats.selectivity_recomputes, want[3]);
+      EXPECT_EQ(row_stats.binds_attempted, want[4]);
+      EXPECT_EQ(row_stats.solutions_found, want[5]);
+      EXPECT_EQ(row_stats.solutions_found, by_row.size());
+    }
+  }
+  EXPECT_EQ(run, std::size(kPinnedStats));
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "query/containment.h"
 #include "testutil.h"
 
@@ -111,6 +114,46 @@ TEST(UnionQuery, ValidateChecksEveryBranch) {
   bad.head = Graph{Triple(dict.Var("Z"), dict.Iri("r"), dict.Iri("a"))};
   u.branches.push_back(bad);  // head var not in body
   EXPECT_FALSE(u.Validate().ok());
+}
+
+TEST(UnionQueryFreeFunction, MatchesBranchByBranchBitForBit) {
+  const std::string data_text = "a p b .\nb p c .\na sc b .\nx type a .\n";
+  auto build_union = [](Dictionary* d) {
+    UnionQuery out;
+    out.branches.push_back(Q(d,
+                             "head: ?X r ?Y .\n"
+                             "body: ?X p ?Y .\n"));
+    out.branches.push_back(Q(d,
+                             "head: ?X anc ?Y .\n"
+                             "body: ?X sc ?Y .\n"));
+    out.branches.push_back(Q(d,
+                             "head: ?X has _:thing .\n"
+                             "body: ?X type ?Y .\n"));
+    return out;
+  };
+
+  Dictionary dict;
+  Graph data = swdb::testing::Data(&dict, data_text);
+  QueryEvaluator evaluator(&dict);
+  const UnionQuery q = build_union(&dict);
+  Result<std::vector<Graph>> batched = PreAnswerUnionQuery(&evaluator, q, data);
+  ASSERT_TRUE(batched.ok());
+
+  // Branch by branch, in order, on the same evaluator (whose Skolem
+  // cache makes the head-blank mints comparable).
+  std::vector<Result<std::vector<Graph>>> parts;
+  for (const Query& branch : q.branches) {
+    parts.push_back(evaluator.PreAnswer(branch, data));
+  }
+  Result<std::vector<Graph>> one_by_one = CombineBranches(std::move(parts));
+  ASSERT_TRUE(one_by_one.ok());
+  EXPECT_EQ(*batched, *one_by_one);
+
+  Result<Graph> union_graph = AnswerUnionQuery(&evaluator, q, data);
+  ASSERT_TRUE(union_graph.ok());
+  Graph expected;
+  for (const Graph& g : *batched) expected.InsertAll(g);
+  EXPECT_EQ(*union_graph, expected);
 }
 
 }  // namespace
