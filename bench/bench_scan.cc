@@ -22,12 +22,19 @@
 //   * PreAnswerSp2bJoin/t — PreAnswerPrenormalized on year_articles [t=0]
 //                           and venue_papers [t=1] requests of the serving
 //                           mix: matching plus flat answer building.
+//                           `allocs_per_answer` is the heap allocations
+//                           of the timed calls over the answers they
+//                           return, counted by this binary's
+//                           operator new.
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <optional>
 #include <random>
 #include <string>
@@ -41,6 +48,24 @@
 #include "rdf/term.h"
 #include "serve/workload.h"
 #include "util/rng.h"
+
+// Every operator new of this binary (array and nothrow forms forward
+// to it) bumps one counter; deletes go back to free. All stay out of
+// line so the compiler never pairs an inlined malloc or free with a
+// new or delete expression.
+namespace {
+std::atomic<uint64_t> heap_allocs{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace swdb {
 namespace {
@@ -207,6 +232,7 @@ void BM_PreAnswerSp2bJoin(benchmark::State& state) {
   // Matchings and answers per request, counted once outside the timing.
   double matchings = 0;
   double answers = 0;
+  std::vector<size_t> answers_of;
   for (const Query& q : queries) {
     PatternMatcher matcher(q.body, &st.closure);
     const Status counted = matcher.Enumerate([&](const TermMap& v) {
@@ -219,16 +245,26 @@ void BM_PreAnswerSp2bJoin(benchmark::State& state) {
       return;
     }
     answers += static_cast<double>(pre->size());
+    answers_of.push_back(pre->size());
   }
   size_t i = 0;
+  const uint64_t allocs_before = heap_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
     Result<std::vector<Graph>> pre =
         eval.PreAnswerPrenormalized(queries[i++ % kRequests], st.closure);
     benchmark::DoNotOptimize(pre.ok());
   }
+  const uint64_t allocs =
+      heap_allocs.load(std::memory_order_relaxed) - allocs_before;
+  double answered = 0;
+  for (size_t j = 0; j < i; ++j) {
+    answered += static_cast<double>(answers_of[j % kRequests]);
+  }
   state.SetLabel(std::string(TemplateName(id)));
   state.counters["matchings"] = matchings / kRequests;
   state.counters["answers"] = answers / kRequests;
+  state.counters["allocs_per_answer"] =
+      static_cast<double>(allocs) / (answered > 0 ? answered : 1);
 }
 BENCHMARK(BM_PreAnswerSp2bJoin)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 

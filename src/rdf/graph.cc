@@ -64,22 +64,21 @@ inline Triple TripleOfSpoKey(const SpineKey& k) {
 
 MatchRange::const_iterator::const_iterator(const Spine* spine,
                                            IndexOrder order, size_t idx,
-                                           size_t limit)
+                                           size_t limit, size_t leaf)
     : spine_(spine), order_(order), idx_(idx), limit_(limit) {
   leaf_base_ = idx;
   leaf_end_ = idx;
-  if (idx_ < limit_) AdvanceLeaf();
+  if (idx_ < limit_) LoadLeaf(leaf);
 }
 
-void MatchRange::const_iterator::AdvanceLeaf() {
-  if (idx_ >= limit_) return;
-  const size_t li = spine_->LeafIndexOf(idx_);
+void MatchRange::const_iterator::LoadLeaf(size_t li) {
   const SpineLeaf& leaf = spine_->leaf(li);
+  leaf_ = li;
   leaf_base_ = spine_->leaf_start(li);
   leaf_end_ = leaf_base_ + leaf.size();
-  col_s_ = leaf.column(ColumnOfPosition(order_, 0)).data();
-  col_p_ = leaf.column(ColumnOfPosition(order_, 1)).data();
-  col_o_ = leaf.column(ColumnOfPosition(order_, 2)).data();
+  col_s_ = leaf.column(ColumnOfPosition(order_, 0));
+  col_p_ = leaf.column(ColumnOfPosition(order_, 1));
+  col_o_ = leaf.column(ColumnOfPosition(order_, 2));
 }
 
 const Triple& MatchRange::TripleAt(uint32_t slot) const {
@@ -96,14 +95,14 @@ size_t MatchRange::FilterPairEqual(int pos_a, int pos_b,
   if (empty()) return 0;
   const int ca = ColumnOfPosition(order_, pos_a);
   const int cb = ColumnOfPosition(order_, pos_b);
-  size_t li = spine_->LeafIndexOf(first_);
-  for (size_t slot = first_; slot < last_; ++li) {
+  size_t li = run_.leaf;
+  for (size_t slot = run_.first; slot < run_.last; ++li) {
     const SpineLeaf& leaf = spine_->leaf(li);
     const size_t base = spine_->leaf_start(li);
     const size_t lo = slot - base;
-    const size_t hi = std::min(last_ - base, leaf.size());
-    const uint32_t* a = leaf.column(ca).data();
-    const uint32_t* b = leaf.column(cb).data();
+    const size_t hi = std::min(run_.last - base, leaf.size());
+    const uint32_t* a = leaf.column(ca);
+    const uint32_t* b = leaf.column(cb);
     for (size_t i = lo; i < hi; ++i) {
       if (a[i] == b[i]) out->push_back(static_cast<uint32_t>(base + i));
     }
@@ -205,9 +204,12 @@ std::vector<Triple> Graph::triples() const {
   out.reserve(spo_.size());
   for (size_t li = 0; li < spo_.leaf_count(); ++li) {
     const SpineLeaf& leaf = spo_.leaf(li);
+    const uint32_t* k0 = leaf.column(0);
+    const uint32_t* k1 = leaf.column(1);
+    const uint32_t* k2 = leaf.column(2);
     for (size_t i = 0; i < leaf.size(); ++i) {
-      out.emplace_back(Term::FromBits(leaf.k0[i]), Term::FromBits(leaf.k1[i]),
-                       Term::FromBits(leaf.k2[i]));
+      out.emplace_back(Term::FromBits(k0[i]), Term::FromBits(k1[i]),
+                       Term::FromBits(k2[i]));
     }
   }
   return out;
@@ -249,8 +251,11 @@ MatchRange Graph::KindRun(int pos, TermKind kind) const {
   const uint32_t lo_bits = static_cast<uint32_t>(kind) << 30;
   const uint32_t hi_bits = (static_cast<uint32_t>(kind) + 1) << 30;
   auto run = [&](const Spine& ix, IndexOrder order) {
-    return MatchRange::Over(&ix, ix.LowerBound({lo_bits, 0, 0}),
-                            ix.LowerBound({hi_bits, 0, 0}), order);
+    SpineRun r;
+    r.first = ix.LowerBound({lo_bits, 0, 0});
+    r.last = ix.LowerBound({hi_bits, 0, 0});
+    if (!r.empty()) r.leaf = ix.LeafIndexOf(r.first);
+    return MatchRange::Over(&ix, r, order);
   };
   if (pos == 0) return run(spo_, IndexOrder::kSpo);
   EnsureIndexes();
@@ -388,18 +393,18 @@ MatchRange Graph::Matches(std::optional<Term> s, std::optional<Term> p,
   auto range_of = [&](const Spine& ix, uint32_t key0, const uint32_t* key1,
                       IndexOrder order) {
     size_t scanned = 0;
-    auto [lo, hi] = ix.EqualRange(key0, key1, &scanned);
+    const SpineRun run = ix.EqualRange(key0, key1, &scanned);
     rows_scanned_.Add(scanned);
-    rows_yielded_.Add(hi - lo);
-    return MatchRange::Over(&ix, lo, hi, order);
+    rows_yielded_.Add(run.size());
+    return MatchRange::Over(&ix, run, order);
   };
 
   if (s) {
     if (p && o) {
       // Fully bound: a zero- or one-element run in the primary order.
-      const auto [lo, hit] = spo_.Locate(KeySpo(Triple(*s, *p, *o)));
-      rows_yielded_.Add(hit ? 1 : 0);
-      return MatchRange::Over(&spo_, lo, lo + (hit ? 1 : 0), IndexOrder::kSpo);
+      const SpineRun run = spo_.Locate(KeySpo(Triple(*s, *p, *o)));
+      rows_yielded_.Add(run.size());
+      return MatchRange::Over(&spo_, run, IndexOrder::kSpo);
     }
     if (o) {
       // (s, *, o): contiguous under (o,s,p).
@@ -424,7 +429,8 @@ MatchRange Graph::Matches(std::optional<Term> s, std::optional<Term> p,
     return range_of(osp_, o->bits(), nullptr, IndexOrder::kOsp);
   }
   rows_yielded_.Add(spo_.size());
-  return MatchRange::Over(&spo_, 0, spo_.size(), IndexOrder::kFullScan);
+  return MatchRange::Over(&spo_, SpineRun{0, spo_.size(), 0},
+                          IndexOrder::kFullScan);
 }
 
 }  // namespace swdb

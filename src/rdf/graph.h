@@ -93,7 +93,7 @@ struct GraphStats {
 };
 
 /// Leaf-sharing between two graphs' spines: of this graph's `total`
-/// leaves, `shared` are the same objects (pointer equality) as leaves
+/// leaves, `shared` are the same blocks (equal SpineLeaf::id()) as leaves
 /// of the other graph. The publication-observability measure of how
 /// much of a snapshot is structurally shared with its predecessor.
 struct SpineSharing {
@@ -127,7 +127,7 @@ class MatchRange {
     const Triple* operator->() const { return &**this; }
     const_iterator& operator++() {
       ++idx_;
-      if (idx_ == leaf_end_) AdvanceLeaf();
+      if (idx_ == leaf_end_ && idx_ < limit_) LoadLeaf(leaf_ + 1);
       return *this;
     }
     bool operator==(const const_iterator& o) const { return idx_ == o.idx_; }
@@ -135,14 +135,17 @@ class MatchRange {
 
    private:
     friend class MatchRange;
+    // Starts at global slot `idx` of leaf `leaf` (read only when
+    // idx < limit).
     const_iterator(const Spine* spine, IndexOrder order, size_t idx,
-                   size_t limit);
-    void AdvanceLeaf();
+                   size_t limit, size_t leaf);
+    void LoadLeaf(size_t li);
 
     const Spine* spine_ = nullptr;
     IndexOrder order_ = IndexOrder::kFullScan;
     size_t idx_ = 0;        // current global slot
     size_t limit_ = 0;      // range end (no leaf loads at or past it)
+    size_t leaf_ = 0;       // index of the cached leaf
     size_t leaf_base_ = 0;  // global slot of the cached leaf's start
     size_t leaf_end_ = 0;   // global slot one past the cached leaf
     const uint32_t* col_s_ = nullptr;  // cached leaf columns by position
@@ -153,19 +156,18 @@ class MatchRange {
 
   MatchRange() = default;
 
-  /// A run [first, last) of global slots in `spine`.
-  static MatchRange Over(const Spine* spine, size_t first, size_t last,
+  /// A run of global slots in `spine`; its `leaf` seeds the iterators.
+  static MatchRange Over(const Spine* spine, const SpineRun& run,
                          IndexOrder order) {
     MatchRange r;
     r.spine_ = spine;
-    r.first_ = first;
-    r.last_ = last;
+    r.run_ = run;
     r.order_ = order;
     return r;
   }
 
-  size_t size() const { return last_ - first_; }
-  bool empty() const { return size() == 0; }
+  size_t size() const { return run_.size(); }
+  bool empty() const { return run_.empty(); }
   IndexOrder order() const { return order_; }
 
   /// True when the range is backed by a lazily built permutation spine
@@ -187,16 +189,15 @@ class MatchRange {
                          std::vector<uint32_t>* out) const;
 
   const_iterator begin() const {
-    return const_iterator(spine_, order_, first_, last_);
+    return const_iterator(spine_, order_, run_.first, run_.last, run_.leaf);
   }
   const_iterator end() const {
-    return const_iterator(spine_, order_, last_, last_);
+    return const_iterator(spine_, order_, run_.last, run_.last, run_.leaf);
   }
 
  private:
   const Spine* spine_ = nullptr;
-  size_t first_ = 0;
-  size_t last_ = 0;
+  SpineRun run_;
   IndexOrder order_ = IndexOrder::kFullScan;
   mutable Triple scratch_;  // TripleAt materialization target
 };
@@ -212,15 +213,15 @@ class MatchRange {
 /// structure-of-arrays uint32 columns per leaf, so lookups and residual
 /// filters sweep contiguous columns.
 ///
-/// Copying a Graph copies leaf pointers, not leaf contents: an epoch
+/// Copying a Graph copies leaf handles, not leaf contents: an epoch
 /// that changed k triples shares every untouched leaf with its
 /// predecessor, which is what makes Database snapshot publication
 /// proportional to the delta instead of to |G|. Single-triple
-/// Insert/Erase clone only the one leaf they touch per spine (built
-/// permutations are maintained in place the same way); the bulk
-/// InsertAll path drops the permutations and rebuilds them on the next
-/// lookup. Either way, outstanding MatchRanges are invalidated by any
-/// mutation.
+/// Insert/Erase write only the one leaf they touch per spine, in place
+/// when no copy shares it (built permutations are maintained the same
+/// way); the bulk InsertAll path drops the permutations and rebuilds
+/// them on the next lookup. Either way, outstanding MatchRanges are
+/// invalidated by any mutation.
 ///
 /// Every mutation that changes the triple set bumps an epoch counter,
 /// so derived structures (closure caches, membership indexes) can
@@ -272,16 +273,18 @@ class Graph {
     friend class Graph;
     const_iterator(const Spine* spine, size_t idx)
         : spine_(spine), idx_(idx) {
-      if (idx_ < spine_->size()) LoadLeaf(spine_->LeafIndexOf(idx_));
+      if (idx_ < spine_->size()) {
+        LoadLeaf(idx_ == 0 ? 0 : spine_->LeafIndexOf(idx_));
+      }
     }
     void LoadLeaf(size_t li) {
       const SpineLeaf& leaf = spine_->leaf(li);
       leaf_ = li;
       leaf_base_ = spine_->leaf_start(li);
       leaf_end_ = leaf_base_ + leaf.size();
-      col_s_ = leaf.k0.data();
-      col_p_ = leaf.k1.data();
-      col_o_ = leaf.k2.data();
+      col_s_ = leaf.column(0);
+      col_p_ = leaf.column(1);
+      col_o_ = leaf.column(2);
     }
 
     const Spine* spine_ = nullptr;
@@ -404,7 +407,7 @@ class Graph {
   GraphStats Stats() const;
 
   /// Of this graph's spine leaves (primary + built permutations),
-  /// how many are shared (pointer-identical) with `other`. Only spines
+  /// how many are shared (the same blocks) with `other`. Only spines
   /// built on both sides are compared; `total` counts this graph's
   /// leaves of those spines. O(leaves).
   SpineSharing SharedLeaves(const Graph& other) const;

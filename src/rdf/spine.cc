@@ -9,17 +9,20 @@ namespace {
 // Lexicographic lower bound of `key` within one leaf's columns.
 size_t LeafLowerBound(const SpineLeaf& leaf, const SpineKey& key,
                       size_t* probes) {
+  const uint32_t* k0 = leaf.column(0);
+  const uint32_t* k1 = leaf.column(1);
+  const uint32_t* k2 = leaf.column(2);
   size_t lo = 0, hi = leaf.size();
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
     ++*probes;
     bool less;
-    if (leaf.k0[mid] != key[0]) {
-      less = leaf.k0[mid] < key[0];
-    } else if (leaf.k1[mid] != key[1]) {
-      less = leaf.k1[mid] < key[1];
+    if (k0[mid] != key[0]) {
+      less = k0[mid] < key[0];
+    } else if (k1[mid] != key[1]) {
+      less = k1[mid] < key[1];
     } else {
-      less = leaf.k2[mid] < key[2];
+      less = k2[mid] < key[2];
     }
     if (less) {
       lo = mid + 1;
@@ -30,25 +33,13 @@ size_t LeafLowerBound(const SpineLeaf& leaf, const SpineKey& key,
   return lo;
 }
 
-bool LeafKeyEquals(const SpineLeaf& leaf, size_t i, const SpineKey& key) {
-  return leaf.k0[i] == key[0] && leaf.k1[i] == key[1] &&
-         leaf.k2[i] == key[2];
-}
-
-template <typename Col>
-void InsertAt(Col& col, size_t slot, uint32_t v) {
-  col.insert(col.begin() + static_cast<std::ptrdiff_t>(slot), v);
-}
-template <typename Col>
-void EraseAt(Col& col, size_t slot) {
-  col.erase(col.begin() + static_cast<std::ptrdiff_t>(slot));
-}
+thread_local uint64_t tls_leaf_index_searches = 0;
 
 }  // namespace
 
 size_t Spine::bytes() const {
-  size_t total = leaves_.capacity() * sizeof(LeafRef);
-  for (const LeafRef& ref : leaves_) total += ref.leaf->bytes();
+  size_t total = leaves_.capacity() * kLeafRefBytes;
+  for (const LeafRef& ref : leaves_) total += ref.leaf.bytes();
   return total;
 }
 
@@ -73,70 +64,94 @@ size_t Spine::LeafForKey(const SpineKey& key, size_t* probes) const {
   return lo == 0 ? 0 : lo - 1;
 }
 
-bool Spine::Contains(const SpineKey& key) const { return Locate(key).second; }
-
-std::pair<size_t, bool> Spine::Locate(const SpineKey& key) const {
-  if (empty()) return {0, false};
+SpineRun Spine::Locate(const SpineKey& key) const {
+  if (empty()) return {};
   size_t probes = 0;
-  const LeafRef& ref = leaves_[LeafForKey(key, &probes)];
-  const size_t slot = LeafLowerBound(*ref.leaf, key, &probes);
-  return {ref.start + slot,
-          slot < ref.leaf->size() && LeafKeyEquals(*ref.leaf, slot, key)};
+  const size_t li = LeafForKey(key, &probes);
+  const LeafRef& ref = leaves_[li];
+  const size_t slot = LeafLowerBound(ref.leaf, key, &probes);
+  const bool hit = slot < ref.leaf.size() && ref.leaf.at(slot) == key;
+  return {ref.start + slot, ref.start + slot + (hit ? 1 : 0), li};
 }
 
-SpineLeaf* Spine::Mutable(size_t li) {
-  std::shared_ptr<SpineLeaf>& leaf = leaves_[li].leaf;
-  if (leaf.use_count() != 1) leaf = std::make_shared<SpineLeaf>(*leaf);
-  return leaf.get();
+SpineLeaf Spine::CopyInserting(const SpineLeaf& src, size_t slot,
+                               const SpineKey& key, size_t from, size_t to,
+                               size_t capacity) {
+  // Entry e of the post-insert sequence is src[e] below the slot, `key`
+  // at it and src[e - 1] above it.
+  SpineLeaf out(capacity);
+  const size_t above = std::max(from, slot + 1);
+  for (int k = 0; k < 3; ++k) {
+    const uint32_t* s = src.column(k);
+    uint32_t* d = out.mutable_column(k);
+    if (from < slot) std::copy(s + from, s + std::min(slot, to), d);
+    if (from <= slot && slot < to) d[slot - from] = key[k];
+    if (above < to) std::copy(s + above - 1, s + to - 1, d + (above - from));
+  }
+  out.set_size(to - from);
+  return out;
 }
 
-void Spine::Split(size_t li) {
-  SpineLeaf& left = *leaves_[li].leaf;  // caller just made it unshared
-  const size_t half = left.size() / 2;
-  auto right = std::make_shared<SpineLeaf>();
-  right->k0.assign(left.k0.begin() + half, left.k0.end());
-  right->k1.assign(left.k1.begin() + half, left.k1.end());
-  right->k2.assign(left.k2.begin() + half, left.k2.end());
-  left.k0.resize(half);
-  left.k1.resize(half);
-  left.k2.resize(half);
-  left.k0.shrink_to_fit();
-  left.k1.shrink_to_fit();
-  left.k2.shrink_to_fit();
+SpineLeaf Spine::CopyErasing(const SpineLeaf& src, size_t slot,
+                             size_t capacity) {
+  SpineLeaf out(capacity);
+  const size_t n = src.size();
+  for (int k = 0; k < 3; ++k) {
+    const uint32_t* s = src.column(k);
+    uint32_t* d = out.mutable_column(k);
+    std::copy(s, s + slot, d);
+    std::copy(s + slot + 1, s + n, d + slot);
+  }
+  out.set_size(n - 1);
+  return out;
+}
+
+void Spine::SplitInsert(size_t li, size_t slot, const SpineKey& key) {
+  const SpineLeaf& full = leaves_[li].leaf;
+  const size_t n = full.size() + 1;  // entries after the insert
+  const size_t half = n / 2;
+  SpineLeaf right = CopyInserting(full, slot, key, half, n, n - half);
+  leaves_[li].leaf = CopyInserting(full, slot, key, 0, half, half);
   const size_t start = leaves_[li].start + half;
-  const SpineKey first = right->at(0);
+  const SpineKey first = right.at(0);
   leaves_.insert(leaves_.begin() + static_cast<std::ptrdiff_t>(li) + 1,
                  LeafRef{std::move(right), start, first});
 }
 
 bool Spine::Insert(const SpineKey& key) {
   if (empty()) {
-    auto leaf = std::make_shared<SpineLeaf>();
-    leaf->k0.push_back(key[0]);
-    leaf->k1.push_back(key[1]);
-    leaf->k2.push_back(key[2]);
+    SpineLeaf leaf(1);
+    leaf.Put(0, key);
+    leaf.set_size(1);
     leaves_.push_back(LeafRef{std::move(leaf), 0, key});
     size_ = 1;
     return true;
   }
   size_t probes = 0;
   const size_t li = LeafForKey(key, &probes);
-  const size_t slot = LeafLowerBound(*leaves_[li].leaf, key, &probes);
-  if (slot < leaves_[li].leaf->size() &&
-      LeafKeyEquals(*leaves_[li].leaf, slot, key)) {
-    return false;
+  SpineLeaf& leaf = leaves_[li].leaf;
+  const size_t slot = LeafLowerBound(leaf, key, &probes);
+  const size_t n = leaf.size();
+  if (slot < n && leaf.at(slot) == key) return false;
+  // Renumber the tail first: a split computes its right half's start in
+  // post-insert numbering already.
+  for (size_t j = li + 1; j < leaves_.size(); ++j) ++leaves_[j].start;
+  if (n == kLeafMax) {
+    SplitInsert(li, slot, key);
+  } else if (leaf.unique() && n < leaf.capacity()) {
+    for (int k = 0; k < 3; ++k) {
+      uint32_t* c = leaf.mutable_column(k);
+      std::copy_backward(c + slot, c + n, c + n + 1);
+    }
+    leaf.Put(slot, key);
+    leaf.set_size(n + 1);
+  } else {
+    const size_t capacity = leaf.unique() ? GrowCapacity(n) : CloneCapacity(n);
+    leaf = CopyInserting(leaf, slot, key, 0, n + 1, capacity);
   }
-  SpineLeaf* leaf = Mutable(li);
-  InsertAt(leaf->k0, slot, key[0]);
-  InsertAt(leaf->k1, slot, key[1]);
-  InsertAt(leaf->k2, slot, key[2]);
   // Only a key below every other lands at slot 0 (LeafForKey picks leaf
   // 0 for it), so this is the one case that moves a first key.
   if (slot == 0) leaves_[li].first = key;
-  // Renumber the tail before any split: Split computes the new leaf's
-  // start in post-insert numbering already.
-  for (size_t j = li + 1; j < leaves_.size(); ++j) ++leaves_[j].start;
-  if (leaf->size() > kLeafMax) Split(li);
   ++size_;
   return true;
 }
@@ -145,20 +160,24 @@ bool Spine::Erase(const SpineKey& key) {
   if (empty()) return false;
   size_t probes = 0;
   const size_t li = LeafForKey(key, &probes);
-  const size_t slot = LeafLowerBound(*leaves_[li].leaf, key, &probes);
-  if (slot == leaves_[li].leaf->size() ||
-      !LeafKeyEquals(*leaves_[li].leaf, slot, key)) {
-    return false;
-  }
-  SpineLeaf* leaf = Mutable(li);
-  EraseAt(leaf->k0, slot);
-  EraseAt(leaf->k1, slot);
-  EraseAt(leaf->k2, slot);
-  const bool emptied = leaf->size() == 0;
+  SpineLeaf& leaf = leaves_[li].leaf;
+  const size_t slot = LeafLowerBound(leaf, key, &probes);
+  const size_t n = leaf.size();
+  if (slot == n || leaf.at(slot) != key) return false;
+  const bool emptied = n == 1;
   if (emptied) {
     leaves_.erase(leaves_.begin() + static_cast<std::ptrdiff_t>(li));
-  } else if (slot == 0) {
-    leaves_[li].first = leaf->at(0);
+  } else {
+    if (leaf.unique()) {
+      for (int k = 0; k < 3; ++k) {
+        uint32_t* c = leaf.mutable_column(k);
+        std::copy(c + slot + 1, c + n, c + slot);
+      }
+      leaf.set_size(n - 1);
+    } else {
+      leaf = CopyErasing(leaf, slot, CloneCapacity(n));
+    }
+    if (slot == 0) leaves_[li].first = leaf.at(0);
   }
   for (size_t j = li + (emptied ? 0 : 1); j < leaves_.size(); ++j) {
     --leaves_[j].start;
@@ -169,20 +188,20 @@ bool Spine::Erase(const SpineKey& key) {
 
 SpineKey Spine::At(size_t slot) const {
   const LeafRef& ref = leaves_[LeafIndexOf(slot)];
-  return ref.leaf->at(slot - ref.start);
+  return ref.leaf.at(slot - ref.start);
 }
 
 std::vector<SpineKey> Spine::Keys() const {
   std::vector<SpineKey> out;
   out.reserve(size_);
   for (const LeafRef& ref : leaves_) {
-    const SpineLeaf& leaf = *ref.leaf;
-    for (size_t i = 0; i < leaf.size(); ++i) out.push_back(leaf.at(i));
+    for (size_t i = 0; i < ref.leaf.size(); ++i) out.push_back(ref.leaf.at(i));
   }
   return out;
 }
 
 size_t Spine::LeafIndexOf(size_t slot) const {
+  ++tls_leaf_index_searches;
   // Last leaf whose start is <= slot.
   const auto it = std::upper_bound(
       leaves_.begin(), leaves_.end(), slot,
@@ -190,21 +209,21 @@ size_t Spine::LeafIndexOf(size_t slot) const {
   return static_cast<size_t>(it - leaves_.begin()) - 1;
 }
 
+uint64_t Spine::leaf_index_searches() { return tls_leaf_index_searches; }
 size_t Spine::LowerBound(const SpineKey& key, size_t* scanned) const {
   if (empty()) return 0;
   size_t probes = 0;
   const LeafRef& ref = leaves_[LeafForKey(key, &probes)];
   // A key past the leaf's last entry yields slot == leaf size, which is
   // the next leaf's start: the key lies below that leaf's first key.
-  const size_t slot = ref.start + LeafLowerBound(*ref.leaf, key, &probes);
+  const size_t slot = ref.start + LeafLowerBound(ref.leaf, key, &probes);
   if (scanned != nullptr) *scanned += probes;
   return slot;
 }
 
-std::pair<size_t, size_t> Spine::EqualRange(uint32_t key0,
-                                            const uint32_t* key1,
-                                            size_t* scanned) const {
-  if (empty()) return {0, 0};
+SpineRun Spine::EqualRange(uint32_t key0, const uint32_t* key1,
+                           size_t* scanned) const {
+  if (empty()) return {};
   // The run starts at the prefix's lower bound. Every entry from there
   // on is >= the prefix, so the run is the stretch that still matches.
   const auto in_run = [&](const SpineKey& k) {
@@ -213,12 +232,12 @@ std::pair<size_t, size_t> Spine::EqualRange(uint32_t key0,
   size_t probes = 0;
   const SpineKey from = {key0, key1 != nullptr ? *key1 : 0, 0};
   size_t li = LeafForKey(from, &probes);
-  size_t lo = LeafLowerBound(*leaves_[li].leaf, from, &probes);
-  if (lo == leaves_[li].leaf->size() && li + 1 < leaves_.size()) {
+  size_t lo = LeafLowerBound(leaves_[li].leaf, from, &probes);
+  if (lo == leaves_[li].leaf.size() && li + 1 < leaves_.size()) {
     ++li;  // the prefix lies past this leaf: its run opens the next
     lo = 0;
   }
-  const SpineLeaf& leaf = *leaves_[li].leaf;
+  const SpineLeaf& leaf = leaves_[li].leaf;
   const size_t start = leaves_[li].start;
   const size_t n = leaf.size();
   size_t hi;  // in-leaf end of the run
@@ -261,10 +280,10 @@ std::pair<size_t, size_t> Spine::EqualRange(uint32_t key0,
       end = LowerBound({key0 + 1, 0, 0}, &probes);
     }
     if (scanned != nullptr) *scanned += probes;
-    return {start + lo, end};
+    return {start + lo, end, li};
   }
   if (scanned != nullptr) *scanned += probes;
-  return {start + lo, start + hi};
+  return {start + lo, start + hi, li};
 }
 
 bool Spine::EqualContents(const Spine& other) const {
@@ -272,23 +291,18 @@ bool Spine::EqualContents(const Spine& other) const {
   size_t ai = 0, ao = 0;  // our leaf index / offset within it
   size_t bi = 0, bo = 0;  // theirs
   for (size_t done = 0; done < size_;) {
-    const SpineLeaf& la = *leaves_[ai].leaf;
-    const SpineLeaf& lb = *other.leaves_[bi].leaf;
-    if (ao == 0 && bo == 0 && &la == &lb) {
+    const SpineLeaf& la = leaves_[ai].leaf;
+    const SpineLeaf& lb = other.leaves_[bi].leaf;
+    if (ao == 0 && bo == 0 && la.id() == lb.id()) {
       done += la.size();
       ++ai;
       ++bi;
       continue;
     }
     const size_t run = std::min(la.size() - ao, lb.size() - bo);
-    const auto d = static_cast<std::ptrdiff_t>(run);
-    if (!std::equal(la.k0.begin() + ao, la.k0.begin() + ao + d,
-                    lb.k0.begin() + bo) ||
-        !std::equal(la.k1.begin() + ao, la.k1.begin() + ao + d,
-                    lb.k1.begin() + bo) ||
-        !std::equal(la.k2.begin() + ao, la.k2.begin() + ao + d,
-                    lb.k2.begin() + bo)) {
-      return false;
+    for (int k = 0; k < 3; ++k) {
+      const uint32_t* ca = la.column(k) + ao;
+      if (!std::equal(ca, ca + run, lb.column(k) + bo)) return false;
     }
     ao += run;
     bo += run;
@@ -313,9 +327,9 @@ bool Spine::LexLess(const Spine& other) const {
   for (;;) {
     if (bi == other.leaves_.size()) return false;
     if (ai == leaves_.size()) return true;
-    const SpineLeaf& la = *leaves_[ai].leaf;
-    const SpineLeaf& lb = *other.leaves_[bi].leaf;
-    if (ao == 0 && bo == 0 && &la == &lb) {
+    const SpineLeaf& la = leaves_[ai].leaf;
+    const SpineLeaf& lb = other.leaves_[bi].leaf;
+    if (ao == 0 && bo == 0 && la.id() == lb.id()) {
       ++ai;
       ++bi;
       continue;
@@ -348,7 +362,7 @@ size_t Spine::CountSharedLeavesWith(const Spine& other) const {
     } else if (b.first < a.first) {
       ++j;
     } else {
-      if (a.leaf == b.leaf) ++shared;
+      if (a.leaf.id() == b.leaf.id()) ++shared;
       ++i;
       ++j;
     }

@@ -15,39 +15,106 @@ namespace swdb {
 /// permuted into one index order's key sequence.
 using SpineKey = std::array<uint32_t, 3>;
 
-/// One immutable chunk of a Spine: up to ~kLeafMax entries as three
-/// structure-of-arrays uint32 columns, sorted lexicographically by
-/// (k0, k1, k2). Leaves are shared across Spine copies by shared_ptr;
-/// a leaf reachable from more than one spine is never mutated.
-struct SpineLeaf {
-  std::vector<uint32_t> k0, k1, k2;
+/// One chunk of a Spine: up to kLeafMax entries sorted lexicographically
+/// by (k0, k1, k2), stored as three structure-of-arrays uint32 columns.
+///
+/// A SpineLeaf is a handle over ONE heap block
+/// (std::make_shared_for_overwrite<uint32_t[]>), laid out in uint32
+/// words as
+///
+///   [size, capacity, k0[capacity], k1[capacity], k2[capacity]]
+///
+/// so a leaf costs one allocation, control block included. Copying a
+/// handle shares the block; id() tells two blocks apart. Only Spine
+/// writes a block, and only while its handle is the block's sole owner.
+class SpineLeaf {
+ public:
+  size_t size() const { return block_[0]; }
+  size_t capacity() const { return block_[1]; }
+  /// Bytes of the leaf's block: BlockBytes(capacity()).
+  size_t bytes() const { return BlockBytes(capacity()); }
+  static constexpr size_t BlockBytes(size_t capacity) {
+    return (kHeaderWords + 3 * capacity) * sizeof(uint32_t);
+  }
+  /// Column k (0..2): size() sorted-run entries at stride 1.
+  const uint32_t* column(int k) const {
+    return block_.get() + kHeaderWords + static_cast<size_t>(k) * capacity();
+  }
+  SpineKey at(size_t i) const {
+    const size_t c = capacity();
+    const uint32_t* e = block_.get() + kHeaderWords + i;
+    return {e[0], e[c], e[2 * c]};
+  }
+  /// The block's address: equal for two handles iff they share it.
+  const void* id() const { return block_.get(); }
 
-  size_t size() const { return k0.size(); }
-  size_t bytes() const {
-    return (k0.capacity() + k1.capacity() + k2.capacity()) *
-           sizeof(uint32_t);
+ private:
+  friend class Spine;
+  static constexpr size_t kHeaderWords = 2;
+
+  // A fresh block of `capacity` entries, size 0.
+  explicit SpineLeaf(size_t capacity)
+      : block_(std::make_shared_for_overwrite<uint32_t[]>(
+            kHeaderWords + 3 * capacity)) {
+    block_[0] = 0;
+    block_[1] = static_cast<uint32_t>(capacity);
   }
-  const std::vector<uint32_t>& column(int k) const {
-    return k == 0 ? k0 : k == 1 ? k1 : k2;
+  uint32_t* mutable_column(int k) {
+    return block_.get() + kHeaderWords + static_cast<size_t>(k) * capacity();
   }
-  SpineKey at(size_t i) const { return {k0[i], k1[i], k2[i]}; }
+  void set_size(size_t n) { block_[0] = static_cast<uint32_t>(n); }
+  void Put(size_t i, const SpineKey& key) {
+    const size_t c = capacity();
+    uint32_t* e = block_.get() + kHeaderWords + i;
+    e[0] = key[0];
+    e[c] = key[1];
+    e[2 * c] = key[2];
+  }
+  // True when this handle is the only owner, so the block may be
+  // written in place.
+  bool unique() const { return block_.use_count() == 1; }
+
+  std::shared_ptr<uint32_t[]> block_;
 };
 
-/// A sorted set of 3-part keys stored as a sequence of immutable,
-/// shared_ptr-shared leaves — the copy-on-write column spine behind
-/// Graph's primary order and its three permutations.
+/// A run [first, last) of a spine's global slots, with the index of the
+/// leaf that holds slot `first` (meaningful when the run is non-empty),
+/// so iterating the run needs no second search for its first leaf.
+struct SpineRun {
+  size_t first = 0;
+  size_t last = 0;
+  size_t leaf = 0;
+
+  size_t size() const { return last - first; }
+  bool empty() const { return first == last; }
+};
+
+/// A sorted set of 3-part keys stored as a sequence of shared leaves
+/// (SpineLeaf handles) — the copy-on-write column spine behind Graph's
+/// primary order and its three permutations.
 ///
-/// Copying a Spine copies leaf *pointers* (O(n / leaf size)), not leaf
-/// contents; a single-key Insert/Erase clones only the one leaf it
-/// touches (and only when that leaf is shared), so an epoch that changed
-/// k triples shares every untouched leaf with its predecessor and
-/// publication cost is proportional to k, not to the graph.
+/// Copying a Spine copies leaf *handles* (O(n / leaf size)), not leaf
+/// contents; a single-key Insert/Erase rewrites only the one leaf it
+/// touches, so an epoch that changed k triples shares every untouched
+/// leaf with its predecessor and publication cost is proportional to k,
+/// not to the graph.
+///
+/// Insert and Erase shift the columns of an unshared leaf in place when
+/// it has room; a shared or full leaf is replaced by one fresh block,
+/// written around the slot in a single pass. Capacity rule (fixed):
+///   * BulkBuild and splits size every block exactly;
+///   * a fresh block replacing a shared leaf of n entries gets
+///     CloneCapacity(n) = n + 1 + n/8 entries, so the writer's next
+///     inserts into it within the same epoch stay in place;
+///   * a full unshared leaf of n entries grows to GrowCapacity(n) = 2n;
+///   * no block holds more than kLeafMax entries: the insert that would
+///     take a leaf past kLeafMax splits it into two exact halves instead.
 ///
 /// Concurrency contract (matching Graph's): one writer mutates a spine
 /// while readers only access *other* Spine objects that share leaves
-/// with it. The use_count()==1 fast path is sound because a leaf
+/// with it. The use_count()==1 in-place path is sound because a leaf
 /// reachable from any reader is held by that reader's own spine, so its
-/// count is at least 2 and the writer clones instead of mutating.
+/// count is at least 2 and the writer writes a fresh block instead.
 class Spine {
  public:
   /// Split threshold: a leaf growing past this many entries splits in
@@ -55,11 +122,20 @@ class Spine {
   /// absorb patches without immediate splits.
   static constexpr size_t kLeafMax = 2048;
 
+  /// The capacity rule above.
+  static constexpr size_t CloneCapacity(size_t n) {
+    return std::min(kLeafMax, n + 1 + n / 8);
+  }
+  static constexpr size_t GrowCapacity(size_t n) {
+    return std::min(kLeafMax, 2 * n);
+  }
+
   Spine() = default;
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   size_t leaf_count() const { return leaves_.size(); }
+  /// kLeafRefBytes per reserved metadata slot plus every leaf's bytes().
   size_t bytes() const;
 
   void Clear();
@@ -68,11 +144,11 @@ class Spine {
     BulkBuild(entries.size(), [&](size_t i) { return entries[i]; });
   }
   /// Rebuilds from `n` sorted, deduplicated keys produced by
-  /// `key_at(i)`, filling the leaf columns directly (no key vector).
+  /// `key_at(i)`, filling one exactly sized block per leaf.
   template <typename KeyAt>
   void BulkBuild(size_t n, KeyAt key_at);
 
-  bool Contains(const SpineKey& key) const;
+  bool Contains(const SpineKey& key) const { return !Locate(key).empty(); }
   /// Inserts `key`; returns false if already present.
   bool Insert(const SpineKey& key);
   /// Erases `key`; returns false if absent.
@@ -90,40 +166,44 @@ class Spine {
   /// of both searches.
   size_t LowerBound(const SpineKey& key, size_t* scanned = nullptr) const;
 
-  /// LowerBound(key) together with whether that slot holds `key` — one
-  /// two-level search for a fully bound lookup.
-  std::pair<size_t, bool> Locate(const SpineKey& key) const;
+  /// The run of entries equal to `key`: empty or one entry, starting at
+  /// LowerBound(key) — one two-level search for a fully bound lookup.
+  SpineRun Locate(const SpineKey& key) const;
 
-  /// Global slot range of entries with k0 == key0 (and, when key1 is
-  /// non-null, k1 == *key1 within that run). Exactly std::equal_range
-  /// over the flattened columns. The lower end is a LowerBound of the
-  /// prefix padded with zeros; the upper end is found by galloping from
-  /// it inside the same leaf when the run ends there (or at the leaf's
-  /// end, with the next leaf's first key outside the run), and
-  /// otherwise by a LowerBound of the prefix's successor. `scanned`
-  /// (optional) accumulates the probes, for scan observability.
-  std::pair<size_t, size_t> EqualRange(uint32_t key0, const uint32_t* key1,
-                                       size_t* scanned = nullptr) const;
+  /// The run of entries with k0 == key0 (and, when key1 is non-null,
+  /// k1 == *key1 within that run). Exactly std::equal_range over the
+  /// flattened columns. The lower end is a LowerBound of the prefix
+  /// padded with zeros; the upper end is found by galloping from it
+  /// inside the same leaf when the run ends there (or at the leaf's end,
+  /// with the next leaf's first key outside the run), and otherwise by a
+  /// LowerBound of the prefix's successor. `scanned` (optional)
+  /// accumulates the probes, for scan observability.
+  SpineRun EqualRange(uint32_t key0, const uint32_t* key1,
+                      size_t* scanned = nullptr) const;
 
   /// Leaf geometry, for range iteration and per-leaf filter kernels.
-  /// LeafIndexOf requires slot < size().
+  /// LeafIndexOf requires slot < size(); it is a binary search over the
+  /// leaves' starts, which a SpineRun's `leaf` saves its iterators.
   size_t LeafIndexOf(size_t slot) const;
-  const SpineLeaf& leaf(size_t li) const { return *leaves_[li].leaf; }
+  /// LeafIndexOf calls made so far on the calling thread: lets tests pin
+  /// which paths search for a leaf.
+  static uint64_t leaf_index_searches();
+  const SpineLeaf& leaf(size_t li) const { return leaves_[li].leaf; }
   size_t leaf_start(size_t li) const { return leaves_[li].start; }
   /// The first key of leaf li, as the per-leaf metadata caches it
   /// (always equal to leaf(li).at(0)).
   const SpineKey& leaf_first(size_t li) const { return leaves_[li].first; }
 
-  /// Number of this spine's leaves that are the *same object* (pointer
-  /// equality) as some leaf of `other` — the shared fraction of a
-  /// published snapshot. A shared leaf has the same first key on both
-  /// sides, so this is one merge walk over the two metadata arrays by
-  /// first key. O(leaves), no hashing.
+  /// Number of this spine's leaves that are the *same block* (equal
+  /// id()) as some leaf of `other` — the shared fraction of a published
+  /// snapshot. A shared leaf has the same first key on both sides, so
+  /// this is one merge walk over the two metadata arrays by first key.
+  /// O(leaves), no hashing.
   size_t CountSharedLeavesWith(const Spine& other) const;
 
   /// Set equality with `other`. Streaming merge-walk over both leaf
   /// sequences (which may chunk the same contents differently);
-  /// aligned shared leaves compare by pointer in O(1).
+  /// aligned shared leaves compare by block identity in O(1).
   bool EqualContents(const Spine& other) const;
 
   /// Lexicographic order of the two key sequences (std::vector-style
@@ -132,24 +212,37 @@ class Spine {
   bool LexLess(const Spine& other) const;
 
  private:
-  // Index of the leaf a key belongs to (the last leaf whose first key
-  // is <= key), or 0 when the key precedes everything. Adds its probes
-  // to *probes.
-  size_t LeafForKey(const SpineKey& key, size_t* probes) const;
-  // A mutable reference to leaf li, cloning it first if shared.
-  SpineLeaf* Mutable(size_t li);
-  // Splits leaf li in half (after an insert pushed it past kLeafMax).
-  void Split(size_t li);
-
   // One entry per leaf, in key order: the leaf, the global slot of its
   // first entry and a copy of its first key. The first keys sit in one
   // contiguous array, so finding a key's leaf dereferences no leaf.
   // Maintained on every mutation (O(leaves)).
   struct LeafRef {
-    std::shared_ptr<SpineLeaf> leaf;
+    SpineLeaf leaf;
     size_t start = 0;
     SpineKey first{};
   };
+
+ public:
+  /// Metadata bytes per leaf slot, as bytes() counts them.
+  static constexpr size_t kLeafRefBytes = sizeof(LeafRef);
+
+ private:
+  // Index of the leaf a key belongs to (the last leaf whose first key
+  // is <= key), or 0 when the key precedes everything. Adds its probes
+  // to *probes.
+  size_t LeafForKey(const SpineKey& key, size_t* probes) const;
+  // Inserts `key` at in-leaf `slot` of the full leaf li, writing the
+  // two exactly sized halves in one pass.
+  void SplitInsert(size_t li, size_t slot, const SpineKey& key);
+  // A fresh leaf of `capacity` holding entries [from, to) of `src` with
+  // `key` inserted at `slot`, each column copied around the slot in one
+  // pass.
+  static SpineLeaf CopyInserting(const SpineLeaf& src, size_t slot,
+                                 const SpineKey& key, size_t from, size_t to,
+                                 size_t capacity);
+  // A fresh leaf of `capacity` holding `src` without entry `slot`.
+  static SpineLeaf CopyErasing(const SpineLeaf& src, size_t slot,
+                               size_t capacity);
 
   std::vector<LeafRef> leaves_;
   size_t size_ = 0;
@@ -162,17 +255,18 @@ void Spine::BulkBuild(size_t n, KeyAt key_at) {
   leaves_.reserve((n + fill - 1) / fill);
   for (size_t base = 0; base < n; base += fill) {
     const size_t count = std::min(fill, n - base);
-    auto leaf = std::make_shared<SpineLeaf>();
-    leaf->k0.resize(count);
-    leaf->k1.resize(count);
-    leaf->k2.resize(count);
+    SpineLeaf leaf(count);
+    uint32_t* k0 = leaf.mutable_column(0);
+    uint32_t* k1 = leaf.mutable_column(1);
+    uint32_t* k2 = leaf.mutable_column(2);
     for (size_t i = 0; i < count; ++i) {
       const SpineKey k = key_at(base + i);
-      leaf->k0[i] = k[0];
-      leaf->k1[i] = k[1];
-      leaf->k2[i] = k[2];
+      k0[i] = k[0];
+      k1[i] = k[1];
+      k2[i] = k[2];
     }
-    const SpineKey first = leaf->at(0);
+    leaf.set_size(count);
+    const SpineKey first = leaf.at(0);
     leaves_.push_back(LeafRef{std::move(leaf), base, first});
   }
   size_ = n;

@@ -399,7 +399,7 @@ TEST(GraphSpine, CopySharesLeavesAndPatchesDiverge) {
                     Term::Iri(200 + i % 97)));
   }
   g.WarmIndexes();
-  const Graph snapshot = g;  // copies leaf pointers, not contents
+  const Graph snapshot = g;  // copies leaf handles, not contents
   snapshot.WarmIndexes();    // already built: shares the spines
 
   const SpineSharing before = g.SharedLeaves(snapshot);
@@ -585,6 +585,19 @@ void ExpectMetadataCurrent(const Spine& s) {
   ASSERT_EQ(start, s.size());
 }
 
+// A non-empty run names the leaf that holds its first slot.
+void ExpectLeafSeedsTheRun(const Spine& s, const SpineRun& run) {
+  if (run.empty()) return;
+  ASSERT_LT(run.leaf, s.leaf_count());
+  ASSERT_LE(s.leaf_start(run.leaf), run.first);
+  ASSERT_LT(run.first, s.leaf_start(run.leaf) + s.leaf(run.leaf).size());
+}
+
+// The run's slots, for comparing with std::equal_range results.
+std::pair<size_t, size_t> Slots(const SpineRun& run) {
+  return {run.first, run.last};
+}
+
 // LowerBound, Locate and EqualRange (with and without key1) for one
 // key against the standard algorithms over the flattened keys.
 void ExpectLookupMatchesFlattened(const Spine& s,
@@ -593,28 +606,32 @@ void ExpectLookupMatchesFlattened(const Spine& s,
   const auto lb = std::lower_bound(flat.begin(), flat.end(), key);
   const size_t want = static_cast<size_t>(lb - flat.begin());
   ASSERT_EQ(s.LowerBound(key), want);
-  const auto [slot, hit] = s.Locate(key);
-  ASSERT_EQ(slot, want);
-  ASSERT_EQ(hit, lb != flat.end() && *lb == key);
+  const SpineRun at = s.Locate(key);
+  const bool hit = lb != flat.end() && *lb == key;
+  ASSERT_EQ(at.first, want);
+  ASSERT_EQ(at.size(), hit ? 1u : 0u);
   ASSERT_EQ(s.Contains(key), hit);
+  ExpectLeafSeedsTheRun(s, at);
 
   auto by_k0 = [](const SpineKey& a, const SpineKey& b) {
     return a[0] < b[0];
   };
   const auto r0 = std::equal_range(flat.begin(), flat.end(), key, by_k0);
   size_t scanned = 0;
-  const auto got0 = s.EqualRange(key[0], nullptr, &scanned);
+  const SpineRun got0 = s.EqualRange(key[0], nullptr, &scanned);
   ASSERT_EQ(got0.first, static_cast<size_t>(r0.first - flat.begin()));
-  ASSERT_EQ(got0.second, static_cast<size_t>(r0.second - flat.begin()));
+  ASSERT_EQ(got0.last, static_cast<size_t>(r0.second - flat.begin()));
   if (!s.empty()) ASSERT_GT(scanned, 0u);
+  ExpectLeafSeedsTheRun(s, got0);
 
   auto by_k01 = [](const SpineKey& a, const SpineKey& b) {
     return a[0] != b[0] ? a[0] < b[0] : a[1] < b[1];
   };
   const auto r1 = std::equal_range(flat.begin(), flat.end(), key, by_k01);
-  const auto got1 = s.EqualRange(key[0], &key[1]);
+  const SpineRun got1 = s.EqualRange(key[0], &key[1]);
   ASSERT_EQ(got1.first, static_cast<size_t>(r1.first - flat.begin()));
-  ASSERT_EQ(got1.second, static_cast<size_t>(r1.second - flat.begin()));
+  ASSERT_EQ(got1.last, static_cast<size_t>(r1.second - flat.begin()));
+  ExpectLeafSeedsTheRun(s, got1);
 }
 
 void ExpectLookupsMatchFlattened(const Spine& s, std::mt19937* rng) {
@@ -663,6 +680,8 @@ TEST(SpineSearch, MetadataAndLookupsTrackInsertsErasesAndEmptiedLeaves) {
   // from the front so every erase moves that leaf's first key.
   for (size_t victim : {size_t{0}, s.leaf_count() / 2}) {
     const size_t before = s.leaf_count();
+    // A handle copy shares the leaf's block: the erases below write
+    // fresh blocks for `s`, and `doomed` keeps the keys it had.
     const SpineLeaf doomed = s.leaf(victim);
     for (size_t i = 0; i < doomed.size(); ++i) {
       ASSERT_TRUE(s.Erase(doomed.at(i)));
@@ -708,14 +727,14 @@ TEST(SpineSearch, BulkBuildAndCopyThenMutateKeepMetadataCurrent) {
   ExpectLookupsMatchFlattened(built, &rng);
 }
 
-// The sharing count by pointer hashing, as CountSharedLeavesWith once
-// computed it.
+// The sharing count by hashing block identities, as CountSharedLeavesWith
+// once computed it.
 size_t SharedByHash(const Spine& a, const Spine& b) {
-  std::unordered_set<const SpineLeaf*> theirs;
-  for (size_t li = 0; li < b.leaf_count(); ++li) theirs.insert(&b.leaf(li));
+  std::unordered_set<const void*> theirs;
+  for (size_t li = 0; li < b.leaf_count(); ++li) theirs.insert(b.leaf(li).id());
   size_t shared = 0;
   for (size_t li = 0; li < a.leaf_count(); ++li) {
-    shared += theirs.count(&a.leaf(li));
+    shared += theirs.count(a.leaf(li).id());
   }
   return shared;
 }
@@ -748,6 +767,186 @@ TEST(SpineSearch, SharedLeafCountMatchesPointerHashing) {
     EXPECT_EQ(rebuilt.CountSharedLeavesWith(from), 0u);
     EXPECT_EQ(SharedByHash(rebuilt, from), 0u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// One heap block per leaf: block geometry, copy-on-write identity and
+// in-place writes.
+
+std::vector<SpineKey> KeysOfLeaf(const SpineLeaf& leaf) {
+  std::vector<SpineKey> out;
+  for (size_t i = 0; i < leaf.size(); ++i) out.push_back(leaf.at(i));
+  return out;
+}
+
+TEST(SpineLeafBlock, OneTripleGraphIsOneExactBlock) {
+  const Triple t(Term::Iri(5), Term::Iri(6), Term::Iri(7));
+  const Graph g = Graph::FromSorted(&t, 1);
+  const GraphStats st = g.Stats();
+  EXPECT_EQ(st.leaves_primary, 1u);
+  EXPECT_EQ(SpineLeaf::BlockBytes(1), 5 * sizeof(uint32_t));
+  EXPECT_EQ(st.bytes_primary, Spine::kLeafRefBytes + SpineLeaf::BlockBytes(1));
+  EXPECT_EQ(st.bytes_total(), st.bytes_primary);
+
+  Spine s;
+  s.BulkBuild({{1, 2, 3}});
+  ASSERT_EQ(s.leaf_count(), 1u);
+  EXPECT_EQ(s.leaf(0).size(), 1u);
+  EXPECT_EQ(s.leaf(0).capacity(), 1u);
+  EXPECT_EQ(s.leaf(0).bytes(), SpineLeaf::BlockBytes(1));
+  EXPECT_EQ(s.bytes(), Spine::kLeafRefBytes + SpineLeaf::BlockBytes(1));
+  // The columns sit one capacity apart in the block.
+  EXPECT_EQ(s.leaf(0).column(1), s.leaf(0).column(0) + 1);
+  EXPECT_EQ(s.leaf(0).column(2), s.leaf(0).column(0) + 2);
+  EXPECT_EQ(s.leaf(0).at(0), (SpineKey{1, 2, 3}));
+}
+
+TEST(SpineLeafBlock, WritesToACopyLeaveTheOriginalsBlocksAlone) {
+  std::mt19937 rng(41);
+  std::set<SpineKey> keys;
+  while (keys.size() < 6000) keys.insert(EdgeKey(&rng));
+  const Spine original = SpineOf(keys);
+  std::vector<const void*> ids;
+  std::vector<std::vector<SpineKey>> contents;
+  for (size_t li = 0; li < original.leaf_count(); ++li) {
+    ids.push_back(original.leaf(li).id());
+    contents.push_back(KeysOfLeaf(original.leaf(li)));
+  }
+  Spine copy = original;
+  std::set<SpineKey> ref = keys;
+  for (int i = 0; i < 4000; ++i) {
+    const SpineKey k = EdgeKey(&rng);
+    if (rng() % 3 == 0) {
+      ASSERT_EQ(copy.Erase(k), ref.erase(k) != 0);
+    } else {
+      ASSERT_EQ(copy.Insert(k), ref.insert(k).second);
+    }
+  }
+  ASSERT_EQ(copy.Keys(), std::vector<SpineKey>(ref.begin(), ref.end()));
+  ExpectMetadataCurrent(copy);
+  ASSERT_EQ(original.leaf_count(), ids.size());
+  for (size_t li = 0; li < original.leaf_count(); ++li) {
+    EXPECT_EQ(original.leaf(li).id(), ids[li]) << li;
+    EXPECT_EQ(KeysOfLeaf(original.leaf(li)), contents[li]) << li;
+  }
+  EXPECT_EQ(original.Keys(), std::vector<SpineKey>(keys.begin(), keys.end()));
+
+  // The publication pattern: the writer's leaves now have spare room,
+  // and each round's snapshot shares them. A write into a shared leaf
+  // with room must still go to a fresh block.
+  std::vector<std::pair<Spine, std::vector<SpineKey>>> snapshots;
+  for (int round = 0; round < 8; ++round) {
+    snapshots.emplace_back(copy, copy.Keys());
+    for (int i = 0; i < 200; ++i) {
+      const SpineKey k = EdgeKey(&rng);
+      if (rng() % 3 == 0) {
+        copy.Erase(k);
+      } else {
+        copy.Insert(k);
+      }
+    }
+  }
+  for (const auto& [snapshot, want] : snapshots) {
+    EXPECT_EQ(snapshot.Keys(), want);
+    ExpectMetadataCurrent(snapshot);
+  }
+}
+
+TEST(SpineLeafBlock, ACopiedLeafIsRewrittenOnceThenWrittenInPlace) {
+  const size_t fill = 256;
+  // One bulk-built leaf of even keys: exactly sized, then shared.
+  Spine original;
+  original.BulkBuild(fill, [](size_t i) {
+    return SpineKey{1, 1, static_cast<uint32_t>(2 * i)};
+  });
+  ASSERT_EQ(original.leaf_count(), 1u);
+  EXPECT_EQ(original.leaf(0).capacity(), fill);
+  const void* original_id = original.leaf(0).id();
+
+  Spine copy = original;
+  ASSERT_EQ(copy.leaf(0).id(), original_id);
+  // The first insert writes a fresh block with clone headroom.
+  ASSERT_TRUE(copy.Insert({1, 1, 1}));
+  const void* cloned = copy.leaf(0).id();
+  EXPECT_NE(cloned, original_id);
+  EXPECT_EQ(copy.leaf(0).capacity(), Spine::CloneCapacity(fill));
+  EXPECT_EQ(Spine::CloneCapacity(fill), fill + 1 + fill / 8);
+  // Inserts and erases within that capacity stay in the same block.
+  uint32_t odd = 3;
+  while (copy.leaf(0).size() < copy.leaf(0).capacity()) {
+    ASSERT_TRUE(copy.Insert({1, 1, odd}));
+    odd += 2;
+    ASSERT_EQ(copy.leaf(0).id(), cloned);
+  }
+  ASSERT_TRUE(copy.Erase({1, 1, 0}));
+  ASSERT_TRUE(copy.Insert({0, 0, 0}));  // a new first key, in place
+  EXPECT_EQ(copy.leaf(0).id(), cloned);
+  EXPECT_EQ(copy.leaf_first(0), (SpineKey{0, 0, 0}));
+  // A full unshared leaf grows to twice its size.
+  const size_t full = copy.leaf(0).size();
+  ASSERT_TRUE(copy.Insert({1, 1, odd}));
+  EXPECT_NE(copy.leaf(0).id(), cloned);
+  EXPECT_EQ(copy.leaf(0).capacity(), Spine::GrowCapacity(full));
+  EXPECT_EQ(Spine::GrowCapacity(full), 2 * full);
+  // Growth and clones stop at kLeafMax, where inserts split.
+  EXPECT_EQ(Spine::GrowCapacity(Spine::kLeafMax - 1), Spine::kLeafMax);
+  EXPECT_EQ(Spine::CloneCapacity(Spine::kLeafMax - 1), Spine::kLeafMax);
+  ExpectMetadataCurrent(copy);
+  // The original never moved.
+  EXPECT_EQ(original.leaf(0).id(), original_id);
+  EXPECT_EQ(original.size(), fill);
+  EXPECT_EQ(original.leaf(0).at(0), (SpineKey{1, 1, 0}));
+}
+
+TEST(SpineLeafBlock, SplittingAFullUnsharedLeafWritesExactHalves) {
+  for (uint32_t where : {0u, 1u, 1024u, 1025u, 3000u, 5000u}) {
+    SCOPED_TRACE(where);
+    Spine s;
+    std::set<SpineKey> ref;
+    // Fill one leaf to kLeafMax by inserts (never shared).
+    for (uint32_t i = 0; ref.size() < Spine::kLeafMax; ++i) {
+      const SpineKey k{2, 2, 2 * i + 1};
+      ASSERT_TRUE(s.Insert(k));
+      ref.insert(k);
+    }
+    ASSERT_EQ(s.leaf_count(), 1u);
+    ASSERT_EQ(s.leaf(0).size(), Spine::kLeafMax);
+    ASSERT_EQ(s.leaf(0).capacity(), Spine::kLeafMax);
+    const SpineKey extra{2, 2, 2 * where};
+    ASSERT_TRUE(s.Insert(extra));
+    ref.insert(extra);
+    ASSERT_EQ(s.leaf_count(), 2u);
+    const size_t n = Spine::kLeafMax + 1;
+    EXPECT_EQ(s.leaf(0).size(), n / 2);
+    EXPECT_EQ(s.leaf(1).size(), n - n / 2);
+    for (size_t li = 0; li < 2; ++li) {
+      EXPECT_EQ(s.leaf(li).capacity(), s.leaf(li).size()) << li;
+    }
+    ExpectMetadataCurrent(s);
+    EXPECT_EQ(s.Keys(), std::vector<SpineKey>(ref.begin(), ref.end()));
+  }
+}
+
+TEST(SpineLeafBlock, ErasingFromASharedLeafRewritesItErasingInPlaceDoesNot) {
+  Spine original;
+  original.BulkBuild(300, [](size_t i) {
+    return SpineKey{3, 3, static_cast<uint32_t>(i)};
+  });
+  Spine copy = original;
+  ASSERT_TRUE(copy.Erase({3, 3, 0}));
+  const void* cloned = copy.leaf(0).id();
+  EXPECT_NE(cloned, original.leaf(0).id());
+  EXPECT_EQ(copy.leaf(0).capacity(), Spine::CloneCapacity(300));
+  EXPECT_EQ(copy.leaf_first(0), (SpineKey{3, 3, 1}));
+  for (uint32_t i = 1; i < 299; ++i) {
+    ASSERT_TRUE(copy.Erase({3, 3, i}));
+    ASSERT_EQ(copy.leaf(0).id(), cloned);
+  }
+  EXPECT_EQ(copy.Keys(), (std::vector<SpineKey>{{3, 3, 299}}));
+  ASSERT_TRUE(copy.Erase({3, 3, 299}));
+  EXPECT_EQ(copy.leaf_count(), 0u);
+  EXPECT_EQ(original.size(), 300u);
+  EXPECT_EQ(original.leaf(0).at(0), (SpineKey{3, 3, 0}));
 }
 
 // ---------------------------------------------------------------------------
@@ -809,19 +1008,19 @@ TEST(SpineEqualRange, RunsEndingAtLeafEndsAndSpanningLeavesMatchBruteForce) {
   // A run ending at leaf 0's last slot ends exactly at leaf 1's start.
   const Spine halves = RunSpine(8 * fill, fill / 2, 10);
   const uint32_t second_run = 12;
-  EXPECT_EQ(halves.EqualRange(second_run, nullptr),
+  EXPECT_EQ(Slots(halves.EqualRange(second_run, nullptr)),
             std::make_pair(fill / 2, fill));
   const uint32_t seven = 7;
-  EXPECT_EQ(halves.EqualRange(second_run, &seven),
+  EXPECT_EQ(Slots(halves.EqualRange(second_run, &seven)),
             std::make_pair(fill / 2, fill));
   // A run spanning two leaves.
   const Spine spanning = RunSpine(8 * fill, 1500, 10);
-  EXPECT_EQ(spanning.EqualRange(12, nullptr), std::make_pair(size_t{1500},
-                                                             size_t{3000}));
+  EXPECT_EQ(Slots(spanning.EqualRange(12, nullptr)),
+            std::make_pair(size_t{1500}, size_t{3000}));
   // A key past the last leaf, with and without key1.
-  EXPECT_EQ(spanning.EqualRange(1000, nullptr),
+  EXPECT_EQ(Slots(spanning.EqualRange(1000, nullptr)),
             std::make_pair(spanning.size(), spanning.size()));
-  EXPECT_EQ(spanning.EqualRange(1000, &seven),
+  EXPECT_EQ(Slots(spanning.EqualRange(1000, &seven)),
             std::make_pair(spanning.size(), spanning.size()));
 }
 
@@ -835,9 +1034,9 @@ TEST(SpineEqualRange, UintMaxPrefixesRunToTheEnd) {
   ASSERT_GE(s.leaf_count(), 6u);
   ExpectRunLookupsMatchFlattened(s);
   const uint32_t max = UINT32_MAX;
-  EXPECT_EQ(s.EqualRange(max, &max).second, s.size());
-  EXPECT_EQ(s.EqualRange(max, nullptr).second, s.size());
-  EXPECT_EQ(s.EqualRange(max - 1, &max).second, 2000u + 1500u);
+  EXPECT_EQ(s.EqualRange(max, &max).last, s.size());
+  EXPECT_EQ(s.EqualRange(max, nullptr).last, s.size());
+  EXPECT_EQ(s.EqualRange(max - 1, &max).last, 2000u + 1500u);
   // Inserts split leaves off the bulk-built boundaries.
   std::mt19937 rng(31);
   for (int i = 0; i < 4000; ++i) {
@@ -858,13 +1057,79 @@ TEST(SpineEqualRange, ShortRunInsideALeafGallopsInsteadOfASecondSearch) {
     size_t lower = 0;
     s.LowerBound({key[0], 0, 0}, &lower);
     size_t scanned = 0;
-    const auto range = s.EqualRange(key[0], nullptr, &scanned);
-    ASSERT_EQ(range.second - range.first, 4u);
+    const SpineRun range = s.EqualRange(key[0], nullptr, &scanned);
+    ASSERT_EQ(range.size(), 4u);
     // The first end's probes plus a gallop over four entries, not a
     // second two-level search.
     EXPECT_LE(scanned, lower + 6) << i;
     EXPECT_LT(scanned, 2 * lower) << i;
+    // Iterating and filtering the run start at the leaf the search
+    // found: no LeafIndexOf search for it.
+    const uint64_t searches = Spine::leaf_index_searches();
+    const MatchRange r = MatchRange::Over(&s, range, IndexOrder::kSpo);
+    size_t seen = 0;
+    for (const Triple& t : r) {
+      ASSERT_EQ(t.s.bits(), key[0]);
+      ++seen;
+    }
+    std::vector<uint32_t> slots;
+    r.FilterPairEqual(0, 0, &slots);
+    EXPECT_EQ(seen, 4u);
+    EXPECT_EQ(slots.size(), 4u);
+    EXPECT_EQ(Spine::leaf_index_searches(), searches) << i;
   }
+}
+
+TEST(SpineEqualRange, IteratingRunsAcrossLeavesSearchesNoLeaf) {
+  // Runs of 1500 straddle leaf boundaries; 5000 spans several leaves.
+  for (size_t run : {size_t{1500}, size_t{5000}}) {
+    const Spine s = RunSpine(8 * (Spine::kLeafMax / 2), run, 10);
+    const std::vector<SpineKey> flat = s.Keys();
+    for (uint32_t k0 = 10; k0 <= flat.back()[0]; k0 += 2) {
+      const uint32_t seven = 7;
+      const SpineRun range = s.EqualRange(k0, &seven);
+      const uint64_t searches = Spine::leaf_index_searches();
+      std::vector<SpineKey> got;
+      for (const Triple& t : MatchRange::Over(&s, range, IndexOrder::kSpo)) {
+        got.push_back({t.s.bits(), t.p.bits(), t.o.bits()});
+      }
+      ASSERT_EQ(Spine::leaf_index_searches(), searches) << k0;
+      const auto want = std::equal_range(
+          flat.begin(), flat.end(), SpineKey{k0, 7, 0},
+          [](const SpineKey& a, const SpineKey& b) { return a[0] < b[0]; });
+      ASSERT_EQ(got, std::vector<SpineKey>(want.first, want.second)) << k0;
+    }
+  }
+  // And through Graph::Matches on every routing of a multi-leaf graph.
+  std::vector<Triple> ts;
+  for (uint32_t i = 0; i < 9000; ++i) {
+    ts.push_back(Triple(Term::Iri(i % 7), Term::Iri(1 + i % 3),
+                        Term::Iri(i)));
+  }
+  const Graph g(ts);
+  g.WarmIndexes();
+  ASSERT_GE(g.Stats().leaves_primary, 4u);
+  const uint64_t searches = Spine::leaf_index_searches();
+  size_t rows = 0;
+  for (const Triple& t : g.Matches(Term::Iri(3), std::nullopt, std::nullopt)) {
+    rows += t.s == Term::Iri(3) ? 1 : 0;
+  }
+  for (const Triple& t : g.Matches(std::nullopt, Term::Iri(2), Term::Iri(4))) {
+    rows += t.o == Term::Iri(4) ? 1 : 0;
+  }
+  for (const Triple& t : g.Matches(std::nullopt, std::nullopt, Term::Iri(4))) {
+    rows += t.o == Term::Iri(4) ? 1 : 0;
+  }
+  for (const Triple& t : g.Matches(Term::Iri(3), Term::Iri(1), Term::Iri(3))) {
+    rows += t.o == Term::Iri(3) ? 1 : 0;
+  }
+  for (const Triple& t : g) rows += t.p.bits() != 0 ? 1 : 0;
+  EXPECT_EQ(Spine::leaf_index_searches(), searches);
+  EXPECT_EQ(rows, g.CountMatches(Term::Iri(3), std::nullopt, std::nullopt) +
+                      g.CountMatches(std::nullopt, Term::Iri(2), Term::Iri(4)) +
+                      g.CountMatches(std::nullopt, std::nullopt, Term::Iri(4)) +
+                      g.CountMatches(Term::Iri(3), Term::Iri(1), Term::Iri(3)) +
+                      g.size());
 }
 
 TEST(GraphFullyBoundLookup, OneSpineCallAgreesWithBruteForceOverManyLeaves) {
