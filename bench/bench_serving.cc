@@ -13,7 +13,7 @@
 //
 // Usage:
 //   bench_serving [--triples=1000000] [--readers=1,4,8] [--seconds=5]
-//                 [--batch=1] [--check_fraction=0]
+//                 [--check_fraction=0]
 //                 [--checked_triples=100000] [--checked_fraction=0.25]
 //                 [--checked_seconds=3] [--seed=1]
 
@@ -38,7 +38,6 @@ struct BenchConfig {
   uint64_t triples = 1'000'000;
   std::vector<int> readers = {1, 4, 8};
   double seconds = 5.0;
-  size_t batch = 1;
   double check_fraction = 0.0;
   uint64_t checked_triples = 100'000;
   double checked_fraction = 0.25;
@@ -72,8 +71,6 @@ bool ParseFlags(int argc, char** argv, BenchConfig* cfg) {
       cfg->readers = ParseIntList(v);
     } else if (const char* v = value("--seconds")) {
       cfg->seconds = std::strtod(v, nullptr);
-    } else if (const char* v = value("--batch")) {
-      cfg->batch = std::strtoull(v, nullptr, 10);
     } else if (const char* v = value("--check_fraction")) {
       cfg->check_fraction = std::strtod(v, nullptr);
     } else if (const char* v = value("--checked_triples")) {
@@ -163,14 +160,13 @@ int Main(int argc, char** argv) {
       "  \"bench\": \"serving\",\n"
       "  \"triples\": %" PRIu64 ",\n"
       "  \"seconds\": %.1f,\n"
-      "  \"batch_size\": %zu,\n"
       "  \"check_fraction\": %.3f,\n"
       "  \"checked_triples\": %" PRIu64 ",\n"
       "  \"checked_fraction\": %.3f,\n"
       "  \"seed\": %" PRIu64 "\n"
       " },\n"
       " \"benchmarks\": [\n",
-      cfg.triples, cfg.seconds, cfg.batch, cfg.check_fraction,
+      cfg.triples, cfg.seconds, cfg.check_fraction,
       cfg.checked_triples, cfg.checked_fraction, cfg.seed);
 
   uint64_t mismatches = 0;
@@ -182,7 +178,6 @@ int Main(int argc, char** argv) {
     DriverOptions opts;
     opts.readers = readers;
     opts.seconds = cfg.seconds;
-    opts.batch_size = cfg.batch;
     opts.check_fraction = cfg.check_fraction;
     opts.seed = cfg.seed;
     TrafficDriver driver(rig.db.get(), rig.gen.get(), rig.mix.get(), opts);
@@ -198,7 +193,6 @@ int Main(int argc, char** argv) {
     DriverOptions opts;
     opts.readers = 4;
     opts.seconds = cfg.checked_seconds;
-    opts.batch_size = cfg.batch;
     opts.check_fraction = cfg.checked_fraction;
     opts.seed = cfg.seed;
     TrafficDriver driver(rig.db.get(), rig.gen.get(), rig.mix.get(), opts);

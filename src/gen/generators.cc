@@ -198,30 +198,6 @@ std::vector<Triple> SampleConnectedTriples(const Graph& data, uint32_t count,
   return chosen;
 }
 
-// Renames every variable of q consistently to fresh "<tag>_<k>" names,
-// producing a ViewKey-isomorphic respelling.
-Query RespellVariables(const Query& q, const std::string& tag,
-                       Dictionary* dict) {
-  std::unordered_map<Term, Term> rename;
-  uint32_t counter = 0;
-  auto fresh = [&](Term t) -> Term {
-    if (!t.IsVar()) return t;
-    auto it = rename.find(t);
-    if (it != rename.end()) return it->second;
-    Term v = dict->Var(tag + "_" + std::to_string(counter++));
-    rename.emplace(t, v);
-    return v;
-  };
-  Query out;
-  for (const Triple& t : q.body.triples()) {
-    out.body.Insert(fresh(t.s), fresh(t.p), fresh(t.o));
-  }
-  for (const Triple& t : q.head.triples()) {
-    out.head.Insert(fresh(t.s), fresh(t.p), fresh(t.o));
-  }
-  return out;
-}
-
 }  // namespace
 
 std::vector<Query> OverlappingQueryMix(const Graph& data,
@@ -260,14 +236,7 @@ std::vector<Query> OverlappingQueryMix(const Graph& data,
       prefix_terms.insert(t.s);
       prefix_terms.insert(t.o);
     }
-    std::vector<Query> family;
     for (uint32_t v = 0; v < spec.queries_per_family; ++v) {
-      if (!family.empty() && rng->Chance(spec.isomorphic_fraction)) {
-        out.push_back(RespellVariables(family[rng->Below(family.size())],
-                                       family_scope + NumberedName("r", v),
-                                       dict));
-        continue;
-      }
       // Variant-specific suffix: sampled connected to the prefix terms
       // and varified through the family map (shared data terms join the
       // suffix to the prefix variables), with fresh terms scoped to the
@@ -294,8 +263,7 @@ std::vector<Query> OverlappingQueryMix(const Graph& data,
       to_var = std::move(family_map);
       var_counter = family_counter;
       q.head = q.body;
-      family.push_back(q);
-      out.push_back(q);
+      out.push_back(std::move(q));
     }
   }
   return out;

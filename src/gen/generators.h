@@ -70,15 +70,12 @@ Query PatternQueryFromGraph(const Graph& data, uint32_t body_size,
 /// Parameters for an overlapping multi-query workload: num_families
 /// shapes, each spawning queries_per_family variants that share the
 /// family's prefix_size-triple connected body prefix and differ in a
-/// suffix_size-triple residual suffix. An isomorphic_fraction of the
-/// variants are exact variable-respellings of an earlier variant in the
-/// same family (ViewKey-isomorphic, so batch evaluation dedupes them).
+/// suffix_size-triple residual suffix.
 struct QueryMixSpec {
   uint32_t num_families = 8;
   uint32_t queries_per_family = 8;
   uint32_t prefix_size = 2;
   uint32_t suffix_size = 2;
-  double isomorphic_fraction = 0.25;
   /// Probability that a non-predicate data term becomes a variable.
   double var_ratio = 0.6;
 };
@@ -86,9 +83,8 @@ struct QueryMixSpec {
 /// Generates spec.num_families × spec.queries_per_family premise-free
 /// queries over `data` (head repeats body, so every query is safe and
 /// head-blank-free). Variants of one family literally share the family's
-/// prefix pattern triples, and isomorphic respellings exercise ViewKey
-/// dedupe; each query has at least one matching in `data` by
-/// construction.
+/// prefix pattern triples; each query has at least one matching in
+/// `data` by construction.
 std::vector<Query> OverlappingQueryMix(const Graph& data,
                                        const QueryMixSpec& spec,
                                        Dictionary* dict, Rng* rng);

@@ -45,19 +45,6 @@ class ClosureEngine {
     AddVocabAxioms();
   }
 
-  /// Semi-naive delta mode: `closure` is seeded into the join indexes
-  /// but never re-expanded; only `delta` (and what it derives) enters
-  /// the expansion worklist. `closure` must be closed under `rules`,
-  /// except that gaps may be covered through the delta — the DRed
-  /// re-derive pass relies on exactly this.
-  ClosureEngine(const Graph& closure, const Graph& delta,
-                std::vector<RuleApplication>* trace, const RuleSet& rules)
-      : trace_(trace), rules_(rules) {
-    SeedClosed(closure);
-    AddVocabAxioms();
-    for (const Triple& t : delta) Enqueue(t, /*base=*/true);
-  }
-
   void RunToFixpoint() {
     while (cursor_ < worklist_.size()) {
       // Copy: Expand enqueues, and push_back may reallocate worklist_.
@@ -70,13 +57,6 @@ class ClosureEngine {
   Graph TakeResult() { return Graph(std::move(worklist_)); }
 
  private:
-  // Registers every triple of an already-closed graph without
-  // scheduling it for expansion.
-  void SeedClosed(const Graph& closure) {
-    for (const Triple& t : closure) Enqueue(t, /*base=*/true);
-    cursor_ = worklist_.size();
-  }
-
   // Rule (9): the vocabulary reflexivity axioms hold unconditionally.
   void AddVocabAxioms() {
     if (!rules_.reflexivity) return;
@@ -651,24 +631,6 @@ Graph RdfsClosureWithRules(const Graph& g, const RuleSet& rules) {
   ClosureEngine engine(g, /*trace=*/nullptr, rules);
   engine.RunToFixpoint();
   return engine.TakeResult();
-}
-
-Graph RdfsClosureDelta(const Graph& closure, const Graph& delta_inserts,
-                       std::vector<RuleApplication>* trace,
-                       ClosureDeltaStats* stats) {
-  ClosureEngine engine(closure, delta_inserts, trace, RuleSet::All());
-  engine.RunToFixpoint();
-  Graph out = engine.TakeResult();
-  if (stats != nullptr) {
-    stats->delta_size = 0;
-    for (const Triple& t : delta_inserts) {
-      if (!closure.Contains(t)) ++stats->delta_size;
-    }
-    stats->derived = out.size() - closure.size();
-    stats->overdeleted = 0;
-    stats->rederived = 0;
-  }
-  return out;
 }
 
 Graph RdfsClosureErase(const Graph& closure, const Graph& base_after,

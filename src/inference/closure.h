@@ -69,19 +69,6 @@ struct ClosureDeltaStats {
   size_t rederived = 0;     ///< suspects that survived re-derivation
 };
 
-/// Semi-naive delta extension of an existing closure (the monotone-
-/// fixpoint reading of Def. 2.7): given `closure` = RDFS-cl(G) for some
-/// G, returns RDFS-cl(G ∪ delta_inserts) by propagating only from the
-/// delta — closure triples are seeded into the join indexes but never
-/// re-expanded, so the work is proportional to the new derivations (plus
-/// one linear seeding pass), not to a full refixpoint.
-///
-/// If `trace` is non-null it receives one validating RuleApplication per
-/// *newly* derived triple, exactly as RdfsClosure would for those.
-Graph RdfsClosureDelta(const Graph& closure, const Graph& delta_inserts,
-                       std::vector<RuleApplication>* trace = nullptr,
-                       ClosureDeltaStats* stats = nullptr);
-
 /// DRed-style deletion maintenance: given `closure` = RDFS-cl(G),
 /// `deleted` ⊆ G and `base_after` = G \ deleted, returns
 /// RDFS-cl(base_after) by (1) over-deleting everything forward-reachable

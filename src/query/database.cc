@@ -3,30 +3,12 @@
 #include "inference/closure.h"
 #include "normal/core.h"
 #include "parser/text.h"
-#include "query/batch.h"
 #include "query/union_query.h"
 #include "rdf/map.h"
 #include "util/check.h"
 #include "util/lock_rank.h"
 
 namespace swdb {
-
-namespace {
-
-// Folds one PreAnswerBatch call's counters into the cumulative database
-// stats (relaxed atomics: snapshots call this from reader threads).
-void AccumulateBatchStats(const BatchStats& s, DatabaseStats* out) {
-  const auto add = [](std::atomic<uint64_t>& c, uint64_t v) {
-    c.fetch_add(v, std::memory_order_relaxed);
-  };
-  add(out->batch_calls, 1);
-  add(out->batch_queries, s.queries);
-  add(out->batch_deduped, s.deduped);
-  add(out->batch_premise_fallthroughs, s.premise_fallthroughs);
-  add(out->batch_limit_exceeded, s.limit_exceeded);
-}
-
-}  // namespace
 
 Database::Database(Dictionary* dict, EvalOptions options)
     : dict_(dict), evaluator_(dict, options), options_(options) {}
@@ -184,8 +166,8 @@ Result<std::vector<Graph>> Database::PreAnswer(const Query& q) {
 }
 
 std::vector<Result<std::vector<Graph>>> Database::PreAnswerBatch(
-    const std::vector<Query>& queries, BatchStats* stats_out) {
-  return Snapshot()->PreAnswerBatch(queries, stats_out);
+    const std::vector<Query>& queries) {
+  return Snapshot()->PreAnswerBatch(queries);
 }
 
 Result<std::vector<Graph>> Database::PreAnswer(const UnionQuery& q) {
@@ -194,20 +176,24 @@ Result<std::vector<Graph>> Database::PreAnswer(const UnionQuery& q) {
   return CombineBranches(PreAnswerBatch(q.branches));
 }
 
-Result<Graph> Database::AnswerUnion(const Query& q) {
-  Result<std::vector<Graph>> pre = PreAnswer(q);
+namespace {
+
+// ans∪: the union of a pre-answer list.
+Result<Graph> UnionOf(Result<std::vector<Graph>> pre) {
   if (!pre.ok()) return pre.status();
   Graph out;
   for (const Graph& answer : *pre) out.InsertAll(answer);
   return out;
 }
 
+}  // namespace
+
+Result<Graph> Database::AnswerUnion(const Query& q) {
+  return UnionOf(PreAnswer(q));
+}
+
 Result<Graph> Database::AnswerUnion(const UnionQuery& q) {
-  Result<std::vector<Graph>> pre = PreAnswer(q);
-  if (!pre.ok()) return pre.status();
-  Graph out;
-  for (const Graph& answer : *pre) out.InsertAll(answer);
-  return out;
+  return UnionOf(PreAnswer(q));
 }
 
 Result<Graph> Database::AnswerMerge(const Query& q) {
@@ -331,14 +317,11 @@ Result<std::vector<Graph>> DatabaseSnapshot::PreAnswer(const Query& q) const {
 }
 
 std::vector<Result<std::vector<Graph>>> DatabaseSnapshot::PreAnswerBatch(
-    const std::vector<Query>& queries, BatchStats* stats_out) const {
-  BatchStats stats;
-  std::vector<Result<std::vector<Graph>>> out = PreAnswerBatchImpl(
-      queries, evaluator_, [this]() -> const Graph& { return normalized(); },
-      [this](const Query& q) { return evaluator_->PreAnswer(q, *data_); },
-      &stats);
-  AccumulateBatchStats(stats, stats_);
-  if (stats_out != nullptr) *stats_out = stats;
+    const std::vector<Query>& queries) const {
+  std::vector<Result<std::vector<Graph>>> out;
+  out.reserve(queries.size());
+  for (const Query& q : queries) out.push_back(PreAnswer(q));
+  stats_->batch_queries.fetch_add(queries.size(), std::memory_order_relaxed);
   return out;
 }
 

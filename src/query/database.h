@@ -11,7 +11,6 @@
 
 #include "inference/closure.h"
 #include "query/answer.h"
-#include "query/batch.h"
 #include "query/query.h"
 #include "rdf/graph.h"
 #include "rdf/term.h"
@@ -94,16 +93,11 @@ struct DatabaseStats {
   /// Always zero (see ViewStats).
   ViewStats views;
 
-  /// Batched multi-query evaluation (PreAnswerBatch, writer and
-  /// snapshots): cumulative BatchStats sums plus the call count. See
-  /// query/batch.h for the per-field meanings.
-  std::atomic<uint64_t> batch_calls{0};
+  /// Queries served through PreAnswerBatch (writer and snapshots).
   std::atomic<uint64_t> batch_queries{0};
+  /// Always zero (a batch evaluates every slot; there is no batch trie
+  /// or view cache). Kept because servebench still reads them.
   std::atomic<uint64_t> batch_deduped{0};
-  std::atomic<uint64_t> batch_premise_fallthroughs{0};
-  std::atomic<uint64_t> batch_limit_exceeded{0};
-  /// Always zero: the shared-prefix batch trie and the view cache they
-  /// counted are gone. Kept because servebench still reads them.
   std::atomic<uint64_t> batch_trie_groups{0};
   std::atomic<uint64_t> batch_prefix_hits{0};
   std::atomic<uint64_t> batch_view_hits{0};
@@ -138,13 +132,7 @@ struct DatabaseStats {
         o.publish_leaves_shared.load(std::memory_order_relaxed);
     publish_leaves_copied =
         o.publish_leaves_copied.load(std::memory_order_relaxed);
-    batch_calls = o.batch_calls.load(std::memory_order_relaxed);
     batch_queries = o.batch_queries.load(std::memory_order_relaxed);
-    batch_deduped = o.batch_deduped.load(std::memory_order_relaxed);
-    batch_premise_fallthroughs =
-        o.batch_premise_fallthroughs.load(std::memory_order_relaxed);
-    batch_limit_exceeded =
-        o.batch_limit_exceeded.load(std::memory_order_relaxed);
     data_graph = o.data_graph;
     closure_graph = o.closure_graph;
     dictionary = o.dictionary;
@@ -220,13 +208,12 @@ class DatabaseSnapshot {
   /// caveat.
   Result<std::vector<Graph>> PreAnswer(const Query& q) const;
   /// Single answers for a whole batch of queries against this one
-  /// snapshot, slot for slot bit-identical to calling PreAnswer on each
-  /// in order (same answers, same order, same Skolem mints). Isomorphic
-  /// shapes are answered once and replayed per spelling, in slot order
-  /// (see query/batch.h). Premise-bearing slots serialize with the
-  /// writer exactly like PreAnswer on them would.
+  /// snapshot: PreAnswer on each slot, in slot order (same answers, same
+  /// Skolem mints, same step budget per slot as the sequential calls).
+  /// Premise-bearing slots serialize with the writer exactly like
+  /// PreAnswer on them would.
   std::vector<Result<std::vector<Graph>>> PreAnswerBatch(
-      const std::vector<Query>& queries, BatchStats* stats_out = nullptr) const;
+      const std::vector<Query>& queries) const;
 
  private:
   friend class Database;
@@ -343,13 +330,10 @@ class Database {
   /// combined by CombineBranches (query/union_query.h) — bit-identical
   /// to evaluating the branches one by one.
   Result<std::vector<Graph>> PreAnswer(const UnionQuery& q);
-  /// Single answers for a whole batch of queries, slot for slot
-  /// bit-identical to calling PreAnswer on each in order (same answers,
-  /// same order, same Skolem mints, same dictionary end state): the
-  /// current snapshot's PreAnswerBatch (see
-  /// query/batch.h). Writer-thread only, like PreAnswer.
+  /// Single answers for a whole batch of queries: the current
+  /// snapshot's PreAnswerBatch. Writer-thread only, like PreAnswer.
   std::vector<Result<std::vector<Graph>>> PreAnswerBatch(
-      const std::vector<Query>& queries, BatchStats* stats_out = nullptr);
+      const std::vector<Query>& queries);
   /// ans∪(q, D): the union of PreAnswer(q).
   Result<Graph> AnswerUnion(const Query& q);
   /// ans∪ of a union query.

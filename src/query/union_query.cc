@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 
-#include "query/batch.h"
 #include "query/containment.h"
 #include "query/premise.h"
 
@@ -35,7 +34,7 @@ Result<UnionQuery> UnionQuery::FromPremiseQuery(const Query& q,
 Result<Graph> AnswerUnionQuery(QueryEvaluator* evaluator,
                                const UnionQuery& q, const Graph& db) {
   // The union over branches of their ans∪ equals the union of all
-  // branch pre-answers, so this shares PreAnswerUnionQuery's batch.
+  // branch pre-answers, so this shares PreAnswerUnionQuery's nf.
   Result<std::vector<Graph>> pre = PreAnswerUnionQuery(evaluator, q, db);
   if (!pre.ok()) return pre.status();
   Graph out;
@@ -46,17 +45,23 @@ Result<Graph> AnswerUnionQuery(QueryEvaluator* evaluator,
 Result<std::vector<Graph>> PreAnswerUnionQuery(QueryEvaluator* evaluator,
                                                const UnionQuery& q,
                                                const Graph& db) {
-  // Every premise-free branch evaluates against the same nf(db) (an
-  // empty premise adds nothing to db), built at most once.
+  // Every valid premise-free branch evaluates against the same nf(db)
+  // (an empty premise adds nothing to db), built on first need; the
+  // per-query path serves premise branches and reports invalid ones.
   std::optional<Graph> nf;
-  return CombineBranches(PreAnswerBatchImpl(
-      q.branches, evaluator,
-      [&]() -> const Graph& {
-        nf.emplace(evaluator->NormalizedDatabase(Query(), db));
-        return *nf;
-      },
-      [&](const Query& branch) { return evaluator->PreAnswer(branch, db); },
-      /*stats_out=*/nullptr));
+  std::vector<Result<std::vector<Graph>>> parts;
+  parts.reserve(q.branches.size());
+  for (const Query& branch : q.branches) {
+    if (!branch.premise.empty() || !branch.Validate().ok()) {
+      parts.push_back(evaluator->PreAnswer(branch, db));
+      continue;
+    }
+    if (!nf.has_value()) {
+      nf.emplace(evaluator->NormalizedDatabase(Query(), db));
+    }
+    parts.push_back(evaluator->PreAnswerPrenormalized(branch, *nf));
+  }
+  return CombineBranches(std::move(parts));
 }
 
 Result<std::vector<Graph>> CombineBranches(

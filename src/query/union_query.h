@@ -32,10 +32,9 @@ struct UnionQuery {
 Result<Graph> AnswerUnionQuery(QueryEvaluator* evaluator,
                                const UnionQuery& q, const Graph& db);
 
-/// Pre-answers of a union query: one batch over the branches (see
-/// query/batch.h) against one shared nf(db), combined by
-/// CombineBranches. Bit-identical to evaluating the branches one by one
-/// in order.
+/// Pre-answers of a union query: each branch evaluated in order, the
+/// premise-free ones against one shared nf(db), combined by
+/// CombineBranches.
 Result<std::vector<Graph>> PreAnswerUnionQuery(QueryEvaluator* evaluator,
                                                const UnionQuery& q,
                                                const Graph& db);

@@ -96,7 +96,6 @@ struct TrafficDriver::ReaderAccum {
   uint64_t mismatches = 0;
   uint64_t digest = 0;
   std::array<uint64_t, kTemplateCount> template_ops{};
-  uint64_t iterations = 0;
   uint64_t lag_sum = 0;
   uint64_t lag_max = 0;
 };
@@ -184,78 +183,41 @@ TrafficDriver::OpResult TrafficDriver::Judge(const DatabaseSnapshot& snap,
 
 void TrafficDriver::OneIteration(Rng* rng, ReaderAccum* acc,
                                  std::vector<uint64_t>* op_digests) {
-  const size_t group = options_.batch_size < 1 ? 1 : options_.batch_size;
-  // Sample the whole group (and its check coin flips) before serving,
-  // so the rng stream is independent of evaluation internals.
-  std::vector<ServingRequest> reqs;
-  reqs.reserve(group);
-  std::vector<char> checks(group, 0);
-  for (size_t i = 0; i < group; ++i) {
-    reqs.push_back(mix_->Sample(rng));
-    checks[i] =
-        options_.check_fraction > 0 && rng->Chance(options_.check_fraction);
-  }
+  // Sample the request and its check coin flip before serving, so the
+  // rng stream is independent of evaluation internals.
+  const ServingRequest req = mix_->Sample(rng);
+  const bool check =
+      options_.check_fraction > 0 && rng->Chance(options_.check_fraction);
 
-  // The timed window covers pinning the snapshot and serving the group;
-  // the checked-mode referees run after it.
+  // The timed window covers pinning the snapshot and serving the
+  // request; the checked-mode referee runs after it.
   const auto t0 = std::chrono::steady_clock::now();
   const std::shared_ptr<const DatabaseSnapshot> snap = db_->Snapshot();
-  std::vector<Served> served(group);
-  if (group == 1) {
-    served[0] = Serve(*snap, reqs[0]);
-  } else {
-    // Premise-free single queries share one PreAnswerBatch call (the
-    // ViewKey dedupe path); everything else is served
-    // individually inside the same timed window.
-    std::vector<Query> queries;
-    std::vector<size_t> slots;
-    for (size_t i = 0; i < group; ++i) {
-      if (reqs[i].kind == RequestKind::kQuery) {
-        queries.push_back(reqs[i].query);
-        slots.push_back(i);
-      } else {
-        served[i] = Serve(*snap, reqs[i]);
-      }
-    }
-    if (!queries.empty()) {
-      std::vector<Result<std::vector<Graph>>> batched =
-          snap->PreAnswerBatch(queries);
-      for (size_t j = 0; j < slots.size(); ++j) {
-        served[slots[j]].answers = std::move(batched[j]);
-      }
-    }
-  }
+  const Served served = Serve(*snap, req);
   const auto t1 = std::chrono::steady_clock::now();
   const uint64_t us =
       std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count();
   acc->latencies.push_back(
       us > 0xffffffffULL ? 0xffffffffu : static_cast<uint32_t>(us));
 
-  std::vector<OpResult> results(group);
-  for (size_t i = 0; i < group; ++i) {
-    results[i] = Judge(*snap, reqs[i], served[i], checks[i] != 0);
-  }
+  const OpResult r = Judge(*snap, req, served, check);
 
   const uint64_t published = published_epoch_.load(std::memory_order_acquire);
   // A reader can pin a snapshot the writer published after its last
   // epoch store; clamp instead of wrapping.
   const uint64_t lag =
       published > snap->epoch() ? published - snap->epoch() : 0;
-  acc->iterations += 1;
   acc->lag_sum += lag;
   if (lag > acc->lag_max) acc->lag_max = lag;
 
-  for (size_t i = 0; i < group; ++i) {
-    const OpResult& r = results[i];
-    acc->ops += 1;
-    acc->answers += r.answers;
-    acc->errors += r.error ? 1 : 0;
-    acc->checks += checks[i] ? 1 : 0;
-    acc->mismatches += r.mismatch ? 1 : 0;
-    acc->digest ^= r.digest;
-    acc->template_ops[static_cast<size_t>(reqs[i].template_id)] += 1;
-    if (op_digests != nullptr) op_digests->push_back(r.digest);
-  }
+  acc->ops += 1;
+  acc->answers += r.answers;
+  acc->errors += r.error ? 1 : 0;
+  acc->checks += check ? 1 : 0;
+  acc->mismatches += r.mismatch ? 1 : 0;
+  acc->digest ^= r.digest;
+  acc->template_ops[static_cast<size_t>(req.template_id)] += 1;
+  if (op_digests != nullptr) op_digests->push_back(r.digest);
 }
 
 void TrafficDriver::ReaderLoop(int tid, ReaderAccum* acc) {
@@ -386,7 +348,6 @@ DriverReport TrafficDriver::Finish(std::vector<ReaderAccum>* accums,
                                    DriverReport writer_side) {
   DriverReport r = std::move(writer_side);
   std::vector<uint32_t> lat;
-  uint64_t iterations = 0;
   uint64_t lag_sum = 0;
   for (const ReaderAccum& acc : *accums) {
     lat.insert(lat.end(), acc.latencies.begin(), acc.latencies.end());
@@ -399,7 +360,6 @@ DriverReport TrafficDriver::Finish(std::vector<ReaderAccum>* accums,
     for (size_t i = 0; i < kTemplateCount; ++i) {
       r.template_ops[i] += acc.template_ops[i];
     }
-    iterations += acc.iterations;
     lag_sum += acc.lag_sum;
     if (acc.lag_max > r.max_snapshot_lag) r.max_snapshot_lag = acc.lag_max;
   }
@@ -414,9 +374,8 @@ DriverReport TrafficDriver::Finish(std::vector<ReaderAccum>* accums,
   r.elapsed_seconds = elapsed;
   r.qps = elapsed > 0 ? static_cast<double>(r.ops) / elapsed : 0;
   r.mean_snapshot_lag =
-      iterations > 0
-          ? static_cast<double>(lag_sum) / static_cast<double>(iterations)
-          : 0;
+      r.ops > 0 ? static_cast<double>(lag_sum) / static_cast<double>(r.ops)
+                : 0;
 
   const DatabaseStats after = db_->CollectStats();
   r.snapshot_nf_builds =

@@ -23,10 +23,6 @@ struct DriverOptions {
   /// exactly this many operations instead of running on the clock —
   /// the deterministic-replay configuration.
   uint64_t ops_per_reader = 0;
-  /// When > 1, each loop iteration samples this many requests and
-  /// serves the premise-free single-query ones through one
-  /// PreAnswerBatch call (one latency sample covers the group).
-  size_t batch_size = 1;
   /// Fraction of operations cross-validated against a from-scratch
   /// evaluation on the same snapshot (checked mode). 0 disables.
   double check_fraction = 0.0;
@@ -131,10 +127,9 @@ class TrafficDriver {
   /// per-kind rules). Runs outside the timed window.
   OpResult Judge(const DatabaseSnapshot& snap, const ServingRequest& req,
                  const Served& served, bool check) const;
-  /// One reader loop iteration: sample batch_size requests, then time
-  /// pinning a snapshot and serving them (grouping premise-free queries
-  /// through PreAnswerBatch when batch_size > 1) as one latency sample;
-  /// digest and check them after the window.
+  /// One reader loop iteration: sample a request, then time pinning a
+  /// snapshot and serving it as one latency sample; digest and check it
+  /// after the window.
   void OneIteration(Rng* rng, ReaderAccum* acc,
                     std::vector<uint64_t>* op_digests);
   void ReaderLoop(int tid, ReaderAccum* acc);

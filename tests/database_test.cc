@@ -241,6 +241,24 @@ TEST(ReadPipeline, WriterReadsMatchAPinnedSnapshot) {
   EXPECT_EQ(dict_w.Stats().blanks, dict_s.Stats().blanks);
 }
 
+TEST(ReadPipeline, BatchCountsEverySlotAndDedupesNothing) {
+  // The two batch counters servebench reads: an n-slot batch adds n to
+  // batch_queries, and batch_deduped stays 0 even for a repeated slot.
+  Dictionary dict;
+  Database db(&dict);
+  ASSERT_TRUE(db.InsertText(kPipelineData).ok());
+  std::vector<Query> batch = PipelineQueries(&dict);
+  batch.push_back(batch.front());
+  std::shared_ptr<const DatabaseSnapshot> snap = db.Snapshot();
+  const DatabaseStats before = db.CollectStats();
+  EXPECT_EQ(snap->PreAnswerBatch(batch).size(), batch.size());
+  EXPECT_EQ(db.PreAnswerBatch(batch).size(), batch.size());
+  const DatabaseStats after = db.CollectStats();
+  EXPECT_EQ(after.batch_queries.load() - before.batch_queries.load(),
+            2 * batch.size());
+  EXPECT_EQ(after.batch_deduped.load(), 0u);
+}
+
 TEST(ReadPipeline, NormalizedIsTheSnapshotsNormalForm) {
   Dictionary dict;
   Database db(&dict);

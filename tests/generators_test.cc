@@ -10,7 +10,6 @@
 #include "gen/sp2b.h"
 #include "inference/closure.h"
 #include "query/answer.h"
-#include "query/view_key.h"
 
 namespace swdb {
 namespace {
@@ -140,28 +139,6 @@ TEST(Generators, OverlappingQueryMixShapeAndValidity) {
     ASSERT_TRUE(pre.ok()) << i;
     EXPECT_FALSE(pre->empty()) << i;
   }
-}
-
-TEST(Generators, OverlappingQueryMixContainsIsomorphicRespellings) {
-  Rng rng(48);
-  Dictionary dict;
-  RandomGraphSpec gspec;
-  gspec.num_nodes = 25;
-  gspec.num_triples = 60;
-  gspec.blank_ratio = 0.0;
-  Graph data = RandomSimpleGraph(gspec, &dict, &rng);
-  QueryMixSpec spec;
-  spec.num_families = 6;
-  spec.queries_per_family = 8;
-  spec.isomorphic_fraction = 0.5;
-  std::vector<Query> mix = OverlappingQueryMix(data, spec, &dict, &rng);
-  // Group by canonical ViewKey: with a 0.5 respelling fraction some
-  // queries must collapse onto an earlier variant's key, and distinct
-  // suffixes must keep the mix from collapsing to one key per family.
-  std::unordered_map<ViewKey, size_t, ViewKeyHash> groups;
-  for (const Query& q : mix) ++groups[MakeViewKey(q)];
-  EXPECT_LT(groups.size(), mix.size());
-  EXPECT_GT(groups.size(), spec.num_families);
 }
 
 // ---------------------------------------------------------------------

@@ -103,28 +103,6 @@ TEST(ServingTest, CheckedModeFourReadersOneWriter) {
   EXPECT_GT(r.snapshot_publishes, 0u);
 }
 
-// The batched read path (PreAnswerBatch grouping) under full
-// cross-validation, deterministic mode — batch answers must be slot for
-// slot what sequential from-scratch evaluation produces.
-TEST(ServingTest, BatchedModeSurvivesFullValidation) {
-  Rig rig = MakeRig(4000, 13);
-  DriverOptions opts;
-  opts.ops_per_reader = 240;
-  opts.batch_size = 8;
-  opts.check_fraction = 1.0;
-  opts.seed = 5;
-  opts.writer = true;
-  opts.writer_every = 40;
-  opts.writer_batch_triples = 32;
-  TrafficDriver driver(rig.db.get(), rig.gen.get(), rig.mix.get(), opts);
-  const DriverReport r = driver.RunSingleThreaded(nullptr);
-
-  EXPECT_EQ(r.ops, 240u);
-  EXPECT_EQ(r.checks, r.ops);
-  EXPECT_EQ(r.mismatches, 0u);
-  EXPECT_EQ(r.errors, 0u);
-}
-
 // Checked mode also holds on a corpus with anonymous (blank-node)
 // authors, where nf(D) is a proper core and the constraint template
 // actually filters.

@@ -129,6 +129,10 @@ TEST(UnionQueryFreeFunction, MatchesBranchByBranchBitForBit) {
     out.branches.push_back(Q(d,
                              "head: ?X has _:thing .\n"
                              "body: ?X type ?Y .\n"));
+    out.branches.push_back(Q(d,
+                             "head: ?X rel ?Y .\n"
+                             "body: ?X kin ?Y .\n"
+                             "premise: p sp kin .\n"));
     return out;
   };
 
@@ -154,6 +158,22 @@ TEST(UnionQueryFreeFunction, MatchesBranchByBranchBitForBit) {
   Graph expected;
   for (const Graph& g : *batched) expected.InsertAll(g);
   EXPECT_EQ(*union_graph, expected);
+}
+
+TEST(UnionQueryFreeFunction, InvalidBranchFailsTheUnion) {
+  Dictionary dict;
+  Graph data = swdb::testing::Data(&dict, "a p b .\n");
+  QueryEvaluator evaluator(&dict);
+  UnionQuery u;
+  u.branches.push_back(Q(&dict, "head: ?X r ?Y .\nbody: ?X p ?Y .\n"));
+  Query bad;
+  bad.head = Graph{Triple(dict.Var("Z"), dict.Iri("r"), dict.Iri("a"))};
+  bad.body = Graph{Triple(dict.Var("X"), dict.Iri("p"), dict.Var("Y"))};
+  u.branches.push_back(bad);
+  EXPECT_EQ(PreAnswerUnionQuery(&evaluator, u, data).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(AnswerUnionQuery(&evaluator, u, data).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace
