@@ -16,35 +16,40 @@
 namespace swdb {
 
 /// Computes RDFS-cl(G): all triples deducible from G by rules (2)–(13)
-/// (paper Def. 2.7), via an indexed semi-naive fixpoint. The closure is
-/// an RDF graph over universe(G) plus the rdfs-vocabulary, of size
-/// Θ(|G|²) in the worst case (paper Thm 3.6(3)).
+/// (paper Def. 2.7), of size Θ(|G|²) in the worst case (Thm 3.6(3)).
+/// Every closure entry point here runs one semi-naive fixpoint joined
+/// against the graph's own permutation indexes; sp and sc stay
+/// transitively closed as their pairs arrive, so rules (2)/(4) never
+/// re-join a derived pair.
 ///
 /// If `trace` is non-null, one validating RuleApplication is recorded for
-/// every derived (non-input) triple, in derivation order — this is the
-/// rule-step part of a proof of cl(G) from G (Def. 2.5).
+/// every derived triple, each after its premises — the rule-step part of
+/// a proof of cl(G) from G (Def. 2.5).
 Graph RdfsClosure(const Graph& g,
                   std::vector<RuleApplication>* trace = nullptr);
 
 /// Reference implementation of RDFS-cl by iterating EnumerateApplications
-/// to fixpoint. Exponentially slower constants; used to cross-check
-/// RdfsClosure in tests.
+/// to fixpoint. Exponentially slower constants; the independent oracle
+/// the tests check every closure entry point against.
 Graph RdfsClosureNaive(const Graph& g);
 
 /// A configurable subset of the deductive rules, for ablation studies
 /// and for reproducing the incompleteness of the original W3C rule set
-/// (Note 2.4). The default is the full system of §2.3.2.
+/// (Note 2.4). The default is the full system of §2.3.2. Without
+/// reflexivity, rules (6)/(7) type direct uses only where an explicit
+/// (A, sp, A) is present, as the paper's rules read.
 struct RuleSet {
   bool sp_transitivity = true;  ///< rule (2)
   bool sp_inheritance = true;   ///< rule (3)
   bool sc_transitivity = true;  ///< rule (4)
   bool sc_typing = true;        ///< rule (5)
-  bool dom_typing = true;       ///< rule (6), direct part (C = A)
-  bool range_typing = true;     ///< rule (7), direct part (C = A)
+  bool dom_typing = true;       ///< rule (6)
+  bool range_typing = true;     ///< rule (7)
   bool reflexivity = true;      ///< rules (8)–(13)
-  /// The (C, sp, A) premise Marin added to rules (6)/(7) (Note 2.4).
-  /// With this off, dom/range typing only fires on direct uses of the
-  /// property — the original, incomplete W3C behaviour.
+  /// The (C, sp, A) premise Marin added to rules (6)/(7) (Note 2.4): the
+  /// instances with C ≠ A. With this off, dom/range typing only fires on
+  /// direct uses of the property — the original, incomplete W3C
+  /// behaviour.
   bool marin_subproperty_typing = true;
 
   static RuleSet All() { return RuleSet(); }
@@ -56,9 +61,9 @@ struct RuleSet {
   }
 };
 
-/// RDFS-cl computed with a rule subset. Traces are not supported here
-/// (ablated closures can have underivable premises); use RdfsClosure for
-/// proof-grade traces.
+/// RDFS-cl computed with a rule subset, by the same fixpoint. Traces are
+/// not offered here (ablated closures can have underivable premises);
+/// use RdfsClosure for proof-grade traces.
 Graph RdfsClosureWithRules(const Graph& g, const RuleSet& rules);
 
 /// Observability counters for one incremental maintenance step.
@@ -74,24 +79,17 @@ struct ClosureDeltaStats {
 /// RDFS-cl(base_after) by (1) over-deleting everything forward-reachable
 /// from the deleted triples through a rule application, (2) keeping the
 /// untainted remainder P, and (3) re-deriving: suspects still in the
-/// base or one-step derivable from P re-enter a semi-naive fixpoint over
-/// P. Result is exactly the from-scratch closure (cross-checked in
-/// tests), at cost proportional to the suspect set.
+/// base or one-step derivable from P re-enter the fixpoint over P. Cost
+/// tracks the suspect set.
 Graph RdfsClosureErase(const Graph& closure, const Graph& base_after,
                        const Graph& deleted,
                        ClosureDeltaStats* stats = nullptr);
 
-/// RDFS-cl(G) maintained under updates as a plain Graph: no closure
-/// engine is kept alive between updates. Construction runs the full
-/// fixpoint once; afterwards both directions join directly against the
-/// closure graph's own permutation indexes, so an update's cost tracks
-/// its delta and the triples that delta touches, not |closure| (only a
-/// DRed suspect cone that is a sizable fraction of the closure falls
-/// back to one filtered copy). This is what Database uses to keep its
-/// closure cache maintained instead of resetting it on every mutation.
-///
-/// Inserts run round-based semi-naive propagation from the delta;
-/// deletions run the DRed over-delete/re-derive pass (RdfsClosureErase).
+/// RDFS-cl(G) maintained under updates as a plain Graph. Construction
+/// runs RdfsClosure once; inserts run the fixpoint from the delta only
+/// and deletions run RdfsClosureErase, both against the closure graph's
+/// own indexes, so an update's cost tracks its delta and the triples it
+/// touches, not |closure|. Database keeps its closure cache this way.
 class IncrementalClosure {
  public:
   /// Full fixpoint over `base`.
@@ -103,10 +101,10 @@ class IncrementalClosure {
   /// Content version: bumped exactly when closure() changes.
   uint64_t version() const { return version_; }
 
-  /// Extends the closure to RDFS-cl(base ∪ delta) via semi-naive
-  /// propagation from the delta only. If `derived_out` is non-null it
-  /// receives every triple this step added to the closure (the delta's
-  /// new triples plus their derivations), i.e. cl_after \ cl_before.
+  /// Extends the closure to RDFS-cl(base ∪ delta). If `derived_out` is
+  /// non-null it receives every triple this step added to the closure
+  /// (the delta's new triples plus their derivations), i.e.
+  /// cl_after \ cl_before.
   void InsertDelta(const Graph& delta, ClosureDeltaStats* stats = nullptr,
                    std::vector<Triple>* derived_out = nullptr);
 
@@ -153,7 +151,7 @@ class ClosureMembership {
 
   /// True iff the underlying graph is still at the epoch this index was
   /// built from.
-  bool InSync() const;
+  bool InSync() const { return g_->epoch() == built_epoch_; }
   /// The graph epoch the index was built at.
   uint64_t built_epoch() const { return built_epoch_; }
   /// Rebuilds the sp/sc adjacency (or materialized fallback) from the
@@ -161,11 +159,7 @@ class ClosureMembership {
   void Refresh();
 
  private:
-  void Build();
   bool DirectContains(const Triple& t) const;
-  // Reachability a →* b in the given forward-adjacency relation.
-  bool Reaches(const std::unordered_map<Term, std::vector<Term>>& fwd,
-               Term a, Term b) const;
 
   const Graph* g_;
   uint64_t built_epoch_ = 0;

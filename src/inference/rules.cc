@@ -11,35 +11,23 @@ using vocab::kSp;
 using vocab::kType;
 
 std::string RuleName(RuleId rule) {
-  switch (rule) {
-    case RuleId::kExistential:
-      return "(1) existential";
-    case RuleId::kSpTransitivity:
-      return "(2) sp-transitivity";
-    case RuleId::kSpInheritance:
-      return "(3) sp-inheritance";
-    case RuleId::kScTransitivity:
-      return "(4) sc-transitivity";
-    case RuleId::kScTyping:
-      return "(5) sc-typing";
-    case RuleId::kDomTyping:
-      return "(6) dom-typing";
-    case RuleId::kRangeTyping:
-      return "(7) range-typing";
-    case RuleId::kSpReflexFromUse:
-      return "(8) sp-reflexivity-from-use";
-    case RuleId::kSpReflexVocab:
-      return "(9) sp-reflexivity-vocab";
-    case RuleId::kSpReflexDomRange:
-      return "(10) sp-reflexivity-dom-range";
-    case RuleId::kSpReflexPair:
-      return "(11) sp-reflexivity-pair";
-    case RuleId::kScReflexFromUse:
-      return "(12) sc-reflexivity-from-use";
-    case RuleId::kScReflexPair:
-      return "(13) sc-reflexivity-pair";
-  }
-  return "(?)";
+  static constexpr const char* kNames[] = {
+      "(1) existential",
+      "(2) sp-transitivity",
+      "(3) sp-inheritance",
+      "(4) sc-transitivity",
+      "(5) sc-typing",
+      "(6) dom-typing",
+      "(7) range-typing",
+      "(8) sp-reflexivity-from-use",
+      "(9) sp-reflexivity-vocab",
+      "(10) sp-reflexivity-dom-range",
+      "(11) sp-reflexivity-pair",
+      "(12) sc-reflexivity-from-use",
+      "(13) sc-reflexivity-pair",
+  };
+  const int i = static_cast<int>(rule);
+  return i >= 1 && i <= 13 ? kNames[i - 1] : "(?)";
 }
 
 namespace {
@@ -67,12 +55,16 @@ Status ValidateApplication(const RuleApplication& app) {
   switch (app.rule) {
     case RuleId::kExistential:
       return Bad(app, "rule (1) is a map step, not a triple-adding rule");
-    case RuleId::kSpTransitivity: {
+    case RuleId::kSpTransitivity:
+    case RuleId::kScTransitivity: {
       if (pr.size() != 2 || co.size() != 1) return Bad(app, "arity");
+      const bool sp = app.rule == RuleId::kSpTransitivity;
+      const Term r = sp ? kSp : kSc;
       const Triple &t1 = pr[0], &t2 = pr[1], &c = co[0];
-      return need(t1.p == kSp && t2.p == kSp && c.p == kSp &&
-                      t1.o == t2.s && c.s == t1.s && c.o == t2.o,
-                  "(A,sp,B),(B,sp,C) => (A,sp,C) shape mismatch");
+      return need(t1.p == r && t2.p == r && c.p == r && t1.o == t2.s &&
+                      c.s == t1.s && c.o == t2.o,
+                  sp ? "(A,sp,B),(B,sp,C) => (A,sp,C) shape mismatch"
+                     : "(A,sc,B),(B,sc,C) => (A,sc,C) shape mismatch");
     }
     case RuleId::kSpInheritance: {
       if (pr.size() != 2 || co.size() != 1) return Bad(app, "arity");
@@ -81,13 +73,6 @@ Status ValidateApplication(const RuleApplication& app) {
                       c.s == t2.s && c.o == t2.o,
                   "(A,sp,B),(X,A,Y) => (X,B,Y) shape mismatch");
     }
-    case RuleId::kScTransitivity: {
-      if (pr.size() != 2 || co.size() != 1) return Bad(app, "arity");
-      const Triple &t1 = pr[0], &t2 = pr[1], &c = co[0];
-      return need(t1.p == kSc && t2.p == kSc && c.p == kSc &&
-                      t1.o == t2.s && c.s == t1.s && c.o == t2.o,
-                  "(A,sc,B),(B,sc,C) => (A,sc,C) shape mismatch");
-    }
     case RuleId::kScTyping: {
       if (pr.size() != 2 || co.size() != 1) return Bad(app, "arity");
       const Triple &t1 = pr[0], &t2 = pr[1], &c = co[0];
@@ -95,21 +80,17 @@ Status ValidateApplication(const RuleApplication& app) {
                       c.p == kType && c.s == t2.s && c.o == t1.o,
                   "(A,sc,B),(X,type,A) => (X,type,B) shape mismatch");
     }
-    case RuleId::kDomTyping: {
-      if (pr.size() != 3 || co.size() != 1) return Bad(app, "arity");
-      const Triple &t1 = pr[0], &t2 = pr[1], &t3 = pr[2], &c = co[0];
-      return need(t1.p == kDom && t2.p == kSp && t2.o == t1.s &&
-                      t3.p == t2.s && c.p == kType && c.s == t3.s &&
-                      c.o == t1.o,
-                  "(A,dom,B),(C,sp,A),(X,C,Y) => (X,type,B) shape mismatch");
-    }
+    case RuleId::kDomTyping:
     case RuleId::kRangeTyping: {
       if (pr.size() != 3 || co.size() != 1) return Bad(app, "arity");
+      const bool dom = app.rule == RuleId::kDomTyping;
       const Triple &t1 = pr[0], &t2 = pr[1], &t3 = pr[2], &c = co[0];
-      return need(t1.p == kRange && t2.p == kSp && t2.o == t1.s &&
-                      t3.p == t2.s && c.p == kType && c.s == t3.o &&
-                      c.o == t1.o,
-                  "(A,range,B),(C,sp,A),(X,C,Y) => (Y,type,B) shape mismatch");
+      return need(t1.p == (dom ? kDom : kRange) && t2.p == kSp &&
+                      t2.o == t1.s && t3.p == t2.s && c.p == kType &&
+                      c.s == (dom ? t3.s : t3.o) && c.o == t1.o,
+                  dom ? "(A,dom,B),(C,sp,A),(X,C,Y) => (X,type,B) shape mismatch"
+                      : "(A,range,B),(C,sp,A),(X,C,Y) => (Y,type,B) shape "
+                        "mismatch");
     }
     case RuleId::kSpReflexFromUse: {
       if (pr.size() != 1 || co.size() != 1) return Bad(app, "arity");
@@ -130,12 +111,16 @@ Status ValidateApplication(const RuleApplication& app) {
                       c.s == t.s && c.o == t.s,
                   "(A,p,X) => (A,sp,A), p in {dom,range} shape mismatch");
     }
-    case RuleId::kSpReflexPair: {
+    case RuleId::kSpReflexPair:
+    case RuleId::kScReflexPair: {
       if (pr.size() != 1 || co.size() != 2) return Bad(app, "arity");
+      const bool sp = app.rule == RuleId::kSpReflexPair;
+      const Term r = sp ? kSp : kSc;
       const Triple &t = pr[0], &c1 = co[0], &c2 = co[1];
-      return need(t.p == kSp && c1.p == kSp && c2.p == kSp && c1.s == t.s &&
+      return need(t.p == r && c1.p == r && c2.p == r && c1.s == t.s &&
                       c1.o == t.s && c2.s == t.o && c2.o == t.o,
-                  "(A,sp,B) => (A,sp,A),(B,sp,B) shape mismatch");
+                  sp ? "(A,sp,B) => (A,sp,A),(B,sp,B) shape mismatch"
+                     : "(A,sc,B) => (A,sc,A),(B,sc,B) shape mismatch");
     }
     case RuleId::kScReflexFromUse: {
       if (pr.size() != 1 || co.size() != 1) return Bad(app, "arity");
@@ -143,13 +128,6 @@ Status ValidateApplication(const RuleApplication& app) {
       return need((t.p == kDom || t.p == kRange || t.p == kType) &&
                       c.p == kSc && c.s == t.o && c.o == t.o,
                   "(X,p,A) => (A,sc,A), p in {dom,range,type} shape mismatch");
-    }
-    case RuleId::kScReflexPair: {
-      if (pr.size() != 1 || co.size() != 2) return Bad(app, "arity");
-      const Triple &t = pr[0], &c1 = co[0], &c2 = co[1];
-      return need(t.p == kSc && c1.p == kSc && c2.p == kSc && c1.s == t.s &&
-                      c1.o == t.s && c2.s == t.o && c2.o == t.o,
-                  "(A,sc,B) => (A,sc,A),(B,sc,B) shape mismatch");
     }
   }
   return Bad(app, "unknown rule id");
@@ -182,25 +160,19 @@ std::vector<RuleApplication> EnumerateApplications(const Graph& g) {
     if (t1.p == kDom || t1.p == kRange || t1.p == kType) {
       emit(RuleId::kScReflexFromUse, {t1}, {Triple(t1.o, kSc, t1.o)});
     }
-    if (t1.p == kSp) {
-      emit(RuleId::kSpReflexPair, {t1},
-           {Triple(t1.s, kSp, t1.s), Triple(t1.o, kSp, t1.o)});
-    }
-    if (t1.p == kSc) {
-      emit(RuleId::kScReflexPair, {t1},
-           {Triple(t1.s, kSc, t1.s), Triple(t1.o, kSc, t1.o)});
+    if (t1.p == kSp || t1.p == kSc) {  // rules (11)/(13)
+      emit(t1.p == kSp ? RuleId::kSpReflexPair : RuleId::kScReflexPair, {t1},
+           {Triple(t1.s, t1.p, t1.s), Triple(t1.o, t1.p, t1.o)});
     }
 
     // Binary-premise rules.
     for (const Triple& t2 : g) {
-      if (t1.p == kSp && t2.p == kSp && t1.o == t2.s) {
-        emit(RuleId::kSpTransitivity, {t1, t2}, {Triple(t1.s, kSp, t2.o)});
+      if ((t1.p == kSp || t1.p == kSc) && t2.p == t1.p && t1.o == t2.s) {
+        emit(t1.p == kSp ? RuleId::kSpTransitivity : RuleId::kScTransitivity,
+             {t1, t2}, {Triple(t1.s, t1.p, t2.o)});  // rules (2)/(4)
       }
       if (t1.p == kSp && t2.p == t1.s) {
         emit(RuleId::kSpInheritance, {t1, t2}, {Triple(t2.s, t1.o, t2.o)});
-      }
-      if (t1.p == kSc && t2.p == kSc && t1.o == t2.s) {
-        emit(RuleId::kScTransitivity, {t1, t2}, {Triple(t1.s, kSc, t2.o)});
       }
       if (t1.p == kSc && t2.p == kType && t2.o == t1.s) {
         emit(RuleId::kScTyping, {t1, t2}, {Triple(t2.s, kType, t1.o)});
@@ -208,15 +180,11 @@ std::vector<RuleApplication> EnumerateApplications(const Graph& g) {
 
       // Ternary-premise rules (6)/(7): t1 = (A,dom/range,B), t2 = (C,sp,A).
       if ((t1.p == kDom || t1.p == kRange) && t2.p == kSp && t2.o == t1.s) {
+        const bool dom = t1.p == kDom;
         for (const Triple& t3 : g) {
           if (t3.p != t2.s) continue;
-          if (t1.p == kDom) {
-            emit(RuleId::kDomTyping, {t1, t2, t3},
-                 {Triple(t3.s, kType, t1.o)});
-          } else {
-            emit(RuleId::kRangeTyping, {t1, t2, t3},
-                 {Triple(t3.o, kType, t1.o)});
-          }
+          emit(dom ? RuleId::kDomTyping : RuleId::kRangeTyping, {t1, t2, t3},
+               {Triple(dom ? t3.s : t3.o, kType, t1.o)});
         }
       }
     }

@@ -50,16 +50,16 @@ Result<std::vector<Graph>> QueryEvaluator::PreAnswer(const Query& q,
                                                      const Graph& db) {
   // Reject before normalizing: D + P costs a closure and a core, and the
   // merge mints blanks into the dictionary.
-  Status valid = q.Validate();
-  if (!valid.ok()) return valid;
-  return PreAnswerPrenormalized(q, NormalizedDatabase(q, db));
+  return PreAnswerPinned(q, [&] { return NormalizedDatabase(q, db); });
 }
 
 Result<std::vector<Graph>> QueryEvaluator::PreAnswerPrenormalized(
     const Query& q, const Graph& target) {
-  Status valid = q.Validate();
-  if (!valid.ok()) return valid;
+  return PreAnswerPinned(q, [&]() -> const Graph& { return target; });
+}
 
+Result<std::vector<Graph>> QueryEvaluator::Evaluate(const Query& q,
+                                                    const Graph& target) {
   PatternMatcher matcher(q.body, &target, options_.match);
   // Compile the head, the constraints and the Skolem arguments to row
   // reads. A valid query's head and constraint variables are body

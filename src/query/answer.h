@@ -54,6 +54,16 @@ class QueryEvaluator {
   Result<std::vector<Graph>> PreAnswerPrenormalized(const Query& q,
                                                     const Graph& normalized);
 
+  /// PreAnswerPrenormalized against the graph `pin()` returns, called
+  /// only once q is known valid: an invalid query costs no normalization
+  /// and mints nothing. Every PreAnswer entry point validates here, once.
+  template <typename Pin>
+  Result<std::vector<Graph>> PreAnswerPinned(const Query& q, Pin&& pin) {
+    Status valid = q.Validate();
+    if (!valid.ok()) return valid;
+    return Evaluate(q, pin());
+  }
+
   /// The raw matchings: every constraint-satisfying valuation of the
   /// body variables (Def. 4.3's v), as variable→term maps in
   /// deterministic order. This is the SquishQL-style "table of
@@ -94,6 +104,9 @@ class QueryEvaluator {
   };
 
   Term SkolemBlank(Term head_blank, const std::vector<Term>& args);
+
+  // PreAnswerPrenormalized for a query already validated.
+  Result<std::vector<Graph>> Evaluate(const Query& q, const Graph& target);
 
   Dictionary* dict_;
   EvalOptions options_;

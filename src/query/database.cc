@@ -306,14 +306,14 @@ Result<bool> DatabaseSnapshot::Entails(const Graph& q) const {
 }
 
 Result<std::vector<Graph>> DatabaseSnapshot::PreAnswer(const Query& q) const {
-  Status valid = q.Validate();
-  if (!valid.ok()) return valid;
   if (!q.premise.empty()) {
     // Premise-bearing: merges into the dictionary — see the class
     // comment for the synchronization requirement.
     return evaluator_->PreAnswer(q, *data_);
   }
-  return evaluator_->PreAnswerPrenormalized(q, normalized());
+  // nf is pinned only for a valid query.
+  return evaluator_->PreAnswerPinned(
+      q, [this]() -> const Graph& { return normalized(); });
 }
 
 std::vector<Result<std::vector<Graph>>> DatabaseSnapshot::PreAnswerBatch(

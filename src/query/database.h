@@ -203,9 +203,9 @@ class DatabaseSnapshot {
   Result<bool> Entails(const Graph& q) const;
   /// Single answers of a query (§4.1). Invalid queries are rejected
   /// before any other work. A premise-free query is matched against
-  /// this snapshot's nf: QueryEvaluator::PreAnswerPrenormalized(q,
-  /// normalized()). See the class comment for the premise-bearing
-  /// caveat.
+  /// this snapshot's nf (QueryEvaluator::PreAnswerPinned, which pins
+  /// normalized() only for a valid query). See the class comment for
+  /// the premise-bearing caveat.
   Result<std::vector<Graph>> PreAnswer(const Query& q) const;
   /// Single answers for a whole batch of queries against this one
   /// snapshot: PreAnswer on each slot, in slot order (same answers, same

@@ -47,19 +47,21 @@ Result<std::vector<Graph>> PreAnswerUnionQuery(QueryEvaluator* evaluator,
                                                const Graph& db) {
   // Every valid premise-free branch evaluates against the same nf(db)
   // (an empty premise adds nothing to db), built on first need; the
-  // per-query path serves premise branches and reports invalid ones.
+  // per-query path serves premise branches.
   std::optional<Graph> nf;
   std::vector<Result<std::vector<Graph>>> parts;
   parts.reserve(q.branches.size());
   for (const Query& branch : q.branches) {
-    if (!branch.premise.empty() || !branch.Validate().ok()) {
+    if (!branch.premise.empty()) {
       parts.push_back(evaluator->PreAnswer(branch, db));
       continue;
     }
-    if (!nf.has_value()) {
-      nf.emplace(evaluator->NormalizedDatabase(Query(), db));
-    }
-    parts.push_back(evaluator->PreAnswerPrenormalized(branch, *nf));
+    parts.push_back(evaluator->PreAnswerPinned(branch, [&]() -> const Graph& {
+      if (!nf.has_value()) {
+        nf.emplace(evaluator->NormalizedDatabase(Query(), db));
+      }
+      return *nf;
+    }));
   }
   return CombineBranches(std::move(parts));
 }

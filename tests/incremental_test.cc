@@ -27,6 +27,7 @@
 #include "rdf/graph.h"
 #include "testutil.h"
 #include "util/rng.h"
+#include "util/str.h"
 
 namespace swdb {
 namespace {
@@ -192,6 +193,36 @@ TEST(RdfsClosureErase, DownstreamDerivationsFall) {
   Graph maintained = RdfsClosureErase(cl, after, deleted);
   EXPECT_EQ(maintained, RdfsClosure(after));
   EXPECT_FALSE(maintained.Contains(Triple(x, vocab::kType, d)));
+}
+
+TEST(RdfsClosureErase, RemainderHierarchyIsReclosed) {
+  // (sp, sp, sc) turns sp pairs into sc pairs through rule (3), so
+  // erasing the one use of n2 over-deletes sc pairs whose chains partly
+  // survive; the rescued pairs must re-close the sc relation before the
+  // fixpoint relies on it being closed. Minimized from a random case;
+  // the term ids (interned in name order) fix the iteration order that
+  // exposed it.
+  Dictionary dict;
+  for (int i = 0; i < 7; ++i) dict.Iri(NumberedName("n", i));
+  Graph g = Data(&dict,
+                 "sp sp sc .\n"
+                 "sp type n3 .\n"
+                 "sc sp n4 .\n"
+                 "sc sp n5 .\n"
+                 "sc sc n6 .\n"
+                 "n1 sc n0 .\n"
+                 "n1 n2 n4 .\n"
+                 "n2 sp sp .\n"
+                 "n3 sp n1 .\n"
+                 "n3 sp n2 .\n"
+                 "n4 sc n3 .\n"
+                 "n5 sc sc .\n"
+                 "n6 sp n2 .\n");
+  Graph deleted = Data(&dict, "n1 n2 n4 .");
+  Graph after = g;
+  after.Erase(deleted[0]);
+  EXPECT_EQ(RdfsClosureErase(RdfsClosure(g), after, deleted),
+            RdfsClosureNaive(after));
 }
 
 // Randomized: single- and multi-triple insert and erase batches,
