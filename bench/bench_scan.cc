@@ -26,6 +26,12 @@
 //                           of the timed calls over the answers they
 //                           return, counted by this binary's
 //                           operator new.
+//   * PathSp2b/k          — EvalPathFrom on the corpus's *data* graph,
+//                           as the serving path evaluates paths:
+//                           type_of_path from a paper [k=0] and from an
+//                           author [k=1], citation_reach from a paper
+//                           [k=2]. `rows_per_eval` is the index rows the
+//                           evaluation's lookups yield (GraphStats).
 
 #include <benchmark/benchmark.h>
 
@@ -42,6 +48,7 @@
 
 #include "gen/sp2b.h"
 #include "inference/closure.h"
+#include "paths/path.h"
 #include "query/answer.h"
 #include "rdf/graph.h"
 #include "rdf/hom.h"
@@ -164,11 +171,12 @@ void BM_RepeatedSlotMatcher(benchmark::State& state) {
 }
 BENCHMARK(BM_RepeatedSlotMatcher);
 
-// The 200k sp2b corpus, its closure (indexes warm) and the serving mix
-// over it, built once.
+// The 200k sp2b corpus, its closure (both with indexes warm) and the
+// serving mix over it, built once.
 struct Sp2bClosure {
   Dictionary dict;
   std::unique_ptr<Sp2bGenerator> gen;
+  Graph data;
   Graph closure;
   std::unique_ptr<WorkloadMix> mix;
 };
@@ -180,7 +188,9 @@ Sp2bClosure& Sp2b() {
     spec.target_triples = 200000;
     spec.seed = 1;
     s->gen = std::make_unique<Sp2bGenerator>(spec, &s->dict);
-    s->closure = RdfsClosure(s->gen->GenerateCorpus());
+    s->data = s->gen->GenerateCorpus();
+    s->data.WarmIndexes();
+    s->closure = RdfsClosure(s->data);
     s->closure.WarmIndexes();
     s->mix = std::make_unique<WorkloadMix>(*s->gen, &s->dict);
     return s;
@@ -267,6 +277,43 @@ void BM_PreAnswerSp2bJoin(benchmark::State& state) {
       static_cast<double>(allocs) / (answered > 0 ? answered : 1);
 }
 BENCHMARK(BM_PreAnswerSp2bJoin)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+void BM_PathSp2b(benchmark::State& state) {
+  Sp2bClosure& st = Sp2b();
+  const int kind = static_cast<int>(state.range(0));
+  constexpr size_t kRequests = 64;
+  Rng rng(9);
+  const PathExpr path =
+      *st.mix
+           ->Build(kind == 2 ? TemplateId::kCitationReach
+                             : TemplateId::kTypeOfPath,
+                   &rng)
+           .path;
+  const std::vector<Term>& pool =
+      kind == 1 ? st.gen->authors() : st.gen->papers();
+  std::vector<Term> sources;
+  for (size_t i = 0; i < kRequests; ++i) {
+    sources.push_back(pool[rng.Below(pool.size())]);
+  }
+  const GraphStats before = st.data.Stats();
+  size_t i = 0;
+  double nodes = 0;
+  for (auto _ : state) {
+    const std::vector<Term> out =
+        EvalPathFrom(st.data, path, {sources[i++ % kRequests]});
+    nodes += static_cast<double>(out.size());
+    benchmark::DoNotOptimize(nodes);
+  }
+  const GraphStats after = st.data.Stats();
+  const double evals = static_cast<double>(state.iterations());
+  state.SetLabel(kind == 0   ? "type_of_path(paper)"
+                 : kind == 1 ? "type_of_path(author)"
+                             : "citation_reach");
+  state.counters["nodes"] = nodes / evals;
+  state.counters["rows_per_eval"] =
+      static_cast<double>(after.rows_yielded - before.rows_yielded) / evals;
+}
+BENCHMARK(BM_PathSp2b)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace swdb

@@ -2,8 +2,8 @@
 # Builds and runs the columnar-storage benchmark (E17): the
 # repeated-position residual through MatchRange::FilterPairEqual and the
 # matcher's (X, p, X) path, plus spine lookups and pre-answer joins on a
-# 200k sp2b closure. Writes the results to BENCH_scan.json at the repo
-# root.
+# 200k sp2b closure and path requests on its data graph. Writes the
+# results to BENCH_scan.json at the repo root.
 #
 # Usage: scripts/bench_scan.sh [build-dir] [extra benchmark args...]
 set -euo pipefail

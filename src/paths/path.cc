@@ -381,9 +381,10 @@ std::vector<Term> Step(const Graph& g, const PathExpr& path,
       break;
     case PathExpr::Kind::kAnyBackward:
       for (Term s : sources) {
-        for (const Triple& t : g) {
-          if (t.o == s) out.insert(t.s);
-        }
+        g.Match(std::nullopt, std::nullopt, s, [&](const Triple& t) {
+          out.insert(t.s);
+          return true;
+        });
       }
       break;
     case PathExpr::Kind::kPredTest: {
@@ -423,9 +424,10 @@ std::vector<Term> Step(const Graph& g, const PathExpr& path,
       break;
     case PathExpr::Kind::kEdgeBackward:
       for (Term s : sources) {
-        for (const Triple& t : g) {
-          if (t.o == s) out.insert(t.p);
-        }
+        g.Match(std::nullopt, std::nullopt, s, [&](const Triple& t) {
+          out.insert(t.p);
+          return true;
+        });
       }
       break;
   }

@@ -83,7 +83,12 @@ class PathExpr {
   const PathExpr& left() const { return *children_[0]; }
   const PathExpr& right() const { return *children_[1]; }
 
-  /// Serializes back into the ParsePathExpr grammar.
+  /// Prints the expression. The regular fragment (kPredicate through
+  /// kOptional) prints in the ParsePathExpr grammar and round-trips.
+  /// The nSPARQL kinds print nSPARQL notation for display only (`edge`,
+  /// `^edge`, `next`, `^next`, `next::[e]`, `self::[e]`, `self::a`);
+  /// the grammar has no such forms, and most of them re-parse, without
+  /// an error, as a plain IRI step.
   std::string ToString(const Dictionary& dict) const;
 
  private:
@@ -98,8 +103,10 @@ class PathExpr {
 Result<PathExpr> ParsePathExpr(std::string_view text, Dictionary* dict);
 
 /// All nodes reachable from any source via the path, computed by BFS
-/// over the expression structure (each step relation is evaluated
-/// against the graph's indexes). Result is sorted and deduplicated.
+/// over the expression structure. Each single step is one index range
+/// per source: forward axes read the primary (s,p,o) order, `^p` reads
+/// (p,o,s) and the backward axes `^next`/`^edge` read (o,s,p); no step
+/// walks the whole graph. Result is sorted and deduplicated.
 /// Polynomial: O(|expr| · |sources| · |g|) worst case.
 std::vector<Term> EvalPathFrom(const Graph& g, const PathExpr& path,
                                const std::vector<Term>& sources);

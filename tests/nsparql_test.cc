@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include "gen/generators.h"
+#include "gen/sp2b.h"
 #include "inference/closure.h"
 #include "paths/path.h"
+#include "serve/workload.h"
 #include "testutil.h"
 #include "util/rng.h"
 
@@ -171,6 +173,36 @@ TEST(Nsparql, HandBuiltTypingExample) {
       EvalPathFrom(g, nav, {dict.Iri("guernica")});
   ASSERT_EQ(guernica_types.size(), 1u);
   EXPECT_EQ(guernica_types[0], dict.Iri("artifact"));
+}
+
+TEST(Nsparql, WorkloadTypeOfMatchesClosureTypesOnSp2b) {
+  // The served type_of_path request, evaluated on the RAW sp2b corpus,
+  // equals the closure's rdf:type facts for every paper and author.
+  Dictionary dict;
+  Sp2bSpec spec;
+  spec.target_triples = 3000;
+  spec.seed = 5;
+  Sp2bGenerator gen(spec, &dict);
+  const Graph data = gen.GenerateCorpus();
+  const Graph cl = RdfsClosure(data);
+  const WorkloadMix mix(gen, &dict);
+  Rng rng(1);
+  const ServingRequest req = mix.Build(TemplateId::kTypeOfPath, &rng);
+  ASSERT_TRUE(req.path.has_value());
+  std::vector<Term> nodes = gen.papers();
+  nodes.insert(nodes.end(), gen.authors().begin(), gen.authors().end());
+  ASSERT_GT(gen.papers().size(), 50u);
+  ASSERT_GT(gen.authors().size(), 50u);
+  for (Term node : nodes) {
+    std::vector<Term> expected;
+    cl.Match(node, vocab::kType, std::nullopt, [&](const Triple& t) {
+      expected.push_back(t.o);
+      return true;
+    });
+    ASSERT_FALSE(expected.empty()) << dict.Name(node);
+    EXPECT_EQ(EvalPathFrom(data, *req.path, {node}), expected)
+        << dict.Name(node);
+  }
 }
 
 TEST(Nsparql, ToStringCoversNewKinds) {
