@@ -20,6 +20,8 @@
 //   * CoreSp2bBlankCorpus   — nf probe: Core(RdfsClosure(corpus)) of a
 //                             10k SP²Bench corpus with 10% blank authors
 //                             (seed 1), the serving-shaped nf build.
+//   * CoreStarComponent/k   — one blank author on k papers: the lean
+//                             k-triple star that dominated that build.
 
 #include <benchmark/benchmark.h>
 
@@ -244,6 +246,10 @@ void BM_CoreSp2bBlankCorpus(benchmark::State& state) {
   size_t core_size = 0;
   for (auto _ : state) {
     Result<Graph> core = CoreChecked(closure, MatchOptions(), nullptr, &stats);
+    if (!core.ok()) {
+      state.SkipWithError("core step budget exhausted");
+      return;
+    }
     core_size = core->size();
     benchmark::DoNotOptimize(core);
   }
@@ -256,6 +262,26 @@ void BM_CoreSp2bBlankCorpus(benchmark::State& state) {
   state.counters["steps_used"] = static_cast<double>(stats.steps_used);
 }
 BENCHMARK(BM_CoreSp2bBlankCorpus)->Unit(benchmark::kMillisecond);
+
+void BM_CoreStarComponent(benchmark::State& state) {
+  const uint32_t k = static_cast<uint32_t>(state.range(0));
+  Dictionary dict;
+  const Graph g = BlankAuthorStar(k, &dict);
+  g.WarmIndexes();
+  CoreStats stats;
+  for (auto _ : state) {
+    Result<Graph> core = CoreChecked(g, MatchOptions(), nullptr, &stats);
+    if (!core.ok()) {
+      state.SkipWithError("core step budget exhausted");
+      return;
+    }
+    benchmark::DoNotOptimize(core);
+  }
+  state.counters["|G|"] = static_cast<double>(g.size());
+  state.counters["folds"] = static_cast<double>(stats.folds);
+  state.counters["steps_used"] = static_cast<double>(stats.steps_used);
+}
+BENCHMARK(BM_CoreStarComponent)->Arg(16)->Arg(64)->Arg(256);
 
 }  // namespace
 }  // namespace swdb

@@ -135,6 +135,21 @@ Graph BlankCycle(uint32_t n, Term predicate, Dictionary* dict) {
   return g;
 }
 
+Graph BlankAuthorStar(uint32_t papers, Dictionary* dict) {
+  const Term creator = dict->Iri("creator");
+  const Term type = dict->Iri("type");
+  const Term article = dict->Iri("Article");
+  const Term author = dict->FreshBlank();
+  Graph g;
+  for (uint32_t i = 0; i < papers; ++i) {
+    const Term paper = dict->Iri(NumberedName("paper", i));
+    g.Insert(paper, creator, author);
+    g.Insert(paper, creator, dict->Iri(NumberedName("coauthor", i % 5)));
+    g.Insert(paper, type, article);
+  }
+  return g;
+}
+
 Query PatternQueryFromGraph(const Graph& data, uint32_t body_size,
                             double var_ratio, Dictionary* dict, Rng* rng) {
   Query q;

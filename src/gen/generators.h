@@ -60,6 +60,14 @@ Graph BlankChain(uint32_t n, Term predicate, Dictionary* dict);
 /// the blank-induced-cycle shape that defeats acyclic evaluation.
 Graph BlankCycle(uint32_t n, Term predicate, Dictionary* dict);
 
+/// One blank author on `papers` papers: (paper_i, creator, _:a) for
+/// each i, plus one ground co-author per paper (one of five, by i mod 5)
+/// and a type triple. The blank author's component is exactly the
+/// `papers` creator triples, and it is lean once papers ≥ 2 (no
+/// co-author is on every paper): the star a prolific blank author of an
+/// SP²Bench corpus gives the core search.
+Graph BlankAuthorStar(uint32_t papers, Dictionary* dict);
+
 /// Derives a pattern query from a data graph: samples `body_size`
 /// triples and replaces each term with a variable with probability
 /// var_ratio (consistently per term). The head repeats the body. The

@@ -66,6 +66,7 @@ PatternMatcher::PatternMatcher(std::vector<Triple> pattern,
     : pattern_(std::move(pattern)), target_(target), options_(options) {
   assert(target_ != nullptr);
   CompilePattern();
+  FindExcludedPattern();
 }
 
 PatternMatcher::PatternMatcher(const Graph& pattern, const Graph* target,
@@ -75,10 +76,40 @@ PatternMatcher::PatternMatcher(const Graph& pattern, const Graph* target,
 void PatternMatcher::set_target(const Graph* target) {
   assert(target != nullptr);
   target_ = target;
+  if (!roots_.empty()) DropRootRanges();
 }
 
 void PatternMatcher::set_exclude_triple(std::optional<Triple> t) {
   options_.exclude_triple = std::move(t);
+  FindExcludedPattern();
+  if (roots_.empty()) {
+    roots_.resize(pattern_.size());
+    root_epoch_ = target_->epoch();
+  }
+}
+
+void PatternMatcher::FindExcludedPattern() {
+  const std::optional<Triple>& t = options_.exclude_triple;
+  const size_t n = pattern_.size();
+  // Probe loops exclude the pattern's triples in order, so the scan
+  // starts after the previous hit.
+  const size_t start =
+      exclude_pattern_ < 0 ? 0 : static_cast<size_t>(exclude_pattern_) + 1;
+  exclude_pattern_ = -1;
+  if (!t.has_value()) return;
+  for (size_t k = 0; k < n; ++k) {
+    const size_t i = (start + k) % n;
+    if (pattern_[i] == *t) {
+      exclude_pattern_ = static_cast<int32_t>(i);
+      return;
+    }
+  }
+}
+
+void PatternMatcher::DropRootRanges() {
+  std::fill(roots_.begin(), roots_.end(), RootRange());
+  root_epoch_ = target_->epoch();
+  root_pick_ = kNoPick;
 }
 
 void PatternMatcher::CompilePattern() {
@@ -125,7 +156,9 @@ bool PatternMatcher::ResetSearchState() {
   trail_.clear();
   std::fill(bound_.begin(), bound_.end(), uint8_t{0});
   std::fill(slot_version_.begin(), slot_version_.end(), 1u);
-  std::fill(sel_.begin(), sel_.end(), Selectivity());
+  // Version 0 marks an entry never computed; its stale range is not read.
+  for (Selectivity& sel : sel_) sel.version = {};
+  if (!roots_.empty() && root_epoch_ != target_->epoch()) DropRootRanges();
   pending_.clear();
   size_t blank_slots = 0;
   for (const SlotInfo& s : slots_) blank_slots += s.is_blank ? 1 : 0;
@@ -199,6 +232,14 @@ std::optional<Term> PatternMatcher::Resolve(const CompiledTriple& ct,
 }
 
 size_t PatternMatcher::PickNext(size_t depth) {
+  // Nothing is bound at depth 0, so while the root ranges are kept the
+  // first pick is the same in every probe.
+  if (depth == 0 && root_pick_ != kNoPick) {
+    const size_t idx = pending_[root_pick_];
+    sel_[idx].range = roots_[idx].range;
+    StampVersions(idx);
+    return root_pick_;
+  }
   size_t best = depth;
   size_t best_count = std::numeric_limits<size_t>::max();
   for (size_t i = depth; i < pending_.size(); ++i) {
@@ -216,13 +257,8 @@ size_t PatternMatcher::PickNext(size_t depth) {
       }
     }
     if (!valid) {
-      sel.range =
-          target_->Matches(Resolve(ct, 0), Resolve(ct, 1), Resolve(ct, 2));
-      for (int pos = 0; pos < 3; ++pos) {
-        int32_t slot = ct.slot[pos];
-        sel.version[pos] = slot == kNoSlot ? 0 : slot_version_[slot];
-      }
-      ++stats_.selectivity_recomputes;
+      sel.range = ResolveRange(idx);
+      StampVersions(idx);
     }
     if (sel.range.size() < best_count) {
       best_count = sel.range.size();
@@ -230,7 +266,50 @@ size_t PatternMatcher::PickNext(size_t depth) {
       if (best_count == 0) break;
     }
   }
+  if (depth == 0 && !roots_.empty()) root_pick_ = best;
   return best;
+}
+
+void PatternMatcher::StampVersions(size_t idx) {
+  const CompiledTriple& ct = compiled_[idx];
+  for (int pos = 0; pos < 3; ++pos) {
+    const int32_t slot = ct.slot[pos];
+    sel_[idx].version[pos] = slot == kNoSlot ? 0 : slot_version_[slot];
+  }
+}
+
+MatchRange PatternMatcher::ResolveRange(size_t idx) {
+  const CompiledTriple& ct = compiled_[idx];
+  RootRange* root = nullptr;
+  if (!roots_.empty()) {
+    bool any_bound = false;
+    for (int pos = 0; pos < 3; ++pos) {
+      const int32_t slot = ct.slot[pos];
+      any_bound |= slot != kNoSlot && bound_[slot] != 0;
+    }
+    if (!any_bound) {
+      root = &roots_[idx];
+      if (root->valid) return root->range;
+    }
+  }
+  ++stats_.selectivity_recomputes;
+  const MatchRange range =
+      target_->Matches(Resolve(ct, 0), Resolve(ct, 1), Resolve(ct, 2));
+  if (root != nullptr) *root = RootRange{range, true};
+  return range;
+}
+
+bool PatternMatcher::ExcludedPatternHit() const {
+  const CompiledTriple& ct = compiled_[exclude_pattern_];
+  const Term terms[3] = {ct.consts.s, ct.consts.p, ct.consts.o};
+  for (int pos = 0; pos < 3; ++pos) {
+    const int32_t slot = ct.slot[pos];
+    if (slot == kNoSlot) continue;
+    // The pattern triple equals the excluded one, so it is bound to it
+    // exactly when each open term is bound to itself.
+    if (!bound_[slot] || binding_[slot] != terms[pos]) return false;
+  }
+  return true;
 }
 
 bool PatternMatcher::TryBind(const CompiledTriple& ct, const Triple& tt) {
@@ -319,7 +398,8 @@ bool PatternMatcher::Search(size_t depth,
       if (have_exclude && tt == exclude) continue;
       ++stats_.binds_attempted;
       const size_t mark = trail_.size();
-      if (TryBind(ct, tt)) {
+      if (TryBind(ct, tt) &&
+          (exclude_pattern_ < 0 || !ExcludedPatternHit())) {
         Search(depth + 1, visitor, stopped);
       }
       UndoTo(mark);
@@ -334,7 +414,10 @@ bool PatternMatcher::Search(size_t depth,
     if (have_exclude && tt == exclude) continue;
     ++stats_.binds_attempted;
     const size_t mark = trail_.size();
-    if (TryBind(ct, tt)) {
+    // A bind that maps the excluded pattern triple onto the excluded
+    // triple ends the branch: that triple has no other image below.
+    if (TryBind(ct, tt) &&
+        (exclude_pattern_ < 0 || !ExcludedPatternHit())) {
       Search(depth + 1, visitor, stopped);
     }
     UndoTo(mark);

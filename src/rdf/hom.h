@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -55,7 +56,9 @@ struct MatchOptions {
   /// Treat the target graph as if this triple were absent. Lets callers
   /// probe "does the pattern map into target \ {t}" for many t without
   /// copying the target or invalidating its cached indexes (the
-  /// leanness/core hot path).
+  /// leanness/core hot path). When the triple is also a pattern triple,
+  /// the search ends each branch that binds that pattern triple to it
+  /// (see PatternMatcher::set_exclude_triple).
   std::optional<Triple> exclude_triple;
 
   /// Disable the most-constrained-first dynamic triple ordering and
@@ -127,6 +130,17 @@ class PatternMatcher {
   /// Replaces the exclude_triple option between Enumerate calls. For
   /// callers probing "pattern → target \ {t}" for many t with one
   /// compiled pattern (the leanness/core loop).
+  ///
+  /// Two things make such a probe loop cheap. When t is itself a
+  /// pattern triple, a branch ends as soon as that pattern triple is
+  /// fully bound to t: no solution can map it elsewhere below, so the
+  /// rows are exactly those an unpruned search gives. And the ranges
+  /// PickNext resolves while none of a pattern triple's slots is bound
+  /// (its root ranges) depend only on the pattern and the target, so
+  /// they are kept from one probe to the next. The contract is that the
+  /// target does not change between probes: set_target drops the kept
+  /// ranges, and so does any mutation of the target (its epoch). A
+  /// matcher that never calls this keeps no root ranges.
   void set_exclude_triple(std::optional<Triple> t);
 
   /// Number of backtracking steps consumed by the last call.
@@ -137,6 +151,7 @@ class PatternMatcher {
 
  private:
   static constexpr int32_t kNoSlot = -1;
+  static constexpr size_t kNoPick = std::numeric_limits<size_t>::max();
 
   // A pattern triple with its open positions resolved to slot ids.
   struct CompiledTriple {
@@ -153,6 +168,12 @@ class PatternMatcher {
   struct SlotInfo {
     Term term;      // the pattern's blank node or variable
     bool is_blank;  // blank nodes are subject to the blank-only options
+  };
+  // A pattern triple's candidate range resolved with none of its slots
+  // bound, kept across the probes of a set_exclude_triple loop.
+  struct RootRange {
+    MatchRange range;
+    bool valid = false;
   };
   // Per-pattern-triple cached candidate range (its size is the count
   // PickNext ranks by) with the slot-version stamps it was resolved
@@ -184,6 +205,21 @@ class PatternMatcher {
   };
 
   void CompilePattern();
+  // Points exclude_pattern_ at a pattern triple equal to the exclusion,
+  // or at none.
+  void FindExcludedPattern();
+  // Invalidates every kept root range and stamps the target's epoch.
+  void DropRootRanges();
+  // True when the excluded pattern triple is fully bound to the
+  // excluded triple, so the current branch has no solution.
+  bool ExcludedPatternHit() const;
+  // Records the current versions of pattern triple `idx`'s slots in its
+  // selectivity entry (after its range was set).
+  void StampVersions(size_t idx);
+  // The candidate range of pattern triple `idx` under the current
+  // bindings; served from roots_ when they are kept and none of the
+  // triple's slots is bound.
+  MatchRange ResolveRange(size_t idx);
   // Resets all per-Enumerate search state (bindings, trail, caches,
   // stats) and rebuilds pending_; returns false if a fully ground
   // pattern triple is absent from the target (no solutions).
@@ -222,6 +258,15 @@ class PatternMatcher {
   std::vector<uint32_t> trail_;       // bound slot ids, in bind order
   std::vector<Selectivity> sel_;      // per pattern triple
   FlatTermSet used_blank_values_;     // injectivity (iso search) only
+  // Index of a pattern triple equal to options_.exclude_triple, or -1.
+  int32_t exclude_pattern_ = -1;
+  // Root ranges per pattern triple, sized by the first
+  // set_exclude_triple (empty otherwise) and valid for the target at
+  // root_epoch_.
+  std::vector<RootRange> roots_;
+  uint64_t root_epoch_ = 0;
+  // PickNext's depth-0 pick under the kept root ranges, or kNoPick.
+  size_t root_pick_ = kNoPick;
   // Per-depth row-id buffers for the repeated-position fast path (sized
   // once in CompilePattern so recursion never reallocates the vector of
   // vectors; each depth owns its buffer across its candidate loop).

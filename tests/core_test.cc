@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
@@ -656,6 +657,104 @@ TEST(CoreInPlace, SnapshotNfBuildPatchesTheClosureInsteadOfRebuilding) {
   const SpineSharing sharing = nf.SharedLeaves(cl);
   EXPECT_GT(2 * sharing.shared, sharing.total)
       << sharing.shared << " of " << sharing.total << " leaves shared";
+}
+
+// ---------------------------------------------------------------------------
+// A core referee that shares no code with PatternMatcher: on graphs with
+// at most six blanks it tries every map of the blanks into the graph's
+// terms, keeps the endomorphisms (image ⊆ g), and records the smallest
+// image and whether some endomorphism sends g exactly onto a candidate.
+
+struct BruteForceEndomorphisms {
+  size_t smallest_image = 0;
+  bool onto_candidate = false;
+};
+
+BruteForceEndomorphisms BruteForce(const Graph& g,
+                                   const std::vector<Triple>& candidate) {
+  const std::vector<Triple> triples = g.triples();  // sorted
+  const std::vector<Term> blanks = g.BlankNodes();  // sorted
+  const std::vector<Term> terms = g.Universe();
+  const auto value_of = [&](Term x, const std::vector<size_t>& choice) {
+    if (!x.IsBlank()) return x;
+    const size_t b = static_cast<size_t>(
+        std::lower_bound(blanks.begin(), blanks.end(), x) - blanks.begin());
+    return terms[choice[b]];
+  };
+  BruteForceEndomorphisms out;
+  out.smallest_image = triples.size();
+  std::vector<size_t> choice(blanks.size(), 0);
+  std::vector<Triple> image;
+  for (;;) {
+    image.clear();
+    bool inside = true;
+    for (const Triple& t : triples) {
+      const Triple u(value_of(t.s, choice), value_of(t.p, choice),
+                     value_of(t.o, choice));
+      if (!std::binary_search(triples.begin(), triples.end(), u)) {
+        inside = false;
+        break;
+      }
+      image.push_back(u);
+    }
+    if (inside) {
+      std::sort(image.begin(), image.end());
+      image.erase(std::unique(image.begin(), image.end()), image.end());
+      out.smallest_image = std::min(out.smallest_image, image.size());
+      out.onto_candidate = out.onto_candidate || image == candidate;
+    }
+    size_t b = 0;  // next choice vector, odometer order
+    while (b < choice.size() && ++choice[b] == terms.size()) choice[b++] = 0;
+    if (b == choice.size()) break;
+  }
+  return out;
+}
+
+TEST(CoreReferee, CoreIsTheSmallestEndomorphicImageOfTheGraph) {
+  RandomGraphSpec spec;
+  spec.num_nodes = 7;
+  spec.num_triples = 10;
+  spec.num_predicates = 2;
+  spec.blank_ratio = 0.6;
+  size_t checked = 0;
+  size_t folded = 0;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    Dictionary dict;
+    Rng rng(seed * 31 + 7);
+    const Graph g = RandomSimpleGraph(spec, &dict, &rng);
+    if (g.BlankNodes().size() > 6) continue;
+    const Graph core = Core(g);
+    const std::vector<Triple> core_triples = core.triples();
+    EXPECT_TRUE(core.IsSubgraphOf(g)) << "seed " << seed;
+    const BruteForceEndomorphisms referee = BruteForce(g, core_triples);
+    EXPECT_TRUE(referee.onto_candidate) << "seed " << seed;
+    EXPECT_EQ(core.size(), referee.smallest_image) << "seed " << seed;
+    ++checked;
+    folded += core.size() < g.size() ? 1 : 0;
+  }
+  EXPECT_GE(checked, 30u);
+  EXPECT_GT(folded, 0u);            // some graphs fold,
+  EXPECT_LT(folded, checked);       // and some are lean
+}
+
+TEST(CoreReferee, StarComponentStepsAreLinearInItsSize) {
+  // One blank author on k papers: a lean k-triple component. Each probe
+  // ends its identity branch as soon as the excluded triple is bound to
+  // itself, so the refutation costs a constant number of steps per
+  // triple instead of a walk through the star.
+  for (uint32_t k : {16u, 64u, 256u}) {
+    Dictionary dict;
+    const Graph g = BlankAuthorStar(k, &dict);
+    ASSERT_EQ(BlankComponents(g).size(), 1u);
+    ASSERT_EQ(BlankComponents(g)[0].size(), k);
+    CoreStats stats;
+    Result<Graph> core = CoreChecked(g, MatchOptions(), nullptr, &stats);
+    ASSERT_TRUE(core.ok());
+    EXPECT_EQ(*core, g) << k;
+    EXPECT_EQ(stats.folds, 0u) << k;
+    EXPECT_EQ(stats.components_searched, 1u) << k;
+    EXPECT_EQ(stats.steps_used, 2 * uint64_t{k}) << k;
+  }
 }
 
 }  // namespace

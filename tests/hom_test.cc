@@ -6,6 +6,7 @@
 #include <iterator>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gen/generators.h"
@@ -686,6 +687,184 @@ TEST(MatcherRows, RowVisitorAndTermMapWrapperAgreeAndCountersArePinned) {
     }
   }
   EXPECT_EQ(run, std::size(kPinnedStats));
+}
+
+// ---------------------------------------------------------------------------
+// Exclusion probes. A matcher probing pattern → target \ {t} ends a
+// branch once the pattern triple equal to t is bound to t, and keeps the
+// ranges it resolved with nothing bound from one probe to the next.
+// Neither may change a row or its order.
+
+using Rows = std::vector<std::vector<Term>>;
+
+Rows EnumerateAll(PatternMatcher* matcher) {
+  Rows rows;
+  EXPECT_TRUE(matcher
+                  ->EnumerateRows([&](const Term* row) {
+                    rows.emplace_back(row, row + matcher->num_slots());
+                    return true;
+                  })
+                  .ok());
+  return rows;
+}
+
+// The image of pattern triple t under a row of `matcher`.
+Triple ImageOf(const Triple& t, const PatternMatcher& matcher,
+               const std::vector<Term>& row) {
+  const auto image = [&](Term x) {
+    const int32_t slot = matcher.SlotOf(x);
+    return slot < 0 ? x : row[static_cast<size_t>(slot)];
+  };
+  return Triple(image(t.s), image(t.p), image(t.o));
+}
+
+// A few triples of a random blank-heavy target (so exclusions hit
+// pattern triples literally), with some IRIs consistently turned into
+// variables and, now and then, a repeated-slot triple.
+std::vector<Triple> RandomProbePattern(const Graph& target, Rng* rng,
+                                       Dictionary* dict) {
+  const std::vector<Triple> triples = target.triples();
+  std::vector<std::pair<Term, Term>> to_var;
+  const auto var_for = [&](Term iri) {
+    for (const auto& [from, var] : to_var) {
+      if (from == iri) return var;
+    }
+    to_var.emplace_back(iri, dict->Var("v" + std::to_string(to_var.size())));
+    return to_var.back().second;
+  };
+  std::vector<Triple> pattern;
+  const size_t size = 2 + rng->Below(4);
+  for (size_t i = 0; i < size; ++i) {
+    Triple t = triples[rng->Below(triples.size())];
+    if (t.s.IsIri() && rng->Chance(0.3)) t.s = var_for(t.s);
+    if (t.o.IsIri() && rng->Chance(0.3)) t.o = var_for(t.o);
+    if (rng->Chance(0.1)) t.p = var_for(t.p);
+    pattern.push_back(t);
+  }
+  if (rng->Chance(0.3)) {
+    const Term r = dict->Var("r");
+    pattern.push_back(Triple(r, triples[0].p, r));
+  }
+  return pattern;
+}
+
+TEST(ExclusionProbes, RowsAreTheUnprunedRowsWhoseImageAvoidsTheTriple) {
+  RandomGraphSpec spec;
+  spec.num_nodes = 7;
+  spec.num_triples = 16;
+  spec.num_predicates = 2;
+  spec.blank_ratio = 0.5;
+  size_t pruned_rows = 0;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE(seed);
+    Dictionary dict;
+    Rng rng(seed);
+    const Graph target = RandomSimpleGraph(spec, &dict, &rng);
+    const std::vector<Triple> pattern =
+        RandomProbePattern(target, &rng, &dict);
+    PatternMatcher unpruned(pattern, &target);
+    const Rows all = EnumerateAll(&unpruned);
+
+    // Every target triple (pattern triples among them) and one triple
+    // the target lacks.
+    std::vector<Triple> exclusions = target.triples();
+    exclusions.push_back(
+        Triple(dict.Iri("absent"), dict.Iri("p0"), dict.Iri("absent")));
+    PatternMatcher loop(pattern, &target);
+    uint64_t loop_recomputes = 0;
+    uint64_t fresh_recomputes = 0;
+    for (size_t i = 0; i < exclusions.size(); ++i) {
+      const Triple& t = exclusions[i];
+      Rows expected;
+      for (const std::vector<Term>& row : all) {
+        bool hits = false;
+        for (const Triple& pt : pattern) {
+          hits = hits || ImageOf(pt, unpruned, row) == t;
+        }
+        if (!hits) expected.push_back(row);
+      }
+      pruned_rows += all.size() - expected.size();
+
+      MatchOptions options;
+      options.exclude_triple = t;
+      PatternMatcher fresh(pattern, &target, options);
+      EXPECT_EQ(EnumerateAll(&fresh), expected) << "exclusion " << i;
+      loop.set_exclude_triple(t);
+      EXPECT_EQ(EnumerateAll(&loop), expected) << "exclusion " << i;
+
+      // Kept ranges equal resolved ones, so only the resolution count
+      // may differ from a fresh matcher.
+      const MatchStats& a = loop.stats();
+      const MatchStats& b = fresh.stats();
+      EXPECT_EQ(a.steps_used, b.steps_used) << "exclusion " << i;
+      EXPECT_EQ(a.nodes_expanded, b.nodes_expanded) << "exclusion " << i;
+      EXPECT_EQ(a.candidates_scanned, b.candidates_scanned)
+          << "exclusion " << i;
+      EXPECT_EQ(a.binds_attempted, b.binds_attempted) << "exclusion " << i;
+      EXPECT_EQ(a.solutions_found, b.solutions_found) << "exclusion " << i;
+      EXPECT_EQ(a.index_hits, b.index_hits) << "exclusion " << i;
+      EXPECT_LE(a.selectivity_recomputes, b.selectivity_recomputes)
+          << "exclusion " << i;
+      if (i > 0) {
+        loop_recomputes += a.selectivity_recomputes;
+        fresh_recomputes += b.selectivity_recomputes;
+      }
+    }
+    if (fresh_recomputes > 0) EXPECT_LT(loop_recomputes, fresh_recomputes);
+  }
+  EXPECT_GT(pruned_rows, 0u);  // the exclusions really remove rows
+}
+
+TEST(ExclusionProbes, SetTargetDropsTheKeptRanges) {
+  // Two targets at the same epoch: only set_target tells the matcher
+  // that its kept ranges belong to the other graph.
+  Dictionary dict;
+  const Term p = dict.Iri("p");
+  const Term q = dict.Iri("q");
+  const Term c = dict.Iri("c");
+  const Term a = dict.Iri("a");
+  const Term b = dict.Iri("b");
+  Graph first;
+  first.Insert(a, p, c);
+  first.Insert(b, q, c);
+  Graph second;
+  second.Insert(b, p, c);
+  second.Insert(a, q, c);
+  ASSERT_EQ(first.epoch(), second.epoch());
+  const std::vector<Triple> pattern = {Triple(dict.Blank("x"), p, c)};
+
+  PatternMatcher matcher(pattern, &first);
+  matcher.set_exclude_triple(Triple(a, q, c));
+  EXPECT_EQ(EnumerateAll(&matcher), Rows({{a}}));
+  matcher.set_target(&second);
+  matcher.set_exclude_triple(Triple(b, q, c));
+  EXPECT_EQ(EnumerateAll(&matcher), Rows({{b}}));
+}
+
+TEST(ExclusionProbes, MutatingTheTargetDropsTheKeptRanges) {
+  Dictionary dict;
+  const Term p = dict.Iri("p");
+  const Term c = dict.Iri("c");
+  const Term z = dict.Iri("z");
+  const Term a = dict.Iri("a");
+  const Term b = dict.Iri("b");
+  const Term d = dict.Iri("d");
+  const Term e = dict.Iri("e");
+  Graph target;
+  for (Term s : {a, b, d}) target.Insert(s, p, c);
+  target.Insert(e, p, z);
+  const std::vector<Triple> pattern = {Triple(dict.Blank("x"), p, c)};
+  PatternMatcher matcher(pattern, &target);
+  matcher.set_exclude_triple(Triple(e, p, z));
+  EXPECT_EQ(EnumerateAll(&matcher), Rows({{a}, {b}, {d}}));
+
+  target.Erase(Triple(b, p, c));
+  EXPECT_EQ(EnumerateAll(&matcher), Rows({{a}, {d}}));
+  matcher.set_exclude_triple(Triple(a, p, c));
+  EXPECT_EQ(EnumerateAll(&matcher), Rows({{d}}));
+
+  target.Insert(Triple(e, p, c));
+  EXPECT_EQ(EnumerateAll(&matcher), Rows({{d}, {e}}));
 }
 
 }  // namespace
