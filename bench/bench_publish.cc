@@ -11,9 +11,9 @@
 //                               copies.
 //   * PublishFullCopyBaseline/N — the pre-COW cost: byte-copy every
 //                               row and every index column.
-//   * InsertAndPublish/N      — end-to-end Database::Insert with
-//                               snapshots on: one triple, closure
-//                               maintenance, republication. Exports the
+//   * InsertAndPublish/N      — end-to-end Database::Insert: one
+//                               triple, closure maintenance,
+//                               republication. Exports the
 //                               leaves-shared / leaves-copied counters,
 //                               the direct measure of
 //                               delta-proportionality. Every timed insert
@@ -139,7 +139,6 @@ void InsertAndPublish(benchmark::State& state) {
   if (it == dbs->end()) {
     it = dbs->emplace(n, Cached{std::make_unique<Database>(dict)}).first;
     it->second.db->InsertGraph(Graph(MakeTriples(n)));
-    (void)it->second.db->Snapshot();  // turn publication on
   }
   Database& db = *it->second.db;
   uint32_t& next = it->second.next;

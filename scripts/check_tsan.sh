@@ -4,8 +4,9 @@
 # intra-query parallelism: the only concurrency is N reader threads over
 # immutable DatabaseSnapshots plus one writer. What still races is
 #   * snapshots against the writer (concurrency, database, incremental
-#     and union-query suites: readers pin snapshots and race the
-#     call_once nf build while the writer mutates and republishes);
+#     and union-query suites: readers pin snapshots, some cold, race the
+#     call_once nf build and answer premise queries while the writer
+#     mutates and republishes);
 #   * the sharded dictionary (concurrency suite: concurrent interning,
 #     lock-free Name() readers, fresh-blank allocation);
 #   * the shared Skolem cache (concurrency and batch suites: readers

@@ -657,8 +657,6 @@ ClosureMembership::ClosureMembership(const Graph& g)
   for (Term v : vocab::kAll) props_.insert(v);  // rule (9)
 }
 
-void ClosureMembership::Refresh() { *this = ClosureMembership(*g_); }
-
 namespace {
 
 using Adjacency = std::unordered_map<Term, std::vector<Term>>;
@@ -699,7 +697,7 @@ bool Reaches(const Adjacency& fwd, Term a, Term b) {
 bool ClosureMembership::Contains(const Triple& t) const {
   SWDB_CHECK(InSync(),
              "ClosureMembership used after the underlying graph mutated "
-             "(epoch mismatch); call Refresh() first");
+             "(epoch mismatch); build a new index");
   if (!direct_) return materialized_->Contains(t);
   return DirectContains(t);
 }

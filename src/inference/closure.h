@@ -137,12 +137,12 @@ Graph SemanticClosure(const Graph& g, Dictionary* dict);
 class ClosureMembership {
  public:
   /// Captures g.epoch(); the graph must outlive the index. Any use after
-  /// the graph mutates is a detected error (see InSync/Refresh) — the
-  /// index never silently serves stale answers.
+  /// the graph mutates is a detected error (see InSync) — the index never
+  /// silently serves stale answers; build a new one instead.
   explicit ClosureMembership(const Graph& g);
 
   /// True iff t ∈ RDFS-cl(g). Aborts (SWDB_CHECK) if the underlying
-  /// graph has mutated since construction/Refresh.
+  /// graph has mutated since construction.
   bool Contains(const Triple& t) const;
 
   /// True if the linear-time direct procedure is in use (no materialized
@@ -154,9 +154,6 @@ class ClosureMembership {
   bool InSync() const { return g_->epoch() == built_epoch_; }
   /// The graph epoch the index was built at.
   uint64_t built_epoch() const { return built_epoch_; }
-  /// Rebuilds the sp/sc adjacency (or materialized fallback) from the
-  /// graph's current state and re-captures its epoch.
-  void Refresh();
 
  private:
   bool DirectContains(const Triple& t) const;

@@ -171,22 +171,25 @@ Result<std::vector<TermMap>> QueryEvaluator::Matchings(const Query& q,
 }
 
 Result<Graph> QueryEvaluator::AnswerUnion(const Query& q, const Graph& db) {
-  Result<std::vector<Graph>> pre = PreAnswer(q, db);
-  if (!pre.ok()) return pre.status();
-  Graph out;
-  for (const Graph& answer : *pre) {
-    out.InsertAll(answer);
-  }
-  return out;
+  return UnionOfAnswers(PreAnswer(q, db));
 }
 
 Result<Graph> QueryEvaluator::AnswerMerge(const Query& q, const Graph& db) {
-  Result<std::vector<Graph>> pre = PreAnswer(q, db);
+  return MergeOfAnswers(PreAnswer(q, db), dict_);
+}
+
+Result<Graph> UnionOfAnswers(const Result<std::vector<Graph>>& pre) {
   if (!pre.ok()) return pre.status();
   Graph out;
-  for (const Graph& answer : *pre) {
-    out.InsertAll(FreshBlankCopy(answer, dict_));
-  }
+  for (const Graph& answer : *pre) out.InsertAll(answer);
+  return out;
+}
+
+Result<Graph> MergeOfAnswers(const Result<std::vector<Graph>>& pre,
+                             Dictionary* dict) {
+  if (!pre.ok()) return pre.status();
+  Graph out;
+  for (const Graph& answer : *pre) out.InsertAll(FreshBlankCopy(answer, dict));
   return out;
 }
 

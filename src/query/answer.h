@@ -119,6 +119,16 @@ class QueryEvaluator {
   std::unordered_map<SkolemKey, Term, SkolemKeyHash> skolem_cache_;
 };
 
+/// ans∪ of a pre-answer list: the union of its single answers (blank
+/// nodes shared between single answers are preserved). An error passes
+/// through.
+Result<Graph> UnionOfAnswers(const Result<std::vector<Graph>>& pre);
+
+/// ans+ of a pre-answer list: the merge of its single answers, each
+/// renamed apart with fresh blanks from `dict`. An error passes through.
+Result<Graph> MergeOfAnswers(const Result<std::vector<Graph>>& pre,
+                             Dictionary* dict);
+
 }  // namespace swdb
 
 #endif  // SWDB_QUERY_ANSWER_H_

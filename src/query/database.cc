@@ -4,53 +4,29 @@
 #include "normal/core.h"
 #include "parser/text.h"
 #include "query/union_query.h"
-#include "rdf/map.h"
 #include "util/check.h"
 #include "util/lock_rank.h"
 
 namespace swdb {
 
 Database::Database(Dictionary* dict, EvalOptions options)
-    : dict_(dict), evaluator_(dict, options), options_(options) {}
+    : dict_(dict),
+      evaluator_(dict, options),
+      options_(options),
+      closure_(data_) {
+  ++stats_.closure_full_builds;
+  // No other thread can see the database yet.
+  PublishSnapshotLocked();
+}
 
 bool Database::Insert(const Triple& t) {
-  std::lock_guard<std::mutex> lock(write_mu_);
-  LockRankScope rank(kLockRankWrite);
-  // Copy first: t may alias data_'s own storage (e.g. a reference
-  // obtained from graph()), which the mutation below shifts.
-  Triple copy = t;
-  if (!data_.Insert(copy)) return false;
-  ++stats_.inserts;
-  MaintainInsert(Graph({copy}));
-  if (snapshots_on_) PublishSnapshotLocked();
-  return true;
+  return Commit(MutationBatch().Insert(t)).inserted != 0;
 }
 
 void Database::InsertGraph(const Graph& g) {
-  std::lock_guard<std::mutex> lock(write_mu_);
-  LockRankScope rank(kLockRankWrite);
-  // Collect the actually-new part first: maintenance propagates from the
-  // real delta, and an all-duplicates insert must not invalidate
-  // anything.
-  std::vector<Triple> fresh;
-  for (const Triple& t : g) {
-    if (!data_.Contains(t)) fresh.push_back(t);
-  }
-  if (fresh.empty()) return;
-  stats_.inserts += fresh.size();
-  Graph delta(std::move(fresh));
-  data_.InsertAll(delta);
-  if (closure_.has_value() &&
-      delta.size() > closure_->closure().size() / 2) {
-    // Bulk load: replaying a delta comparable to the closure itself is
-    // slower than one batched refixpoint on next use.
-    closure_.reset();
-    nf_slot_.reset();
-    ++stats_.closure_bulk_resets;
-  } else {
-    MaintainInsert(delta);
-  }
-  if (snapshots_on_) PublishSnapshotLocked();
+  MutationBatch batch;
+  batch.inserts_ = g.triples();
+  Commit(std::move(batch));
 }
 
 Status Database::InsertText(std::string_view text) {
@@ -61,81 +37,75 @@ Status Database::InsertText(std::string_view text) {
 }
 
 bool Database::Erase(const Triple& t) {
-  std::lock_guard<std::mutex> lock(write_mu_);
-  LockRankScope rank(kLockRankWrite);
-  // Copy first: erasing a triple referenced out of graph() is the
-  // natural call pattern, and data_.Erase shifts the storage t may
-  // alias — the maintenance pass below must see the original value.
-  Triple copy = t;
-  if (!data_.Erase(copy)) return false;
-  ++stats_.erases;
-  MaintainErase(Graph({copy}));
-  if (snapshots_on_) PublishSnapshotLocked();
-  return true;
+  return Commit(MutationBatch().Erase(t)).erased != 0;
 }
 
 Database::ApplyResult Database::Apply(const MutationBatch& batch) {
+  ++stats_.batches;
+  return Commit(batch);
+}
+
+Database::ApplyResult Database::Commit(MutationBatch batch) {
   std::lock_guard<std::mutex> lock(write_mu_);
   LockRankScope rank(kLockRankWrite);
-  ++stats_.batches;
+  const uint64_t epoch = data_.epoch();
+  // The bulk rule compares against the closure the batch started from.
+  const size_t closure_size = closure_.closure().size();
   ApplyResult result;
+
   std::vector<Triple> erased;
   for (const Triple& t : batch.erases_) {
     if (data_.Erase(t)) erased.push_back(t);
   }
   result.erased = erased.size();
-  stats_.erases += erased.size();
-  if (!erased.empty()) MaintainErase(Graph(std::move(erased)));
-
-  std::vector<Triple> inserted;
-  for (const Triple& t : batch.inserts_) {
-    if (data_.Insert(t)) inserted.push_back(t);
+  if (!erased.empty()) {
+    stats_.erases += erased.size();
+    ClosureDeltaStats ds;
+    closure_.EraseDelta(data_, Graph(std::move(erased)), &ds);
+    closure_epoch_ = data_.epoch();
+    ++stats_.closure_erase_updates;
+    stats_.closure_overdeleted += ds.overdeleted;
+    stats_.closure_rederived += ds.rederived;
   }
-  result.inserted = inserted.size();
-  stats_.inserts += inserted.size();
-  if (!inserted.empty()) MaintainInsert(Graph(std::move(inserted)));
-  if (snapshots_on_) PublishSnapshotLocked();
+
+  // Only the actually-new part: maintenance propagates from the real
+  // delta.
+  std::erase_if(batch.inserts_,
+                [this](const Triple& t) { return data_.Contains(t); });
+  const Graph delta(std::move(batch.inserts_));
+  result.inserted = delta.size();
+  stats_.inserts += delta.size();
+  if (delta.size() > closure_size / 2) {
+    // Bulk load: one batched refixpoint beats replaying a delta
+    // comparable to the closure itself. Warm data_ first, so the
+    // closure's copy of it shares the built permutations. The rebuilt
+    // closure restarts its version counter, so its nf slot is new.
+    data_.InsertAll(delta);
+    data_.WarmIndexes();
+    closure_ = IncrementalClosure(data_);
+    closure_epoch_ = data_.epoch();
+    nf_slot_.reset();
+    ++stats_.closure_full_builds;
+  } else if (!delta.empty()) {
+    // Per triple, not InsertAll: its merge threshold would drop and
+    // rebuild data_'s indexes for a commit-sized delta on a small graph.
+    for (const Triple& t : delta) data_.Insert(t);
+    ClosureDeltaStats ds;
+    closure_.InsertDelta(delta, &ds);
+    closure_epoch_ = data_.epoch();
+    ++stats_.closure_delta_updates;
+    stats_.closure_delta_derived += ds.derived;
+  }
+  if (data_.epoch() != epoch) PublishSnapshotLocked();
   return result;
-}
-
-void Database::MaintainInsert(const Graph& delta) {
-  if (!closure_.has_value()) return;  // not materialized yet: stay lazy
-  ClosureDeltaStats ds;
-  closure_->InsertDelta(delta, &ds);
-  closure_epoch_ = data_.epoch();
-  ++stats_.closure_delta_updates;
-  stats_.closure_delta_derived += ds.derived;
-}
-
-void Database::MaintainErase(const Graph& deleted) {
-  if (!closure_.has_value()) return;
-  ClosureDeltaStats ds;
-  closure_->EraseDelta(data_, deleted, &ds);
-  closure_epoch_ = data_.epoch();
-  ++stats_.closure_erase_updates;
-  stats_.closure_overdeleted += ds.overdeleted;
-  stats_.closure_rederived += ds.rederived;
 }
 
 DatabaseStats Database::CollectStats() const {
   DatabaseStats out = stats_;
   out.data_graph = data_.Stats();
-  if (closure_.has_value()) out.closure_graph = closure_->closure().Stats();
+  out.closure_graph = closure_.closure().Stats();
   out.dictionary = dict_->Stats();
   return out;
-}
-
-const Graph& Database::Closure() {
-  if (!closure_.has_value()) {
-    closure_.emplace(data_);
-    closure_epoch_ = data_.epoch();
-    ++stats_.closure_full_builds;
-  } else {
-    SWDB_CHECK(closure_epoch_ == data_.epoch(),
-               "maintained closure out of sync with the data graph");
-    ++stats_.closure_cache_hits;
-  }
-  return closure_->closure();
 }
 
 const Graph& Database::Normalized() {
@@ -145,20 +115,11 @@ const Graph& Database::Normalized() {
 }
 
 Result<bool> Database::Entails(const Graph& q) {
-  return TryHasHomomorphism(q, Closure(), options_.match);
+  return Snapshot()->Entails(q);
 }
 
 bool Database::EntailsTriple(const Triple& t) {
-  if (!membership_.has_value() || !membership_->InSync()) {
-    if (membership_.has_value()) {
-      membership_->Refresh();
-    } else {
-      membership_.emplace(data_);
-    }
-    ++stats_.membership_builds;
-  }
-  ++stats_.membership_queries;
-  return membership_->Contains(t);
+  return Snapshot()->EntailsTriple(t);
 }
 
 Result<std::vector<Graph>> Database::PreAnswer(const Query& q) {
@@ -176,34 +137,16 @@ Result<std::vector<Graph>> Database::PreAnswer(const UnionQuery& q) {
   return CombineBranches(PreAnswerBatch(q.branches));
 }
 
-namespace {
-
-// ans∪: the union of a pre-answer list.
-Result<Graph> UnionOf(Result<std::vector<Graph>> pre) {
-  if (!pre.ok()) return pre.status();
-  Graph out;
-  for (const Graph& answer : *pre) out.InsertAll(answer);
-  return out;
-}
-
-}  // namespace
-
 Result<Graph> Database::AnswerUnion(const Query& q) {
-  return UnionOf(PreAnswer(q));
+  return UnionOfAnswers(PreAnswer(q));
 }
 
 Result<Graph> Database::AnswerUnion(const UnionQuery& q) {
-  return UnionOf(PreAnswer(q));
+  return UnionOfAnswers(PreAnswer(q));
 }
 
 Result<Graph> Database::AnswerMerge(const Query& q) {
-  Result<std::vector<Graph>> pre = PreAnswer(q);
-  if (!pre.ok()) return pre.status();
-  Graph out;
-  for (const Graph& answer : *pre) {
-    out.InsertAll(FreshBlankCopy(answer, dict_));
-  }
-  return out;
+  return MergeOfAnswers(PreAnswer(q), dict_);
 }
 
 Result<Graph> Database::ExecuteQuery(std::string_view query_text) {
@@ -213,50 +156,32 @@ Result<Graph> Database::ExecuteQuery(std::string_view query_text) {
 }
 
 std::shared_ptr<const DatabaseSnapshot> Database::Snapshot() {
-  {
-    std::lock_guard<std::mutex> lock(snapshot_mu_);
-    LockRankScope rank(kLockRankSnapshot);
-    if (snapshot_ != nullptr) return snapshot_;
-  }
-  // First call: build and publish under the writer lock. Note this may
-  // run the closure fixpoint; if readers start cold, either the writer
-  // should take the first snapshot, or this call must not race with
-  // writer-thread cache methods (Closure/Normalized/...), which do not
-  // take the lock.
-  std::lock_guard<std::mutex> lock(write_mu_);
-  LockRankScope rank(kLockRankWrite);
-  {
-    std::lock_guard<std::mutex> snap_lock(snapshot_mu_);
-    LockRankScope snap_rank(kLockRankSnapshot);
-    if (snapshot_ != nullptr) return snapshot_;
-    snapshots_on_ = true;
-  }
-  PublishSnapshotLocked();
-  std::lock_guard<std::mutex> snap_lock(snapshot_mu_);
-  LockRankScope snap_rank(kLockRankSnapshot);
+  std::lock_guard<std::mutex> lock(snapshot_mu_);
+  LockRankScope rank(kLockRankSnapshot);
   return snapshot_;
 }
 
 void Database::PublishSnapshotLocked() {
-  // All the expensive work — graph copies, the maintained closure, the
-  // index warm-up — happens before snapshot_mu_ is touched; readers
-  // only ever wait for the pointer swap below.
+  SWDB_CHECK(closure_epoch_ == data_.epoch(),
+             "maintained closure out of sync with the data graph");
+  // All the expensive work — graph copies, the index warm-up — happens
+  // before snapshot_mu_ is touched; readers only ever wait for the
+  // pointer swap below.
   // Warm the *writer's* graphs first, then copy: a Graph copy shares
   // spine leaf pointers, so the copy inherits already-built indexes and
   // its own WarmIndexes below is a no-op. Warming the copy instead
   // would rebuild the permutations per publication — O(n), not O(k) —
   // and no leaf would ever be shared with the previous snapshot.
   data_.WarmIndexes();
-  const Graph& closure_ref = Closure();
-  closure_ref.WarmIndexes();
+  closure_.closure().WarmIndexes();
   auto data = std::make_shared<Graph>(data_);
-  auto cl = std::make_shared<Graph>(closure_ref);
+  auto cl = std::make_shared<Graph>(closure_.closure());
   // Readers share these const graphs; every access is const-clean.
   data->WarmIndexes();
   cl->WarmIndexes();
   // nf depends on the closure alone: a publication that left the closure
   // unchanged shares the previous snapshot's (possibly built) nf.
-  const uint64_t version = closure_->version();
+  const uint64_t version = closure_.version();
   if (nf_slot_ == nullptr || nf_slot_version_ != version) {
     nf_slot_ = std::make_shared<DatabaseSnapshot::NfSlot>();
     nf_slot_version_ = version;
@@ -296,21 +221,12 @@ const Graph& DatabaseSnapshot::normalized() const {
   return *nf_->graph;
 }
 
-bool DatabaseSnapshot::EntailsTriple(const Triple& t) const {
-  std::call_once(membership_once_, [this] { membership_.emplace(*data_); });
-  return membership_->Contains(t);
-}
-
 Result<bool> DatabaseSnapshot::Entails(const Graph& q) const {
   return TryHasHomomorphism(q, *closure_, options_.match);
 }
 
 Result<std::vector<Graph>> DatabaseSnapshot::PreAnswer(const Query& q) const {
-  if (!q.premise.empty()) {
-    // Premise-bearing: merges into the dictionary — see the class
-    // comment for the synchronization requirement.
-    return evaluator_->PreAnswer(q, *data_);
-  }
+  if (!q.premise.empty()) return evaluator_->PreAnswer(q, *data_);
   // nf is pinned only for a valid query.
   return evaluator_->PreAnswerPinned(
       q, [this]() -> const Graph& { return normalized(); });

@@ -52,11 +52,10 @@ struct DatabaseStats {
   std::atomic<uint64_t> erases{0};   ///< triples actually removed
   std::atomic<uint64_t> batches{0};  ///< Apply() calls
 
-  std::atomic<uint64_t> closure_full_builds{0};   ///< from-scratch fixpoints
+  /// From-scratch fixpoints: one at construction plus one per bulk load.
+  std::atomic<uint64_t> closure_full_builds{0};
   std::atomic<uint64_t> closure_delta_updates{0};  ///< semi-naive inserts
   std::atomic<uint64_t> closure_erase_updates{0};  ///< DRed deletions
-  std::atomic<uint64_t> closure_bulk_resets{0};  ///< bulk cache drops
-  std::atomic<uint64_t> closure_cache_hits{0};  ///< Closure() served free
   std::atomic<uint64_t> closure_delta_derived{0};  ///< delta-derived triples
   std::atomic<uint64_t> closure_overdeleted{0};  ///< DRed suspects
   std::atomic<uint64_t> closure_rederived{0};    ///< DRed re-derivations
@@ -66,9 +65,6 @@ struct DatabaseStats {
   /// share one slot, so this rises at most once per closure version no
   /// matter how many readers (the writer included) race normalized().
   std::atomic<uint64_t> snapshot_nf_builds{0};
-
-  std::atomic<uint64_t> membership_builds{0};   ///< membership (re)builds
-  std::atomic<uint64_t> membership_queries{0};  ///< EntailsTriple calls
 
   /// Snapshot publications and their COW cost: per publish, how many
   /// spine leaves of the published data+closure graphs were shared with
@@ -80,9 +76,8 @@ struct DatabaseStats {
   std::atomic<uint64_t> publish_leaves_copied{0};
 
   /// Storage/scan counters of the data graph and the maintained closure
-  /// graph (empty when no closure is cached). Plain snapshots, filled by
-  /// Database::CollectStats — the live stats() reference leaves them
-  /// zeroed.
+  /// graph. Plain snapshots, filled by Database::CollectStats — the live
+  /// stats() reference leaves them zeroed.
   GraphStats data_graph;
   GraphStats closure_graph;
   /// Interning observability (shard load, per-kind counts); plain
@@ -114,9 +109,6 @@ struct DatabaseStats {
         o.closure_delta_updates.load(std::memory_order_relaxed);
     closure_erase_updates =
         o.closure_erase_updates.load(std::memory_order_relaxed);
-    closure_bulk_resets =
-        o.closure_bulk_resets.load(std::memory_order_relaxed);
-    closure_cache_hits = o.closure_cache_hits.load(std::memory_order_relaxed);
     closure_delta_derived =
         o.closure_delta_derived.load(std::memory_order_relaxed);
     closure_overdeleted =
@@ -124,8 +116,6 @@ struct DatabaseStats {
     closure_rederived = o.closure_rederived.load(std::memory_order_relaxed);
     snapshot_nf_builds =
         o.snapshot_nf_builds.load(std::memory_order_relaxed);
-    membership_builds = o.membership_builds.load(std::memory_order_relaxed);
-    membership_queries = o.membership_queries.load(std::memory_order_relaxed);
     snapshot_publishes =
         o.snapshot_publishes.load(std::memory_order_relaxed);
     publish_leaves_shared =
@@ -169,17 +159,16 @@ class MutationBatch {
 /// reader threads pin snapshots, and the writer's own reads go through
 /// its latest published one. A snapshot owns shared_ptr copies of the
 /// data graph and its RDFS closure (published with warmed indexes, so
-/// every read is const-clean), plus lazily built derived artifacts
-/// (normal form, closure membership) guarded by std::call_once.
+/// every read is const-clean), plus the lazily built normal form,
+/// guarded by std::call_once.
 ///
 /// Threading: all methods are safe to call from any number of threads
-/// concurrently, and the snapshot stays valid and unchanged while the
-/// owning Database keeps mutating — readers never observe a partial
-/// mutation. PreAnswer on premise-free queries is fully concurrent
-/// (Skolemization is internally synchronized); premise-bearing queries
-/// merge into the dictionary and must be serialized with the writer.
-/// The owning Database (whose evaluator the snapshot borrows) must
-/// outlive every snapshot it handed out.
+/// concurrently, premise-bearing PreAnswer included (the dictionary and
+/// the Skolem cache synchronize themselves), and the snapshot stays
+/// valid and unchanged while the owning Database keeps mutating —
+/// readers never observe a partial mutation. The owning Database (whose
+/// evaluator the snapshot borrows) must outlive every snapshot it
+/// handed out.
 class DatabaseSnapshot {
  public:
   /// The data-graph epoch this snapshot reflects.
@@ -195,8 +184,8 @@ class DatabaseSnapshot {
   /// nothing new costs no rebuild.
   const Graph& normalized() const;
 
-  /// t ∈ RDFS-cl(D), through a membership index built on first use.
-  bool EntailsTriple(const Triple& t) const;
+  /// t ∈ RDFS-cl(D): one lookup in the frozen closure.
+  bool EntailsTriple(const Triple& t) const { return closure_->Contains(t); }
   /// RDFS entailment D ⊨ q against the frozen closure, under the
   /// database's match options: kLimitExceeded when the step budget runs
   /// out.
@@ -204,14 +193,12 @@ class DatabaseSnapshot {
   /// Single answers of a query (§4.1). Invalid queries are rejected
   /// before any other work. A premise-free query is matched against
   /// this snapshot's nf (QueryEvaluator::PreAnswerPinned, which pins
-  /// normalized() only for a valid query). See the class comment for
-  /// the premise-bearing caveat.
+  /// normalized() only for a valid query); a premise-bearing one
+  /// normalizes this snapshot's D + P.
   Result<std::vector<Graph>> PreAnswer(const Query& q) const;
   /// Single answers for a whole batch of queries against this one
   /// snapshot: PreAnswer on each slot, in slot order (same answers, same
   /// Skolem mints, same step budget per slot as the sequential calls).
-  /// Premise-bearing slots serialize with the writer exactly like
-  /// PreAnswer on them would.
   std::vector<Result<std::vector<Graph>>> PreAnswerBatch(
       const std::vector<Query>& queries) const;
 
@@ -243,39 +230,35 @@ class DatabaseSnapshot {
   QueryEvaluator* evaluator_;
   EvalOptions options_;
   DatabaseStats* stats_;   // the owning Database's counters
-
-  mutable std::once_flag membership_once_;
-  mutable std::optional<ClosureMembership> membership_;
 };
 
-/// A mutable RDF database with *maintained* cached artifacts — the
+/// A mutable RDF database with a *maintained* RDFS closure — the
 /// convenience facade a downstream user works against.
 ///
-/// The derived artifacts (RDFS-cl(D); nf(D) = core(cl(D)), §4.1,
-/// Note 4.4; the closure-membership index) are computed lazily on first
-/// use, and from then on *maintained* across mutations instead of being
-/// reset: inserts extend the closure by semi-naive delta propagation
-/// (the monotone-fixpoint reading of Def. 2.7), deletions run a DRed
-/// over-delete/re-derive pass, and every artifact carries the graph
-/// epoch / closure version it reflects so staleness is structurally
-/// impossible rather than merely unlikely. Bulk loads larger than the
-/// current closure fall back to dropping the cache (a batched rebuild
-/// beats replaying a huge delta). Premise-bearing queries still
-/// normalize D + P per call.
+/// RDFS-cl(D) is built at construction (over the empty graph) and from
+/// then on maintained by every mutation: inserts extend it by
+/// semi-naive delta propagation (the monotone-fixpoint reading of
+/// Def. 2.7), deletions run a DRed over-delete/re-derive pass. A batch
+/// whose new triples outnumber half the closure rebuilds it from the
+/// data instead (a batched refixpoint beats replaying a comparable
+/// delta). nf(D) = core(cl(D)) (§4.1, Note 4.4) is built lazily per
+/// closure version by the snapshots.
 ///
-/// Reads of nf(D) — Normalized, PreAnswer, PreAnswerBatch and the
-/// answer helpers built on them — go through the latest published
-/// Snapshot(), so the writer and every reader share one read pipeline
-/// and one nf build per closure version.
+/// One write path, one read path. Insert, Erase, InsertGraph,
+/// InsertText and Apply all run one locked apply step (erases, DRed,
+/// inserts, delta pass) that ends by publishing a new snapshot whenever
+/// the data changed. Every read — Normalized, Entails, EntailsTriple,
+/// PreAnswer, PreAnswerBatch and the answer helpers built on them — goes
+/// through the latest published Snapshot(), so the writer and every
+/// reader share one read pipeline and one nf build per closure version.
 ///
-/// Threading model (single writer, many readers): every mutating and
-/// cache-maintaining method — Insert/Erase/Apply, Closure, Normalized,
-/// Entails, EntailsTriple, PreAnswer — must stay on one writer thread.
-/// Reader threads call Snapshot(), which copies the latest published
-/// DatabaseSnapshot pointer under a leaf mutex held only for the copy;
-/// mutators republish once snapshots have been requested, so a snapshot
-/// is always some committed epoch's consistent state, never a
-/// mid-mutation view.
+/// Threading model (single writer, many readers): mutators serialize on
+/// an internal lock, and Snapshot() copies the published pointer under a
+/// leaf mutex, so any thread may take snapshots and answer through them
+/// while another mutates. The accessors that hand out the writer's own
+/// state — graph, size, epoch, Closure, Normalized (its reference lives
+/// until the next mutation), CollectStats and ResetStats — must stay on
+/// the thread that mutates.
 class Database {
  public:
   struct ApplyResult {
@@ -283,7 +266,8 @@ class Database {
     size_t erased = 0;    ///< batch erases that were present
   };
 
-  /// The dictionary must outlive the database.
+  /// Builds the closure of the empty graph and publishes the first
+  /// snapshot. The dictionary must outlive the database.
   explicit Database(Dictionary* dict, EvalOptions options = {});
 
   Dictionary* dict() { return dict_; }
@@ -292,36 +276,29 @@ class Database {
   /// The data graph's mutation epoch (see Graph::epoch).
   uint64_t epoch() const { return data_.epoch(); }
 
-  /// Inserts a triple; returns true if new. Maintains the cached
-  /// closure incrementally if it exists.
+  /// Inserts a triple; returns true if new.
   bool Insert(const Triple& t);
-  /// Inserts all triples of a graph (one maintenance pass; bulk loads
-  /// may drop the cache instead — see class comment).
+  /// Inserts all triples of a graph as one apply step (a bulk load
+  /// rebuilds the closure — see class comment).
   void InsertGraph(const Graph& g);
   /// Parses and inserts N-Triples-style text.
   Status InsertText(std::string_view text);
-  /// Removes a triple; returns true if it was present. Maintains the
-  /// cached closure via DRed if it exists.
+  /// Removes a triple; returns true if it was present.
   bool Erase(const Triple& t);
   /// Applies a batch of erases then inserts as one maintenance step.
   ApplyResult Apply(const MutationBatch& batch);
 
-  /// RDFS-cl(D), computed on first use and maintained thereafter.
-  const Graph& Closure();
+  /// RDFS-cl(D), maintained. The reference stays valid across updates.
+  const Graph& Closure() const { return closure_.closure(); }
 
   /// nf(D) (or its closure under use_closure_only): the current
   /// snapshot's normalized(), built once per closure version. The
   /// reference stays valid until the next mutation.
   const Graph& Normalized();
 
-  /// RDFS entailment D ⊨ q (Thm 2.8), evaluated against the maintained
-  /// closure (no per-call refixpoint) under the database's match
-  /// options: kLimitExceeded when the step budget runs out.
+  /// RDFS entailment D ⊨ q (Thm 2.8): the current snapshot's Entails.
   Result<bool> Entails(const Graph& q);
-
-  /// t ∈ RDFS-cl(D) through the maintained membership index (paper
-  /// Thm 3.6(4) shape): O(|D|) per query, no materialization in the
-  /// common case.
+  /// t ∈ RDFS-cl(D): the current snapshot's EntailsTriple.
   bool EntailsTriple(const Triple& t);
 
   /// Single answers of a query (§4.1): the current snapshot's PreAnswer.
@@ -331,7 +308,7 @@ class Database {
   /// to evaluating the branches one by one.
   Result<std::vector<Graph>> PreAnswer(const UnionQuery& q);
   /// Single answers for a whole batch of queries: the current
-  /// snapshot's PreAnswerBatch. Writer-thread only, like PreAnswer.
+  /// snapshot's PreAnswerBatch.
   std::vector<Result<std::vector<Graph>>> PreAnswerBatch(
       const std::vector<Query>& queries);
   /// ans∪(q, D): the union of PreAnswer(q).
@@ -343,12 +320,10 @@ class Database {
   /// Parses the query text and evaluates under union semantics.
   Result<Graph> ExecuteQuery(std::string_view query_text);
 
-  /// The latest published immutable snapshot (building and publishing
-  /// one on first call). After the first call readers pay one leaf-
-  /// mutex-guarded shared_ptr copy — they never wait behind closure
-  /// maintenance. Each mutator publishes a fresh snapshot before it
-  /// returns, so a snapshot taken after a mutation completes reflects
-  /// at least that mutation.
+  /// The latest published immutable snapshot: one shared_ptr copy under
+  /// a leaf mutex, so readers never wait behind closure maintenance.
+  /// Each mutation publishes before it returns, so a snapshot taken
+  /// after a mutation completes reflects at least that mutation.
   std::shared_ptr<const DatabaseSnapshot> Snapshot();
 
   /// The database's evaluator — the Skolem-function identity every
@@ -359,18 +334,18 @@ class Database {
 
   /// Maintenance-engine counters.
   const DatabaseStats& stats() const { return stats_; }
-  /// stats() plus per-graph storage/scan snapshots (data_graph and, when
-  /// a closure is cached, closure_graph). Writer-thread only, like every
-  /// other cache-touching accessor.
+  /// stats() plus per-graph storage/scan snapshots (data_graph and
+  /// closure_graph).
   DatabaseStats CollectStats() const;
   void ResetStats() { stats_ = DatabaseStats(); }
 
  private:
-  // Incremental maintenance steps; no-ops while no closure is cached.
-  void MaintainInsert(const Graph& delta);
-  void MaintainErase(const Graph& deleted);
+  // The one write path: takes write_mu_, erases then runs DRed, inserts
+  // then runs the delta pass (or the bulk rebuild), and republishes if
+  // the data changed.
+  ApplyResult Commit(MutationBatch batch);
   // Builds a snapshot of the current state and publishes it under
-  // snapshot_mu_. Caller holds write_mu_.
+  // snapshot_mu_. Caller holds write_mu_ (or is the constructor).
   void PublishSnapshotLocked();
 
   Dictionary* dict_;
@@ -378,31 +353,28 @@ class Database {
   QueryEvaluator evaluator_;
   EvalOptions options_;
 
-  // Maintained artifacts, each tagged with the state it reflects:
-  // the closure with the data epoch, the membership index with the data
-  // epoch (internally, via Graph::epoch).
-  std::optional<IncrementalClosure> closure_;
+  // RDFS-cl(data_) and the data epoch it reflects, checked at every
+  // publication.
+  IncrementalClosure closure_;
   uint64_t closure_epoch_ = 0;
-  std::optional<ClosureMembership> membership_;
 
   // The nf slot of the latest publication and the closure version it
   // belongs to: the next publication at the same version carries it
-  // forward. Dropped with the closure incarnation (bulk resets), whose
-  // version counter the next incarnation restarts. Guarded by write_mu_.
+  // forward. A bulk rebuild restarts the version counter, so it drops
+  // the slot. Guarded by write_mu_.
   std::shared_ptr<DatabaseSnapshot::NfSlot> nf_slot_;
   uint64_t nf_slot_version_ = 0;
 
-  // Concurrent read path: mutators hold write_mu_ end to end and, once
-  // snapshots_on_, republish before releasing it. snapshot_ is guarded
-  // by the leaf mutex snapshot_mu_, held only for the pointer copy /
-  // swap — readers never wait behind a maintenance pass. (A leaf mutex
-  // instead of std::atomic<std::shared_ptr>: libstdc++ 12's _Sp_atomic
-  // unlocks its embedded spinlock with a relaxed RMW, which leaves the
-  // _M_ptr accesses formally racy — ThreadSanitizer reports it.)
+  // Mutators hold write_mu_ end to end and republish before releasing
+  // it. snapshot_ is guarded by the leaf mutex snapshot_mu_, held only
+  // for the pointer copy / swap — readers never wait behind a
+  // maintenance pass. (A leaf mutex instead of
+  // std::atomic<std::shared_ptr>: libstdc++ 12's _Sp_atomic unlocks its
+  // embedded spinlock with a relaxed RMW, which leaves the _M_ptr
+  // accesses formally racy — ThreadSanitizer reports it.)
   // Lock order: write_mu_ before snapshot_mu_ — asserted in debug
   // builds via LockRankScope (util/lock_rank.h) at every acquisition.
   std::mutex write_mu_;
-  bool snapshots_on_ = false;  // guarded by write_mu_
   mutable std::mutex snapshot_mu_;
   std::shared_ptr<const DatabaseSnapshot> snapshot_;
 

@@ -35,11 +35,7 @@ Result<Graph> AnswerUnionQuery(QueryEvaluator* evaluator,
                                const UnionQuery& q, const Graph& db) {
   // The union over branches of their ans∪ equals the union of all
   // branch pre-answers, so this shares PreAnswerUnionQuery's nf.
-  Result<std::vector<Graph>> pre = PreAnswerUnionQuery(evaluator, q, db);
-  if (!pre.ok()) return pre.status();
-  Graph out;
-  for (const Graph& answer : *pre) out.InsertAll(answer);
-  return out;
+  return UnionOfAnswers(PreAnswerUnionQuery(evaluator, q, db));
 }
 
 Result<std::vector<Graph>> PreAnswerUnionQuery(QueryEvaluator* evaluator,

@@ -116,8 +116,8 @@ TrafficDriver::Served TrafficDriver::Serve(const DatabaseSnapshot& snap,
       // Premise requests are served through their premise-free Ωq
       // branches (Prop. 5.9): one batched evaluation on the pinned
       // snapshot, then the union combine. Direct premise evaluation
-      // would serialize with the writer, so it never runs here — the
-      // Prop. 5.9 equivalence itself is asserted single-threadedly in
+      // would build nf(D + P) per request, so it never runs here — the
+      // Prop. 5.9 equivalence itself is asserted in
       // tests/serving_test.cc.
       served.answers =
           CombineBranches(snap.PreAnswerBatch(req.union_q.branches));

@@ -250,10 +250,10 @@ ServingRequest WorkloadMix::Build(TemplateId id, Rng* rng) const {
   }
   if (req.kind == RequestKind::kPremise) {
     // Serve the premise query through its premise-free union (Prop.
-    // 5.9): the Ωq branches evaluate concurrently on any snapshot,
-    // while direct premise evaluation would have to serialize with the
-    // writer (nf(D + P) normalizes per call). Bodies here have 2
-    // triples, so the 2^|B| enumeration is 4 masks — negligible.
+    // 5.9): the Ωq branches evaluate against the snapshot's shared
+    // nf(D), while direct premise evaluation would normalize D + P per
+    // call. Bodies here have 2 triples, so the 2^|B| enumeration is 4
+    // masks — negligible.
     Result<std::vector<Query>> branches = EliminatePremise(req.query);
     if (branches.ok()) {
       req.union_q.branches = std::move(*branches);

@@ -58,8 +58,8 @@ enum class RequestKind : uint8_t {
 /// and the bound artifacts. For kPremise, `query` holds the original
 /// premise-bearing query (checked mode and tests validate Prop. 5.9
 /// against it) and `union_q` its premise-free elimination — the form
-/// the driver actually serves, since direct premise evaluation must be
-/// serialized with the writer (it normalizes D + P per call).
+/// the driver actually serves, since direct premise evaluation builds
+/// nf(D + P) per call where the branches share the snapshot's nf(D).
 struct ServingRequest {
   TemplateId template_id = TemplateId::kPaperMeta;
   RequestKind kind = RequestKind::kQuery;

@@ -457,6 +457,9 @@ TEST(DatabaseSnapshot, PublicationSharesLeavesWithPredecessor) {
   }
   db.InsertGraph(Graph(std::move(bulk)));
   std::shared_ptr<const DatabaseSnapshot> first = db.Snapshot();
+  // The load's own publication replaced the constructor's empty snapshot
+  // and so copied every leaf; count from here.
+  db.ResetStats();
 
   db.Insert(Triple(dict.Iri("u:new"), p, dict.Iri("u:o0")));
   std::shared_ptr<const DatabaseSnapshot> second = db.Snapshot();
@@ -473,7 +476,7 @@ TEST(DatabaseSnapshot, PublicationSharesLeavesWithPredecessor) {
   // And the counters saw it: the second publication shared much more
   // than it copied.
   const DatabaseStats stats = db.stats();
-  EXPECT_GE(stats.snapshot_publishes.load(), 2u);
+  EXPECT_EQ(stats.snapshot_publishes.load(), 1u);
   EXPECT_GT(stats.publish_leaves_shared.load(),
             stats.publish_leaves_copied.load());
 
@@ -666,6 +669,11 @@ TEST(DatabaseSnapshot, ConcurrentReadersStayBitIdenticalWhileWriterCommits) {
     });
   }
 
+  // Start committing only once some reader is answering, so the writer
+  // cannot finish before any reader ran.
+  while (answers_checked.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
   for (int step = 0; step < kWriterSteps; ++step) {
     MutationBatch batch;
     batch.Insert(RandomTriple(universe, &writer_rng, 0.5));
@@ -686,16 +694,180 @@ TEST(DatabaseSnapshot, ConcurrentReadersStayBitIdenticalWhileWriterCommits) {
   EXPECT_GT(answers_checked.load(), 0u);
 }
 
+TEST(DatabaseSnapshot, ColdReadersRaceTheWritersFirstCalls) {
+  // Readers take their first Snapshot() of a database whose closure the
+  // writer has never been asked for, while the writer reads Closure(),
+  // answers Entails and inserts. The constructor built the closure and
+  // published, so a first Snapshot() is a pointer copy like any other
+  // and never touches the writer's graphs.
+  Dictionary dict;
+  Database db(&dict);
+  std::vector<Term> universe = Universe(&dict);
+  Rng writer_rng(5);
+  for (int i = 0; i < 10; ++i) {
+    db.Insert(RandomTriple(universe, &writer_rng, 0.5));
+  }
+
+  constexpr int kReaders = 4;
+  constexpr int kWriterSteps = 20;
+  std::atomic<bool> go{false};
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&db, &go, &stop, &failures] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      do {
+        std::shared_ptr<const DatabaseSnapshot> snap = db.Snapshot();
+        const Graph& cl = snap->closure();
+        if (cl != RdfsClosure(snap->data())) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+        for (const Triple& t : snap->data()) {
+          if (!snap->EntailsTriple(t)) {
+            failures.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      } while (!stop.load(std::memory_order_relaxed));
+    });
+  }
+
+  go.store(true, std::memory_order_release);
+  for (int step = 0; step < kWriterSteps; ++step) {
+    EXPECT_EQ(db.Closure(), RdfsClosure(db.graph()));
+    const Triple t = RandomTriple(universe, &writer_rng, 0.5);
+    Result<bool> entailed = db.Entails(Graph({t}));
+    ASSERT_TRUE(entailed.ok());
+    EXPECT_EQ(*entailed, RdfsEntails(db.graph(), Graph({t})));
+    db.Insert(t);
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
+TEST(DatabaseSnapshot, PremiseQueriesOnPinnedSnapshotsRaceTheWriter) {
+  // Premise queries merge D + P and normalize it per call (interning and
+  // minting through the shared dictionary and Skolem cache). Four readers
+  // answer them on pinned snapshots while the writer applies
+  // serving-shaped commits (32 erases of its own earlier inserts plus
+  // NextPublications(96)); every recorded answer must equal direct
+  // evaluation on that snapshot's data, computed after the readers join.
+  Dictionary dict;
+  Sp2bSpec spec;
+  spec.target_triples = 1'000;
+  spec.seed = 3;
+  spec.blank_author_fraction = 0.1;
+  Sp2bGenerator gen(spec, &dict);
+  Database db(&dict);
+  db.InsertGraph(gen.GenerateCorpus());
+
+  // The premise_cites and premise_author shapes over corpus entities,
+  // drawn before the writer grows the generator's pools.
+  const Sp2bVocab& v = gen.vocab();
+  const Term d = dict.Var("D"), z = dict.Var("Z"), a = dict.Var("A"),
+             y = dict.Var("Y");
+  Rng pick(9);
+  auto paper = [&] { return gen.papers()[pick.Below(gen.papers().size())]; };
+  auto author = [&] {
+    return gen.authors()[pick.Below(gen.authors().size())];
+  };
+  std::vector<Query> queries;
+  for (int i = 0; i < 2; ++i) {
+    const Term x = paper();
+    Query cites;
+    cites.premise = Graph({Triple(x, v.references, paper())});
+    cites.body = Graph({Triple(x, v.references, z), Triple(z, v.creator, a)});
+    cites.head = Graph({Triple(z, v.creator, a)});
+    queries.push_back(std::move(cites));
+    const Term who = author();
+    Query wrote;
+    wrote.premise = Graph({Triple(paper(), v.creator, who)});
+    wrote.body = Graph({Triple(d, v.creator, who), Triple(d, v.issued, y)});
+    wrote.head = Graph({Triple(d, v.issued, y)});
+    queries.push_back(std::move(wrote));
+  }
+
+  struct Record {
+    std::shared_ptr<const DatabaseSnapshot> snap;
+    size_t query;
+    Result<std::vector<Graph>> answer;
+  };
+  // Each reader records its answer on the first few distinct snapshots
+  // it pins.
+  constexpr int kReaders = 4;
+  constexpr int kCommits = 8;
+  constexpr size_t kRecordsPerReader = 4;
+  std::atomic<bool> stop{false};
+  std::atomic<int> recording_readers{0};
+  std::vector<std::vector<Record>> records(kReaders);
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      std::vector<Record>& mine = records[r];
+      for (size_t i = static_cast<size_t>(r);
+           !stop.load(std::memory_order_relaxed); ++i) {
+        std::shared_ptr<const DatabaseSnapshot> snap = db.Snapshot();
+        const size_t q = i % queries.size();
+        Result<std::vector<Graph>> answer = snap->PreAnswer(queries[q]);
+        if (mine.size() < kRecordsPerReader &&
+            (mine.empty() || mine.back().snap != snap)) {
+          if (mine.empty()) recording_readers.fetch_add(1);
+          mine.push_back({std::move(snap), q, std::move(answer)});
+        }
+      }
+    });
+  }
+
+  Rng rng(7);
+  std::vector<Triple> own_inserts;
+  for (int c = 0; c < kCommits; ++c) {
+    MutationBatch batch;
+    for (int i = 0; i < 32 && !own_inserts.empty(); ++i) {
+      const size_t idx = rng.Below(own_inserts.size());
+      batch.Erase(own_inserts[idx]);
+      own_inserts[idx] = own_inserts.back();
+      own_inserts.pop_back();
+    }
+    for (const Triple& t : gen.NextPublications(96)) {
+      batch.Insert(t);
+      own_inserts.push_back(t);
+    }
+    db.Apply(batch);
+  }
+  while (recording_readers.load() < kReaders) std::this_thread::yield();
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& t : readers) t.join();
+
+  size_t checked = 0;
+  for (const std::vector<Record>& mine : records) {
+    for (const Record& rec : mine) {
+      const Result<std::vector<Graph>> direct =
+          db.evaluator()->PreAnswer(queries[rec.query], rec.snap->data());
+      ASSERT_TRUE(rec.answer.ok() && direct.ok());
+      EXPECT_EQ(*rec.answer, *direct)
+          << "query " << rec.query << " epoch " << rec.snap->epoch();
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, static_cast<size_t>(kReaders));
+}
+
 TEST(DatabaseStatsAtomics, CopyAndResetBehave) {
   Dictionary dict;
   Database db(&dict);
   db.Insert(Triple(dict.Iri("a"), vocab::kType, dict.Iri("b")));
-  (void)db.EntailsTriple(Triple(dict.Iri("a"), vocab::kType, dict.Iri("b")));
   DatabaseStats copy = db.stats();
   EXPECT_EQ(copy.inserts.load(), 1u);
-  EXPECT_EQ(copy.membership_queries.load(), 1u);
+  EXPECT_EQ(copy.closure_full_builds.load(), 1u);
+  EXPECT_EQ(copy.snapshot_publishes.load(), 2u);
   db.ResetStats();
   EXPECT_EQ(db.stats().inserts.load(), 0u);
+  EXPECT_EQ(db.stats().snapshot_publishes.load(), 0u);
+  // The copy is independent of the reset.
+  EXPECT_EQ(copy.inserts.load(), 1u);
 }
 
 }  // namespace

@@ -241,6 +241,75 @@ TEST(ReadPipeline, WriterReadsMatchAPinnedSnapshot) {
   EXPECT_EQ(dict_w.Stats().blanks, dict_s.Stats().blanks);
 }
 
+// Entailment probes over kPipelineData's vocabulary: asserted, derived
+// (sc transitivity, typing, reflexivity) and absent triples.
+std::vector<Triple> EntailmentProbes(Dictionary* dict) {
+  const Term cat = dict->Iri("cat"), mammal = dict->Iri("mammal"),
+             animal = dict->Iri("animal"), tom = dict->Iri("tom"),
+             rex = dict->Iri("rex"), owns = dict->Iri("owns");
+  return {Triple(cat, vocab::kSc, mammal),  Triple(cat, vocab::kSc, animal),
+          Triple(tom, vocab::kType, animal), Triple(rex, vocab::kType, cat),
+          Triple(tom, owns, rex),            Triple(rex, owns, tom),
+          Triple(owns, vocab::kSp, owns),    Triple(animal, vocab::kSc, cat)};
+}
+
+TEST(ReadPipeline, EntailmentReadsMatchAPinnedSnapshot) {
+  // The writer's Entails/EntailsTriple read its latest snapshot: they
+  // agree with an explicitly pinned snapshot of the same epoch, and with
+  // the from-scratch closure, before and after a mutation.
+  Dictionary dict;
+  Database db(&dict);
+  ASSERT_TRUE(db.InsertText(kPipelineData).ok());
+  const std::vector<Triple> probes = EntailmentProbes(&dict);
+  const Graph pattern = G(&dict, "_:who type _:kind .\n_:kind sc animal .");
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    std::shared_ptr<const DatabaseSnapshot> snap = db.Snapshot();
+    const Graph scratch = RdfsClosure(snap->data());
+    for (const Triple& t : probes) {
+      EXPECT_EQ(db.EntailsTriple(t), snap->EntailsTriple(t));
+      EXPECT_EQ(snap->EntailsTriple(t), scratch.Contains(t));
+      Result<bool> writer = db.Entails(Graph({t}));
+      Result<bool> reader = snap->Entails(Graph({t}));
+      ASSERT_TRUE(writer.ok() && reader.ok());
+      EXPECT_EQ(*writer, *reader);
+      EXPECT_EQ(*reader, scratch.Contains(t));
+    }
+    Result<bool> writer = db.Entails(pattern);
+    Result<bool> reader = snap->Entails(pattern);
+    ASSERT_TRUE(writer.ok() && reader.ok());
+    EXPECT_EQ(*writer, *reader);
+    EXPECT_EQ(*reader, round == 0);
+
+    MutationBatch batch;
+    batch.Erase(Triple(dict.Iri("mammal"), vocab::kSc, dict.Iri("animal")));
+    batch.Insert(Triple(dict.Iri("rex"), vocab::kType, dict.Iri("cat")));
+    db.Apply(batch);
+  }
+}
+
+TEST(ReadPipeline, LaggingSnapshotEntailsItsOwnEpoch) {
+  // A snapshot pinned before an erase keeps answering from its own
+  // epoch's closure after the writer erased the supporting triple.
+  Dictionary dict;
+  Database db(&dict);
+  ASSERT_TRUE(db.InsertText(kPipelineData).ok());
+  const Triple derived(dict.Iri("tom"), vocab::kType, dict.Iri("animal"));
+  std::shared_ptr<const DatabaseSnapshot> lagging = db.Snapshot();
+  ASSERT_TRUE(lagging->EntailsTriple(derived));
+
+  ASSERT_TRUE(db.Erase(Triple(dict.Iri("mammal"), vocab::kSc,
+                              dict.Iri("animal"))));
+  EXPECT_FALSE(db.EntailsTriple(derived));
+  EXPECT_FALSE(db.Snapshot()->EntailsTriple(derived));
+
+  EXPECT_TRUE(lagging->EntailsTriple(derived));
+  Result<bool> lagging_entails = lagging->Entails(Graph({derived}));
+  ASSERT_TRUE(lagging_entails.ok());
+  EXPECT_TRUE(*lagging_entails);
+  EXPECT_EQ(lagging->closure(), RdfsClosure(lagging->data()));
+}
+
 TEST(ReadPipeline, BatchCountsEverySlotAndDedupesNothing) {
   // The two batch counters servebench reads: an n-slot batch adds n to
   // batch_queries, and batch_deduped stays 0 even for a repeated slot.

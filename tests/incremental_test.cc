@@ -15,7 +15,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "gen/generators.h"
@@ -466,7 +468,7 @@ TEST(GraphEpoch, CountsOnlyEffectiveMutations) {
 // ClosureMembership: epoch awareness.
 // ---------------------------------------------------------------------
 
-TEST(ClosureMembershipEpoch, DetectsStalenessAndRefreshes) {
+TEST(ClosureMembershipEpoch, DetectsStalenessAndRebuilds) {
   Dictionary dict;
   Graph g = Data(&dict, "a sc b .\n");
   ClosureMembership membership(g);
@@ -476,10 +478,12 @@ TEST(ClosureMembershipEpoch, DetectsStalenessAndRefreshes) {
   EXPECT_FALSE(membership.Contains(Triple(a, vocab::kSc, c)));
   g.Insert(Triple(dict.Iri("b"), vocab::kSc, c));
   EXPECT_FALSE(membership.InSync());
-  membership.Refresh();
-  EXPECT_TRUE(membership.InSync());
-  EXPECT_EQ(membership.built_epoch(), g.epoch());
-  EXPECT_TRUE(membership.Contains(Triple(a, vocab::kSc, c)));
+  // A mutated graph needs a new index; the stale one stays stale.
+  ClosureMembership rebuilt(g);
+  EXPECT_TRUE(rebuilt.InSync());
+  EXPECT_FALSE(membership.InSync());
+  EXPECT_EQ(rebuilt.built_epoch(), g.epoch());
+  EXPECT_TRUE(rebuilt.Contains(Triple(a, vocab::kSc, c)));
 }
 
 TEST(ClosureMembershipEpochDeathTest, StaleUseAborts) {
@@ -517,23 +521,29 @@ TEST(DatabaseIncremental, MutationBatchGroupsMaintenance) {
 TEST(DatabaseIncremental, StatsObserveMaintenance) {
   Dictionary dict;
   Database db(&dict);
-  ASSERT_TRUE(db.InsertText("a sc b .\n").ok());
-  EXPECT_EQ(db.stats().closure_full_builds, 0u);  // lazy
-  (void)db.Closure();
+  // The closure is built once, at construction, and then maintained.
   EXPECT_EQ(db.stats().closure_full_builds, 1u);
-  (void)db.Closure();
-  EXPECT_EQ(db.stats().closure_cache_hits, 1u);
-  db.Insert(Triple(dict.Iri("b"), vocab::kSc, dict.Iri("c")));
+  EXPECT_EQ(db.stats().snapshot_publishes, 1u);
+  ASSERT_TRUE(db.InsertText("a sc b .\n").ok());
   EXPECT_EQ(db.stats().closure_delta_updates, 1u);
-  EXPECT_EQ(db.stats().closure_full_builds, 1u);  // never recomputed
+  EXPECT_EQ(db.Closure(), RdfsClosure(db.graph()));
+  db.Insert(Triple(dict.Iri("b"), vocab::kSc, dict.Iri("c")));
+  EXPECT_EQ(db.stats().closure_delta_updates, 2u);
   db.Erase(Triple(dict.Iri("b"), vocab::kSc, dict.Iri("c")));
   EXPECT_EQ(db.stats().closure_erase_updates, 1u);
+  EXPECT_EQ(db.stats().closure_full_builds, 1u);  // never recomputed
+  // One publication per effective mutation; a duplicate publishes none.
+  EXPECT_EQ(db.stats().snapshot_publishes, 4u);
+  EXPECT_FALSE(db.Insert(Triple(dict.Iri("a"), vocab::kSc, dict.Iri("b"))));
+  EXPECT_EQ(db.stats().snapshot_publishes, 4u);
   (void)db.Normalized();
   (void)db.Normalized();
   EXPECT_EQ(db.stats().snapshot_nf_builds, 1u);
   EXPECT_TRUE(db.EntailsTriple(Triple(dict.Iri("a"), vocab::kSc,
                                       dict.Iri("b"))));
-  EXPECT_EQ(db.stats().membership_builds, 1u);
+  EXPECT_EQ(db.stats().inserts, 2u);
+  EXPECT_EQ(db.stats().erases, 1u);
+  EXPECT_EQ(db.stats().batches, 0u);  // only Apply counts batches
 }
 
 TEST(DatabaseIncremental, NfCacheSurvivesDerivableInserts) {
@@ -554,16 +564,33 @@ TEST(DatabaseIncremental, BulkLoadFallsBackToBatchedRebuild) {
   Rng rng(3);
   Database db(&dict);
   ASSERT_TRUE(db.InsertText("a sc b .\n").ok());
-  (void)db.Closure();
+  std::shared_ptr<const DatabaseSnapshot> before = db.Snapshot();
+  const Graph* nf = &before->normalized();
+  ASSERT_EQ(db.stats().closure_full_builds, 1u);
   SchemaWorkloadSpec spec;
   spec.num_classes = 8;
   spec.num_properties = 5;
   spec.num_instances = 20;
   spec.num_facts = 40;
+  // More new triples than half the closure: one refixpoint, no delta.
   db.InsertGraph(SchemaWorkload(spec, &dict, &rng));
-  EXPECT_EQ(db.stats().closure_bulk_resets, 1u);
-  EXPECT_EQ(db.Closure(), RdfsClosure(db.graph()));
   EXPECT_EQ(db.stats().closure_full_builds, 2u);
+  EXPECT_EQ(db.stats().closure_delta_updates, 1u);  // the first insert only
+  EXPECT_EQ(db.Closure(), RdfsClosure(db.graph()));
+  // The rebuilt closure restarts its version counter; its snapshot must
+  // not reuse the old nf slot.
+  EXPECT_NE(&db.Normalized(), nf);
+  EXPECT_EQ(db.Normalized(), NormalForm(db.graph()));
+  // The same rule holds inside Apply.
+  MutationBatch batch;
+  for (int i = 0; i < 1000; ++i) {
+    batch.Insert(Triple(dict.Iri("bulk" + std::to_string(i)), vocab::kType,
+                        dict.Iri("a")));
+  }
+  EXPECT_EQ(db.Apply(batch).inserted, 1000u);
+  EXPECT_EQ(db.stats().closure_full_builds, 3u);
+  EXPECT_EQ(db.Closure(), RdfsClosure(db.graph()));
+  EXPECT_EQ(db.Normalized(), NormalForm(db.graph()));
 }
 
 // The acceptance fuzz: ≥1000 random mutation steps interleaved with
