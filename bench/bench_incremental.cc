@@ -18,10 +18,8 @@
 //                                 erase/insert interleaving of a serving
 //                                 writer's commits.
 //   * IndexPatchInsert/n        — one Graph::Insert + Erase pair with
-//                                 warm permutation indexes (in-place
-//                                 patching).
-//   * IndexRebuildInsert/n      — the same mutation forced through a full
-//                                 O(n log n) ×3 index rebuild.
+//                                 warm permutation indexes (one-key
+//                                 Applies, written in place).
 //
 // Counters: |G|, |cl|, derived/op (mean new derivations per insert),
 // and for the delta series `speedup_hint` = full-series ns from a
@@ -229,7 +227,7 @@ BENCHMARK(BM_MixedSeries)
     ->Arg(256)->Arg(512)->Arg(1024)->Arg(2048)->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 
-// --- Graph index maintenance: patch vs rebuild -----------------------
+// --- Graph index maintenance -----------------------------------------
 
 void BM_IndexPatchInsert(benchmark::State& state) {
   const uint32_t n = static_cast<uint32_t>(state.range(0));
@@ -241,36 +239,13 @@ void BM_IndexPatchInsert(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     const Triple& t = updates[i++ % updates.size()];
-    g.Insert(t);  // patches the three warm permutation indexes in place
+    g.Insert(t);  // writes the three warm permutation indexes in place
     g.Erase(t);   // ditto; graph size stays constant across iterations
     benchmark::DoNotOptimize(g);
   }
   state.counters["|G|"] = static_cast<double>(g.size());
 }
 BENCHMARK(BM_IndexPatchInsert)->Arg(1024)->Arg(4096)->Arg(16384)->Arg(65536);
-
-void BM_IndexRebuildInsert(benchmark::State& state) {
-  const uint32_t n = static_cast<uint32_t>(state.range(0));
-  Dictionary dict;
-  Rng rng(n);
-  Graph g = SchemaWorkload(SpecFor(n), &dict, &rng);
-  std::vector<Triple> updates = NovelFacts(g, &dict, 64, n * 13);
-  size_t i = 0;
-  for (auto _ : state) {
-    const Triple& t = updates[i++ % updates.size()];
-    // InsertAll invalidates the indexes wholesale: the CountMatches after
-    // each mutation pays the full O(n log n) ×3 rebuild — the cost every
-    // mutation paid before in-place patching existed.
-    g.InsertAll(Graph({t}));
-    benchmark::DoNotOptimize(
-        g.CountMatches(std::nullopt, vocab::kType, std::nullopt));
-    g.Erase(t);
-    benchmark::DoNotOptimize(
-        g.CountMatches(std::nullopt, vocab::kType, std::nullopt));
-  }
-  state.counters["|G|"] = static_cast<double>(g.size());
-}
-BENCHMARK(BM_IndexRebuildInsert)->Arg(1024)->Arg(4096)->Arg(16384)->Arg(65536);
 
 }  // namespace
 }  // namespace swdb

@@ -14,7 +14,7 @@ shift || true
 # Benchmarks must never run instrumented: pin SWDB_SANITIZE=OFF so a
 # stale sanitized cache in the build dir cannot leak into the numbers.
 cmake -B "$build_dir" -S "$repo_root" -DSWDB_SANITIZE=OFF >/dev/null
-cmake --build "$build_dir" -j --target bench_core
+cmake --build "$build_dir" -j "$(nproc)" --target bench_core
 
 "$build_dir/bench/bench_core" \
   --benchmark_format=json \

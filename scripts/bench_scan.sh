@@ -15,7 +15,7 @@ shift || true
 # Benchmarks must never run instrumented: pin SWDB_SANITIZE=OFF so a
 # stale sanitized cache in the build dir cannot leak into the numbers.
 cmake -B "$build_dir" -S "$repo_root" -DSWDB_SANITIZE=OFF >/dev/null
-cmake --build "$build_dir" -j --target bench_scan
+cmake --build "$build_dir" -j "$(nproc)" --target bench_scan
 
 "$build_dir/bench/bench_scan" \
   --benchmark_format=json \

@@ -20,7 +20,7 @@ shift || true
 # Benchmarks must never run instrumented: pin SWDB_SANITIZE=OFF so a
 # stale sanitized cache in the build dir cannot leak into the numbers.
 cmake -B "$build_dir" -S "$repo_root" -DSWDB_SANITIZE=OFF >/dev/null
-cmake --build "$build_dir" -j --target bench_serving
+cmake --build "$build_dir" -j "$(nproc)" --target bench_serving
 
 "$build_dir/bench/bench_serving" "$@" > "$repo_root/BENCH_serving.json"
 

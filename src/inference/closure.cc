@@ -195,16 +195,17 @@ void CloseEdge(Graph& rel, const Triple& e, OnNew&& on_new) {
 // indexes by every closure entry point: from-scratch builds (with traces
 // and rule subsets), IncrementalClosure inserts and the DRed re-derive.
 //
-// Rounds are semi-naive: each round inserts its whole frontier, then
-// joins every newly inserted triple as each premise position
-// (ForEachConsequence); the unseen conclusions form the next frontier. A
+// Rounds are semi-naive: each round is admitted whole, then every newly
+// inserted triple is joined as each premise position
+// (ForEachConsequence); the unseen conclusions form the next round. A
 // rule instance whose premises land in the same round still fires,
-// because the round is inserted before any of it is joined. A round
-// small next to g goes in triple by triple, which patches the built
-// indexes in place and keeps its cost proportional to the round; only a
-// round that is a good part of g takes one bulk merge (AdmitBulk). An
-// sp/sc pair closes its relation as it enters (CloseEdge), so g's sp and
-// sc pairs must be transitively closed whenever a pair is admitted.
+// because the round is admitted before any of it is joined. Every round
+// is admitted one way, at any size, traced or not: sorted and
+// de-duplicated (a trace keeps each triple's first rule instance),
+// stripped of what g already holds, its non-hierarchy triples inserted
+// by one Graph::Apply and its sp/sc pairs one at a time, each closing
+// its relation as it enters (CloseEdge). So g's sp and sc pairs must be
+// transitively closed whenever a round is admitted.
 class Fixpoint {
  public:
   /// `rules` null means all rules; `trace` null records nothing.
@@ -212,14 +213,17 @@ class Fixpoint {
                     std::vector<RuleApplication>* trace = nullptr)
       : g_(g), rules_(rules), trace_(trace) {}
 
-  /// Inserts an asserted or rescued triple, untraced.
-  void Seed(const Triple& t) { Admit(t, nullptr); }
+  /// Admits asserted or rescued triples as one untraced round. Returns
+  /// how many of them g lacked.
+  size_t Seed(std::vector<Triple> triples) {
+    return Admit(std::move(triples), nullptr);
+  }
 
-  /// Inserts a derived triple with its rule instance.
+  /// Queues a derived triple with its rule instance for the next round.
   void Derive(const Triple& c, RuleId rule, Premises premises) {
     if (!Enabled(rule, premises)) return;
-    const Instance why(rule, premises);
-    Admit(c, &why);
+    frontier_.push_back(c);
+    if (trace_ != nullptr) why_.try_emplace(c, rule, premises);
   }
 
   /// DRed re-entry. The remainder of an over-delete can lack sp/sc pairs
@@ -229,35 +233,31 @@ class Fixpoint {
   /// the other rescued triples are then seeded.
   void Rescue(const std::vector<Triple>& rescued) {
     std::vector<Triple> next;
+    std::vector<Triple> rest;
     for (const Triple& t : rescued) {
-      if (IsHierarchyEdge(t)) next.push_back(t);
+      (IsHierarchyEdge(t) ? next : rest).push_back(t);
     }
     while (!next.empty()) {
+      std::sort(next.begin(), next.end());
+      next.erase(std::unique(next.begin(), next.end()), next.end());
+      std::erase_if(next, [&](const Triple& t) { return g_->Contains(t); });
+      g_->Apply({}, next);
       const size_t round = added_.size();
-      for (const Triple& t : next) {
-        if (g_->Insert(t)) added_.push_back(t);
-      }
+      added_.insert(added_.end(), next.begin(), next.end());
       next.clear();
       for (size_t i = round; i < added_.size(); ++i) {
         ForEachTransitiveStep(*g_, added_[i],
                               [&](const Triple& c) { next.push_back(c); });
       }
     }
-    for (const Triple& t : rescued) {
-      if (!IsHierarchyEdge(t)) Seed(t);
-    }
+    Seed(std::move(rest));
   }
 
   /// Joins t, already in g, into the frontier.
   void Join(const Triple& t) {
     ForEachConsequence(*g_, t, [&](const Triple& c, RuleId rule,
                                    Premises premises) {
-      if (!c.IsWellFormedData() || !Enabled(rule, premises) ||
-          g_->Contains(c)) {
-        return;
-      }
-      frontier_.push_back(c);
-      if (trace_ != nullptr) why_.emplace_back(rule, premises);
+      if (c.IsWellFormedData() && !g_->Contains(c)) Derive(c, rule, premises);
     });
   }
 
@@ -267,16 +267,10 @@ class Fixpoint {
       while (joined_ < added_.size()) Join(added_[joined_++]);
       if (frontier_.empty()) return;
       std::vector<Triple> round = std::move(frontier_);
-      std::vector<Instance> why = std::move(why_);
+      std::unordered_map<Triple, Instance> why = std::move(why_);
       frontier_.clear();
       why_.clear();
-      if (trace_ == nullptr && round.size() > g_->size() / 4) {
-        AdmitBulk(std::move(round));
-        continue;
-      }
-      for (size_t i = 0; i < round.size(); ++i) {
-        Admit(round[i], trace_ != nullptr ? &why[i] : nullptr);
-      }
+      Admit(std::move(round), trace_ != nullptr ? &why : nullptr);
     }
   }
 
@@ -308,34 +302,41 @@ class Fixpoint {
     return rules_ == nullptr || Keeps(*rules_, rule, premises);
   }
 
-  // Inserts c; `why` is null for untraced seeds.
-  void Admit(const Triple& c, const Instance* why) {
-    if (!g_->Insert(c)) return;
-    Added(c, why);
-    if (IsHierarchyEdge(c) && Enabled(TransitivityRule(c.p), {})) {
-      CloseEdge(*g_, c, [&](const Triple& pair, const Triple& left,
-                            const Triple& right) {
-        const Instance step(TransitivityRule(c.p), {left, right});
-        Added(pair, &step);
-      });
-    }
-  }
-
-  // A round as large as a good part of g (a from-scratch build's first
-  // rounds): one merge and one lazy index rebuild beat a patch per
-  // triple. The sp/sc pairs still enter one at a time, after the merge,
-  // so that each closes its relation.
-  void AdmitBulk(std::vector<Triple> round) {
+  // Admits one round, each triple with its instance in `why` when
+  // traced. Returns how many of its distinct triples g lacked.
+  size_t Admit(std::vector<Triple> round,
+               const std::unordered_map<Triple, Instance>* why) {
     std::sort(round.begin(), round.end());
     round.erase(std::unique(round.begin(), round.end()), round.end());
-    std::vector<Triple> fresh;
-    std::vector<Triple> pairs;
+    // Compact the triples g lacks in place, setting the sp/sc pairs aside.
+    std::vector<std::pair<Triple, const Instance*>> pairs;
+    size_t kept = 0;
     for (const Triple& t : round) {
-      if (!g_->Contains(t)) (IsHierarchyEdge(t) ? pairs : fresh).push_back(t);
+      if (g_->Contains(t)) continue;
+      const Instance* instance = why != nullptr ? &why->at(t) : nullptr;
+      if (IsHierarchyEdge(t)) {
+        pairs.emplace_back(t, instance);
+        continue;
+      }
+      Added(t, instance);
+      round[kept++] = t;
     }
-    g_->InsertAll(Graph::FromSorted(fresh.data(), fresh.size()));
-    added_.insert(added_.end(), fresh.begin(), fresh.end());
-    for (const Triple& t : pairs) Admit(t, nullptr);
+    round.resize(kept);
+    g_->Apply({}, round);
+    for (const auto& [pair, instance] : pairs) AdmitPair(pair, instance);
+    return kept + pairs.size();
+  }
+
+  // Inserts the sp/sc pair c, unless present, and closes its relation.
+  void AdmitPair(const Triple& c, const Instance* why) {
+    if (!g_->Insert(c)) return;
+    Added(c, why);
+    if (!Enabled(TransitivityRule(c.p), {})) return;
+    CloseEdge(*g_, c, [&](const Triple& pair, const Triple& left,
+                          const Triple& right) {
+      const Instance step(TransitivityRule(c.p), {left, right});
+      Added(pair, &step);
+    });
   }
 
   // Records c, just inserted, and queues it to be joined.
@@ -350,7 +351,8 @@ class Fixpoint {
   std::vector<Triple> added_;
   size_t joined_ = 0;
   std::vector<Triple> frontier_;
-  std::vector<Instance> why_;  // parallel to frontier_ when tracing
+  // When tracing, the first instance queued for each frontier triple.
+  std::unordered_map<Triple, Instance> why_;
 };
 
 // RDFS-cl(g) from scratch: a leaf-sharing copy of g without its sp/sc
@@ -364,9 +366,9 @@ Graph BuildClosure(const Graph& g, const RuleSet* rules,
     if (IsHierarchyEdge(t)) hierarchy.push_back(t);
   }
   Graph out = g;
-  for (const Triple& t : hierarchy) out.Erase(t);
+  out.Apply(hierarchy, {});
   Fixpoint fixpoint(&out, rules, trace);
-  for (const Triple& t : hierarchy) fixpoint.Seed(t);
+  fixpoint.Seed(std::move(hierarchy));
   for (Term v : vocab::kAll) {
     fixpoint.Derive(Triple(v, kSp, v), RuleId::kSpReflexVocab, {});
   }
@@ -458,9 +460,9 @@ bool DerivableOneStep(const Graph& p, const Triple& c) {
 // dominate). A triple provably still in the new closure — asserted in
 // base_after or one-step derivable from it — is never suspected, which
 // stops the reflexivity rules from tainting whole derivation cycles.
-std::unordered_set<Triple> CollectSuspects(const Graph& cl,
-                                           const Graph& deleted,
-                                           const Graph& base_after) {
+// The suspects come back sorted.
+std::vector<Triple> CollectSuspects(const Graph& cl, const Graph& deleted,
+                                    const Graph& base_after) {
   std::unordered_set<Triple> suspects;
   std::unordered_set<Triple> cleared;  // memoized protection verdicts
   std::vector<Triple> work;
@@ -485,7 +487,9 @@ std::unordered_set<Triple> CollectSuspects(const Graph& cl,
     });
     if (t.p == kSp || t.p == kSc) ForEachTransitiveStep(cl, t, mark);
   }
-  return suspects;
+  std::vector<Triple> sorted(suspects.begin(), suspects.end());
+  std::sort(sorted.begin(), sorted.end());
+  return sorted;
 }
 
 }  // namespace
@@ -512,27 +516,15 @@ Graph RdfsClosureErase(const Graph& closure, const Graph& base_after,
 
   // (1) Over-delete: everything forward-reachable from a deleted triple
   // through a rule application becomes suspect.
-  std::unordered_set<Triple> suspects =
+  const std::vector<Triple> suspects =
       CollectSuspects(closure, deleted, base_after);
 
   // (2) The untainted remainder survives unconditionally: a triple with
   // no derivation path touching a deleted triple keeps its derivation.
-  // For the usual tiny suspect cone, patching a copy of the closure in
-  // place reuses its already-built indexes; a cone that is a sizable
-  // fraction of |cl| would turn the per-erase memmoves quadratic, so
-  // fall back to one filtered pass (which rebuilds indexes lazily).
-  Graph out;
-  if (suspects.size() * 16 <= closure.size()) {
-    out = closure;
-    for (const Triple& t : suspects) out.Erase(t);
-  } else {
-    std::vector<Triple> kept;
-    kept.reserve(closure.size() - suspects.size());
-    for (const Triple& t : closure) {
-      if (!suspects.count(t)) kept.push_back(t);
-    }
-    out = Graph(std::move(kept));
-  }
+  // One Apply erases the cone from a leaf-sharing copy of the closure,
+  // whose built indexes stay built.
+  Graph out = closure;
+  out.Apply(suspects, {});
   const size_t kept_size = out.size();
 
   // (3) Re-derive: a suspect re-enters if it is still asserted in the
@@ -574,16 +566,12 @@ IncrementalClosure::IncrementalClosure(const Graph& base)
 void IncrementalClosure::InsertDelta(const Graph& delta,
                                      ClosureDeltaStats* stats,
                                      std::vector<Triple>* derived_out) {
-  std::vector<Triple> fresh;
-  for (const Triple& t : delta) {
-    if (!closure_.Contains(t)) fresh.push_back(t);
-  }
   Fixpoint fixpoint(&closure_);
-  for (const Triple& t : fresh) fixpoint.Seed(t);
+  const size_t fresh = fixpoint.Seed(delta.triples());
   fixpoint.Run();
   std::vector<Triple>& added = fixpoint.added();
   if (stats != nullptr) {
-    *stats = ClosureDeltaStats{fresh.size(), added.size(), 0, 0};
+    *stats = ClosureDeltaStats{fresh, added.size(), 0, 0};
   }
   if (added.empty()) return;
   if (derived_out != nullptr) *derived_out = std::move(added);

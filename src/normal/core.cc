@@ -177,10 +177,11 @@ SearchOutcome SearchAllComponents(std::vector<TrackedComponent>* components,
 // Applies the fold μ found for (*components)[c] to *g in place and
 // patches the partition to match. μ is the identity outside C and maps
 // C into g \ {t}, so μ(g) = (g \ C) ∪ μ(C) with μ(C) ⊆ g already:
-// folding erases the triples of C outside μ(C) and adds nothing. Only
-// the survivors C ∩ μ(C) can regroup (they may split); they are
-// re-partitioned alone and spliced back in by first triple, which keeps
-// the list in BlankComponents(*g)'s first-appearance order.
+// folding erases the triples of C outside μ(C), kept in g's order, by
+// one Apply and adds nothing. Only the survivors C ∩ μ(C) can regroup
+// (they may split); they are re-partitioned alone and spliced back in
+// by first triple, which keeps the list in BlankComponents(*g)'s
+// first-appearance order.
 void FoldComponent(const TermMap& fold, size_t c, Graph* g,
                    std::vector<TrackedComponent>* components) {
   std::vector<Triple> folded = std::move((*components)[c].triples);
@@ -193,13 +194,12 @@ void FoldComponent(const TermMap& fold, size_t c, Graph* g,
   }
   std::sort(image.begin(), image.end());
   std::vector<Triple> survivors;
+  std::vector<Triple> erased;
   for (const Triple& t : folded) {
-    if (std::binary_search(image.begin(), image.end(), t)) {
-      survivors.push_back(t);
-    } else {
-      g->Erase(t);
-    }
+    (std::binary_search(image.begin(), image.end(), t) ? survivors : erased)
+        .push_back(t);
   }
+  g->Apply(erased, {});
   for (std::vector<Triple>& piece : PartitionByBlanks(survivors)) {
     auto at = std::lower_bound(
         components->begin(), components->end(), piece.front(),

@@ -53,15 +53,23 @@ Database::ApplyResult Database::Commit(MutationBatch batch) {
   const size_t closure_size = closure_.closure().size();
   ApplyResult result;
 
-  std::vector<Triple> erased;
-  for (const Triple& t : batch.erases_) {
-    if (data_.Erase(t)) erased.push_back(t);
-  }
+  // Each side as the sorted set of the triples that change data_.
+  auto effective = [this](std::vector<Triple>& ts, bool present) -> auto& {
+    std::sort(ts.begin(), ts.end());
+    ts.erase(std::unique(ts.begin(), ts.end()), ts.end());
+    std::erase_if(ts, [&](const Triple& t) {
+      return data_.Contains(t) != present;
+    });
+    return ts;
+  };
+  const std::vector<Triple>& erased = effective(batch.erases_, true);
   result.erased = erased.size();
   if (!erased.empty()) {
+    data_.Apply(erased, {});
     stats_.erases += erased.size();
     ClosureDeltaStats ds;
-    closure_.EraseDelta(data_, Graph(std::move(erased)), &ds);
+    closure_.EraseDelta(data_, Graph::FromSorted(erased.data(), erased.size()),
+                        &ds);
     closure_epoch_ = data_.epoch();
     ++stats_.closure_erase_updates;
     stats_.closure_overdeleted += ds.overdeleted;
@@ -70,28 +78,24 @@ Database::ApplyResult Database::Commit(MutationBatch batch) {
 
   // Only the actually-new part: maintenance propagates from the real
   // delta.
-  std::erase_if(batch.inserts_,
-                [this](const Triple& t) { return data_.Contains(t); });
-  const Graph delta(std::move(batch.inserts_));
-  result.inserted = delta.size();
-  stats_.inserts += delta.size();
-  if (delta.size() > closure_size / 2) {
+  const std::vector<Triple>& inserted = effective(batch.inserts_, false);
+  result.inserted = inserted.size();
+  stats_.inserts += inserted.size();
+  data_.Apply({}, inserted);
+  if (inserted.size() > closure_size / 2) {
     // Bulk load: one batched refixpoint beats replaying a delta
     // comparable to the closure itself. Warm data_ first, so the
     // closure's copy of it shares the built permutations. The rebuilt
     // closure restarts its version counter, so its nf slot is new.
-    data_.InsertAll(delta);
     data_.WarmIndexes();
     closure_ = IncrementalClosure(data_);
     closure_epoch_ = data_.epoch();
     nf_slot_.reset();
     ++stats_.closure_full_builds;
-  } else if (!delta.empty()) {
-    // Per triple, not InsertAll: its merge threshold would drop and
-    // rebuild data_'s indexes for a commit-sized delta on a small graph.
-    for (const Triple& t : delta) data_.Insert(t);
+  } else if (!inserted.empty()) {
     ClosureDeltaStats ds;
-    closure_.InsertDelta(delta, &ds);
+    closure_.InsertDelta(Graph::FromSorted(inserted.data(), inserted.size()),
+                         &ds);
     closure_epoch_ = data_.epoch();
     ++stats_.closure_delta_updates;
     stats_.closure_delta_derived += ds.derived;

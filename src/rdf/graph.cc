@@ -53,9 +53,15 @@ inline SpineKey KeyOsp(const Triple& t) {
   return {t.o.bits(), t.s.bits(), t.p.bits()};
 }
 
-inline Triple TripleOfSpoKey(const SpineKey& k) {
-  return Triple(Term::FromBits(k[0]), Term::FromBits(k[1]),
-                Term::FromBits(k[2]));
+// *out = the keys of `triples` under `key_of`, sorted.
+template <typename Triples>
+void SortedKeys(const Triples& triples, SpineKey (*key_of)(const Triple&),
+                std::vector<SpineKey>* out) {
+  out->clear();
+  for (const Triple& t : triples) out->push_back(key_of(t));
+  if (!std::is_sorted(out->begin(), out->end())) {
+    std::sort(out->begin(), out->end());
+  }
 }
 
 }  // namespace
@@ -128,73 +134,27 @@ Graph Graph::FromSorted(const Triple* triples, size_t n) {
   return g;
 }
 
-bool Graph::Insert(const Triple& t) {
-  if (!spo_.Insert(KeySpo(t))) return false;
+size_t Graph::Apply(std::span<const Triple> erases,
+                    std::span<const Triple> inserts) {
+  // Each spine takes the delta as keys sorted into its own order, in
+  // buffers the writing thread reuses, so a one-triple write allocates
+  // nothing.
+  thread_local std::vector<SpineKey> erase_keys, insert_keys;
+  auto apply = [&](Spine& spine, SpineKey (*key_of)(const Triple&)) {
+    SortedKeys(erases, key_of, &erase_keys);
+    SortedKeys(inserts, key_of, &insert_keys);
+    return spine.Apply(erase_keys, insert_keys);
+  };
+  const size_t changed = apply(spo_, KeySpo);
+  if (changed == 0) return 0;
   ++epoch_;
-  PatchIndexesInsert(t);
-  return true;
-}
-
-void Graph::InsertAll(const Graph& other) {
-  if (other.empty()) return;
-  // A single-key spine patch costs O(leaf + leaf count); a bulk rebuild
-  // costs O(n) but loses all leaf sharing with prior copies. Patch per
-  // triple while the delta is small relative to the leaf count.
-  const size_t threshold =
-      std::max<size_t>(64, spo_.size() / Spine::kLeafMax);
-  if (other.size() <= threshold) {
-    uint64_t changed = 0;
-    for (const Triple& t : other) {
-      if (spo_.Insert(KeySpo(t))) {
-        ++changed;
-        PatchIndexesInsert(t);
-      }
-    }
-    // Exactly one epoch bump per changing call, like the bulk path.
-    if (changed != 0) ++epoch_;
-    return;
+  if (indexes_valid_) {
+    apply(pso_, KeyPso);
+    apply(pos_, KeyPos);
+    apply(osp_, KeyOsp);
+    index_patches_.Add(1);
   }
-  std::vector<SpineKey> ours = spo_.Keys();
-  std::vector<SpineKey> theirs = other.spo_.Keys();
-  std::vector<SpineKey> merged;
-  merged.reserve(ours.size() + theirs.size());
-  std::set_union(ours.begin(), ours.end(), theirs.begin(), theirs.end(),
-                 std::back_inserter(merged));
-  if (merged.size() == spo_.size()) return;  // other ⊆ *this: no-op
-  spo_.BulkBuild(merged);
-  ++epoch_;
-  if (indexes_valid_) DropIndexes();  // bulk path: rebuild on next lookup
-}
-
-bool Graph::Erase(const Triple& t) {
-  if (!spo_.Erase(KeySpo(t))) return false;
-  ++epoch_;
-  PatchIndexesErase(t);
-  return true;
-}
-
-void Graph::DropIndexes() {
-  indexes_valid_ = false;
-  pso_.Clear();
-  pos_.Clear();
-  osp_.Clear();
-  index_drops_.Add(1);
-}
-
-void Graph::PatchIndexesInsert(const Triple& t) {
-  if (!indexes_valid_) return;
-  pso_.Insert(KeyPso(t));
-  pos_.Insert(KeyPos(t));
-  osp_.Insert(KeyOsp(t));
-  index_patches_.Add(1);
-}
-
-void Graph::PatchIndexesErase(const Triple& t) {
-  if (!indexes_valid_) return;
-  pso_.Erase(KeyPso(t));
-  pos_.Erase(KeyPos(t));
-  osp_.Erase(KeyOsp(t));
-  index_patches_.Add(1);
+  return changed;
 }
 
 bool Graph::Contains(const Triple& t) const { return spo_.Contains(KeySpo(t)); }
@@ -331,17 +291,10 @@ Graph Graph::Union(const Graph& g1, const Graph& g2) {
 
 void Graph::EnsureIndexes() const {
   if (indexes_valid_) return;
-  const size_t n = spo_.size();
-  std::vector<SpineKey> keys(n);
+  std::vector<SpineKey> keys;
+  keys.reserve(spo_.size());
   auto build = [&](Spine& ix, SpineKey (*key_of)(const Triple&)) {
-    size_t i = 0;
-    for (size_t li = 0; li < spo_.leaf_count(); ++li) {
-      const SpineLeaf& leaf = spo_.leaf(li);
-      for (size_t r = 0; r < leaf.size(); ++r) {
-        keys[i++] = key_of(TripleOfSpoKey(leaf.at(r)));
-      }
-    }
-    std::sort(keys.begin(), keys.end());
+    SortedKeys(*this, key_of, &keys);
     ix.BulkBuild(keys);
   };
   build(pso_, KeyPso);
@@ -355,7 +308,6 @@ GraphStats Graph::Stats() const {
   GraphStats s;
   s.index_rebuilds = index_rebuilds_.value();
   s.index_patches = index_patches_.value();
-  s.index_drops = index_drops_.value();
   s.matches_calls = matches_calls_.value();
   s.rows_scanned = rows_scanned_.value();
   s.rows_yielded = rows_yielded_.value();

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <optional>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -75,8 +76,8 @@ class RelaxedCounter {
 /// leaf figures reflect the current footprint.
 struct GraphStats {
   uint64_t index_rebuilds = 0;   ///< full permutation-spine (re)builds
-  uint64_t index_patches = 0;    ///< single-mutation COW spine patches
-  uint64_t index_drops = 0;      ///< bulk-load permutation drops
+  uint64_t index_patches = 0;    ///< changing writes applied to built
+                                 ///< permutations (one per Apply call)
   uint64_t matches_calls = 0;    ///< Matches() lookups served
   uint64_t rows_scanned = 0;     ///< probes/rows examined by lookups
   uint64_t rows_yielded = 0;     ///< rows in the returned ranges
@@ -216,12 +217,13 @@ class MatchRange {
 /// Copying a Graph copies leaf handles, not leaf contents: an epoch
 /// that changed k triples shares every untouched leaf with its
 /// predecessor, which is what makes Database snapshot publication
-/// proportional to the delta instead of to |G|. Single-triple
-/// Insert/Erase write only the one leaf they touch per spine, in place
-/// when no copy shares it (built permutations are maintained the same
-/// way); the bulk InsertAll path drops the permutations and rebuilds
-/// them on the next lookup. Either way, outstanding MatchRanges are
-/// invalidated by any mutation.
+/// proportional to the delta instead of to |G|. Every write is one
+/// Apply of a sorted delta: one Spine::Apply on the primary spine and,
+/// once the permutations are built, one on each of them with the delta
+/// sorted into its order. Writes of any size keep built permutations
+/// built and write only the leaves the delta touches, in place when no
+/// copy shares them. Outstanding MatchRanges are invalidated by any
+/// mutation.
 ///
 /// Every mutation that changes the triple set bumps an epoch counter,
 /// so derived structures (closure caches, membership indexes) can
@@ -306,13 +308,19 @@ class Graph {
   /// distinct: fills the primary spine's columns straight from them.
   static Graph FromSorted(const Triple* triples, size_t n);
 
+  /// The one write: removes `erases` and adds `inserts`, two sorted,
+  /// distinct, disjoint triple spans. Erasing an absent triple or
+  /// inserting a present one is a no-op. Returns the number of triples
+  /// that changed; bumps the epoch once if that is not 0.
+  size_t Apply(std::span<const Triple> erases,
+               std::span<const Triple> inserts);
   /// Inserts a triple; returns true if it was not already present.
-  bool Insert(const Triple& t);
+  bool Insert(const Triple& t) { return Apply({}, {&t, 1}) != 0; }
   void Insert(Term s, Term p, Term o) { Insert(Triple(s, p, o)); }
   /// Inserts all triples of other (one epoch bump if anything changed).
-  void InsertAll(const Graph& other);
+  void InsertAll(const Graph& other) { Apply({}, other.triples()); }
   /// Removes a triple; returns true if it was present.
-  bool Erase(const Triple& t);
+  bool Erase(const Triple& t) { return Apply({&t, 1}, {}) != 0; }
 
   bool Contains(const Triple& t) const;
 
@@ -414,12 +422,6 @@ class Graph {
 
  private:
   void EnsureIndexes() const;
-  // COW maintenance of built permutations around a single-triple
-  // mutation (no-ops when the permutations are stale).
-  void PatchIndexesInsert(const Triple& t);
-  void PatchIndexesErase(const Triple& t);
-  // Drops the permutation spines (next lookup rebuilds).
-  void DropIndexes();
 
   // Primary storage: (s,p,o)-ordered key spine. Term bits compare like
   // Terms, so this spine is the sorted, deduplicated triple set.
@@ -436,7 +438,6 @@ class Graph {
   // Observability (see GraphStats / Stats()).
   RelaxedCounter index_rebuilds_;
   RelaxedCounter index_patches_;
-  RelaxedCounter index_drops_;
   RelaxedCounter matches_calls_;
   RelaxedCounter rows_scanned_;
   RelaxedCounter rows_yielded_;

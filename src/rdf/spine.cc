@@ -1,18 +1,21 @@
 #include "rdf/spine.h"
 
 #include <algorithm>
+#include <cstring>
+#include <iterator>
 
 namespace swdb {
 
 namespace {
 
-// Lexicographic lower bound of `key` within one leaf's columns.
+// Lexicographic lower bound of `key` within entries [lo, hi) of one
+// leaf's columns (hi is capped at the leaf's size).
 size_t LeafLowerBound(const SpineLeaf& leaf, const SpineKey& key,
-                      size_t* probes) {
+                      size_t* probes, size_t lo = 0, size_t hi = SIZE_MAX) {
+  hi = std::min(hi, leaf.size());
   const uint32_t* k0 = leaf.column(0);
   const uint32_t* k1 = leaf.column(1);
   const uint32_t* k2 = leaf.column(2);
-  size_t lo = 0, hi = leaf.size();
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
     ++*probes;
@@ -74,116 +77,165 @@ SpineRun Spine::Locate(const SpineKey& key) const {
   return {ref.start + slot, ref.start + slot + (hit ? 1 : 0), li};
 }
 
-SpineLeaf Spine::CopyInserting(const SpineLeaf& src, size_t slot,
-                               const SpineKey& key, size_t from, size_t to,
-                               size_t capacity) {
-  // Entry e of the post-insert sequence is src[e] below the slot, `key`
-  // at it and src[e - 1] above it.
-  SpineLeaf out(capacity);
-  const size_t above = std::max(from, slot + 1);
+void Spine::CopyRun(const SpineLeaf& src, size_t from, size_t to,
+                    SpineLeaf* dst, size_t at) {
   for (int k = 0; k < 3; ++k) {
-    const uint32_t* s = src.column(k);
-    uint32_t* d = out.mutable_column(k);
-    if (from < slot) std::copy(s + from, s + std::min(slot, to), d);
-    if (from <= slot && slot < to) d[slot - from] = key[k];
-    if (above < to) std::copy(s + above - 1, s + to - 1, d + (above - from));
+    std::memmove(dst->mutable_column(k) + at, src.column(k) + from,
+                 (to - from) * sizeof(uint32_t));
   }
-  out.set_size(to - from);
-  return out;
 }
 
-SpineLeaf Spine::CopyErasing(const SpineLeaf& src, size_t slot,
-                             size_t capacity) {
-  SpineLeaf out(capacity);
+std::pair<size_t, size_t> Spine::MergeInto(const SpineLeaf& src,
+                                           std::span<const SpineKey> erases,
+                                           std::span<const SpineKey> inserts,
+                                           SpineLeaf* dst) {
   const size_t n = src.size();
-  for (int k = 0; k < 3; ++k) {
-    const uint32_t* s = src.column(k);
-    uint32_t* d = out.mutable_column(k);
-    std::copy(s, s + slot, d);
-    std::copy(s + slot + 1, s + n, d + slot);
-  }
-  out.set_size(n - 1);
-  return out;
-}
-
-void Spine::SplitInsert(size_t li, size_t slot, const SpineKey& key) {
-  const SpineLeaf& full = leaves_[li].leaf;
-  const size_t n = full.size() + 1;  // entries after the insert
-  const size_t half = n / 2;
-  SpineLeaf right = CopyInserting(full, slot, key, half, n, n - half);
-  leaves_[li].leaf = CopyInserting(full, slot, key, 0, half, half);
-  const size_t start = leaves_[li].start + half;
-  const SpineKey first = right.at(0);
-  leaves_.insert(leaves_.begin() + static_cast<std::ptrdiff_t>(li) + 1,
-                 LeafRef{std::move(right), start, first});
-}
-
-bool Spine::Insert(const SpineKey& key) {
-  if (empty()) {
-    SpineLeaf leaf(1);
-    leaf.Put(0, key);
-    leaf.set_size(1);
-    leaves_.push_back(LeafRef{std::move(leaf), 0, key});
-    size_ = 1;
-    return true;
-  }
-  size_t probes = 0;
-  const size_t li = LeafForKey(key, &probes);
-  SpineLeaf& leaf = leaves_[li].leaf;
-  const size_t slot = LeafLowerBound(leaf, key, &probes);
-  const size_t n = leaf.size();
-  if (slot < n && leaf.at(slot) == key) return false;
-  // Renumber the tail first: a split computes its right half's start in
-  // post-insert numbering already.
-  for (size_t j = li + 1; j < leaves_.size(); ++j) ++leaves_[j].start;
-  if (n == kLeafMax) {
-    SplitInsert(li, slot, key);
-  } else if (leaf.unique() && n < leaf.capacity()) {
-    for (int k = 0; k < 3; ++k) {
-      uint32_t* c = leaf.mutable_column(k);
-      std::copy_backward(c + slot, c + n, c + n + 1);
+  size_t from = 0;  // next entry of src to copy
+  size_t out = 0;   // next slot of dst to write
+  auto copy_to = [&](size_t to) {
+    // In place, the run before the first erased key stays where it is.
+    if (dst != nullptr && to != from && (dst != &src || out != from)) {
+      CopyRun(src, from, to, dst, out);
     }
-    leaf.Put(slot, key);
-    leaf.set_size(n + 1);
-  } else {
-    const size_t capacity = leaf.unique() ? GrowCapacity(n) : CloneCapacity(n);
-    leaf = CopyInserting(leaf, slot, key, 0, n + 1, capacity);
-  }
-  // Only a key below every other lands at slot 0 (LeafForKey picks leaf
-  // 0 for it), so this is the one case that moves a first key.
-  if (slot == 0) leaves_[li].first = key;
-  ++size_;
-  return true;
-}
-
-bool Spine::Erase(const SpineKey& key) {
-  if (empty()) return false;
-  size_t probes = 0;
-  const size_t li = LeafForKey(key, &probes);
-  SpineLeaf& leaf = leaves_[li].leaf;
-  const size_t slot = LeafLowerBound(leaf, key, &probes);
-  const size_t n = leaf.size();
-  if (slot == n || leaf.at(slot) != key) return false;
-  const bool emptied = n == 1;
-  if (emptied) {
-    leaves_.erase(leaves_.begin() + static_cast<std::ptrdiff_t>(li));
-  } else {
-    if (leaf.unique()) {
-      for (int k = 0; k < 3; ++k) {
-        uint32_t* c = leaf.mutable_column(k);
-        std::copy(c + slot + 1, c + n, c + slot);
-      }
-      leaf.set_size(n - 1);
+    out += to - from;
+    from = to;
+  };
+  size_t probes = 0, e = 0, i = 0, gone = 0, added = 0;
+  while (e < erases.size() || i < inserts.size()) {
+    const bool erase =
+        i == inserts.size() || (e < erases.size() && erases[e] < inserts[i]);
+    const SpineKey& key = erase ? erases[e++] : inserts[i++];
+    const size_t at = LeafLowerBound(src, key, &probes, from);
+    if (erase != (at < n && src.at(at) == key)) continue;  // a no-op
+    copy_to(at);
+    if (erase) {
+      ++from;
+      ++gone;
     } else {
-      leaf = CopyErasing(leaf, slot, CloneCapacity(n));
+      if (dst != nullptr) dst->Put(out, key);
+      ++out;
+      ++added;
     }
-    if (slot == 0) leaves_[li].first = leaf.at(0);
   }
-  for (size_t j = li + (emptied ? 0 : 1); j < leaves_.size(); ++j) {
-    --leaves_[j].start;
+  copy_to(n);
+  if (dst != nullptr) dst->set_size(out);
+  return {gone, added};
+}
+
+std::pair<size_t, size_t> Spine::MergeInPlace(
+    SpineLeaf* leaf, std::span<const SpineKey> erases,
+    std::span<const SpineKey> inserts) {
+  const size_t gone = MergeInto(*leaf, erases, {}, leaf).first;
+  // Entries [0, hi) are still in place. The entries above are moved up by
+  // `left`, the inserts not placed yet, which counts a slot for each
+  // present insert too: the gap they leave above [0, hi) is closed at
+  // the end.
+  const size_t n = leaf->size();
+  size_t hi = n, left = inserts.size(), probes = 0;
+  for (size_t j = inserts.size(); j-- > 0;) {
+    const SpineKey& key = inserts[j];
+    const size_t at = LeafLowerBound(*leaf, key, &probes, 0, hi);
+    if (at < hi && leaf->at(at) == key) continue;
+    CopyRun(*leaf, at, hi, leaf, at + left);
+    leaf->Put(at + --left, key);
+    hi = at;
   }
-  --size_;
-  return true;
+  const size_t m = n + inserts.size() - left;
+  if (left != 0) CopyRun(*leaf, hi + left, m + left, leaf, hi);
+  leaf->set_size(m);
+  return {gone, inserts.size() - left};
+}
+
+void Spine::Cut(const SpineLeaf& whole, size_t start,
+                std::vector<LeafRef>* out) {
+  // Pieces of kLeafMax / 2 to 3/4 kLeafMax entries, the larger ones last
+  // (two halves, the right one larger, for one key over kLeafMax).
+  const size_t m = whole.size();
+  const size_t pieces = m / (kLeafMax / 2);
+  for (size_t j = 0, from = 0; j < pieces; ++j) {
+    const size_t size = m / pieces + (j >= pieces - m % pieces ? 1 : 0);
+    SpineLeaf piece(size);
+    CopyRun(whole, from, from + size, &piece, 0);
+    piece.set_size(size);
+    const SpineKey first = piece.at(0);
+    out->push_back(LeafRef{std::move(piece), start + from, first});
+    from += size;
+  }
+}
+
+size_t Spine::Apply(std::span<const SpineKey> erases,
+                    std::span<const SpineKey> inserts) {
+  if (leaves_.empty()) {
+    BulkBuild(inserts.size(), [&](size_t i) { return inserts[i]; });
+    return size_;
+  }
+  size_t changed = 0;
+  size_t shift = 0;  // size change so far (mod 2^64): later starts move by it
+  size_t next = 0;   // leaves_[next, ...) still carry their old starts
+  auto renumber = [&](size_t to) {
+    for (; shift != 0 && next < to; ++next) leaves_[next].start += shift;
+    next = to;
+  };
+  for (size_t e = 0, i = 0; e < erases.size() || i < inserts.size();) {
+    // The leaf of the least remaining key takes every key below the
+    // next leaf's first key.
+    size_t probes = 0;
+    const size_t li = LeafForKey(
+        i == inserts.size() || (e < erases.size() && erases[e] < inserts[i])
+            ? erases[e]
+            : inserts[i],
+        &probes);
+    const SpineKey* bound =
+        li + 1 < leaves_.size() ? &leaves_[li + 1].first : nullptr;
+    auto take = [&](std::span<const SpineKey> keys, size_t* pos) {
+      const size_t from = *pos;
+      while (*pos < keys.size() && (!bound || keys[*pos] < *bound)) ++*pos;
+      return keys.subspan(from, *pos - from);
+    };
+    const auto leaf_erases = take(erases, &e);
+    const auto leaf_inserts = take(inserts, &i);
+    SpineLeaf& leaf = leaves_[li].leaf;
+    const size_t n = leaf.size();
+    // In place when the block has room for every insert; otherwise
+    // count first, so a no-op share copies nothing.
+    const bool in_place =
+        leaf.unique() && n + leaf_inserts.size() <= leaf.capacity();
+    const auto [gone, added] =
+        in_place ? MergeInPlace(&leaf, leaf_erases, leaf_inserts)
+                 : MergeInto(leaf, leaf_erases, leaf_inserts, nullptr);
+    if (gone + added == 0) continue;
+    changed += gone + added;
+    const size_t m = n - gone + added;
+    renumber(li);
+    leaves_[li].start += shift;
+    shift += m - n;
+    if (m == 0 || m > kLeafMax) {
+      // The leaf is removed, or replaced by the pieces it is cut into.
+      std::vector<LeafRef> pieces;
+      if (m != 0) {
+        SpineLeaf whole(m);
+        MergeInto(leaf, leaf_erases, leaf_inserts, &whole);
+        Cut(whole, leaves_[li].start, &pieces);
+      }
+      const auto at =
+          leaves_.erase(leaves_.begin() + static_cast<std::ptrdiff_t>(li));
+      leaves_.insert(at, std::make_move_iterator(pieces.begin()),
+                     std::make_move_iterator(pieces.end()));
+      next = li + pieces.size();
+      continue;
+    }
+    if (!in_place) {
+      SpineLeaf fresh(std::max(m, leaf.unique() ? GrowCapacity(leaf.capacity())
+                                                : CloneCapacity(n)));
+      MergeInto(leaf, leaf_erases, leaf_inserts, &fresh);
+      leaf = std::move(fresh);
+    }
+    leaves_[li].first = leaf.at(0);
+    next = li + 1;
+  }
+  renumber(leaves_.size());
+  size_ += shift;
+  return changed;
 }
 
 SpineKey Spine::At(size_t slot) const {

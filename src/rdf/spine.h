@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -94,21 +95,26 @@ struct SpineRun {
 /// primary order and its three permutations.
 ///
 /// Copying a Spine copies leaf *handles* (O(n / leaf size)), not leaf
-/// contents; a single-key Insert/Erase rewrites only the one leaf it
-/// touches, so an epoch that changed k triples shares every untouched
-/// leaf with its predecessor and publication cost is proportional to k,
-/// not to the graph.
+/// contents. Apply, the one write, rewrites only the leaves its delta
+/// touches, so an epoch that changed k keys shares every other leaf
+/// with its predecessor and publication cost is proportional to k, not
+/// to the spine.
 ///
-/// Insert and Erase shift the columns of an unshared leaf in place when
-/// it has room; a shared or full leaf is replaced by one fresh block,
-/// written around the slot in a single pass. Capacity rule (fixed):
-///   * BulkBuild and splits size every block exactly;
+/// Apply walks the touched leaves once and writes each of them once: in
+/// place when the handle is unique and the block has room for all the
+/// leaf's inserts, otherwise as one fresh block. Capacity rule (fixed):
+///   * BulkBuild, and so an Apply to an empty spine, and cut pieces size
+///     every block exactly;
 ///   * a fresh block replacing a shared leaf of n entries gets
-///     CloneCapacity(n) = n + 1 + n/8 entries, so the writer's next
-///     inserts into it within the same epoch stay in place;
-///   * a full unshared leaf of n entries grows to GrowCapacity(n) = 2n;
-///   * no block holds more than kLeafMax entries: the insert that would
-///     take a leaf past kLeafMax splits it into two exact halves instead.
+///     CloneCapacity(n) = n + 1 + n/8 entries (or the result's size, if
+///     larger), so the writer's next inserts into it within the same
+///     epoch stay in place;
+///   * a unique leaf without room moves to a block of GrowCapacity(c) =
+///     2c entries, c its capacity (or the result's size, if larger);
+///   * no block holds more than kLeafMax entries: a result larger than
+///     that is cut into m / (kLeafMax / 2) equal, exactly sized pieces —
+///     two halves for a leaf that overflows by one key;
+///   * a leaf left empty is removed.
 ///
 /// Concurrency contract (matching Graph's): one writer mutates a spine
 /// while readers only access *other* Spine objects that share leaves
@@ -117,9 +123,8 @@ struct SpineRun {
 /// count is at least 2 and the writer writes a fresh block instead.
 class Spine {
  public:
-  /// Split threshold: a leaf growing past this many entries splits in
-  /// half. Bulk builds fill to half of this so freshly built leaves
-  /// absorb patches without immediate splits.
+  /// Largest leaf. Bulk builds and cuts leave leaves about half this
+  /// full, so fresh leaves absorb inserts without being cut again soon.
   static constexpr size_t kLeafMax = 2048;
 
   /// The capacity rule above.
@@ -149,15 +154,19 @@ class Spine {
   void BulkBuild(size_t n, KeyAt key_at);
 
   bool Contains(const SpineKey& key) const { return !Locate(key).empty(); }
-  /// Inserts `key`; returns false if already present.
-  bool Insert(const SpineKey& key);
-  /// Erases `key`; returns false if absent.
-  bool Erase(const SpineKey& key);
+  /// The one write besides BulkBuild and Clear: erases every key of
+  /// `erases` and inserts every key of `inserts`. Both spans are sorted,
+  /// distinct and disjoint. Erasing an absent key or inserting a present
+  /// one is a no-op. Returns the number of keys that changed.
+  /// O(delta · log + touched leaves' sizes + leaves after the first
+  /// touched one).
+  size_t Apply(std::span<const SpineKey> erases,
+               std::span<const SpineKey> inserts);
 
   /// The key at global slot `slot` (< size()).
   SpineKey At(size_t slot) const;
 
-  /// All keys in order, materialized (O(n)) — the bulk-merge input.
+  /// All keys in order, materialized (O(n)), for checks and tests.
   std::vector<SpineKey> Keys() const;
 
   /// First global slot whose key is >= `key` (== size() if none): a
@@ -215,7 +224,7 @@ class Spine {
   // One entry per leaf, in key order: the leaf, the global slot of its
   // first entry and a copy of its first key. The first keys sit in one
   // contiguous array, so finding a key's leaf dereferences no leaf.
-  // Maintained on every mutation (O(leaves)).
+  // Apply renumbers the starts once per call.
   struct LeafRef {
     SpineLeaf leaf;
     size_t start = 0;
@@ -231,18 +240,28 @@ class Spine {
   // is <= key), or 0 when the key precedes everything. Adds its probes
   // to *probes.
   size_t LeafForKey(const SpineKey& key, size_t* probes) const;
-  // Inserts `key` at in-leaf `slot` of the full leaf li, writing the
-  // two exactly sized halves in one pass.
-  void SplitInsert(size_t li, size_t slot, const SpineKey& key);
-  // A fresh leaf of `capacity` holding entries [from, to) of `src` with
-  // `key` inserted at `slot`, each column copied around the slot in one
-  // pass.
-  static SpineLeaf CopyInserting(const SpineLeaf& src, size_t slot,
-                                 const SpineKey& key, size_t from, size_t to,
-                                 size_t capacity);
-  // A fresh leaf of `capacity` holding `src` without entry `slot`.
-  static SpineLeaf CopyErasing(const SpineLeaf& src, size_t slot,
-                               size_t capacity);
+  // Copies entries [from, to) of `src` to slot `at` of `dst`, which may
+  // be the same block.
+  static void CopyRun(const SpineLeaf& src, size_t from, size_t to,
+                      SpineLeaf* dst, size_t at);
+  // Writes `src` without the present `erases` and with the absent
+  // `inserts` (keys of its range) into `dst`, which has room for the
+  // result, by run copies; `dst` may be `src` when `inserts` is empty,
+  // and null to only count. Returns the keys erased and added.
+  static std::pair<size_t, size_t> MergeInto(const SpineLeaf& src,
+                                             std::span<const SpineKey> erases,
+                                             std::span<const SpineKey> inserts,
+                                             SpineLeaf* dst);
+  // The same in a unique `leaf` with room for all of `inserts`: the
+  // erases close their gaps front to back, then the inserts open theirs
+  // back to front.
+  static std::pair<size_t, size_t> MergeInPlace(
+      SpineLeaf* leaf, std::span<const SpineKey> erases,
+      std::span<const SpineKey> inserts);
+  // Appends `whole`, larger than kLeafMax, to `out` cut into exactly
+  // sized leaves, the first starting at global slot `start`.
+  static void Cut(const SpineLeaf& whole, size_t start,
+                  std::vector<LeafRef>* out);
 
   std::vector<LeafRef> leaves_;
   size_t size_ = 0;

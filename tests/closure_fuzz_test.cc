@@ -176,6 +176,97 @@ TEST_P(NaiveOracle, TraceReplaysAndProofChecks) {
   EXPECT_TRUE(CheckProof(*proof).ok()) << CheckProof(*proof).ToString();
 }
 
+// A property hierarchy with many uses: p0..p3 chained by random sp
+// pairs, (q, sp, sp) and (r, sp, sc) so that uses of q and r conclude
+// sp/sc pairs by rule (3), dom/range on the properties and uses of all
+// of them over a few subjects and objects. Most of the first round's
+// conclusions come from the uses, so it outsizes a quarter of the graph
+// and mixes sp/sc pairs with ordinary triples.
+Graph HierarchyWithUses(Dictionary* dict, Rng* rng) {
+  std::vector<Term> props, terms;
+  for (int i = 0; i < 4; ++i) {
+    props.push_back(dict->Iri("hu:p" + std::to_string(i)));
+  }
+  for (int i = 0; i < 5; ++i) {
+    terms.push_back(dict->Iri("hu:t" + std::to_string(i)));
+  }
+  terms.push_back(dict->Blank("huB"));
+  const Term q = dict->Iri("hu:q");
+  const Term r = dict->Iri("hu:r");
+  Graph g;
+  for (size_t i = 0; i + 1 < props.size(); ++i) {
+    const size_t above = i + 1 + rng->Below(props.size() - i - 1);
+    g.Insert(props[i], vocab::kSp, props[above]);
+  }
+  g.Insert(q, vocab::kSp, vocab::kSp);
+  g.Insert(r, vocab::kSp, vocab::kSc);
+  g.Insert(props[rng->Below(props.size())], vocab::kDom, terms[0]);
+  g.Insert(props[rng->Below(props.size())], vocab::kRange, terms[1]);
+  auto term = [&] { return terms[rng->Below(terms.size())]; };
+  for (int i = 0; i < 10; ++i) g.Insert(term(), props[rng->Below(2)], term());
+  for (int i = 0; i < 3; ++i) {
+    g.Insert(term(), q, term());
+    g.Insert(term(), r, term());
+  }
+  return g;
+}
+
+TEST_P(NaiveOracle, TracedLargeRoundWithPairsReplays) {
+  Dictionary dict;
+  Rng rng(GetParam() + 8000);
+  const Graph g = HierarchyWithUses(&dict, &rng);
+  std::vector<RuleApplication> trace;
+  const Graph cl = RdfsClosure(g, &trace);
+  EXPECT_EQ(cl, RdfsClosureNaive(g)) << "seed " << GetParam();
+  // Rule (3) alone puts every use under each of its properties' supers
+  // into the first round.
+  size_t first_round = 0;
+  for (const Triple& t : g) {
+    first_round += g.CountMatches(t.p, vocab::kSp, std::nullopt);
+  }
+  EXPECT_GT(first_round, g.size() / 4);
+  Graph replay = g;
+  for (const RuleApplication& app : trace) {
+    ASSERT_TRUE(ValidateApplication(app).ok())
+        << "seed " << GetParam() << ": " << ValidateApplication(app).ToString();
+    for (const Triple& premise : app.premises) {
+      ASSERT_TRUE(replay.Contains(premise)) << "seed " << GetParam();
+    }
+    for (const Triple& conclusion : app.conclusions) replay.Insert(conclusion);
+  }
+  EXPECT_EQ(replay, cl) << "seed " << GetParam();
+}
+
+TEST_P(NaiveOracle, DRedEraseOfALargeConeMatches) {
+  Dictionary dict;
+  Rng rng(GetParam() + 9000);
+  // A class chain c0 sc c1 sc ... with instances typed at its root, plus
+  // a pathological graph: cutting a chain edge suspects every type the
+  // instances got above it.
+  Graph g = Draw(&dict, &rng);
+  const uint32_t chain = 3 + rng.Below(4);
+  std::vector<Term> classes;
+  for (uint32_t i = 0; i <= chain; ++i) {
+    classes.push_back(dict.Iri("cone:c" + std::to_string(i)));
+  }
+  for (uint32_t i = 0; i < chain; ++i) {
+    g.Insert(classes[i], vocab::kSc, classes[i + 1]);
+  }
+  for (int i = 0; i < 12; ++i) {
+    g.Insert(dict.Iri("cone:x" + std::to_string(i)), vocab::kType, classes[0]);
+  }
+  IncrementalClosure inc(g);
+  const size_t before = inc.closure().size();
+  const uint32_t cut = rng.Below(chain);
+  const Graph deleted{Triple(classes[cut], vocab::kSc, classes[cut + 1])};
+  Graph after = g;
+  after.Erase(deleted[0]);
+  ClosureDeltaStats stats;
+  inc.EraseDelta(after, deleted, &stats);
+  EXPECT_GT(stats.overdeleted * 16, before) << "seed " << GetParam();
+  EXPECT_EQ(inc.closure(), RdfsClosure(after)) << "seed " << GetParam();
+}
+
 TEST_P(NaiveOracle, AllRulesMatches) {
   Dictionary dict;
   Rng rng(GetParam() + 7000);

@@ -419,6 +419,39 @@ TEST(GraphSpine, CopySharesLeavesAndPatchesDiverge) {
   EXPECT_GT(g.Stats().index_patches, 0u);
 }
 
+TEST(GraphSpine, LargeInsertAllKeepsWarmPermutationsAndSharedLeaves) {
+  // 20k triples over subjects 100.. and objects 200..; a 500-triple
+  // delta on one fresh subject whose objects lie above all others lands
+  // in one leaf of each order (the head of spo and of p's pso run, the
+  // tail of p's pos run and of osp).
+  Graph g;
+  std::vector<Triple> base;
+  for (uint32_t i = 0; i < 20000; ++i) {
+    base.emplace_back(Term::Iri(100 + i), Term::Iri(50 + i % 7),
+                      Term::Iri(200 + i % 997));
+  }
+  g.InsertAll(Graph(std::move(base)));
+  g.WarmIndexes();
+  const Graph copy = g;
+  Graph delta;
+  for (uint32_t i = 0; i < 500; ++i) {
+    delta.Insert(Triple(Term::Iri(1), Term::Iri(56), Term::Iri(5000 + i)));
+  }
+  const uint64_t rebuilds = g.Stats().index_rebuilds;
+  g.InsertAll(delta);
+  EXPECT_TRUE(g.Stats().indexes_built);
+  EXPECT_EQ(g.CountMatches(std::nullopt, Term::Iri(56), std::nullopt),
+            copy.CountMatches(std::nullopt, Term::Iri(56), std::nullopt) +
+                500);
+  EXPECT_EQ(g.Stats().index_rebuilds, rebuilds);
+  // Of the copy's leaves, only the one touched leaf per order went.
+  const SpineSharing sharing = copy.SharedLeaves(g);
+  EXPECT_GT(sharing.total, 40u);
+  EXPECT_EQ(sharing.shared + 4, sharing.total);
+  EXPECT_EQ(copy.size(), 20000u);
+  EXPECT_EQ(g.size(), 20500u);
+}
+
 TEST(GraphSpine, MutationFuzzMatchesFromScratchBuild) {
   std::mt19937 rng(20260808);
   Graph g;
@@ -442,6 +475,56 @@ TEST(GraphSpine, MutationFuzzMatchesFromScratchBuild) {
       ASSERT_EQ(g.triples(), fresh.triples());
     }
   }
+  // Random mixed batches through Graph::Apply, on warm permutations:
+  // empty and one-triple batches, one subject's 5000 triples (cut into
+  // pieces in every order) and random batches, alternately with a copy
+  // sharing every leaf, which must come out unchanged.
+  g.WarmIndexes();
+  auto random_triple = [&] {
+    return Triple(Term::Iri(rng() % 700), Term::Iri(rng() % 11),
+                  Term::Iri(rng() % 700));
+  };
+  for (int batch = 0; batch < 60; ++batch) {
+    std::set<Triple> inserts, erases;
+    const size_t n = batch % 10 == 0 ? 0 : batch % 10 == 1 ? 1 : rng() % 400;
+    for (size_t i = 0; i < n; ++i) {
+      (rng() % 3 == 0 ? erases : inserts).insert(random_triple());
+    }
+    if (batch == 30) {
+      for (uint32_t i = 0; i < 5000; ++i) {
+        inserts.insert(Triple(Term::Iri(350), Term::Iri(i % 11),
+                              Term::Iri(1000 + i)));
+      }
+    }
+    for (const Triple& t : inserts) erases.erase(t);
+    const Graph copy = batch % 2 == 1 ? g : Graph();
+    const std::vector<Triple> before = copy.triples();
+    size_t want = 0;
+    for (const Triple& t : erases) want += ref.erase(t);
+    for (const Triple& t : inserts) want += ref.insert(t).second;
+    const uint64_t epoch = g.epoch();
+    ASSERT_EQ(g.Apply(std::vector<Triple>(erases.begin(), erases.end()),
+                      std::vector<Triple>(inserts.begin(), inserts.end())),
+              want);
+    ASSERT_EQ(g.epoch(), epoch + (want != 0 ? 1 : 0));
+    ASSERT_TRUE(g.Stats().indexes_built);
+    ASSERT_EQ(g.triples(), std::vector<Triple>(ref.begin(), ref.end()));
+    ASSERT_EQ(copy.triples(), before);
+    for (int probe = 0; probe < 20; ++probe) {
+      const Triple t = random_triple();
+      size_t by_p = 0, by_po = 0, by_o = 0, by_so = 0;
+      for (const Triple& r : ref) {
+        by_p += r.p == t.p;
+        by_po += r.p == t.p && r.o == t.o;
+        by_o += r.o == t.o;
+        by_so += r.s == t.s && r.o == t.o;
+      }
+      ASSERT_EQ(g.CountMatches(std::nullopt, t.p, std::nullopt), by_p);
+      ASSERT_EQ(g.CountMatches(std::nullopt, t.p, t.o), by_po);
+      ASSERT_EQ(g.CountMatches(std::nullopt, std::nullopt, t.o), by_o);
+      ASSERT_EQ(g.CountMatches(t.s, std::nullopt, t.o), by_so);
+    }
+  }
   ASSERT_EQ(g.size(), ref.size());
   size_t i = 0;
   for (const Triple& t : g) {
@@ -461,6 +544,14 @@ TEST(GraphSpine, MutationFuzzMatchesFromScratchBuild) {
 
 // ---------------------------------------------------------------------------
 // Spine::LexLess and the leaf-walking iterator.
+
+// One-key writes: Spine::Apply with a one-key span.
+bool Insert(Spine* s, const SpineKey& key) {
+  return s->Apply({}, {&key, 1}) != 0;
+}
+bool Erase(Spine* s, const SpineKey& key) {
+  return s->Apply({&key, 1}, {}) != 0;
+}
 
 Spine SpineOf(const std::set<SpineKey>& keys) {
   Spine s;
@@ -651,6 +742,123 @@ void ExpectLookupsMatchFlattened(const Spine& s, std::mt19937* rng) {
   }
 }
 
+// Applies one batch to `s` and `ref`: the spine matches the set, its
+// metadata is current, no leaf outgrows kLeafMax and Apply counts the
+// keys that changed. With `share`, a copy taken before the batch shares
+// every leaf and must come out unchanged.
+void ApplyBatch(Spine* s, std::set<SpineKey>* ref,
+                std::vector<SpineKey> erases, std::vector<SpineKey> inserts,
+                bool share) {
+  std::sort(inserts.begin(), inserts.end());
+  inserts.erase(std::unique(inserts.begin(), inserts.end()), inserts.end());
+  std::sort(erases.begin(), erases.end());
+  erases.erase(std::unique(erases.begin(), erases.end()), erases.end());
+  std::erase_if(erases, [&](const SpineKey& k) {
+    return std::binary_search(inserts.begin(), inserts.end(), k);
+  });
+  const Spine copy = share ? *s : Spine();
+  const std::vector<SpineKey> before = copy.Keys();
+  size_t want = 0;
+  for (const SpineKey& k : erases) want += ref->erase(k);
+  for (const SpineKey& k : inserts) want += ref->insert(k).second;
+  ASSERT_EQ(s->Apply(erases, inserts), want);
+  ASSERT_EQ(s->Keys(), std::vector<SpineKey>(ref->begin(), ref->end()));
+  ExpectMetadataCurrent(*s);
+  for (size_t li = 0; li < s->leaf_count(); ++li) {
+    ASSERT_LE(s->leaf(li).size(), Spine::kLeafMax) << "leaf " << li;
+    ASSERT_LE(s->leaf(li).size(), s->leaf(li).capacity()) << "leaf " << li;
+  }
+  if (share) {
+    ASSERT_EQ(copy.Keys(), before);
+    ExpectMetadataCurrent(copy);
+  }
+}
+
+// Mixed batches through one Apply each, on unique leaves or on leaves a
+// copy shares: into an empty spine, empty and one-key batches, keys
+// below the first leaf and above the last, a whole leaf out and in, one
+// leaf cut into three or more pieces, emptied leaves and random batches.
+void RunMixedBatches(bool share) {
+  SCOPED_TRACE(share ? "shared leaves" : "unique leaves");
+  std::mt19937 rng(share ? 7 : 11);
+  Spine s;
+  std::set<SpineKey> ref;
+  auto random_keys = [&](size_t n) {
+    std::vector<SpineKey> keys;
+    for (size_t i = 0; i < n; ++i) keys.push_back(EdgeKey(&rng));
+    return keys;
+  };
+  auto batch = [&](std::vector<SpineKey> erases,
+                   std::vector<SpineKey> inserts) {
+    ApplyBatch(&s, &ref, std::move(erases), std::move(inserts), share);
+  };
+  // Into the empty spine, then an empty batch and one-key batches.
+  ASSERT_NO_FATAL_FAILURE(batch(random_keys(50), random_keys(12000)));
+  ASSERT_GT(s.leaf_count(), 4u);
+  ASSERT_NO_FATAL_FAILURE(batch({}, {}));
+  ASSERT_NO_FATAL_FAILURE(batch({}, random_keys(1)));
+  ASSERT_NO_FATAL_FAILURE(batch({*ref.begin()}, {}));
+  ASSERT_NO_FATAL_FAILURE(batch({EdgeKey(&rng)}, {}));
+  ExpectLookupsMatchFlattened(s, &rng);
+
+  // The first and last ten keys out, then back in: keys below the
+  // first leaf and above the last.
+  std::vector<SpineKey> ends(ref.begin(), std::next(ref.begin(), 10));
+  ends.insert(ends.end(), std::prev(ref.end(), 10), ref.end());
+  ASSERT_NO_FATAL_FAILURE(batch(ends, {}));
+  ASSERT_NO_FATAL_FAILURE(batch({}, ends));
+  EXPECT_EQ(s.leaf_first(0), ends.front());
+
+  // A whole leaf out, and a whole leaf's worth of keys in.
+  const size_t leaves = s.leaf_count();
+  std::vector<SpineKey> gone;
+  for (size_t i = 0; i < s.leaf(1).size(); ++i) gone.push_back(s.leaf(1).at(i));
+  ASSERT_NO_FATAL_FAILURE(batch(gone, {}));
+  EXPECT_EQ(s.leaf_count(), leaves - 1);
+  ASSERT_NO_FATAL_FAILURE(batch({}, gone));
+
+  // One leaf's range takes 3 * kLeafMax keys: k0 = 5 lies between
+  // EdgeKey's leading parts, so they all fall into one leaf, which is
+  // cut into at least three exactly sized pieces.
+  const size_t before_cut = s.leaf_count();
+  std::vector<SpineKey> crowd;
+  for (uint32_t j = 0; j < 3 * Spine::kLeafMax; ++j) crowd.push_back({5, 5, j});
+  ASSERT_NO_FATAL_FAILURE(batch({}, crowd));
+  EXPECT_GE(s.leaf_count(), before_cut + 2);
+  const size_t first_piece = s.LeafIndexOf(s.LowerBound({5, 5, 0}));
+  EXPECT_EQ(s.leaf(first_piece + 1).size(),
+            s.leaf(first_piece + 1).capacity());
+
+  // Empty two whole leaves and half a third, with inserts into the last
+  // piece cut above.
+  std::vector<SpineKey> emptied;
+  for (size_t li = 2; li < 5; ++li) {
+    const SpineLeaf& leaf = s.leaf(li);
+    const size_t n = li == 4 ? leaf.size() / 2 : leaf.size();
+    for (size_t i = 0; i < n; ++i) emptied.push_back(leaf.at(i));
+  }
+  std::vector<SpineKey> elsewhere;
+  for (uint32_t j = 0; j < 40; ++j) elsewhere.push_back({5, 6, j});
+  const size_t before_empty = s.leaf_count();
+  ASSERT_NO_FATAL_FAILURE(batch(emptied, elsewhere));
+  EXPECT_EQ(s.leaf_count(), before_empty - 2);
+
+  // Random mixed batches, erases drawn half from present keys.
+  for (int round = 0; round < 40; ++round) {
+    std::vector<SpineKey> erases = random_keys(rng() % 300);
+    for (size_t i = rng() % 300; i > 0 && !ref.empty(); --i) {
+      erases.push_back(*std::next(ref.begin(), rng() % ref.size()));
+    }
+    ASSERT_NO_FATAL_FAILURE(batch(erases, random_keys(rng() % 600)));
+  }
+  ExpectLookupsMatchFlattened(s, &rng);
+
+  // Everything out in one batch.
+  ASSERT_NO_FATAL_FAILURE(
+      batch(std::vector<SpineKey>(ref.begin(), ref.end()), {}));
+  EXPECT_EQ(s.leaf_count(), 0u);
+}
+
 TEST(SpineSearch, MetadataAndLookupsTrackInsertsErasesAndEmptiedLeaves) {
   std::mt19937 rng(20261018);
   Spine s;
@@ -660,9 +868,9 @@ TEST(SpineSearch, MetadataAndLookupsTrackInsertsErasesAndEmptiedLeaves) {
   for (int step = 0; step < 16000; ++step) {
     const SpineKey k = EdgeKey(&rng);
     if (rng() % 5 != 0) {
-      ASSERT_EQ(s.Insert(k), ref.insert(k).second);
+      ASSERT_EQ(Insert(&s, k), ref.insert(k).second);
     } else {
-      ASSERT_EQ(s.Erase(k), ref.erase(k) != 0);
+      ASSERT_EQ(Erase(&s, k), ref.erase(k) != 0);
     }
     if (step % 500 == 0) ExpectMetadataCurrent(s);
   }
@@ -673,7 +881,7 @@ TEST(SpineSearch, MetadataAndLookupsTrackInsertsErasesAndEmptiedLeaves) {
 
   // A key below everything moves leaf 0's first key.
   const SpineKey least = {0, 0, 0};
-  if (ref.insert(least).second) ASSERT_TRUE(s.Insert(least));
+  if (ref.insert(least).second) ASSERT_TRUE(Insert(&s, least));
   ExpectMetadataCurrent(s);
 
   // Empty whole leaves: the first, then one in the middle, key by key
@@ -684,7 +892,7 @@ TEST(SpineSearch, MetadataAndLookupsTrackInsertsErasesAndEmptiedLeaves) {
     // fresh blocks for `s`, and `doomed` keeps the keys it had.
     const SpineLeaf doomed = s.leaf(victim);
     for (size_t i = 0; i < doomed.size(); ++i) {
-      ASSERT_TRUE(s.Erase(doomed.at(i)));
+      ASSERT_TRUE(Erase(&s, doomed.at(i)));
       ref.erase(doomed.at(i));
       if (i % 97 == 0) ExpectMetadataCurrent(s);
     }
@@ -695,11 +903,15 @@ TEST(SpineSearch, MetadataAndLookupsTrackInsertsErasesAndEmptiedLeaves) {
   ASSERT_EQ(s.Keys(), std::vector<SpineKey>(ref.begin(), ref.end()));
 
   // Drain to empty, then lookups on the empty spine.
-  for (const SpineKey& k : ref) ASSERT_TRUE(s.Erase(k));
+  for (const SpineKey& k : ref) ASSERT_TRUE(Erase(&s, k));
   EXPECT_TRUE(s.empty());
   EXPECT_EQ(s.leaf_count(), 0u);
   ExpectLookupsMatchFlattened(s, &rng);
+
+  RunMixedBatches(/*share=*/false);
+  RunMixedBatches(/*share=*/true);
 }
+
 
 TEST(SpineSearch, BulkBuildAndCopyThenMutateKeepMetadataCurrent) {
   std::mt19937 rng(29);
@@ -715,9 +927,9 @@ TEST(SpineSearch, BulkBuildAndCopyThenMutateKeepMetadataCurrent) {
   for (int i = 0; i < 3000; ++i) {
     const SpineKey k = EdgeKey(&rng);
     if (rng() % 2 == 0) {
-      copy.Insert(k);
+      Insert(&copy, k);
     } else {
-      copy.Erase(k);
+      Erase(&copy, k);
     }
   }
   ExpectMetadataCurrent(copy);
@@ -751,9 +963,9 @@ TEST(SpineSearch, SharedLeafCountMatchesPointerHashing) {
     for (int i = 0; i < edits; ++i) {
       const SpineKey k = EdgeKey(&rng);
       if (rng() % 3 == 0) {
-        to.Erase(k);
+        Erase(&to, k);
       } else {
-        to.Insert(k);
+        Insert(&to, k);
       }
     }
     EXPECT_EQ(to.CountSharedLeavesWith(from), SharedByHash(to, from))
@@ -763,7 +975,7 @@ TEST(SpineSearch, SharedLeafCountMatchesPointerHashing) {
     EXPECT_EQ(from.CountSharedLeavesWith(from), from.leaf_count());
     // Equal contents in different leaves share nothing.
     Spine rebuilt;
-    for (const SpineKey& k : keys) rebuilt.Insert(k);
+    for (const SpineKey& k : keys) Insert(&rebuilt, k);
     EXPECT_EQ(rebuilt.CountSharedLeavesWith(from), 0u);
     EXPECT_EQ(SharedByHash(rebuilt, from), 0u);
   }
@@ -817,9 +1029,9 @@ TEST(SpineLeafBlock, WritesToACopyLeaveTheOriginalsBlocksAlone) {
   for (int i = 0; i < 4000; ++i) {
     const SpineKey k = EdgeKey(&rng);
     if (rng() % 3 == 0) {
-      ASSERT_EQ(copy.Erase(k), ref.erase(k) != 0);
+      ASSERT_EQ(Erase(&copy, k), ref.erase(k) != 0);
     } else {
-      ASSERT_EQ(copy.Insert(k), ref.insert(k).second);
+      ASSERT_EQ(Insert(&copy, k), ref.insert(k).second);
     }
   }
   ASSERT_EQ(copy.Keys(), std::vector<SpineKey>(ref.begin(), ref.end()));
@@ -840,9 +1052,9 @@ TEST(SpineLeafBlock, WritesToACopyLeaveTheOriginalsBlocksAlone) {
     for (int i = 0; i < 200; ++i) {
       const SpineKey k = EdgeKey(&rng);
       if (rng() % 3 == 0) {
-        copy.Erase(k);
+        Erase(&copy, k);
       } else {
-        copy.Insert(k);
+        Insert(&copy, k);
       }
     }
   }
@@ -866,7 +1078,7 @@ TEST(SpineLeafBlock, ACopiedLeafIsRewrittenOnceThenWrittenInPlace) {
   Spine copy = original;
   ASSERT_EQ(copy.leaf(0).id(), original_id);
   // The first insert writes a fresh block with clone headroom.
-  ASSERT_TRUE(copy.Insert({1, 1, 1}));
+  ASSERT_TRUE(Insert(&copy, {1, 1, 1}));
   const void* cloned = copy.leaf(0).id();
   EXPECT_NE(cloned, original_id);
   EXPECT_EQ(copy.leaf(0).capacity(), Spine::CloneCapacity(fill));
@@ -874,17 +1086,17 @@ TEST(SpineLeafBlock, ACopiedLeafIsRewrittenOnceThenWrittenInPlace) {
   // Inserts and erases within that capacity stay in the same block.
   uint32_t odd = 3;
   while (copy.leaf(0).size() < copy.leaf(0).capacity()) {
-    ASSERT_TRUE(copy.Insert({1, 1, odd}));
+    ASSERT_TRUE(Insert(&copy, {1, 1, odd}));
     odd += 2;
     ASSERT_EQ(copy.leaf(0).id(), cloned);
   }
-  ASSERT_TRUE(copy.Erase({1, 1, 0}));
-  ASSERT_TRUE(copy.Insert({0, 0, 0}));  // a new first key, in place
+  ASSERT_TRUE(Erase(&copy, {1, 1, 0}));
+  ASSERT_TRUE(Insert(&copy, {0, 0, 0}));  // a new first key, in place
   EXPECT_EQ(copy.leaf(0).id(), cloned);
   EXPECT_EQ(copy.leaf_first(0), (SpineKey{0, 0, 0}));
   // A full unshared leaf grows to twice its size.
   const size_t full = copy.leaf(0).size();
-  ASSERT_TRUE(copy.Insert({1, 1, odd}));
+  ASSERT_TRUE(Insert(&copy, {1, 1, odd}));
   EXPECT_NE(copy.leaf(0).id(), cloned);
   EXPECT_EQ(copy.leaf(0).capacity(), Spine::GrowCapacity(full));
   EXPECT_EQ(Spine::GrowCapacity(full), 2 * full);
@@ -906,14 +1118,14 @@ TEST(SpineLeafBlock, SplittingAFullUnsharedLeafWritesExactHalves) {
     // Fill one leaf to kLeafMax by inserts (never shared).
     for (uint32_t i = 0; ref.size() < Spine::kLeafMax; ++i) {
       const SpineKey k{2, 2, 2 * i + 1};
-      ASSERT_TRUE(s.Insert(k));
+      ASSERT_TRUE(Insert(&s, k));
       ref.insert(k);
     }
     ASSERT_EQ(s.leaf_count(), 1u);
     ASSERT_EQ(s.leaf(0).size(), Spine::kLeafMax);
     ASSERT_EQ(s.leaf(0).capacity(), Spine::kLeafMax);
     const SpineKey extra{2, 2, 2 * where};
-    ASSERT_TRUE(s.Insert(extra));
+    ASSERT_TRUE(Insert(&s, extra));
     ref.insert(extra);
     ASSERT_EQ(s.leaf_count(), 2u);
     const size_t n = Spine::kLeafMax + 1;
@@ -933,17 +1145,17 @@ TEST(SpineLeafBlock, ErasingFromASharedLeafRewritesItErasingInPlaceDoesNot) {
     return SpineKey{3, 3, static_cast<uint32_t>(i)};
   });
   Spine copy = original;
-  ASSERT_TRUE(copy.Erase({3, 3, 0}));
+  ASSERT_TRUE(Erase(&copy, {3, 3, 0}));
   const void* cloned = copy.leaf(0).id();
   EXPECT_NE(cloned, original.leaf(0).id());
   EXPECT_EQ(copy.leaf(0).capacity(), Spine::CloneCapacity(300));
   EXPECT_EQ(copy.leaf_first(0), (SpineKey{3, 3, 1}));
   for (uint32_t i = 1; i < 299; ++i) {
-    ASSERT_TRUE(copy.Erase({3, 3, i}));
+    ASSERT_TRUE(Erase(&copy, {3, 3, i}));
     ASSERT_EQ(copy.leaf(0).id(), cloned);
   }
   EXPECT_EQ(copy.Keys(), (std::vector<SpineKey>{{3, 3, 299}}));
-  ASSERT_TRUE(copy.Erase({3, 3, 299}));
+  ASSERT_TRUE(Erase(&copy, {3, 3, 299}));
   EXPECT_EQ(copy.leaf_count(), 0u);
   EXPECT_EQ(original.size(), 300u);
   EXPECT_EQ(original.leaf(0).at(0), (SpineKey{3, 3, 0}));
@@ -1041,7 +1253,7 @@ TEST(SpineEqualRange, UintMaxPrefixesRunToTheEnd) {
   std::mt19937 rng(31);
   for (int i = 0; i < 4000; ++i) {
     const uint32_t lead = rng() % 2 == 0 ? UINT32_MAX : 3;
-    s.Insert({lead, rng() % 3 == 0 ? 5u : UINT32_MAX,
+    Insert(&s, {lead, rng() % 3 == 0 ? 5u : UINT32_MAX,
               static_cast<uint32_t>(rng())});
   }
   ExpectMetadataCurrent(s);
