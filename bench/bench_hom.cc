@@ -4,6 +4,9 @@
 // from when they were recorded beside the retired map-based matcher;
 // EXPERIMENTS.md E13 quotes that comparison as history.)
 //
+// Counters are the last run's MatchStats: nodes, candidates, steps,
+// selectivity recomputes, and sibling-cursor seeks and prunes.
+//
 // Series reported:
 //   * CliqueRefuted/k    — enc(K_k) ⊨ enc(K_{k+1}): exhaustive refusal.
 //   * CliqueIntoSelf/k   — enc(K_k) → enc(K_k): satisfiable search.
@@ -104,6 +107,8 @@ void RunNew(benchmark::State& state, Workload w) {
   state.counters["steps"] = static_cast<double>(stats.steps_used);
   state.counters["recomputes"] =
       static_cast<double>(stats.selectivity_recomputes);
+  state.counters["seeks"] = static_cast<double>(stats.sibling_seeks);
+  state.counters["prunes"] = static_cast<double>(stats.sibling_prunes);
 }
 
 void BM_CliqueRefutedNew(benchmark::State& state) {

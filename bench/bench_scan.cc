@@ -19,9 +19,10 @@
 //                           [k=1] and (o) [k=2] keys drawn from the
 //                           closure: the spines' two-level search.
 //                           `scanned` is probes per lookup.
-//   * PreAnswerSp2bJoin/t — PreAnswerPrenormalized on year_articles [t=0]
-//                           and venue_papers [t=1] requests of the serving
-//                           mix: matching plus flat answer building.
+//   * PreAnswerSp2bJoin/t — PreAnswerPrenormalized on year_articles [t=0],
+//                           venue_papers [t=1] and docs_in_year [t=2]
+//                           requests of the serving mix: matching plus
+//                           flat answer building.
 //                           `allocs_per_answer` is the heap allocations
 //                           of the timed calls over the answers they
 //                           return, counted by this binary's
@@ -230,8 +231,9 @@ BENCHMARK(BM_EqualRangeSp2b)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_PreAnswerSp2bJoin(benchmark::State& state) {
   Sp2bClosure& st = Sp2b();
-  const TemplateId id = state.range(0) == 0 ? TemplateId::kYearArticles
-                                            : TemplateId::kVenuePapers;
+  const TemplateId id = state.range(0) == 0   ? TemplateId::kYearArticles
+                        : state.range(0) == 1 ? TemplateId::kVenuePapers
+                                              : TemplateId::kDocsInYear;
   constexpr size_t kRequests = 64;
   Rng rng(5);
   std::vector<Query> queries;
@@ -276,7 +278,11 @@ void BM_PreAnswerSp2bJoin(benchmark::State& state) {
   state.counters["allocs_per_answer"] =
       static_cast<double>(allocs) / (answered > 0 ? answered : 1);
 }
-BENCHMARK(BM_PreAnswerSp2bJoin)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_PreAnswerSp2bJoin)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_PathSp2b(benchmark::State& state) {
   Sp2bClosure& st = Sp2b();

@@ -125,14 +125,19 @@ Result<std::vector<Graph>> QueryEvaluator::Evaluate(const Query& q,
 
   // Sort the spans lexicographically — over sorted triple sequences
   // that is exactly TriplesLess on the graphs they spell — then keep
-  // the first of each run of equal answers.
+  // the first of each run of equal answers. Spans often come out in
+  // order already (a star join whose rows ascend in the head's terms),
+  // and then one pass replaces the sort.
   const Triple* img = images.data();
   std::vector<size_t> order(bounds.size() - 1);
   std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+  const auto span_less = [&](size_t a, size_t b) {
     return std::lexicographical_compare(img + bounds[a], img + bounds[a + 1],
                                         img + bounds[b], img + bounds[b + 1]);
-  });
+  };
+  if (!std::is_sorted(order.begin(), order.end(), span_less)) {
+    std::sort(order.begin(), order.end(), span_less);
+  }
   const auto last = std::unique(order.begin(), order.end(), [&](size_t a,
                                                                 size_t b) {
     return std::equal(img + bounds[a], img + bounds[a + 1], img + bounds[b],

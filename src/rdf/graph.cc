@@ -21,19 +21,6 @@ const char* IndexOrderName(IndexOrder order) {
   return "?";
 }
 
-int ColumnOfPosition(IndexOrder order, int pos) {
-  // Key sequences: spo = (s,p,o), pso = (p,s,o), pos = (p,o,s),
-  // osp = (o,s,p); kFullScan ranges are served by the primary spine.
-  static constexpr int kMap[kNumIndexOrders][3] = {
-      /* kSpo:      s,p,o -> */ {0, 1, 2},
-      /* kPso:      s,p,o -> */ {1, 0, 2},
-      /* kPos:      s,p,o -> */ {2, 0, 1},
-      /* kOsp:      s,p,o -> */ {1, 2, 0},
-      /* kFullScan: s,p,o -> */ {0, 1, 2},
-  };
-  return kMap[static_cast<size_t>(order)][pos];
-}
-
 namespace {
 
 // The raw term bits of a triple permuted into each order's key
@@ -115,6 +102,111 @@ size_t MatchRange::FilterPairEqual(int pos_a, int pos_b,
     slot = base + hi;
   }
   return out->size() - before;
+}
+
+// --- MatchCursor -----------------------------------------------------
+
+MatchCursor::MatchCursor(const MatchRange& range, int pos)
+    : range_(range),
+      column_(ColumnOfPosition(range.order(), pos)),
+      slot_(range.run_.first),
+      leaf_(range.run_.leaf) {}
+
+MatchRange MatchCursor::Seek(uint32_t key, size_t* probes) {
+  Gallop(key, /*past_equal=*/false, &slot_, &leaf_, probes);
+  size_t end = slot_;
+  size_t end_leaf = leaf_;
+  Gallop(key, /*past_equal=*/true, &end, &end_leaf, probes);
+  return MatchRange::Over(range_.spine_, SpineRun{slot_, end, leaf_},
+                          range_.order_);
+}
+
+void MatchCursor::Gallop(uint32_t key, bool past_equal, size_t* slot,
+                         size_t* leaf, size_t* probes) const {
+  const size_t last = range_.run_.last;
+  if (*slot == last) return;
+  // Rows "before" the target are the ones to skip.
+  const auto before = [&](uint32_t x) {
+    ++*probes;
+    return past_equal ? x <= key : x < key;
+  };
+  // With col[in] before and col[past] not, gallop up from `in` to
+  // bracket the first row not before, then bisect.
+  const auto first_not_before = [&](const uint32_t* col, size_t in,
+                                    size_t past) {
+    for (size_t step = 1; in + step < past; step <<= 1) {
+      if (!before(col[in + step])) {
+        past = in + step;
+        break;
+      }
+      in += step;
+    }
+    while (past - in > 1) {
+      const size_t mid = in + (past - in) / 2;
+      if (before(col[mid])) {
+        in = mid;
+      } else {
+        past = mid;
+      }
+    }
+    return past;
+  };
+  const Spine& spine = *range_.spine_;
+  size_t li = *leaf;
+  size_t base = spine.leaf_start(li);
+  const uint32_t* col = spine.leaf(li).column(column_);
+  size_t end = std::min(spine.leaf(li).size(), last - base);  // in-leaf end
+  const size_t at = *slot - base;
+  if (!before(col[at])) return;
+  if (!before(col[end - 1])) {
+    *slot = base + first_not_before(col, at, end - 1);
+    return;
+  }
+  if (base + end == last) {
+    *slot = last;
+    return;
+  }
+  // Every row left in this leaf is before the target. Gallop over the
+  // next leaves' cached first keys (each a row of the range while the
+  // leaf starts before its end) for the first leaf that does not start
+  // before the target; the target is then in the leaf ahead of it.
+  const auto leaf_past = [&](size_t j) {
+    return spine.leaf_start(j) >= last ||
+           !before(spine.leaf_first(j)[static_cast<size_t>(column_)]);
+  };
+  size_t in = li;
+  size_t past = spine.leaf_count();
+  for (size_t step = 1; in + step < past; step <<= 1) {
+    if (leaf_past(in + step)) {
+      past = in + step;
+      break;
+    }
+    in += step;
+  }
+  while (past - in > 1) {
+    const size_t mid = in + (past - in) / 2;
+    if (leaf_past(mid)) {
+      past = mid;
+    } else {
+      in = mid;
+    }
+  }
+  if (in != li) {
+    // Leaf `in` starts before the target: search its rows after the
+    // first.
+    li = in;
+    base = spine.leaf_start(li);
+    col = spine.leaf(li).column(column_);
+    end = std::min(spine.leaf(li).size(), last - base);
+    if (!before(col[end - 1])) {
+      *slot = base + first_not_before(col, 0, end - 1);
+      *leaf = li;
+      return;
+    }
+  }
+  // The target opens the next leaf, or is the range's end.
+  *slot = base + end;
+  *leaf = li + 1;
 }
 
 // --- Graph -----------------------------------------------------------
@@ -333,6 +425,14 @@ SpineSharing Graph::SharedLeaves(const Graph& other) const {
     s.total += pso_.leaf_count() + pos_.leaf_count() + osp_.leaf_count();
   }
   return s;
+}
+
+MatchRange Graph::Seek(MatchCursor* cursor, Term value) const {
+  size_t probes = 0;
+  const MatchRange run = cursor->Seek(value.bits(), &probes);
+  rows_scanned_.Add(probes);
+  rows_yielded_.Add(run.size());
+  return run;
 }
 
 MatchRange Graph::Matches(std::optional<Term> s, std::optional<Term> p,

@@ -42,7 +42,35 @@ const char* IndexOrderName(IndexOrder order);
 /// an order's key sequence. E.g. for kPso the key sequence is (p,s,o):
 /// the subject lives in column 1, the predicate in column 0, the object
 /// in column 2. kSpo and kFullScan are the identity.
-int ColumnOfPosition(IndexOrder order, int pos);
+constexpr int ColumnOfPosition(IndexOrder order, int pos) {
+  // Key sequences: spo = (s,p,o), pso = (p,s,o), pos = (p,o,s),
+  // osp = (o,s,p); kFullScan ranges are served by the primary spine.
+  constexpr int kMap[kNumIndexOrders][3] = {
+      /* kSpo:      s,p,o -> */ {0, 1, 2},
+      /* kPso:      s,p,o -> */ {1, 0, 2},
+      /* kPos:      s,p,o -> */ {2, 0, 1},
+      /* kOsp:      s,p,o -> */ {1, 2, 0},
+      /* kFullScan: s,p,o -> */ {0, 1, 2},
+  };
+  return kMap[static_cast<size_t>(order)][pos];
+}
+
+/// The inverse: the triple position (0=s, 1=p, 2=o) held by key column
+/// `column` (0..2) of an order's key sequence.
+constexpr int PositionOfColumn(IndexOrder order, int column) {
+  int pos = 0;
+  while (ColumnOfPosition(order, pos) != column) ++pos;
+  return pos;
+}
+
+/// The order Graph::Matches serves a pattern from, given which of its
+/// positions are bound (the table above); the bound positions are that
+/// order's key prefix.
+constexpr IndexOrder MatchOrder(bool s, bool p, bool o) {
+  if (s) return p || !o ? IndexOrder::kSpo : IndexOrder::kOsp;
+  if (p) return o ? IndexOrder::kPos : IndexOrder::kPso;
+  return o ? IndexOrder::kOsp : IndexOrder::kFullScan;
+}
 
 /// A cumulative counter that tolerates concurrent readers: relaxed
 /// atomic load/store (no RMW, so hot-path increments stay cheap), which
@@ -80,7 +108,9 @@ struct GraphStats {
                                  ///< permutations (one per Apply call)
   uint64_t matches_calls = 0;    ///< Matches() lookups served
   uint64_t rows_scanned = 0;     ///< probes/rows examined by lookups
-  uint64_t rows_yielded = 0;     ///< rows in the returned ranges
+                                 ///< and cursor seeks
+  uint64_t rows_yielded = 0;     ///< rows in the returned ranges and
+                                 ///< runs
   bool indexes_built = false;    ///< permutation spines currently valid
   size_t bytes_primary = 0;      ///< primary (s,p,o) spine
   size_t bytes_pso = 0;          ///< pso spine (0 until built)
@@ -197,10 +227,46 @@ class MatchRange {
   }
 
  private:
+  friend class MatchCursor;
+
   const Spine* spine_ = nullptr;
   SpineRun run_;
   IndexOrder order_ = IndexOrder::kFullScan;
   mutable Triple scratch_;  // TripleAt materialization target
+};
+
+/// A forward cursor over a MatchRange whose rows, past their shared key
+/// prefix, are sorted by the key column of one triple position — as
+/// every Graph::Matches range is by the column after its bound
+/// positions. Seek returns the sub-run of rows whose position holds a
+/// value: exactly std::equal_range over that column, in range order.
+///
+/// Values must be sought in non-decreasing order. Each seek gallops
+/// forward from the previous one, first inside the current leaf, then
+/// over the spine's cached leaf first keys, so a seek that jumps many
+/// leaves reads only the leaf it lands in.
+class MatchCursor {
+ public:
+  MatchCursor() = default;
+  /// A cursor at the start of `range`, seeking triple position `pos`.
+  MatchCursor(const MatchRange& range, int pos);
+
+  /// The rows whose position holds `key` (raw term bits, >= every key
+  /// sought before). `probes` accumulates the column entries and leaf
+  /// first keys read.
+  MatchRange Seek(uint32_t key, size_t* probes);
+
+ private:
+  // Moves (*slot, *leaf) forward to the first row of the range whose
+  // column value is >= key, or > key when `past_equal`; *leaf is the
+  // leaf holding *slot while *slot is inside the range.
+  void Gallop(uint32_t key, bool past_equal, size_t* slot, size_t* leaf,
+              size_t* probes) const;
+
+  MatchRange range_;
+  int column_ = 0;
+  size_t slot_ = 0;  // lower bound of the last key sought
+  size_t leaf_ = 0;  // leaf holding slot_
 };
 
 /// An RDF graph: a finite set of RDF triples (paper Def. 2.1).
@@ -384,6 +450,12 @@ class Graph {
   /// is invalidated by any mutation of the graph.
   MatchRange Matches(std::optional<Term> s, std::optional<Term> p,
                      std::optional<Term> o) const;
+
+  /// MatchCursor::Seek on a cursor over one of this graph's ranges,
+  /// counted like a lookup: the seek's probes add to rows_scanned and
+  /// its run to rows_yielded. A seek resolves no range, so
+  /// matches_calls does not move.
+  MatchRange Seek(MatchCursor* cursor, Term value) const;
 
   /// Matches a pattern triple against the graph. Wildcard = std::nullopt.
   /// Invokes visitor for every matching triple; stops early (returning

@@ -126,7 +126,7 @@ void PatternMatcher::CompilePattern() {
       }
       auto [it, inserted] =
           slot_of.try_emplace(terms[pos], static_cast<int32_t>(slots_.size()));
-      if (inserted) slots_.push_back({terms[pos], terms[pos].IsBlank()});
+      if (inserted) slots_.push_back({terms[pos], terms[pos].IsBlank(), 0, 0});
       ct.slot[pos] = it->second;
     }
     for (int a = 0; a < 3 && ct.rep_a < 0; ++a) {
@@ -139,6 +139,33 @@ void PatternMatcher::CompilePattern() {
       }
     }
     compiled_.push_back(ct);
+  }
+  // Holders by slot, as a counting sort of the (slot, triple) pairs. A
+  // triple that repeats a slot does not hold it once.
+  const auto holds_once = [](const CompiledTriple& ct, int pos) {
+    const int32_t s = ct.slot[pos];
+    return s != kNoSlot &&
+           (ct.slot[0] == s) + (ct.slot[1] == s) + (ct.slot[2] == s) == 1;
+  };
+  for (const CompiledTriple& ct : compiled_) {
+    for (int pos = 0; pos < 3; ++pos) {
+      if (holds_once(ct, pos)) ++slots_[ct.slot[pos]].holders_end;
+    }
+  }
+  uint32_t total = 0;
+  for (SlotInfo& info : slots_) {
+    info.holders_begin = total;
+    total += info.holders_end;
+    info.holders_end = info.holders_begin;
+  }
+  holders_.resize(total);
+  for (size_t i = 0; i < compiled_.size(); ++i) {
+    for (int pos = 0; pos < 3; ++pos) {
+      if (holds_once(compiled_[i], pos)) {
+        holders_[slots_[compiled_[i].slot[pos]].holders_end++] =
+            static_cast<uint32_t>(i);
+      }
+    }
   }
   row_scratch_.resize(pattern_.size());
   binding_.resize(slots_.size());
@@ -278,14 +305,14 @@ void PatternMatcher::StampVersions(size_t idx) {
   }
 }
 
-MatchRange PatternMatcher::ResolveRange(size_t idx) {
+MatchRange PatternMatcher::ResolveRange(size_t idx, int32_t open) {
   const CompiledTriple& ct = compiled_[idx];
   RootRange* root = nullptr;
   if (!roots_.empty()) {
     bool any_bound = false;
     for (int pos = 0; pos < 3; ++pos) {
       const int32_t slot = ct.slot[pos];
-      any_bound |= slot != kNoSlot && bound_[slot] != 0;
+      any_bound |= slot != kNoSlot && slot != open && bound_[slot] != 0;
     }
     if (!any_bound) {
       root = &roots_[idx];
@@ -293,8 +320,13 @@ MatchRange PatternMatcher::ResolveRange(size_t idx) {
     }
   }
   ++stats_.selectivity_recomputes;
+  const auto at = [&](int pos) {
+    return ct.slot[pos] == open ? std::nullopt : Resolve(ct, pos);
+  };
   const MatchRange range =
-      target_->Matches(Resolve(ct, 0), Resolve(ct, 1), Resolve(ct, 2));
+      open == kNoSlot
+          ? target_->Matches(Resolve(ct, 0), Resolve(ct, 1), Resolve(ct, 2))
+          : target_->Matches(at(0), at(1), at(2));
   if (root != nullptr) *root = RootRange{range, true};
   return range;
 }
@@ -353,6 +385,123 @@ void PatternMatcher::UndoTo(size_t mark) {
   }
 }
 
+PatternMatcher::SiblingScan PatternMatcher::StartSiblings(
+    size_t idx, const MatchRange& range) const {
+  SiblingScan scan;
+  // The range's bound positions are its key prefix; the candidates are
+  // sorted by the column after it.
+  const CompiledTriple& ct = compiled_[idx];
+  int prefix = 0;
+  for (int pos = 0; pos < 3; ++pos) {
+    const int32_t slot = ct.slot[pos];
+    prefix += slot == kNoSlot || bound_[slot] ? 1 : 0;
+  }
+  if (prefix == 3) return scan;
+  const int32_t lead = ct.slot[PositionOfColumn(range.order(), prefix)];
+  const SlotInfo& info = slots_[lead];
+  if (info.holders_end - info.holders_begin < 2) return scan;
+  scan.lead = lead;
+  for (int pos = 0; pos < 3; ++pos) {
+    const int32_t slot = ct.slot[pos];
+    if (slot != kNoSlot && !bound_[slot]) scan.binds[pos] = slot;
+  }
+  scan.pick = static_cast<uint32_t>(idx);
+  scan.lead_version = slot_version_[lead];
+  scan.next = info.holders_begin;
+  scan.end = info.holders_end;
+  scan.base = sibling_stack_.size();
+  // Start at the first holder that can take a cursor; a node with none
+  // has no scan.
+  while (scan.next < scan.end && SiblingLeadAt(scan, holders_[scan.next]) < 0) {
+    ++scan.next;
+  }
+  if (scan.next == scan.end) return SiblingScan();
+  return scan;
+}
+
+int PatternMatcher::SiblingLeadAt(const SiblingScan& scan,
+                                  uint32_t idx) const {
+  if (idx == scan.pick) return -1;
+  // The lead was unbound at the node, so every other holder is still
+  // pending. Judged by the bindings at the node: a candidate may have
+  // bound scan.binds since.
+  const CompiledTriple& t = compiled_[idx];
+  int prefix = 0;
+  int lead_at = -1;
+  std::array<bool, 3> fixed = {};  // bound positions of its range
+  for (int pos = 0; pos < 3; ++pos) {
+    const int32_t slot = t.slot[pos];
+    if (slot == scan.lead) {
+      lead_at = pos;
+    } else if (slot != kNoSlot &&
+               (slot == scan.binds[0] || slot == scan.binds[1] ||
+                slot == scan.binds[2])) {
+      return -1;  // bound by the candidate
+    } else if (slot == kNoSlot || bound_[slot]) {
+      fixed[pos] = true;
+      ++prefix;
+    }
+  }
+  // Its range must be keyed by the lead right after its prefix.
+  const IndexOrder order = MatchOrder(fixed[0], fixed[1], fixed[2]);
+  return ColumnOfPosition(order, lead_at) == prefix ? lead_at : -1;
+}
+
+bool PatternMatcher::SeekSiblings(SiblingScan* scan) {
+  const Term value = binding_[scan->lead];
+  const std::optional<Triple>& exclude = options_.exclude_triple;
+  const auto seek = [&](Sibling* sib) {
+    ++stats_.sibling_seeks;
+    sib->run = target_->Seek(&sib->cursor, value);
+    // A sole excluded triple is no match either.
+    return !sib->run.empty() &&
+           !(sib->run.size() == 1 && exclude.has_value() &&
+             *sib->run.begin() == *exclude);
+  };
+  for (size_t i = scan->base; i < sibling_stack_.size(); ++i) {
+    if (!seek(&sibling_stack_[i])) {
+      ++stats_.sibling_prunes;
+      return false;
+    }
+  }
+  // Open the holders not examined yet.
+  while (scan->next < scan->end) {
+    const uint32_t idx = holders_[scan->next++];
+    const int lead_at = SiblingLeadAt(*scan, idx);
+    if (lead_at < 0) continue;
+    const CompiledTriple& t = compiled_[idx];
+    // The node's PickNext left the range in its selectivity entry (no
+    // subtree of the node runs before every holder was examined); the
+    // stamps tell, the lead's taken as of the node. A probe loop's
+    // root node may find it stale and resolve it from the kept roots.
+    const Selectivity& sel = sel_[idx];
+    bool current = true;
+    for (int pos = 0; pos < 3; ++pos) {
+      const int32_t slot = t.slot[pos];
+      if (slot == kNoSlot) continue;
+      current &= sel.version[pos] == (slot == scan->lead
+                                          ? scan->lead_version
+                                          : slot_version_[slot]);
+    }
+    const MatchRange range =
+        current ? sel.range : ResolveRange(idx, scan->lead);
+    if (sibling_stack_.capacity() == 0) {
+      sibling_stack_.reserve(3 * pattern_.size());
+    }
+    sibling_stack_.push_back(Sibling{idx, MatchCursor(range, lead_at), {}});
+    if (!seek(&sibling_stack_.back())) {
+      ++stats_.sibling_prunes;
+      return false;
+    }
+  }
+  for (size_t i = scan->base; i < sibling_stack_.size(); ++i) {
+    const Sibling& sib = sibling_stack_[i];
+    sel_[sib.idx].range = sib.run;
+    StampVersions(sib.idx);
+  }
+  return true;
+}
+
 bool PatternMatcher::Search(size_t depth,
                             const std::function<bool(const Term*)>& visitor,
                             bool* stopped) {
@@ -382,6 +531,9 @@ bool PatternMatcher::Search(size_t depth,
   const bool have_exclude = options_.exclude_triple.has_value();
   const Triple exclude =
       have_exclude ? *options_.exclude_triple : Triple();
+  // The node's sibling cursors, when its pick has two or more
+  // candidates (see the class comment).
+  SiblingScan scan;
 
   // Repeated-position residual: while the shared slot is unbound, the
   // index range constrains only the other positions, so every candidate
@@ -393,35 +545,47 @@ bool PatternMatcher::Search(size_t depth,
     rows.clear();
     range.FilterPairEqual(ct.rep_a, ct.rep_b, &rows);
     stats_.candidates_scanned += range.size();
+    if (!options_.static_order && rows.size() >= 2) {
+      scan = StartSiblings(pending_[depth], range);
+    }
     for (uint32_t row : rows) {
       const Triple& tt = range.TripleAt(row);
       if (have_exclude && tt == exclude) continue;
       ++stats_.binds_attempted;
       const size_t mark = trail_.size();
       if (TryBind(ct, tt) &&
-          (exclude_pattern_ < 0 || !ExcludedPatternHit())) {
+          (exclude_pattern_ < 0 || !ExcludedPatternHit()) &&
+          (scan.lead == kNoSlot || SeekSiblings(&scan))) {
         Search(depth + 1, visitor, stopped);
       }
       UndoTo(mark);
       if (budget_exhausted_ || *stopped) break;
     }
-    std::swap(pending_[depth], pending_[pick]);
-    return true;
-  }
-
-  for (const Triple& tt : range) {
-    ++stats_.candidates_scanned;
-    if (have_exclude && tt == exclude) continue;
-    ++stats_.binds_attempted;
-    const size_t mark = trail_.size();
-    // A bind that maps the excluded pattern triple onto the excluded
-    // triple ends the branch: that triple has no other image below.
-    if (TryBind(ct, tt) &&
-        (exclude_pattern_ < 0 || !ExcludedPatternHit())) {
-      Search(depth + 1, visitor, stopped);
+  } else {
+    if (!options_.static_order && range.size() >= 2) {
+      scan = StartSiblings(pending_[depth], range);
     }
-    UndoTo(mark);
-    if (budget_exhausted_ || *stopped) break;
+    for (const Triple& tt : range) {
+      ++stats_.candidates_scanned;
+      if (have_exclude && tt == exclude) continue;
+      ++stats_.binds_attempted;
+      const size_t mark = trail_.size();
+      // A bind that maps the excluded pattern triple onto the excluded
+      // triple ends the branch: that triple has no other image below.
+      // So does an empty sibling run.
+      if (TryBind(ct, tt) &&
+          (exclude_pattern_ < 0 || !ExcludedPatternHit()) &&
+          (scan.lead == kNoSlot || SeekSiblings(&scan))) {
+        Search(depth + 1, visitor, stopped);
+      }
+      UndoTo(mark);
+      if (budget_exhausted_ || *stopped) break;
+    }
+  }
+  if (scan.lead != kNoSlot) {
+    sibling_stack_.erase(
+        sibling_stack_.begin() + static_cast<std::ptrdiff_t>(scan.base),
+        sibling_stack_.end());
   }
 
   std::swap(pending_[depth], pending_[pick]);

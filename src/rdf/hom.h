@@ -33,6 +33,12 @@ struct MatchStats {
   /// Selectivity-cache misses: range resolutions made by PickNext. The
   /// incremental cache makes this far smaller than nodes × pending.
   uint64_t selectivity_recomputes = 0;
+  /// Sibling-cursor seeks: one per candidate and sibling cursor (see
+  /// PatternMatcher). Seeks resolve no range.
+  uint64_t sibling_seeks = 0;
+  /// Candidates that bound but ended before their recursion and step
+  /// because a sibling's run under them was empty.
+  uint64_t sibling_prunes = 0;
   /// Candidate ranges served, bucketed by the index order that served
   /// them (indexed by IndexOrder).
   std::array<uint64_t, kNumIndexOrders> index_hits = {};
@@ -90,6 +96,19 @@ struct MatchOptions {
 /// gets a dense slot id, bindings live in a flat array with an undo
 /// trail, and per-triple selectivity counts are cached and recomputed
 /// only when a slot of that triple changed (version stamps).
+///
+/// Sibling cursors (dynamic order only). A picked range of two or more
+/// candidates yields them sorted by its leading open slot v, the key
+/// column after its bound prefix. Each other pending triple T that
+/// holds v once, has no other open slot the candidate binds, and whose
+/// own range (v open) is also keyed by v next, gets one MatchCursor per
+/// node, opened when a candidate first reaches it. Per candidate that
+/// survives TryBind the cursor gallops to v's value: an empty run (or
+/// one that is only the excluded triple) ends the candidate before its
+/// recursion and its step; a non-empty run is T's range under the new
+/// binding, row for row, and seeds T's selectivity entry so the child
+/// resolves nothing. Rows and their order are those of a search without
+/// cursors.
 class PatternMatcher {
  public:
   /// The target graph must outlive the matcher and contain no variables.
@@ -168,6 +187,10 @@ class PatternMatcher {
   struct SlotInfo {
     Term term;      // the pattern's blank node or variable
     bool is_blank;  // blank nodes are subject to the blank-only options
+    // holders_[holders_begin, holders_end): the pattern triples that
+    // hold the slot exactly once.
+    uint32_t holders_begin;
+    uint32_t holders_end;
   };
   // A pattern triple's candidate range resolved with none of its slots
   // bound, kept across the probes of a set_exclude_triple loop.
@@ -182,6 +205,27 @@ class PatternMatcher {
   struct Selectivity {
     MatchRange range;
     std::array<uint32_t, 3> version = {};  // 0 = never computed
+  };
+  // A pending triple that holds the picked triple's leading open slot,
+  // with its cursor over its range at the node and its run under the
+  // current candidate.
+  struct Sibling {
+    uint32_t idx = 0;  // pattern triple
+    MatchCursor cursor;
+    MatchRange run;
+  };
+  // One search node's siblings: the leading open slot of its pick, the
+  // holders of that slot still to examine, and where the node's opened
+  // siblings start on sibling_stack_.
+  struct SiblingScan {
+    int32_t lead = kNoSlot;  // kNoSlot: the node opens no siblings
+    uint32_t pick = 0;       // the picked pattern triple
+    uint32_t next = 0;       // holders_[next, end) not examined yet
+    uint32_t end = 0;
+    uint32_t lead_version = 0;  // the lead's version at the node
+    size_t base = 0;
+    // The pick's slots unbound at the node, which a candidate binds.
+    std::array<int32_t, 3> binds = {kNoSlot, kNoSlot, kNoSlot};
   };
 
   // Open-addressing set of term bits with backward-shift deletion; holds
@@ -217,9 +261,9 @@ class PatternMatcher {
   // selectivity entry (after its range was set).
   void StampVersions(size_t idx);
   // The candidate range of pattern triple `idx` under the current
-  // bindings; served from roots_ when they are kept and none of the
-  // triple's slots is bound.
-  MatchRange ResolveRange(size_t idx);
+  // bindings, with slot `open` (if any) taken as unbound; served from
+  // roots_ when they are kept and none of the other slots is bound.
+  MatchRange ResolveRange(size_t idx, int32_t open = kNoSlot);
   // Resets all per-Enumerate search state (bindings, trail, caches,
   // stats) and rebuilds pending_; returns false if a fully ground
   // pattern triple is absent from the target (no solutions).
@@ -229,6 +273,19 @@ class PatternMatcher {
   bool ConsumeStep();
   bool Search(size_t depth, const std::function<bool(const Term*)>& visitor,
               bool* stopped);
+  // The sibling scan of a node whose pick `idx` iterates `range`, two
+  // or more candidates (see the class comment); its lead is kNoSlot
+  // when no holder takes a cursor.
+  SiblingScan StartSiblings(size_t idx, const MatchRange& range) const;
+  // The position of the scan's lead in holder `idx` when that holder
+  // takes a cursor at the scan's node, or -1.
+  int SiblingLeadAt(const SiblingScan& scan, uint32_t idx) const;
+  // After a candidate bound the scan's lead: seeks every opened
+  // sibling to the lead's value, opening the remaining holders as it
+  // goes. False at the first empty run, when the candidate has no
+  // solution; otherwise stores each sibling's run as its selectivity
+  // entry, stamped with the versions of the candidate's bindings.
+  bool SeekSiblings(SiblingScan* scan);
   // Returns the index (into pending_) of the cheapest pending triple,
   // re-resolving stale selectivity-cache ranges along the way.
   size_t PickNext(size_t depth);
@@ -271,6 +328,14 @@ class PatternMatcher {
   // once in CompilePattern so recursion never reallocates the vector of
   // vectors; each depth owns its buffer across its candidate loop).
   std::vector<std::vector<uint32_t>> row_scratch_;
+  // The holders of every slot, slot by slot (see SlotInfo; compiled
+  // once, and a slot with one holder has no siblings).
+  std::vector<uint32_t> holders_;
+  // The opened siblings of the nodes on the search path, each node's
+  // above its parent's. A pattern triple is open at most once per slot
+  // it holds, so the first opening reserves 3 per pattern triple and
+  // the search never reallocates.
+  std::vector<Sibling> sibling_stack_;
   uint64_t steps_ = 0;
   bool budget_exhausted_ = false;
   MatchStats stats_;

@@ -210,16 +210,20 @@ TEST(BatchParity, BudgetExhaustionOnSharedPrefixMatchesSequential) {
   // Two hop queries that spell the same expensive [e, p] prefix and
   // differ in their suffix, under a budget the prefix alone overruns:
   // the 2-hop query's whole body is the shared prefix, the 3-hop query
-  // adds a t-step whose probes Matches(z, t, *) are all empty. Each must
+  // adds a t-step with one match per z. (Were the t-step empty for every
+  // z, the p-node's sibling cursor on it would prune each z before its
+  // step and the 3-hop query would finish under the budget.) Each must
   // report the LimitExceeded its sequential call does; the disjoint
   // cheap shape stays healthy.
   Dictionary dict;
   EvalOptions options;
   options.match.max_steps = 300;
   Database db(&dict, options);
-  Graph data = SharedPrefixData(&dict, [](Term, Graph*) {});
-  // Bulk t-triples over nodes disjoint from every z.
   const Term t = dict.Iri("t");
+  Graph data = SharedPrefixData(&dict, [&](Term z, Graph* g) {
+    g->Insert(z, t, dict.Iri("t_" + std::string(dict.Name(z))));
+  });
+  // Bulk t-triples over nodes disjoint from every z.
   for (int k = 0; k < 600; ++k) {
     const Term w = dict.Iri("w" + std::to_string(k));
     data.Insert(w, t, w);

@@ -241,6 +241,25 @@ TEST_F(MatchRangeTest, IndexOrderSelection) {
             IndexOrder::kOsp);
   EXPECT_EQ(g_.Matches(Term_(0), std::nullopt, Term_(0)).order(),
             IndexOrder::kOsp);
+  // MatchOrder predicts every routing, and the bound positions lead it.
+  for (int mask = 0; mask < 8; ++mask) {
+    const bool s = mask & 1, p = mask & 2, o = mask & 4;
+    const auto bound = [](bool b, Term t) {
+      return b ? std::optional<Term>(t) : std::nullopt;
+    };
+    const IndexOrder order = MatchOrder(s, p, o);
+    EXPECT_EQ(g_.Matches(bound(s, Term_(0)), bound(p, Pred_(0)),
+                         bound(o, Term_(0)))
+                  .order(),
+              order)
+        << mask;
+    const int prefix = s + p + o;
+    for (int pos = 0; pos < 3; ++pos) {
+      const bool is_bound = pos == 0 ? s : pos == 1 ? p : o;
+      EXPECT_EQ(ColumnOfPosition(order, pos) < prefix, is_bound) << mask;
+      EXPECT_EQ(PositionOfColumn(order, ColumnOfPosition(order, pos)), pos);
+    }
+  }
 }
 
 TEST_F(MatchRangeTest, IndexOrderNamesAreStable) {
@@ -1383,6 +1402,204 @@ TEST(GraphFullyBoundLookup, OneSpineCallAgreesWithBruteForceOverManyLeaves) {
   (void)g.Matches(sorted[5].s, sorted[5].p, sorted[5].o);
   (void)g.Matches(Term::Iri(1), Term::Iri(1), Term::Iri(1));
   EXPECT_EQ(g.Stats().rows_yielded, yielded + 1);
+}
+
+// MatchCursor: forward seeks over a range's sorted column, checked
+// against std::equal_range over the flattened range.
+
+// The keys of a MatchRange over an spo-ordered spine, in range order.
+std::vector<SpineKey> KeysOf(const MatchRange& r) {
+  std::vector<SpineKey> out;
+  for (const Triple& t : r) out.push_back({t.s.bits(), t.p.bits(), t.o.bits()});
+  return out;
+}
+
+// Seeks `keys` (ascending) with one cursor over `range` on column
+// `column` of its spo keys, and checks every run against equal_range
+// over the flattened range; the cursor and iterating its runs search no
+// leaf. Returns the probes of all seeks.
+size_t ExpectSeeksMatchFlattened(const MatchRange& range, int column,
+                                 const std::vector<uint32_t>& keys) {
+  const std::vector<SpineKey> flat = KeysOf(range);
+  const auto by_column = [column](const SpineKey& a, const SpineKey& b) {
+    return a[column] < b[column];
+  };
+  EXPECT_TRUE(std::is_sorted(flat.begin(), flat.end(), by_column));
+  MatchCursor cursor(range, column);
+  size_t probes = 0;
+  for (const uint32_t key : keys) {
+    SpineKey want_key{};
+    want_key[column] = key;
+    const auto want =
+        std::equal_range(flat.begin(), flat.end(), want_key, by_column);
+    const uint64_t searches = Spine::leaf_index_searches();
+    const MatchRange run = cursor.Seek(key, &probes);
+    EXPECT_EQ(run.size(), static_cast<size_t>(want.second - want.first))
+        << key;
+    EXPECT_EQ(KeysOf(run), std::vector<SpineKey>(want.first, want.second))
+        << key;
+    EXPECT_EQ(Spine::leaf_index_searches(), searches) << key;
+  }
+  return probes;
+}
+
+// Every value of the column, the absent values on either side of each
+// and past both ends.
+std::vector<uint32_t> DenseSeekKeys(const MatchRange& range, int column) {
+  std::set<uint32_t> keys;
+  for (const SpineKey& k : KeysOf(range)) {
+    keys.insert(k[column]);
+    if (k[column] > 0) keys.insert(k[column] - 1);
+    if (k[column] < UINT32_MAX) keys.insert(k[column] + 1);
+  }
+  keys.insert(0);
+  keys.insert(UINT32_MAX);
+  return std::vector<uint32_t>(keys.begin(), keys.end());
+}
+
+TEST(MatchCursorSeek, RunsAtAndAcrossLeafBoundariesMatchEqualRange) {
+  const size_t fill = Spine::kLeafMax / 2;
+  for (size_t run : {size_t{1}, size_t{3}, fill / 2, fill, size_t{300},
+                     size_t{1500}, size_t{5000}}) {
+    SCOPED_TRACE(run);
+    const Spine s = RunSpine(8 * fill + 17, run, 10);
+    ASSERT_GE(s.leaf_count(), 8u);
+    // The whole spine, sought on its leading column.
+    const MatchRange all =
+        MatchRange::Over(&s, SpineRun{0, s.size(), 0}, IndexOrder::kSpo);
+    ExpectSeeksMatchFlattened(all, 0, DenseSeekKeys(all, 0));
+    // A range starting and ending inside leaves, on the same column.
+    const size_t first = fill / 3;
+    const size_t last = s.size() - fill / 5;
+    const MatchRange inner = MatchRange::Over(
+        &s, SpineRun{first, last, s.LeafIndexOf(first)}, IndexOrder::kSpo);
+    ExpectSeeksMatchFlattened(inner, 0, DenseSeekKeys(inner, 0));
+  }
+}
+
+TEST(MatchCursorSeek, SeeksPastAFixedPrefixUseOnlyTheRangesLeaves) {
+  // Keys (k0, i / run, i) for k0 in {5, 6, 7}: the k0 = 6 range is
+  // sorted by column 1, and the leaves around it hold other k0 values
+  // whose column 1 would mislead a seek that looked past the range.
+  const size_t fill = Spine::kLeafMax / 2;
+  for (size_t run : {size_t{1}, size_t{7}, fill, size_t{1500}}) {
+    SCOPED_TRACE(run);
+    std::set<SpineKey> keys;
+    for (uint32_t k0 : {5u, 6u, 7u}) {
+      const uint32_t n = k0 == 6 ? 6 * fill + 11 : 3 * fill / 2;
+      for (uint32_t i = 0; i < n; ++i) {
+        keys.insert({k0, 2 * static_cast<uint32_t>(i / run) + 4 * k0, i});
+      }
+    }
+    const Spine s = SpineOf(keys);
+    const SpineRun six = s.EqualRange(6, nullptr);
+    ASSERT_GE(six.size(), 6 * fill);
+    const MatchRange range = MatchRange::Over(&s, six, IndexOrder::kSpo);
+    ExpectSeeksMatchFlattened(range, 1, DenseSeekKeys(range, 1));
+    // Sparse: every 5th value, so seeks skip runs and leaves.
+    std::vector<uint32_t> sparse;
+    const std::vector<uint32_t> dense = DenseSeekKeys(range, 1);
+    for (size_t i = 0; i < dense.size(); i += 5) sparse.push_back(dense[i]);
+    ExpectSeeksMatchFlattened(range, 1, sparse);
+  }
+}
+
+TEST(MatchCursorSeek, SparseSeeksGallopOverLeavesInsteadOfWalkingThem) {
+  const size_t fill = Spine::kLeafMax / 2;
+  const Spine s = RunSpine(256 * fill, 4, 10);
+  ASSERT_GE(s.leaf_count(), 256u);
+  const MatchRange all =
+      MatchRange::Over(&s, SpineRun{0, s.size(), 0}, IndexOrder::kSpo);
+  // One seek across ~200 leaves: a gallop and bisection over the leaf
+  // first keys plus one in-leaf search, then the run's end.
+  const uint32_t far = 10 + 2 * static_cast<uint32_t>(200 * fill / 4 + 5);
+  MatchCursor cursor(all, 0);
+  size_t probes = 0;
+  const MatchRange run = cursor.Seek(far, &probes);
+  ASSERT_EQ(run.size(), 4u);
+  EXPECT_EQ(run.begin()->s.bits(), far);
+  const size_t bound = 2 * 9 + 2 * 11 + 8;  // 2·log2(leaves) + 2·log2(leaf)
+  EXPECT_LE(probes, bound);
+  EXPECT_LT(probes, size_t{200});
+  // Seeks jumping ~20 leaves each: per seek O(log) probes, not a walk.
+  std::vector<uint32_t> keys;
+  for (uint32_t k = 10; k < 10 + 2 * (s.size() / 4); k += 2 * 20 * 257) {
+    keys.push_back(k);
+    keys.push_back(k + 1);  // absent, between two runs
+  }
+  const size_t total = ExpectSeeksMatchFlattened(all, 0, keys);
+  EXPECT_LE(total, keys.size() * bound);
+}
+
+TEST(MatchCursorSeek, UintMaxKeysRunToTheRangesEnd) {
+  std::set<SpineKey> keys;
+  for (uint32_t i = 0; i < 2000; ++i) keys.insert({3, 3, i});
+  for (uint32_t i = 0; i < 1500; ++i) keys.insert({UINT32_MAX - 1, 9, i});
+  for (uint32_t i = 0; i < 500; ++i) keys.insert({UINT32_MAX, 5, i});
+  for (uint32_t i = 0; i < 3000; ++i) {
+    keys.insert({UINT32_MAX, UINT32_MAX, i});
+  }
+  const Spine s = SpineOf(keys);
+  ASSERT_GE(s.leaf_count(), 6u);
+  const MatchRange all =
+      MatchRange::Over(&s, SpineRun{0, s.size(), 0}, IndexOrder::kSpo);
+  ExpectSeeksMatchFlattened(all, 0, {0, 3, 4, UINT32_MAX - 1, UINT32_MAX});
+  ExpectSeeksMatchFlattened(all, 0, {UINT32_MAX});
+  // Past the UINT32_MAX prefix, column 1 ends in UINT32_MAX too.
+  const MatchRange top = MatchRange::Over(&s, s.EqualRange(UINT32_MAX, nullptr),
+                                          IndexOrder::kSpo);
+  ASSERT_EQ(top.size(), 3500u);
+  ExpectSeeksMatchFlattened(top, 1, DenseSeekKeys(top, 1));
+  MatchCursor cursor(top, 1);
+  size_t probes = 0;
+  EXPECT_EQ(cursor.Seek(UINT32_MAX, &probes).size(), 3000u);
+  EXPECT_EQ(cursor.Seek(UINT32_MAX, &probes).size(), 3000u);
+}
+
+TEST(MatchCursorSeek, GraphSeekCountsProbesAndRunsButNoRangeResolution) {
+  // Objects of one predicate, sought through the pso range's subject
+  // column as the matcher's sibling cursors do.
+  std::vector<Triple> ts;
+  for (uint32_t i = 0; i < 9000; ++i) {
+    ts.push_back(Triple(Term::Iri(2 * (i / 3)), Term::Iri(1 + i % 2),
+                        Term::Iri(i)));
+  }
+  const Graph g(ts);
+  const MatchRange range = g.Matches(std::nullopt, Term::Iri(1), std::nullopt);
+  ASSERT_EQ(range.order(), IndexOrder::kPso);
+  MatchCursor counted(range, 0);
+  MatchCursor twin(range, 0);
+  const GraphStats before = g.Stats();
+  size_t probes = 0;
+  size_t yielded = 0;
+  for (uint32_t s = 0; s < 3000; s += 7) {
+    const MatchRange run = g.Seek(&counted, Term::Iri(s));
+    const MatchRange want = twin.Seek(Term::Iri(s).bits(), &probes);
+    yielded += want.size();
+    ASSERT_EQ(run.size(), want.size());
+    ASSERT_EQ(run.size(),
+              g.CountMatches(Term::Iri(s), Term::Iri(1), std::nullopt));
+    for (const Triple& t : run) {
+      ASSERT_EQ(t.s, Term::Iri(s));
+      ASSERT_EQ(t.p, Term::Iri(1));
+    }
+  }
+  const GraphStats after = g.Stats();
+  // CountMatches resolved a range per seek; the seeks themselves did not.
+  const uint64_t seeks = (3000 + 6) / 7;
+  EXPECT_EQ(after.matches_calls - before.matches_calls, seeks);
+  size_t count_scanned = 0;
+  size_t count_yielded = 0;
+  for (uint32_t s = 0; s < 3000; s += 7) {
+    const GraphStats b = g.Stats();
+    (void)g.CountMatches(Term::Iri(s), Term::Iri(1), std::nullopt);
+    const GraphStats a = g.Stats();
+    count_scanned += a.rows_scanned - b.rows_scanned;
+    count_yielded += a.rows_yielded - b.rows_yielded;
+  }
+  EXPECT_GT(probes, 0u);
+  EXPECT_EQ(after.rows_scanned - before.rows_scanned, probes + count_scanned);
+  EXPECT_EQ(after.rows_yielded - before.rows_yielded, yielded + count_yielded);
 }
 
 // Vectors of Graph (answer vectors) move their elements on

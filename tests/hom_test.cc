@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <iterator>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -563,22 +564,22 @@ constexpr uint64_t kPinnedStats[][6] = {
     {231, 3, 230, 3, 230, 228},
     {0, 0, 0, 0, 0, 0},
     {8, 3, 7, 4, 7, 5},
-    {7, 7, 6, 9, 6, 0},
+    {3, 3, 6, 5, 6, 0},
     {231, 3, 230, 0, 230, 228},
     {0, 0, 0, 0, 0, 0},
     {16, 11, 15, 0, 15, 5},
     {7, 7, 6, 0, 6, 0},
     {8, 3, 7, 4, 7, 5},
     {2, 2, 1, 4, 1, 0},
-    {7, 4, 6, 5, 6, 3},
-    {19, 16, 18, 19, 18, 3},
+    {6, 3, 6, 3, 6, 3},
+    {10, 7, 18, 7, 18, 3},
     {11, 6, 10, 0, 10, 5},
     {2, 2, 1, 0, 1, 0},
     {12, 9, 11, 0, 11, 3},
     {20, 17, 19, 0, 19, 3},
     {69, 3, 68, 3, 68, 66},
     {0, 0, 0, 0, 0, 0},
-    {9, 5, 8, 6, 8, 4},
+    {7, 3, 8, 3, 8, 4},
     {1, 1, 0, 2, 0, 0},
     {69, 3, 68, 0, 68, 66},
     {0, 0, 0, 0, 0, 0},
@@ -586,7 +587,7 @@ constexpr uint64_t kPinnedStats[][6] = {
     {4, 4, 3, 0, 3, 0},
     {1571, 196, 1570, 201, 1570, 1375},
     {1114, 127, 1113, 130, 1113, 987},
-    {10, 5, 9, 6, 9, 5},
+    {8, 3, 9, 3, 9, 5},
     {2, 2, 1, 4, 1, 0},
     {1946, 571, 1945, 0, 1945, 1375},
     {1327, 340, 1326, 0, 1326, 987},
@@ -594,14 +595,14 @@ constexpr uint64_t kPinnedStats[][6] = {
     {13, 13, 12, 0, 12, 0},
     {2904, 104, 2903, 105, 2903, 2800},
     {2803, 105, 2802, 106, 2802, 2698},
-    {7, 4, 6, 5, 6, 3},
-    {9, 9, 8, 11, 8, 0},
+    {6, 3, 6, 3, 6, 3},
+    {3, 3, 8, 5, 8, 0},
     {2909, 109, 2908, 0, 2908, 2800},
     {2803, 105, 2802, 0, 2802, 2698},
     {12, 9, 11, 0, 11, 3},
     {10, 10, 9, 0, 9, 0},
-    {150, 120, 149, 161, 149, 30},
-    {161, 118, 160, 152, 160, 43},
+    {142, 112, 149, 114, 149, 30},
+    {112, 69, 160, 38, 160, 43},
     {5, 3, 4, 4, 4, 2},
     {1, 1, 0, 1, 0, 0},
     {378, 348, 377, 0, 377, 30},
@@ -865,6 +866,211 @@ TEST(ExclusionProbes, MutatingTheTargetDropsTheKeptRanges) {
 
   target.Insert(Triple(e, p, c));
   EXPECT_EQ(EnumerateAll(&matcher), Rows({{d}, {e}}));
+}
+
+// ---------------------------------------------------------------------------
+// An independent referee. Every assignment of the pattern's open terms
+// (at most four) over the target's universe is tried against the
+// target's triples, read by iteration: no Graph::Matches, no index
+// order, no search. The matcher must deliver exactly the assignments
+// that map the pattern into the target, once each, under every ordering
+// and option.
+
+using RowSet = std::set<std::vector<Term>>;
+
+// Open terms of `pattern` in slot order.
+std::vector<Term> SlotTerms(const std::vector<Triple>& pattern,
+                            const PatternMatcher& matcher) {
+  std::vector<Term> terms(matcher.num_slots());
+  for (const Triple& t : pattern) {
+    for (Term x : {t.s, t.p, t.o}) {
+      const int32_t slot = matcher.SlotOf(x);
+      if (slot >= 0) terms[static_cast<size_t>(slot)] = x;
+    }
+  }
+  return terms;
+}
+
+// Every row mapping `pattern` into `target`, by exhaustive enumeration.
+RowSet RefereeRows(const std::vector<Triple>& pattern,
+                   const std::vector<Term>& slot_terms, const Graph& target) {
+  const std::vector<Triple> listed = target.triples();
+  const std::set<Triple> triples(listed.begin(), listed.end());
+  const std::vector<Term> universe = target.Universe();
+  RowSet rows;
+  if (universe.empty()) return rows;
+  const size_t k = slot_terms.size();
+  std::vector<size_t> choice(k, 0);
+  std::vector<Term> row(k);
+  const auto image = [&](Term x) {
+    for (size_t i = 0; i < k; ++i) {
+      if (slot_terms[i] == x) return row[i];
+    }
+    return x;
+  };
+  for (;;) {
+    for (size_t i = 0; i < k; ++i) row[i] = universe[choice[i]];
+    bool maps = true;
+    for (const Triple& t : pattern) {
+      maps = maps && triples.count(Triple(image(t.s), image(t.p), image(t.o)));
+    }
+    if (maps) rows.insert(row);
+    size_t b = 0;  // odometer
+    while (b < k && ++choice[b] == universe.size()) choice[b++] = 0;
+    if (b == k) break;
+  }
+  return rows;
+}
+
+// The rows a matcher enumerates, as a set; fails on a duplicate row.
+RowSet MatcherRows(PatternMatcher* matcher) {
+  RowSet rows;
+  EXPECT_TRUE(matcher
+                  ->EnumerateRows([&](const Term* row) {
+                    EXPECT_TRUE(
+                        rows.emplace(row, row + matcher->num_slots()).second);
+                    return true;
+                  })
+                  .ok());
+  return rows;
+}
+
+// Up to four open terms, variables and blanks, spread over a few target
+// triples so that slots repeat within triples and across them; now and
+// then a target triple is kept verbatim, its own blanks open, so that
+// exclusions hit pattern triples literally.
+std::vector<Triple> RandomRefereePattern(const Graph& target, Rng* rng,
+                                         Dictionary* dict) {
+  const std::vector<Triple> triples = target.triples();
+  for (;;) {
+    std::vector<Term> open;
+    const size_t k = 1 + rng->Below(4);
+    for (size_t i = 0; i < k; ++i) {
+      const std::string name = "r" + std::to_string(i);
+      open.push_back(rng->Chance(0.3) ? dict->Blank(name) : dict->Var(name));
+    }
+    std::vector<Triple> pattern;
+    const size_t size = 2 + rng->Below(4);
+    for (size_t i = 0; i < size; ++i) {
+      Triple t = triples[rng->Below(triples.size())];
+      if (!rng->Chance(0.2)) {
+        if (rng->Chance(0.6)) t.s = open[rng->Below(k)];
+        if (rng->Chance(0.1)) t.p = open[rng->Below(k)];
+        if (rng->Chance(0.5)) t.o = open[rng->Below(k)];
+      }
+      pattern.push_back(t);
+    }
+    std::set<Term> terms;
+    for (const Triple& t : pattern) {
+      for (Term x : {t.s, t.p, t.o}) {
+        if (!x.IsIri()) terms.insert(x);
+      }
+    }
+    if (terms.size() <= 4) return pattern;
+  }
+}
+
+TEST(MatcherReferee, EveryOrderAndOptionAgreesWithExhaustiveAssignment) {
+  RandomGraphSpec spec;
+  spec.num_nodes = 6;
+  spec.num_triples = 14;
+  spec.num_predicates = 2;
+  spec.blank_ratio = 0.4;
+  MatchStats cursors;  // summed over the dynamic-order runs
+  size_t solutions = 0;
+  size_t exclusion_cuts = 0;
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(seed);
+    Dictionary dict;
+    Rng rng(seed * 7 + 3);
+    const Graph target = RandomSimpleGraph(spec, &dict, &rng);
+    const std::vector<Triple> pattern =
+        RandomRefereePattern(target, &rng, &dict);
+    PatternMatcher probe(pattern, &target);
+    const std::vector<Term> slot_terms = SlotTerms(pattern, probe);
+    const RowSet all = RefereeRows(pattern, slot_terms, target);
+    solutions += all.size();
+    const auto keep = [&](auto pred) {
+      RowSet out;
+      for (const std::vector<Term>& row : all) {
+        if (pred(row)) out.insert(row);
+      }
+      return out;
+    };
+    const auto blanks_only = [&](const std::vector<Term>& row) {
+      for (size_t i = 0; i < row.size(); ++i) {
+        if (slot_terms[i].IsBlank() && !row[i].IsBlank()) return false;
+      }
+      return true;
+    };
+    const auto injective = [&](const std::vector<Term>& row) {
+      for (size_t i = 0; i < row.size(); ++i) {
+        for (size_t j = i + 1; j < row.size(); ++j) {
+          if (slot_terms[i].IsBlank() && slot_terms[j].IsBlank() &&
+              row[i] == row[j]) {
+            return false;
+          }
+        }
+      }
+      return true;
+    };
+    const auto avoids = [&](const Triple& excluded) {
+      return [&, excluded](const std::vector<Term>& row) {
+        for (const Triple& t : pattern) {
+          if (ImageOf(t, probe, row) == excluded) return false;
+        }
+        return true;
+      };
+    };
+
+    for (bool static_order : {false, true}) {
+      SCOPED_TRACE(static_order ? "static" : "dynamic");
+      const auto run = [&](MatchOptions options, const RowSet& want) {
+        options.static_order = static_order;
+        PatternMatcher matcher(pattern, &target, options);
+        EXPECT_EQ(MatcherRows(&matcher), want);
+        if (!static_order) {
+          cursors.sibling_seeks += matcher.stats().sibling_seeks;
+          cursors.sibling_prunes += matcher.stats().sibling_prunes;
+        } else {
+          EXPECT_EQ(matcher.stats().sibling_seeks, 0u);
+        }
+      };
+      run(MatchOptions(), all);
+      MatchOptions options;
+      options.blanks_to_blanks_only = true;
+      run(options, keep(blanks_only));
+      options = MatchOptions();
+      options.injective_blanks = true;
+      run(options, keep(injective));
+      options.blanks_to_blanks_only = true;
+      run(options, keep([&](const std::vector<Term>& row) {
+            return blanks_only(row) && injective(row);
+          }));
+
+      // Exclusion probes: every target triple and every pattern triple,
+      // both on fresh matchers and through one set_exclude_triple loop.
+      std::vector<Triple> exclusions = target.triples();
+      exclusions.insert(exclusions.end(), pattern.begin(), pattern.end());
+      MatchOptions loop_options;
+      loop_options.static_order = static_order;
+      PatternMatcher loop(pattern, &target, loop_options);
+      for (const Triple& t : exclusions) {
+        const RowSet want = keep(avoids(t));
+        exclusion_cuts += all.size() - want.size();
+        options = MatchOptions();
+        options.exclude_triple = t;
+        run(options, want);
+        loop.set_exclude_triple(t);
+        EXPECT_EQ(MatcherRows(&loop), want);
+      }
+    }
+  }
+  EXPECT_GT(solutions, 0u);
+  EXPECT_GT(exclusion_cuts, 0u);
+  // The dynamic order really opened sibling cursors and pruned on them.
+  EXPECT_GT(cursors.sibling_seeks, 0u);
+  EXPECT_GT(cursors.sibling_prunes, 0u);
 }
 
 }  // namespace
