@@ -5,7 +5,7 @@
 // EXPERIMENTS.md E13 quotes that comparison as history.)
 //
 // Counters are the last run's MatchStats: nodes, candidates, steps,
-// selectivity recomputes, and sibling-cursor seeks and prunes.
+// selectivity recomputes, cursor seeks and empty picks.
 //
 // Series reported:
 //   * CliqueRefuted/k    — enc(K_k) ⊨ enc(K_{k+1}): exhaustive refusal.
@@ -107,8 +107,8 @@ void RunNew(benchmark::State& state, Workload w) {
   state.counters["steps"] = static_cast<double>(stats.steps_used);
   state.counters["recomputes"] =
       static_cast<double>(stats.selectivity_recomputes);
-  state.counters["seeks"] = static_cast<double>(stats.sibling_seeks);
-  state.counters["prunes"] = static_cast<double>(stats.sibling_prunes);
+  state.counters["cursor_seeks"] = static_cast<double>(stats.cursor_seeks);
+  state.counters["empty_picks"] = static_cast<double>(stats.empty_picks);
 }
 
 void BM_CliqueRefutedNew(benchmark::State& state) {

@@ -1,17 +1,12 @@
 // E17 — columnar triple storage: the repeated-position residual.
 //
 // A pattern triple that repeats an open term, (X, p, X), resolves to the
-// whole p-run; only its diagonal rows can bind. The matcher keeps those
-// rows with one pass over two backing columns (MatchRange::
-// FilterPairEqual) instead of materializing and rejecting each triple.
+// whole p-run; only its diagonal rows can bind, and TryBind rejects the
+// others one by one.
 //
 // Series, at ~1M triples with a ~65k-row p-run:
-//   * PairEqMatchRange    — Graph::Matches + FilterPairEqual on the
-//                           p-run, with GraphStats exported as counters.
-//   * RepeatedSlotIterate — materialize every candidate of the p-run and
-//                           reject the off-diagonal ones one by one.
-//   * RepeatedSlotMatcher — PatternMatcher on (X, p, X), which takes the
-//                           FilterPairEqual path.
+//   * RepeatedSlotMatcher — PatternMatcher on (X, p, X), with its
+//                           candidate and bind counts.
 //
 // And the read path's lookups on a 200k-triple sp2b closure (ground, so
 // it is also the nf the serving path answers against):
@@ -109,43 +104,6 @@ const Graph& G() {
 size_t RunSize() {
   return G().CountMatches(std::nullopt, Pred(0), std::nullopt);
 }
-
-void BM_PairEqMatchRange(benchmark::State& state) {
-  const Graph& g = G();
-  std::vector<uint32_t> out;
-  size_t hits = 0;
-  for (auto _ : state) {
-    const MatchRange range = g.Matches(std::nullopt, Pred(0), std::nullopt);
-    out.clear();
-    hits = range.FilterPairEqual(0, 2, &out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * RunSize());
-  state.counters["run"] = static_cast<double>(RunSize());
-  state.counters["hits"] = static_cast<double>(hits);
-  const GraphStats st = g.Stats();
-  state.counters["bytes_total"] = static_cast<double>(st.bytes_total());
-  state.counters["bytes_cols"] = static_cast<double>(
-      st.bytes_pso + st.bytes_pos + st.bytes_osp);
-  state.counters["rebuilds"] = static_cast<double>(st.index_rebuilds);
-}
-BENCHMARK(BM_PairEqMatchRange);
-
-void BM_RepeatedSlotIterate(benchmark::State& state) {
-  const Graph& g = G();
-  size_t hits = 0;
-  for (auto _ : state) {
-    hits = 0;
-    const MatchRange range = g.Matches(std::nullopt, Pred(0), std::nullopt);
-    for (const Triple& t : range) {
-      if (t.s == t.o) ++hits;
-    }
-    benchmark::DoNotOptimize(hits);
-  }
-  state.SetItemsProcessed(state.iterations() * RunSize());
-  state.counters["hits"] = static_cast<double>(hits);
-}
-BENCHMARK(BM_RepeatedSlotIterate);
 
 void BM_RepeatedSlotMatcher(benchmark::State& state) {
   const Graph& g = G();

@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
-# Builds and runs the columnar-storage benchmark (E17): the
-# repeated-position residual through MatchRange::FilterPairEqual and the
-# matcher's (X, p, X) path, plus spine lookups and pre-answer joins on a
-# 200k sp2b closure and path requests on its data graph. Writes the
-# results to BENCH_scan.json at the repo root.
+# Builds and runs the columnar-storage benchmark (E17): the matcher on a
+# repeated-position (X, p, X) pattern, plus spine lookups and pre-answer
+# joins on a 200k sp2b closure and path requests on its data graph.
+# Writes the results to BENCH_scan.json at the repo root.
 #
 # Usage: scripts/bench_scan.sh [build-dir] [extra benchmark args...]
 set -euo pipefail

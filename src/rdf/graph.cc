@@ -74,36 +74,6 @@ void MatchRange::const_iterator::LoadLeaf(size_t li) {
   col_o_ = leaf.column(ColumnOfPosition(order_, 2));
 }
 
-const Triple& MatchRange::TripleAt(uint32_t slot) const {
-  const SpineKey k = spine_->At(slot);
-  scratch_.s = Term::FromBits(k[ColumnOfPosition(order_, 0)]);
-  scratch_.p = Term::FromBits(k[ColumnOfPosition(order_, 1)]);
-  scratch_.o = Term::FromBits(k[ColumnOfPosition(order_, 2)]);
-  return scratch_;
-}
-
-size_t MatchRange::FilterPairEqual(int pos_a, int pos_b,
-                                   std::vector<uint32_t>* out) const {
-  const size_t before = out->size();
-  if (empty()) return 0;
-  const int ca = ColumnOfPosition(order_, pos_a);
-  const int cb = ColumnOfPosition(order_, pos_b);
-  size_t li = run_.leaf;
-  for (size_t slot = run_.first; slot < run_.last; ++li) {
-    const SpineLeaf& leaf = spine_->leaf(li);
-    const size_t base = spine_->leaf_start(li);
-    const size_t lo = slot - base;
-    const size_t hi = std::min(run_.last - base, leaf.size());
-    const uint32_t* a = leaf.column(ca);
-    const uint32_t* b = leaf.column(cb);
-    for (size_t i = lo; i < hi; ++i) {
-      if (a[i] == b[i]) out->push_back(static_cast<uint32_t>(base + i));
-    }
-    slot = base + hi;
-  }
-  return out->size() - before;
-}
-
 // --- MatchCursor -----------------------------------------------------
 
 MatchCursor::MatchCursor(const MatchRange& range, int pos)

@@ -201,24 +201,6 @@ class MatchRange {
   bool empty() const { return run_.empty(); }
   IndexOrder order() const { return order_; }
 
-  /// True when the range is backed by a lazily built permutation spine
-  /// (pso/pos/osp) rather than the primary order.
-  bool columnar() const {
-    return order_ != IndexOrder::kSpo && order_ != IndexOrder::kFullScan;
-  }
-
-  /// The triple at global slot `slot` of the backing spine, as emitted
-  /// by FilterPairEqual. The reference is to a scratch slot reused
-  /// by the next TripleAt call on this range.
-  const Triple& TripleAt(uint32_t slot) const;
-
-  /// Repeated-position residual (e.g. pattern (X, p, X)): appends the
-  /// backing-spine slots of elements whose positions `pos_a` and
-  /// `pos_b` hold equal terms, in range order. Returns the number
-  /// appended.
-  size_t FilterPairEqual(int pos_a, int pos_b,
-                         std::vector<uint32_t>* out) const;
-
   const_iterator begin() const {
     return const_iterator(spine_, order_, run_.first, run_.last, run_.leaf);
   }
@@ -232,7 +214,6 @@ class MatchRange {
   const Spine* spine_ = nullptr;
   SpineRun run_;
   IndexOrder order_ = IndexOrder::kFullScan;
-  mutable Triple scratch_;  // TripleAt materialization target
 };
 
 /// A forward cursor over a MatchRange whose rows, past their shared key
@@ -241,10 +222,11 @@ class MatchRange {
 /// positions. Seek returns the sub-run of rows whose position holds a
 /// value: exactly std::equal_range over that column, in range order.
 ///
-/// Values must be sought in non-decreasing order. Each seek gallops
-/// forward from the previous one, first inside the current leaf, then
-/// over the spine's cached leaf first keys, so a seek that jumps many
-/// leaves reads only the leaf it lands in.
+/// Values must be sought in non-decreasing order; Rewind starts the
+/// order over. Each seek gallops forward from the previous one, first
+/// inside the current leaf, then over the spine's cached leaf first
+/// keys, so a seek that jumps many leaves reads only the leaf it lands
+/// in.
 class MatchCursor {
  public:
   MatchCursor() = default;
@@ -252,9 +234,16 @@ class MatchCursor {
   MatchCursor(const MatchRange& range, int pos);
 
   /// The rows whose position holds `key` (raw term bits, >= every key
-  /// sought before). `probes` accumulates the column entries and leaf
-  /// first keys read.
+  /// sought since construction or the last Rewind). `probes`
+  /// accumulates the column entries and leaf first keys read.
   MatchRange Seek(uint32_t key, size_t* probes);
+
+  /// Moves the cursor back to the start of its range, so that the next
+  /// key may be smaller than the last one sought.
+  void Rewind() {
+    slot_ = range_.run_.first;
+    leaf_ = range_.run_.leaf;
+  }
 
  private:
   // Moves (*slot, *leaf) forward to the first row of the range whose

@@ -126,48 +126,11 @@ void PatternMatcher::CompilePattern() {
       }
       auto [it, inserted] =
           slot_of.try_emplace(terms[pos], static_cast<int32_t>(slots_.size()));
-      if (inserted) slots_.push_back({terms[pos], terms[pos].IsBlank(), 0, 0});
+      if (inserted) slots_.push_back({terms[pos], terms[pos].IsBlank()});
       ct.slot[pos] = it->second;
-    }
-    for (int a = 0; a < 3 && ct.rep_a < 0; ++a) {
-      for (int b = a + 1; b < 3; ++b) {
-        if (ct.slot[a] != kNoSlot && ct.slot[a] == ct.slot[b]) {
-          ct.rep_a = static_cast<int8_t>(a);
-          ct.rep_b = static_cast<int8_t>(b);
-          break;
-        }
-      }
     }
     compiled_.push_back(ct);
   }
-  // Holders by slot, as a counting sort of the (slot, triple) pairs. A
-  // triple that repeats a slot does not hold it once.
-  const auto holds_once = [](const CompiledTriple& ct, int pos) {
-    const int32_t s = ct.slot[pos];
-    return s != kNoSlot &&
-           (ct.slot[0] == s) + (ct.slot[1] == s) + (ct.slot[2] == s) == 1;
-  };
-  for (const CompiledTriple& ct : compiled_) {
-    for (int pos = 0; pos < 3; ++pos) {
-      if (holds_once(ct, pos)) ++slots_[ct.slot[pos]].holders_end;
-    }
-  }
-  uint32_t total = 0;
-  for (SlotInfo& info : slots_) {
-    info.holders_begin = total;
-    total += info.holders_end;
-    info.holders_end = info.holders_begin;
-  }
-  holders_.resize(total);
-  for (size_t i = 0; i < compiled_.size(); ++i) {
-    for (int pos = 0; pos < 3; ++pos) {
-      if (holds_once(compiled_[i], pos)) {
-        holders_[slots_[compiled_[i].slot[pos]].holders_end++] =
-            static_cast<uint32_t>(i);
-      }
-    }
-  }
-  row_scratch_.resize(pattern_.size());
   binding_.resize(slots_.size());
   bound_.assign(slots_.size(), 0);
   slot_version_.assign(slots_.size(), 1);
@@ -184,7 +147,11 @@ bool PatternMatcher::ResetSearchState() {
   std::fill(bound_.begin(), bound_.end(), uint8_t{0});
   std::fill(slot_version_.begin(), slot_version_.end(), 1u);
   // Version 0 marks an entry never computed; its stale range is not read.
-  for (Selectivity& sel : sel_) sel.version = {};
+  // Cursors hold ranges of the previous target state.
+  for (Selectivity& sel : sel_) {
+    sel.version = {};
+    sel.anchor = -1;
+  }
   if (!roots_.empty() && root_epoch_ != target_->epoch()) DropRootRanges();
   pending_.clear();
   size_t blank_slots = 0;
@@ -238,7 +205,8 @@ Status PatternMatcher::EnumerateRows(
     const std::function<bool(const Term*)>& visitor) {
   if (ResetSearchState()) {
     bool stopped = false;
-    Search(0, visitor, &stopped);
+    const bool pick = !options_.static_order && !pending_.empty();
+    Search(0, pick ? PickNext(0) : 0, visitor, &stopped);
   }
   stats_.steps_used = steps_;
   if (options_.stats != nullptr) *options_.stats = stats_;
@@ -305,30 +273,64 @@ void PatternMatcher::StampVersions(size_t idx) {
   }
 }
 
-MatchRange PatternMatcher::ResolveRange(size_t idx, int32_t open) {
+MatchRange PatternMatcher::ResolveRange(size_t idx) {
   const CompiledTriple& ct = compiled_[idx];
-  RootRange* root = nullptr;
-  if (!roots_.empty()) {
-    bool any_bound = false;
+  Selectivity& sel = sel_[idx];
+  std::array<uint32_t, 3> held;
+  bool any_bound = false;
+  for (int pos = 0; pos < 3; ++pos) {
+    const std::optional<Term> t = Resolve(ct, pos);
+    held[pos] = t ? t->bits() : kUnbound;
+    any_bound |= ct.slot[pos] != kNoSlot && t.has_value();
+  }
+  RootRange* root = roots_.empty() ? nullptr : &roots_[idx];
+  if (sel.anchor < 0 && root != nullptr && root->valid) {
+    // The kept root range was resolved with every slot unbound.
+    std::array<uint32_t, 3> consts = held;
     for (int pos = 0; pos < 3; ++pos) {
-      const int32_t slot = ct.slot[pos];
-      any_bound |= slot != kNoSlot && slot != open && bound_[slot] != 0;
+      if (ct.slot[pos] != kNoSlot) consts[pos] = kUnbound;
     }
-    if (!any_bound) {
-      root = &roots_[idx];
-      if (root->valid) return root->range;
+    Anchor(idx, root->range, consts);
+  }
+  if (sel.anchor >= 0) {
+    std::array<uint32_t, 3> rest = held;
+    const uint32_t key = rest[sel.anchor];
+    rest[sel.anchor] = kUnbound;
+    if (key != kUnbound && rest == sel.held) {
+      if (key < sel.sought) sel.cursor.Rewind();
+      sel.sought = key;
+      ++stats_.cursor_seeks;
+      return target_->Seek(&sel.cursor, Term::FromBits(key));
     }
   }
+  if (root != nullptr && !any_bound && root->valid) return root->range;
   ++stats_.selectivity_recomputes;
-  const auto at = [&](int pos) {
-    return ct.slot[pos] == open ? std::nullopt : Resolve(ct, pos);
-  };
   const MatchRange range =
-      open == kNoSlot
-          ? target_->Matches(Resolve(ct, 0), Resolve(ct, 1), Resolve(ct, 2))
-          : target_->Matches(at(0), at(1), at(2));
-  if (root != nullptr) *root = RootRange{range, true};
+      target_->Matches(Resolve(ct, 0), Resolve(ct, 1), Resolve(ct, 2));
+  if (root != nullptr && !any_bound) *root = RootRange{range, true};
+  Anchor(idx, range, held);
   return range;
+}
+
+void PatternMatcher::Anchor(size_t idx, const MatchRange& range,
+                            const std::array<uint32_t, 3>& held) {
+  // The held positions are the range's key prefix; its rows are sorted
+  // by the column after it.
+  const int prefix = static_cast<int>(std::count_if(
+      held.begin(), held.end(), [](uint32_t h) { return h != kUnbound; }));
+  if (prefix == 3) return;
+  const CompiledTriple& ct = compiled_[idx];
+  const int pos = PositionOfColumn(range.order(), prefix);
+  const int32_t slot = ct.slot[pos];
+  // A slot held twice would leave the run's other position unchecked.
+  if ((ct.slot[0] == slot) + (ct.slot[1] == slot) + (ct.slot[2] == slot) != 1) {
+    return;
+  }
+  Selectivity& sel = sel_[idx];
+  sel.cursor = MatchCursor(range, pos);
+  sel.anchor = pos;
+  sel.held = held;
+  sel.sought = 0;
 }
 
 bool PatternMatcher::ExcludedPatternHit() const {
@@ -385,124 +387,7 @@ void PatternMatcher::UndoTo(size_t mark) {
   }
 }
 
-PatternMatcher::SiblingScan PatternMatcher::StartSiblings(
-    size_t idx, const MatchRange& range) const {
-  SiblingScan scan;
-  // The range's bound positions are its key prefix; the candidates are
-  // sorted by the column after it.
-  const CompiledTriple& ct = compiled_[idx];
-  int prefix = 0;
-  for (int pos = 0; pos < 3; ++pos) {
-    const int32_t slot = ct.slot[pos];
-    prefix += slot == kNoSlot || bound_[slot] ? 1 : 0;
-  }
-  if (prefix == 3) return scan;
-  const int32_t lead = ct.slot[PositionOfColumn(range.order(), prefix)];
-  const SlotInfo& info = slots_[lead];
-  if (info.holders_end - info.holders_begin < 2) return scan;
-  scan.lead = lead;
-  for (int pos = 0; pos < 3; ++pos) {
-    const int32_t slot = ct.slot[pos];
-    if (slot != kNoSlot && !bound_[slot]) scan.binds[pos] = slot;
-  }
-  scan.pick = static_cast<uint32_t>(idx);
-  scan.lead_version = slot_version_[lead];
-  scan.next = info.holders_begin;
-  scan.end = info.holders_end;
-  scan.base = sibling_stack_.size();
-  // Start at the first holder that can take a cursor; a node with none
-  // has no scan.
-  while (scan.next < scan.end && SiblingLeadAt(scan, holders_[scan.next]) < 0) {
-    ++scan.next;
-  }
-  if (scan.next == scan.end) return SiblingScan();
-  return scan;
-}
-
-int PatternMatcher::SiblingLeadAt(const SiblingScan& scan,
-                                  uint32_t idx) const {
-  if (idx == scan.pick) return -1;
-  // The lead was unbound at the node, so every other holder is still
-  // pending. Judged by the bindings at the node: a candidate may have
-  // bound scan.binds since.
-  const CompiledTriple& t = compiled_[idx];
-  int prefix = 0;
-  int lead_at = -1;
-  std::array<bool, 3> fixed = {};  // bound positions of its range
-  for (int pos = 0; pos < 3; ++pos) {
-    const int32_t slot = t.slot[pos];
-    if (slot == scan.lead) {
-      lead_at = pos;
-    } else if (slot != kNoSlot &&
-               (slot == scan.binds[0] || slot == scan.binds[1] ||
-                slot == scan.binds[2])) {
-      return -1;  // bound by the candidate
-    } else if (slot == kNoSlot || bound_[slot]) {
-      fixed[pos] = true;
-      ++prefix;
-    }
-  }
-  // Its range must be keyed by the lead right after its prefix.
-  const IndexOrder order = MatchOrder(fixed[0], fixed[1], fixed[2]);
-  return ColumnOfPosition(order, lead_at) == prefix ? lead_at : -1;
-}
-
-bool PatternMatcher::SeekSiblings(SiblingScan* scan) {
-  const Term value = binding_[scan->lead];
-  const std::optional<Triple>& exclude = options_.exclude_triple;
-  const auto seek = [&](Sibling* sib) {
-    ++stats_.sibling_seeks;
-    sib->run = target_->Seek(&sib->cursor, value);
-    // A sole excluded triple is no match either.
-    return !sib->run.empty() &&
-           !(sib->run.size() == 1 && exclude.has_value() &&
-             *sib->run.begin() == *exclude);
-  };
-  for (size_t i = scan->base; i < sibling_stack_.size(); ++i) {
-    if (!seek(&sibling_stack_[i])) {
-      ++stats_.sibling_prunes;
-      return false;
-    }
-  }
-  // Open the holders not examined yet.
-  while (scan->next < scan->end) {
-    const uint32_t idx = holders_[scan->next++];
-    const int lead_at = SiblingLeadAt(*scan, idx);
-    if (lead_at < 0) continue;
-    const CompiledTriple& t = compiled_[idx];
-    // The node's PickNext left the range in its selectivity entry (no
-    // subtree of the node runs before every holder was examined); the
-    // stamps tell, the lead's taken as of the node. A probe loop's
-    // root node may find it stale and resolve it from the kept roots.
-    const Selectivity& sel = sel_[idx];
-    bool current = true;
-    for (int pos = 0; pos < 3; ++pos) {
-      const int32_t slot = t.slot[pos];
-      if (slot == kNoSlot) continue;
-      current &= sel.version[pos] == (slot == scan->lead
-                                          ? scan->lead_version
-                                          : slot_version_[slot]);
-    }
-    const MatchRange range =
-        current ? sel.range : ResolveRange(idx, scan->lead);
-    if (sibling_stack_.capacity() == 0) {
-      sibling_stack_.reserve(3 * pattern_.size());
-    }
-    sibling_stack_.push_back(Sibling{idx, MatchCursor(range, lead_at), {}});
-    if (!seek(&sibling_stack_.back())) {
-      ++stats_.sibling_prunes;
-      return false;
-    }
-  }
-  for (size_t i = scan->base; i < sibling_stack_.size(); ++i) {
-    const Sibling& sib = sibling_stack_[i];
-    sel_[sib.idx].range = sib.run;
-    StampVersions(sib.idx);
-  }
-  return true;
-}
-
-bool PatternMatcher::Search(size_t depth,
+bool PatternMatcher::Search(size_t depth, size_t pick,
                             const std::function<bool(const Term*)>& visitor,
                             bool* stopped) {
   if (budget_exhausted_ || *stopped) return false;
@@ -514,13 +399,11 @@ bool PatternMatcher::Search(size_t depth,
     return true;
   }
 
-  size_t pick = options_.static_order ? depth : PickNext(depth);
   std::swap(pending_[depth], pending_[pick]);
   const CompiledTriple& ct = compiled_[pending_[depth]];
 
-  // PickNext just resolved the picked triple's range under the current
-  // bindings (deeper nodes only touch the entries of later pending
-  // triples), so only the static order resolves it here.
+  // The parent's PickNext just resolved the picked triple's range under
+  // the current bindings, so only the static order resolves it here.
   const MatchRange range =
       options_.static_order
           ? target_->Matches(Resolve(ct, 0), Resolve(ct, 1), Resolve(ct, 2))
@@ -531,61 +414,26 @@ bool PatternMatcher::Search(size_t depth,
   const bool have_exclude = options_.exclude_triple.has_value();
   const Triple exclude =
       have_exclude ? *options_.exclude_triple : Triple();
-  // The node's sibling cursors, when its pick has two or more
-  // candidates (see the class comment).
-  SiblingScan scan;
-
-  // Repeated-position residual: while the shared slot is unbound, the
-  // index range constrains only the other positions, so every candidate
-  // whose repeated positions differ is a guaranteed TryBind reject.
-  // Filter them in one pass over the backing column and materialize only
-  // the survivors.
-  if (ct.rep_a >= 0 && !bound_[ct.slot[ct.rep_a]] && !range.empty()) {
-    std::vector<uint32_t>& rows = row_scratch_[depth];
-    rows.clear();
-    range.FilterPairEqual(ct.rep_a, ct.rep_b, &rows);
-    stats_.candidates_scanned += range.size();
-    if (!options_.static_order && rows.size() >= 2) {
-      scan = StartSiblings(pending_[depth], range);
-    }
-    for (uint32_t row : rows) {
-      const Triple& tt = range.TripleAt(row);
-      if (have_exclude && tt == exclude) continue;
-      ++stats_.binds_attempted;
-      const size_t mark = trail_.size();
-      if (TryBind(ct, tt) &&
-          (exclude_pattern_ < 0 || !ExcludedPatternHit()) &&
-          (scan.lead == kNoSlot || SeekSiblings(&scan))) {
-        Search(depth + 1, visitor, stopped);
+  // Under the dynamic order each candidate's child pick is made here.
+  const bool pick_child = !options_.static_order && depth + 1 < pending_.size();
+  for (const Triple& tt : range) {
+    ++stats_.candidates_scanned;
+    if (have_exclude && tt == exclude) continue;
+    ++stats_.binds_attempted;
+    const size_t mark = trail_.size();
+    // A bind that maps the excluded pattern triple onto the excluded
+    // triple ends the branch: that triple has no other image below. So
+    // does a child pick with an empty range.
+    if (TryBind(ct, tt) && (exclude_pattern_ < 0 || !ExcludedPatternHit())) {
+      const size_t next = pick_child ? PickNext(depth + 1) : depth + 1;
+      if (pick_child && sel_[pending_[next]].range.empty()) {
+        ++stats_.empty_picks;
+      } else {
+        Search(depth + 1, next, visitor, stopped);
       }
-      UndoTo(mark);
-      if (budget_exhausted_ || *stopped) break;
     }
-  } else {
-    if (!options_.static_order && range.size() >= 2) {
-      scan = StartSiblings(pending_[depth], range);
-    }
-    for (const Triple& tt : range) {
-      ++stats_.candidates_scanned;
-      if (have_exclude && tt == exclude) continue;
-      ++stats_.binds_attempted;
-      const size_t mark = trail_.size();
-      // A bind that maps the excluded pattern triple onto the excluded
-      // triple ends the branch: that triple has no other image below.
-      // So does an empty sibling run.
-      if (TryBind(ct, tt) &&
-          (exclude_pattern_ < 0 || !ExcludedPatternHit()) &&
-          (scan.lead == kNoSlot || SeekSiblings(&scan))) {
-        Search(depth + 1, visitor, stopped);
-      }
-      UndoTo(mark);
-      if (budget_exhausted_ || *stopped) break;
-    }
-  }
-  if (scan.lead != kNoSlot) {
-    sibling_stack_.erase(
-        sibling_stack_.begin() + static_cast<std::ptrdiff_t>(scan.base),
-        sibling_stack_.end());
+    UndoTo(mark);
+    if (budget_exhausted_ || *stopped) break;
   }
 
   std::swap(pending_[depth], pending_[pick]);

@@ -30,15 +30,15 @@ struct MatchStats {
   uint64_t solutions_found = 0;
   /// Budget steps consumed (== PatternMatcher::steps_used()).
   uint64_t steps_used = 0;
-  /// Selectivity-cache misses: range resolutions made by PickNext. The
-  /// incremental cache makes this far smaller than nodes × pending.
+  /// Selectivity-cache misses: Graph::Matches lookups made by PickNext.
+  /// The incremental cache makes this far smaller than nodes × pending.
   uint64_t selectivity_recomputes = 0;
-  /// Sibling-cursor seeks: one per candidate and sibling cursor (see
+  /// Selectivity-cache misses served by a cursor seek instead (see
   /// PatternMatcher). Seeks resolve no range.
-  uint64_t sibling_seeks = 0;
+  uint64_t cursor_seeks = 0;
   /// Candidates that bound but ended before their recursion and step
-  /// because a sibling's run under them was empty.
-  uint64_t sibling_prunes = 0;
+  /// because the pick under them had an empty range.
+  uint64_t empty_picks = 0;
   /// Candidate ranges served, bucketed by the index order that served
   /// them (indexed by IndexOrder).
   std::array<uint64_t, kNumIndexOrders> index_hits = {};
@@ -97,18 +97,21 @@ struct MatchOptions {
 /// trail, and per-triple selectivity counts are cached and recomputed
 /// only when a slot of that triple changed (version stamps).
 ///
-/// Sibling cursors (dynamic order only). A picked range of two or more
-/// candidates yields them sorted by its leading open slot v, the key
-/// column after its bound prefix. Each other pending triple T that
-/// holds v once, has no other open slot the candidate binds, and whose
-/// own range (v open) is also keyed by v next, gets one MatchCursor per
-/// node, opened when a candidate first reaches it. Per candidate that
-/// survives TryBind the cursor gallops to v's value: an empty run (or
-/// one that is only the excluded triple) ends the candidate before its
-/// recursion and its step; a non-empty run is T's range under the new
-/// binding, row for row, and seeds T's selectivity entry so the child
-/// resolves nothing. Rows and their order are those of a search without
-/// cursors.
+/// Cursors (dynamic order only). Each pattern triple's selectivity entry
+/// keeps one MatchCursor. When PickNext resolves the triple with
+/// Graph::Matches and the range's next key column holds an open slot the
+/// triple holds once, the range becomes the entry's cursor, recorded with
+/// what the triple's other positions held then. Once that slot is bound
+/// and the other positions hold those values again, the triple's range
+/// is one seek of the cursor (rewound first when the value is below the
+/// last one sought), not a lookup. A pick's candidates come sorted by its
+/// leading open slot, so the pending triples that share that slot gallop
+/// forward candidate by candidate: the star joins of a query body. The
+/// parent makes each candidate's child pick right after the bind, and an
+/// empty pick ends the candidate before its step and its node. Validity
+/// is judged by values, not version stamps, so a deeper node binding and
+/// unbinding the triple's other slot keeps its cursor. Rows and their
+/// order are those of a search without cursors.
 class PatternMatcher {
  public:
   /// The target graph must outlive the matcher and contain no variables.
@@ -171,26 +174,18 @@ class PatternMatcher {
  private:
   static constexpr int32_t kNoSlot = -1;
   static constexpr size_t kNoPick = std::numeric_limits<size_t>::max();
+  // What a position holds while its slot is unbound (kind bits 11: no
+  // term has them).
+  static constexpr uint32_t kUnbound = 0xFFFFFFFFu;
 
   // A pattern triple with its open positions resolved to slot ids.
   struct CompiledTriple {
     Triple consts;                    // original terms (constants used as-is)
     std::array<int32_t, 3> slot;      // slot id per position, or kNoSlot
-    // First pair of positions sharing an open slot (e.g. (X,p,X)), or
-    // -1/-1. While that slot is unbound, the index range constrains only
-    // the other positions, so Search pre-filters candidates with
-    // MatchRange::FilterPairEqual (one pass over the backing column)
-    // instead of materializing and rejecting each triple in TryBind.
-    int8_t rep_a = -1;
-    int8_t rep_b = -1;
   };
   struct SlotInfo {
     Term term;      // the pattern's blank node or variable
     bool is_blank;  // blank nodes are subject to the blank-only options
-    // holders_[holders_begin, holders_end): the pattern triples that
-    // hold the slot exactly once.
-    uint32_t holders_begin;
-    uint32_t holders_end;
   };
   // A pattern triple's candidate range resolved with none of its slots
   // bound, kept across the probes of a set_exclude_triple loop.
@@ -200,32 +195,17 @@ class PatternMatcher {
   };
   // Per-pattern-triple cached candidate range (its size is the count
   // PickNext ranks by) with the slot-version stamps it was resolved
-  // under. Search iterates the picked triple's range without resolving
-  // it again.
+  // under, and the triple's cursor (see the class comment). Search
+  // iterates the picked triple's range without resolving it again.
   struct Selectivity {
     MatchRange range;
     std::array<uint32_t, 3> version = {};  // 0 = never computed
-  };
-  // A pending triple that holds the picked triple's leading open slot,
-  // with its cursor over its range at the node and its run under the
-  // current candidate.
-  struct Sibling {
-    uint32_t idx = 0;  // pattern triple
     MatchCursor cursor;
-    MatchRange run;
-  };
-  // One search node's siblings: the leading open slot of its pick, the
-  // holders of that slot still to examine, and where the node's opened
-  // siblings start on sibling_stack_.
-  struct SiblingScan {
-    int32_t lead = kNoSlot;  // kNoSlot: the node opens no siblings
-    uint32_t pick = 0;       // the picked pattern triple
-    uint32_t next = 0;       // holders_[next, end) not examined yet
-    uint32_t end = 0;
-    uint32_t lead_version = 0;  // the lead's version at the node
-    size_t base = 0;
-    // The pick's slots unbound at the node, which a candidate binds.
-    std::array<int32_t, 3> binds = {kNoSlot, kNoSlot, kNoSlot};
+    int anchor = -1;  // the position the cursor seeks; -1: no cursor
+    // What each position held when the cursor was anchored (raw bits or
+    // kUnbound; the anchor's is kUnbound), and the last key sought.
+    std::array<uint32_t, 3> held = {};
+    uint32_t sought = 0;
   };
 
   // Open-addressing set of term bits with backward-shift deletion; holds
@@ -261,9 +241,16 @@ class PatternMatcher {
   // selectivity entry (after its range was set).
   void StampVersions(size_t idx);
   // The candidate range of pattern triple `idx` under the current
-  // bindings, with slot `open` (if any) taken as unbound; served from
-  // roots_ when they are kept and none of the other slots is bound.
-  MatchRange ResolveRange(size_t idx, int32_t open = kNoSlot);
+  // bindings: a seek of its cursor when the held state allows, else from
+  // roots_ when they are kept and none of its slots is bound, else one
+  // Graph::Matches lookup, which may anchor a new cursor.
+  MatchRange ResolveRange(size_t idx);
+  // Makes `range`, resolved while the positions of pattern triple `idx`
+  // held `held`, the entry's cursor when the range's next key column is
+  // an open slot the triple holds once; otherwise keeps the entry's
+  // cursor.
+  void Anchor(size_t idx, const MatchRange& range,
+              const std::array<uint32_t, 3>& held);
   // Resets all per-Enumerate search state (bindings, trail, caches,
   // stats) and rebuilds pending_; returns false if a fully ground
   // pattern triple is absent from the target (no solutions).
@@ -271,21 +258,11 @@ class PatternMatcher {
   // One backtracking step against the budget. Returns false (and
   // latches budget_exhausted_) on exhaustion.
   bool ConsumeStep();
-  bool Search(size_t depth, const std::function<bool(const Term*)>& visitor,
-              bool* stopped);
-  // The sibling scan of a node whose pick `idx` iterates `range`, two
-  // or more candidates (see the class comment); its lead is kNoSlot
-  // when no holder takes a cursor.
-  SiblingScan StartSiblings(size_t idx, const MatchRange& range) const;
-  // The position of the scan's lead in holder `idx` when that holder
-  // takes a cursor at the scan's node, or -1.
-  int SiblingLeadAt(const SiblingScan& scan, uint32_t idx) const;
-  // After a candidate bound the scan's lead: seeks every opened
-  // sibling to the lead's value, opening the remaining holders as it
-  // goes. False at the first empty run, when the candidate has no
-  // solution; otherwise stores each sibling's run as its selectivity
-  // entry, stamped with the versions of the candidate's bindings.
-  bool SeekSiblings(SiblingScan* scan);
+  // The search node at `depth` over pending_[pick] (PickNext's choice
+  // under the dynamic order, made by the parent; `depth` under the
+  // static one).
+  bool Search(size_t depth, size_t pick,
+              const std::function<bool(const Term*)>& visitor, bool* stopped);
   // Returns the index (into pending_) of the cheapest pending triple,
   // re-resolving stale selectivity-cache ranges along the way.
   size_t PickNext(size_t depth);
@@ -324,18 +301,6 @@ class PatternMatcher {
   uint64_t root_epoch_ = 0;
   // PickNext's depth-0 pick under the kept root ranges, or kNoPick.
   size_t root_pick_ = kNoPick;
-  // Per-depth row-id buffers for the repeated-position fast path (sized
-  // once in CompilePattern so recursion never reallocates the vector of
-  // vectors; each depth owns its buffer across its candidate loop).
-  std::vector<std::vector<uint32_t>> row_scratch_;
-  // The holders of every slot, slot by slot (see SlotInfo; compiled
-  // once, and a slot with one holder has no siblings).
-  std::vector<uint32_t> holders_;
-  // The opened siblings of the nodes on the search path, each node's
-  // above its parent's. A pattern triple is open at most once per slot
-  // it holds, so the first opening reserves 3 per pattern triple and
-  // the search never reallocates.
-  std::vector<Sibling> sibling_stack_;
   uint64_t steps_ = 0;
   bool budget_exhausted_ = false;
   MatchStats stats_;

@@ -211,8 +211,8 @@ TEST(BatchParity, BudgetExhaustionOnSharedPrefixMatchesSequential) {
   // differ in their suffix, under a budget the prefix alone overruns:
   // the 2-hop query's whole body is the shared prefix, the 3-hop query
   // adds a t-step with one match per z. (Were the t-step empty for every
-  // z, the p-node's sibling cursor on it would prune each z before its
-  // step and the 3-hop query would finish under the budget.) Each must
+  // z, each z's child pick would be empty and end the z before its step,
+  // and the 3-hop query would finish under the budget.) Each must
   // report the LimitExceeded its sequential call does; the disjoint
   // cheap shape stays healthy.
   Dictionary dict;

@@ -741,7 +741,7 @@ TEST(CoreReferee, StarComponentStepsAreLinearInItsSize) {
   // One blank author on k papers: a lean k-triple component. Each probe
   // is refuted at its root node: the blank's own image binds the
   // excluded pattern triple to itself and ends there, and a coauthor
-  // image empties some sibling triple's cursor run. So the refutation
+  // image leaves the child pick an empty cursor seek. So the refutation
   // costs one step per triple instead of a walk through the star.
   for (uint32_t k : {16u, 64u, 256u}) {
     Dictionary dict;

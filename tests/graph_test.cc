@@ -378,36 +378,6 @@ TEST_F(ColumnarFuzzTest, MatchesAgreeWithBruteForceAcrossMutations) {
   }
 }
 
-TEST_F(ColumnarFuzzTest, FilterPairEqualAgreesWithBruteForce) {
-  std::mt19937 rng(99);
-  Graph g;
-  for (int i = 0; i < 200; ++i) g.Insert(RandomTriple(rng));
-  // Diagonal triples so FilterPairEqual has survivors: s and o share the
-  // term universe only through explicit equality of bits, so craft a few
-  // (b, p, b) rows via blank subjects.
-  for (uint32_t i = 0; i < 6; ++i) g.Insert(Triple(O(i), P(0), O(i)));
-
-  // Columnar range (predicate-bound) and direct range (full scan).
-  const MatchRange byp = g.Matches(std::nullopt, P(0), std::nullopt);
-  ASSERT_TRUE(byp.columnar());
-  const MatchRange full = g.Matches(std::nullopt, std::nullopt, std::nullopt);
-  ASSERT_FALSE(full.columnar());
-
-  for (const MatchRange* range : {&byp, &full}) {
-    // FilterPairEqual on (s, o).
-    std::vector<uint32_t> rows;
-    range->FilterPairEqual(0, 2, &rows);
-    std::vector<Triple> got;
-    for (uint32_t row : rows) got.push_back(range->TripleAt(row));
-    std::vector<Triple> want;
-    for (const Triple& t : *range) {
-      if (t.s == t.o) want.push_back(t);
-    }
-    EXPECT_EQ(got, want);
-    EXPECT_FALSE(want.empty()) << "pair filter had nothing to keep";
-  }
-}
-
 // ---------------------------------------------------------------------------
 // COW spine sharing, leaf splits, and stats.
 
@@ -1294,8 +1264,8 @@ TEST(SpineEqualRange, ShortRunInsideALeafGallopsInsteadOfASecondSearch) {
     // second two-level search.
     EXPECT_LE(scanned, lower + 6) << i;
     EXPECT_LT(scanned, 2 * lower) << i;
-    // Iterating and filtering the run start at the leaf the search
-    // found: no LeafIndexOf search for it.
+    // Iterating the run starts at the leaf the search found: no
+    // LeafIndexOf search for it.
     const uint64_t searches = Spine::leaf_index_searches();
     const MatchRange r = MatchRange::Over(&s, range, IndexOrder::kSpo);
     size_t seen = 0;
@@ -1303,10 +1273,7 @@ TEST(SpineEqualRange, ShortRunInsideALeafGallopsInsteadOfASecondSearch) {
       ASSERT_EQ(t.s.bits(), key[0]);
       ++seen;
     }
-    std::vector<uint32_t> slots;
-    r.FilterPairEqual(0, 0, &slots);
     EXPECT_EQ(seen, 4u);
-    EXPECT_EQ(slots.size(), 4u);
     EXPECT_EQ(Spine::leaf_index_searches(), searches) << i;
   }
 }
@@ -1414,10 +1381,11 @@ std::vector<SpineKey> KeysOf(const MatchRange& r) {
   return out;
 }
 
-// Seeks `keys` (ascending) with one cursor over `range` on column
-// `column` of its spo keys, and checks every run against equal_range
-// over the flattened range; the cursor and iterating its runs search no
-// leaf. Returns the probes of all seeks.
+// Seeks `keys` with one cursor over `range` on column `column` of its
+// spo keys, rewinding it before each key below the last one sought, and
+// checks every run against equal_range over the flattened range; the
+// cursor and iterating its runs search no leaf. Returns the probes of
+// all seeks.
 size_t ExpectSeeksMatchFlattened(const MatchRange& range, int column,
                                  const std::vector<uint32_t>& keys) {
   const std::vector<SpineKey> flat = KeysOf(range);
@@ -1427,7 +1395,10 @@ size_t ExpectSeeksMatchFlattened(const MatchRange& range, int column,
   EXPECT_TRUE(std::is_sorted(flat.begin(), flat.end(), by_column));
   MatchCursor cursor(range, column);
   size_t probes = 0;
+  uint32_t last = 0;
   for (const uint32_t key : keys) {
+    if (key < last) cursor.Rewind();
+    last = key;
     SpineKey want_key{};
     want_key[column] = key;
     const auto want =
@@ -1531,6 +1502,26 @@ TEST(MatchCursorSeek, SparseSeeksGallopOverLeavesInsteadOfWalkingThem) {
   EXPECT_LE(total, keys.size() * bound);
 }
 
+TEST(MatchCursorSeek, RewindLetsKeysComeInAnyOrder) {
+  const size_t fill = Spine::kLeafMax / 2;
+  std::mt19937 rng(31);
+  for (size_t run : {size_t{1}, size_t{5}, fill, size_t{1500}}) {
+    SCOPED_TRACE(run);
+    const Spine s = RunSpine(8 * fill + 17, run, 10);
+    const size_t first = fill / 3;
+    const size_t last = s.size() - fill / 5;
+    const MatchRange inner = MatchRange::Over(
+        &s, SpineRun{first, last, s.LeafIndexOf(first)}, IndexOrder::kSpo);
+    std::vector<uint32_t> keys = DenseSeekKeys(inner, 0);
+    // Descending: a rewind before every seek but the first.
+    ExpectSeeksMatchFlattened(inner, 0,
+                              std::vector<uint32_t>(keys.rbegin(), keys.rend()));
+    // Shuffled: runs of ascending keys between rewinds.
+    std::shuffle(keys.begin(), keys.end(), rng);
+    ExpectSeeksMatchFlattened(inner, 0, keys);
+  }
+}
+
 TEST(MatchCursorSeek, UintMaxKeysRunToTheRangesEnd) {
   std::set<SpineKey> keys;
   for (uint32_t i = 0; i < 2000; ++i) keys.insert({3, 3, i});
@@ -1558,7 +1549,7 @@ TEST(MatchCursorSeek, UintMaxKeysRunToTheRangesEnd) {
 
 TEST(MatchCursorSeek, GraphSeekCountsProbesAndRunsButNoRangeResolution) {
   // Objects of one predicate, sought through the pso range's subject
-  // column as the matcher's sibling cursors do.
+  // column as the matcher's cursors do.
   std::vector<Triple> ts;
   for (uint32_t i = 0; i < 9000; ++i) {
     ts.push_back(Triple(Term::Iri(2 * (i / 3)), Term::Iri(1 + i % 2),

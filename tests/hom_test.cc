@@ -448,9 +448,8 @@ TEST_F(HomTest, RepeatedVariableAcrossPositionsOfOneTriple) {
 
 TEST_F(HomTest, RepeatedSlotFastPathFiltersResiduals) {
   // Unbound repeated slot (X, p, X): the index range is the whole p run,
-  // and the matcher's pair-equality fast path must keep exactly the
-  // diagonal rows, in range order, with the residual rejects counted as
-  // scanned but never entering TryBind.
+  // and TryBind must keep exactly the diagonal rows, in range order. Every
+  // row of the run is scanned and bound; the off-diagonal ones fail.
   Graph target;
   Term p = dict_.Iri("p");
   for (uint32_t i = 0; i < 40; ++i) {
@@ -474,7 +473,7 @@ TEST_F(HomTest, RepeatedSlotFastPathFiltersResiduals) {
   ASSERT_EQ(xs.size(), 8u);
   EXPECT_TRUE(std::is_sorted(xs.begin(), xs.end()));  // pso range order
   EXPECT_EQ(stats.candidates_scanned, target.size());
-  EXPECT_EQ(stats.binds_attempted, 8u);
+  EXPECT_EQ(stats.binds_attempted, target.size());
   EXPECT_EQ(stats.solutions_found, 8u);
 
   // Excluding one diagonal row drops exactly that solution.
@@ -489,14 +488,13 @@ TEST_F(HomTest, RepeatedSlotFastPathFiltersResiduals) {
                   })
                   .ok());
   EXPECT_EQ(count, 7u);
-  EXPECT_EQ(stats2.binds_attempted, 7u);
+  // The excluded row is skipped before its bind.
+  EXPECT_EQ(stats2.binds_attempted, target.size() - 1);
 }
 
 // ---------------------------------------------------------------------------
 // Binding rows. The row visitor and the TermMap wrapper deliver the same
-// solutions in the same order, and the search counters are the ones the
-// matcher gave when Search still resolved the picked triple's range a
-// second time instead of reusing PickNext's.
+// solutions in the same order, and the search counters are pinned.
 
 struct MatcherCase {
   Graph pattern;
@@ -563,14 +561,14 @@ std::vector<MatcherCase> MatcherCases(Dictionary* dict) {
 constexpr uint64_t kPinnedStats[][6] = {
     {231, 3, 230, 3, 230, 228},
     {0, 0, 0, 0, 0, 0},
-    {8, 3, 7, 4, 7, 5},
+    {8, 3, 7, 3, 7, 5},
     {3, 3, 6, 5, 6, 0},
     {231, 3, 230, 0, 230, 228},
     {0, 0, 0, 0, 0, 0},
     {16, 11, 15, 0, 15, 5},
     {7, 7, 6, 0, 6, 0},
-    {8, 3, 7, 4, 7, 5},
-    {2, 2, 1, 4, 1, 0},
+    {8, 3, 7, 3, 7, 5},
+    {1, 1, 1, 3, 1, 0},
     {6, 3, 6, 3, 6, 3},
     {10, 7, 18, 7, 18, 3},
     {11, 6, 10, 0, 10, 5},
@@ -588,35 +586,35 @@ constexpr uint64_t kPinnedStats[][6] = {
     {1571, 196, 1570, 201, 1570, 1375},
     {1114, 127, 1113, 130, 1113, 987},
     {8, 3, 9, 3, 9, 5},
-    {2, 2, 1, 4, 1, 0},
+    {1, 1, 1, 3, 1, 0},
     {1946, 571, 1945, 0, 1945, 1375},
     {1327, 340, 1326, 0, 1326, 987},
     {36, 31, 35, 0, 35, 5},
     {13, 13, 12, 0, 12, 0},
-    {2904, 104, 2903, 105, 2903, 2800},
-    {2803, 105, 2802, 106, 2802, 2698},
+    {2899, 99, 2903, 105, 2903, 2800},
+    {2800, 102, 2802, 106, 2802, 2698},
     {6, 3, 6, 3, 6, 3},
     {3, 3, 8, 5, 8, 0},
     {2909, 109, 2908, 0, 2908, 2800},
     {2803, 105, 2802, 0, 2802, 2698},
     {12, 9, 11, 0, 11, 3},
     {10, 10, 9, 0, 9, 0},
-    {142, 112, 149, 114, 149, 30},
-    {112, 69, 160, 38, 160, 43},
-    {5, 3, 4, 4, 4, 2},
+    {89, 59, 149, 121, 149, 30},
+    {111, 68, 160, 35, 160, 43},
+    {5, 3, 4, 3, 4, 2},
     {1, 1, 0, 1, 0, 0},
     {378, 348, 377, 0, 377, 30},
     {417, 374, 416, 0, 416, 43},
     {6, 4, 5, 0, 5, 2},
     {1, 1, 0, 0, 0, 0},
-    {15, 8, 37, 9, 14, 7},
-    {15, 8, 37, 0, 14, 7},
-    {9, 1, 60, 1, 8, 8},
-    {9, 1, 60, 0, 8, 8},
-    {45, 38, 44, 40, 44, 7},
+    {15, 8, 37, 2, 37, 7},
+    {15, 8, 37, 0, 37, 7},
+    {9, 1, 60, 1, 60, 8},
+    {9, 1, 60, 0, 60, 8},
+    {22, 15, 44, 33, 44, 7},
     {45, 38, 44, 0, 44, 7},
-    {15, 8, 37, 9, 14, 7},
-    {15, 8, 37, 0, 14, 7},
+    {15, 8, 37, 2, 37, 7},
+    {15, 8, 37, 0, 37, 7},
 };
 
 std::vector<Term> OpenTerms(const Graph& pattern) {
@@ -869,6 +867,52 @@ TEST(ExclusionProbes, MutatingTheTargetDropsTheKeptRanges) {
 }
 
 // ---------------------------------------------------------------------------
+// Cursors. A selectivity entry's cursor is judged by what the triple's
+// positions hold, not by slot versions: a node below the one that
+// anchored it may bind and unbind the triple's other slot, and the
+// cursor still serves the next candidate.
+
+TEST(MatcherCursors, OtherSlotBoundAndUnboundBelowTheAnchorKeepsTheCursor) {
+  // Five documents issued in y with three creators each, and more
+  // creator triples on documents of other years, so the root picks
+  // (?d issued y) and anchors (?d creator ?a) on ?d with ?a unbound.
+  Dictionary dict;
+  const Term issued = dict.Iri("issued");
+  const Term creator = dict.Iri("creator");
+  const Term y = dict.Iri("y");
+  Graph target;
+  for (uint32_t i = 0; i < 20; ++i) {
+    const Term d = dict.Iri("d" + std::to_string(i));
+    if (i % 4 == 1) target.Insert(d, issued, y);
+    target.Insert(d, issued, dict.Iri("year" + std::to_string(i % 3)));
+    for (uint32_t j = 0; j < 3; ++j) {
+      target.Insert(d, creator, dict.Iri("a" + std::to_string((i + j) % 7)));
+    }
+  }
+  const Term d = dict.Var("d");
+  const Term a = dict.Var("a");
+  const std::vector<Triple> pattern = {Triple(d, creator, a),
+                                       Triple(d, issued, y)};
+  MatchOptions dynamic_options;
+  PatternMatcher dynamic(pattern, &target, dynamic_options);
+  const Rows rows = EnumerateAll(&dynamic);
+  ASSERT_EQ(rows.size(), 15u);
+
+  // Each document's creator node binds ?a and unbinds it on return; the
+  // next document's creator range is still one seek, never a lookup.
+  const MatchStats& stats = dynamic.stats();
+  EXPECT_EQ(stats.cursor_seeks, 5u);
+  EXPECT_EQ(stats.selectivity_recomputes, 2u);  // the root's two lookups
+  EXPECT_EQ(stats.empty_picks, 0u);
+
+  MatchOptions static_options;
+  static_options.static_order = true;
+  PatternMatcher by_static(pattern, &target, static_options);
+  EXPECT_EQ(EnumerateAll(&by_static), rows);
+  EXPECT_EQ(by_static.stats().cursor_seeks, 0u);
+}
+
+// ---------------------------------------------------------------------------
 // An independent referee. Every assignment of the pattern's open terms
 // (at most four) over the target's universe is tried against the
 // target's triples, read by iteration: no Graph::Matches, no index
@@ -1030,10 +1074,10 @@ TEST(MatcherReferee, EveryOrderAndOptionAgreesWithExhaustiveAssignment) {
         PatternMatcher matcher(pattern, &target, options);
         EXPECT_EQ(MatcherRows(&matcher), want);
         if (!static_order) {
-          cursors.sibling_seeks += matcher.stats().sibling_seeks;
-          cursors.sibling_prunes += matcher.stats().sibling_prunes;
+          cursors.cursor_seeks += matcher.stats().cursor_seeks;
+          cursors.empty_picks += matcher.stats().empty_picks;
         } else {
-          EXPECT_EQ(matcher.stats().sibling_seeks, 0u);
+          EXPECT_EQ(matcher.stats().cursor_seeks, 0u);
         }
       };
       run(MatchOptions(), all);
@@ -1068,9 +1112,10 @@ TEST(MatcherReferee, EveryOrderAndOptionAgreesWithExhaustiveAssignment) {
   }
   EXPECT_GT(solutions, 0u);
   EXPECT_GT(exclusion_cuts, 0u);
-  // The dynamic order really opened sibling cursors and pruned on them.
-  EXPECT_GT(cursors.sibling_seeks, 0u);
-  EXPECT_GT(cursors.sibling_prunes, 0u);
+  // The dynamic order really sought cursors and ended candidates on
+  // empty picks.
+  EXPECT_GT(cursors.cursor_seeks, 0u);
+  EXPECT_GT(cursors.empty_picks, 0u);
 }
 
 }  // namespace
