@@ -202,9 +202,13 @@ void BM_PreAnswerSp2bJoin(benchmark::State& state) {
   // Matchings and answers per request, counted once outside the timing.
   double matchings = 0;
   double answers = 0;
+  MatchStats sum;
   std::vector<size_t> answers_of;
   for (const Query& q : queries) {
-    PatternMatcher matcher(q.body, &st.closure);
+    MatchStats run;
+    MatchOptions options;
+    options.stats = &run;
+    PatternMatcher matcher(q.body, &st.closure, options);
     const Status counted = matcher.Enumerate([&](const TermMap& v) {
       matchings += q.SatisfiesConstraints(v) ? 1 : 0;
       return true;
@@ -216,6 +220,9 @@ void BM_PreAnswerSp2bJoin(benchmark::State& state) {
     }
     answers += static_cast<double>(pre->size());
     answers_of.push_back(pre->size());
+    sum.nodes_expanded += run.nodes_expanded;
+    sum.selectivity_recomputes += run.selectivity_recomputes;
+    sum.cursor_seeks += run.cursor_seeks;
   }
   size_t i = 0;
   const uint64_t allocs_before = heap_allocs.load(std::memory_order_relaxed);
@@ -233,6 +240,10 @@ void BM_PreAnswerSp2bJoin(benchmark::State& state) {
   state.SetLabel(std::string(TemplateName(id)));
   state.counters["matchings"] = matchings / kRequests;
   state.counters["answers"] = answers / kRequests;
+  state.counters["nodes"] = static_cast<double>(sum.nodes_expanded) / kRequests;
+  state.counters["lookups"] =
+      static_cast<double>(sum.selectivity_recomputes) / kRequests;
+  state.counters["seeks"] = static_cast<double>(sum.cursor_seeks) / kRequests;
   state.counters["allocs_per_answer"] =
       static_cast<double>(allocs) / (answered > 0 ? answered : 1);
 }

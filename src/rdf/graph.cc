@@ -83,6 +83,11 @@ MatchCursor::MatchCursor(const MatchRange& range, int pos)
       leaf_(range.run_.leaf) {}
 
 MatchRange MatchCursor::Seek(uint32_t key, size_t* probes) {
+  if (key < last_) {
+    slot_ = range_.run_.first;
+    leaf_ = range_.run_.leaf;
+  }
+  last_ = key;
   Gallop(key, /*past_equal=*/false, &slot_, &leaf_, probes);
   size_t end = slot_;
   size_t end_leaf = leaf_;

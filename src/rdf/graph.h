@@ -222,28 +222,19 @@ class MatchRange {
 /// positions. Seek returns the sub-run of rows whose position holds a
 /// value: exactly std::equal_range over that column, in range order.
 ///
-/// Values must be sought in non-decreasing order; Rewind starts the
-/// order over. Each seek gallops forward from the previous one, first
-/// inside the current leaf, then over the spine's cached leaf first
-/// keys, so a seek that jumps many leaves reads only the leaf it lands
-/// in.
+/// Each seek gallops forward from the previous one, first inside the
+/// current leaf, then over the spine's cached leaf first keys, so a seek
+/// that jumps many leaves reads only the leaf it lands in. A key below
+/// the last one sought starts the gallop over from the range's start.
 class MatchCursor {
  public:
   MatchCursor() = default;
   /// A cursor at the start of `range`, seeking triple position `pos`.
   MatchCursor(const MatchRange& range, int pos);
 
-  /// The rows whose position holds `key` (raw term bits, >= every key
-  /// sought since construction or the last Rewind). `probes`
+  /// The rows whose position holds `key` (raw term bits). `probes`
   /// accumulates the column entries and leaf first keys read.
   MatchRange Seek(uint32_t key, size_t* probes);
-
-  /// Moves the cursor back to the start of its range, so that the next
-  /// key may be smaller than the last one sought.
-  void Rewind() {
-    slot_ = range_.run_.first;
-    leaf_ = range_.run_.leaf;
-  }
 
  private:
   // Moves (*slot, *leaf) forward to the first row of the range whose
@@ -256,6 +247,7 @@ class MatchCursor {
   int column_ = 0;
   size_t slot_ = 0;  // lower bound of the last key sought
   size_t leaf_ = 0;  // leaf holding slot_
+  uint32_t last_ = 0;  // the last key sought
 };
 
 /// An RDF graph: a finite set of RDF triples (paper Def. 2.1).

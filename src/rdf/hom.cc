@@ -153,6 +153,7 @@ bool PatternMatcher::ResetSearchState() {
     sel.anchor = -1;
   }
   if (!roots_.empty() && root_epoch_ != target_->epoch()) DropRootRanges();
+  empty_hint_ = kNoPick;
   pending_.clear();
   size_t blank_slots = 0;
   for (const SlotInfo& s : slots_) blank_slots += s.is_blank ? 1 : 0;
@@ -235,34 +236,45 @@ size_t PatternMatcher::PickNext(size_t depth) {
     StampVersions(idx);
     return root_pick_;
   }
+  // Any empty pick ends its candidate, so the triple found empty last is
+  // tried first: in a star join it is the one that refutes.
+  for (size_t i = depth; i < pending_.size() && empty_hint_ != kNoPick; ++i) {
+    if (pending_[i] != empty_hint_) continue;
+    Refresh(empty_hint_);
+    if (sel_[empty_hint_].range.empty()) return i;
+    break;
+  }
   size_t best = depth;
   size_t best_count = std::numeric_limits<size_t>::max();
   for (size_t i = depth; i < pending_.size(); ++i) {
     const size_t idx = pending_[i];
-    const CompiledTriple& ct = compiled_[idx];
-    Selectivity& sel = sel_[idx];
-    // The cached count is valid while none of the triple's slots was
-    // bound or unbound since it was computed.
-    bool valid = true;
-    for (int pos = 0; pos < 3; ++pos) {
-      int32_t slot = ct.slot[pos];
-      if (slot != kNoSlot && sel.version[pos] != slot_version_[slot]) {
-        valid = false;
+    Refresh(idx);
+    if (sel_[idx].range.size() < best_count) {
+      best_count = sel_[idx].range.size();
+      best = i;
+      if (best_count == 0) {
+        empty_hint_ = idx;
         break;
       }
-    }
-    if (!valid) {
-      sel.range = ResolveRange(idx);
-      StampVersions(idx);
-    }
-    if (sel.range.size() < best_count) {
-      best_count = sel.range.size();
-      best = i;
-      if (best_count == 0) break;
     }
   }
   if (depth == 0 && !roots_.empty()) root_pick_ = best;
   return best;
+}
+
+void PatternMatcher::Refresh(size_t idx) {
+  const CompiledTriple& ct = compiled_[idx];
+  Selectivity& sel = sel_[idx];
+  // The cached range is valid while none of the triple's slots was
+  // bound or unbound since it was resolved.
+  for (int pos = 0; pos < 3; ++pos) {
+    const int32_t slot = ct.slot[pos];
+    if (slot != kNoSlot && sel.version[pos] != slot_version_[slot]) {
+      sel.range = ResolveRange(idx);
+      StampVersions(idx);
+      return;
+    }
+  }
 }
 
 void PatternMatcher::StampVersions(size_t idx) {
@@ -276,37 +288,48 @@ void PatternMatcher::StampVersions(size_t idx) {
 MatchRange PatternMatcher::ResolveRange(size_t idx) {
   const CompiledTriple& ct = compiled_[idx];
   Selectivity& sel = sel_[idx];
+  const Term consts[3] = {ct.consts.s, ct.consts.p, ct.consts.o};
+  // What each position holds: raw term bits, or kUnbound.
   std::array<uint32_t, 3> held;
   bool any_bound = false;
   for (int pos = 0; pos < 3; ++pos) {
-    const std::optional<Term> t = Resolve(ct, pos);
-    held[pos] = t ? t->bits() : kUnbound;
-    any_bound |= ct.slot[pos] != kNoSlot && t.has_value();
+    const int32_t slot = ct.slot[pos];
+    if (slot == kNoSlot) {
+      held[pos] = consts[pos].bits();
+    } else if (bound_[slot]) {
+      held[pos] = binding_[slot].bits();
+      any_bound = true;
+    } else {
+      held[pos] = kUnbound;
+    }
   }
   RootRange* root = roots_.empty() ? nullptr : &roots_[idx];
   if (sel.anchor < 0 && root != nullptr && root->valid) {
     // The kept root range was resolved with every slot unbound.
-    std::array<uint32_t, 3> consts = held;
+    std::array<uint32_t, 3> at_root = held;
     for (int pos = 0; pos < 3; ++pos) {
-      if (ct.slot[pos] != kNoSlot) consts[pos] = kUnbound;
+      if (ct.slot[pos] != kNoSlot) at_root[pos] = kUnbound;
     }
-    Anchor(idx, root->range, consts);
+    Anchor(idx, root->range, at_root);
   }
   if (sel.anchor >= 0) {
-    std::array<uint32_t, 3> rest = held;
-    const uint32_t key = rest[sel.anchor];
-    rest[sel.anchor] = kUnbound;
-    if (key != kUnbound && rest == sel.held) {
-      if (key < sel.sought) sel.cursor.Rewind();
-      sel.sought = key;
+    const int a = sel.anchor;
+    bool same = held[a] != kUnbound;
+    for (int pos = 0; pos < 3; ++pos) {
+      same &= pos == a || held[pos] == sel.held[pos];
+    }
+    if (same) {
       ++stats_.cursor_seeks;
-      return target_->Seek(&sel.cursor, Term::FromBits(key));
+      return target_->Seek(&sel.cursor, Term::FromBits(held[a]));
     }
   }
   if (root != nullptr && !any_bound && root->valid) return root->range;
   ++stats_.selectivity_recomputes;
-  const MatchRange range =
-      target_->Matches(Resolve(ct, 0), Resolve(ct, 1), Resolve(ct, 2));
+  const auto at = [&](int pos) {
+    return held[pos] == kUnbound ? std::nullopt
+                                 : std::optional<Term>(Term::FromBits(held[pos]));
+  };
+  const MatchRange range = target_->Matches(at(0), at(1), at(2));
   if (root != nullptr && !any_bound) *root = RootRange{range, true};
   Anchor(idx, range, held);
   return range;
@@ -330,7 +353,6 @@ void PatternMatcher::Anchor(size_t idx, const MatchRange& range,
   sel.cursor = MatchCursor(range, pos);
   sel.anchor = pos;
   sel.held = held;
-  sel.sought = 0;
 }
 
 bool PatternMatcher::ExcludedPatternHit() const {

@@ -103,10 +103,10 @@ struct MatchOptions {
 /// triple holds once, the range becomes the entry's cursor, recorded with
 /// what the triple's other positions held then. Once that slot is bound
 /// and the other positions hold those values again, the triple's range
-/// is one seek of the cursor (rewound first when the value is below the
-/// last one sought), not a lookup. A pick's candidates come sorted by its
-/// leading open slot, so the pending triples that share that slot gallop
-/// forward candidate by candidate: the star joins of a query body. The
+/// is one seek of the cursor, not a lookup. A pick's candidates come
+/// sorted by its leading open slot, so the pending triples that share
+/// that slot gallop forward candidate by candidate: the star joins of a
+/// query body. The
 /// parent makes each candidate's child pick right after the bind, and an
 /// empty pick ends the candidate before its step and its node. Validity
 /// is judged by values, not version stamps, so a deeper node binding and
@@ -203,9 +203,8 @@ class PatternMatcher {
     MatchCursor cursor;
     int anchor = -1;  // the position the cursor seeks; -1: no cursor
     // What each position held when the cursor was anchored (raw bits or
-    // kUnbound; the anchor's is kUnbound), and the last key sought.
+    // kUnbound; the anchor's is kUnbound).
     std::array<uint32_t, 3> held = {};
-    uint32_t sought = 0;
   };
 
   // Open-addressing set of term bits with backward-shift deletion; holds
@@ -266,6 +265,8 @@ class PatternMatcher {
   // Returns the index (into pending_) of the cheapest pending triple,
   // re-resolving stale selectivity-cache ranges along the way.
   size_t PickNext(size_t depth);
+  // Re-resolves pattern triple `idx`'s cached range if it is stale.
+  void Refresh(size_t idx);
   // The pattern triple's position `pos` under the current bindings:
   // its constant, its slot's value, or nullopt if the slot is open.
   std::optional<Term> Resolve(const CompiledTriple& ct, int pos) const;
@@ -301,6 +302,9 @@ class PatternMatcher {
   uint64_t root_epoch_ = 0;
   // PickNext's depth-0 pick under the kept root ranges, or kNoPick.
   size_t root_pick_ = kNoPick;
+  // The pattern triple PickNext last found with an empty range, or
+  // kNoPick.
+  size_t empty_hint_ = kNoPick;
   uint64_t steps_ = 0;
   bool budget_exhausted_ = false;
   MatchStats stats_;

@@ -1381,9 +1381,8 @@ std::vector<SpineKey> KeysOf(const MatchRange& r) {
   return out;
 }
 
-// Seeks `keys` with one cursor over `range` on column `column` of its
-// spo keys, rewinding it before each key below the last one sought, and
-// checks every run against equal_range over the flattened range; the
+// Seeks `keys`, in any order, with one cursor over `range` on column
+// `column` of its spo keys, and checks every run against equal_range over the flattened range; the
 // cursor and iterating its runs search no leaf. Returns the probes of
 // all seeks.
 size_t ExpectSeeksMatchFlattened(const MatchRange& range, int column,
@@ -1395,10 +1394,7 @@ size_t ExpectSeeksMatchFlattened(const MatchRange& range, int column,
   EXPECT_TRUE(std::is_sorted(flat.begin(), flat.end(), by_column));
   MatchCursor cursor(range, column);
   size_t probes = 0;
-  uint32_t last = 0;
   for (const uint32_t key : keys) {
-    if (key < last) cursor.Rewind();
-    last = key;
     SpineKey want_key{};
     want_key[column] = key;
     const auto want =
@@ -1502,7 +1498,7 @@ TEST(MatchCursorSeek, SparseSeeksGallopOverLeavesInsteadOfWalkingThem) {
   EXPECT_LE(total, keys.size() * bound);
 }
 
-TEST(MatchCursorSeek, RewindLetsKeysComeInAnyOrder) {
+TEST(MatchCursorSeek, SmallerKeyStartsOverFromTheRangesStart) {
   const size_t fill = Spine::kLeafMax / 2;
   std::mt19937 rng(31);
   for (size_t run : {size_t{1}, size_t{5}, fill, size_t{1500}}) {
@@ -1513,10 +1509,10 @@ TEST(MatchCursorSeek, RewindLetsKeysComeInAnyOrder) {
     const MatchRange inner = MatchRange::Over(
         &s, SpineRun{first, last, s.LeafIndexOf(first)}, IndexOrder::kSpo);
     std::vector<uint32_t> keys = DenseSeekKeys(inner, 0);
-    // Descending: a rewind before every seek but the first.
+    // Descending: every seek but the first starts over.
     ExpectSeeksMatchFlattened(inner, 0,
                               std::vector<uint32_t>(keys.rbegin(), keys.rend()));
-    // Shuffled: runs of ascending keys between rewinds.
+    // Shuffled: runs of ascending keys between restarts.
     std::shuffle(keys.begin(), keys.end(), rng);
     ExpectSeeksMatchFlattened(inner, 0, keys);
   }
