@@ -721,9 +721,10 @@ bool ClosureMembership::DirectContains(const Triple& t) const {
       return true;
     });
     std::vector<Term> object_preds;
-    for (const Triple& use : *g_) {
-      if (use.o == t.s) object_preds.push_back(use.p);
-    }
+    g_->Match(std::nullopt, std::nullopt, t.s, [&](const Triple& use) {
+      object_preds.push_back(use.p);
+      return true;
+    });
     // The forward sp-closure of the predicates of triples incident to x.
     for (Term typing : {kDom, kRange}) {
       Reach(sp_fwd_, typing == kDom ? subject_preds : object_preds,

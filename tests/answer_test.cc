@@ -5,11 +5,13 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "gen/generators.h"
 #include "inference/closure.h"
+#include "query/union_query.h"
 #include "rdf/iso.h"
 #include "testutil.h"
 #include "util/rng.h"
@@ -444,6 +446,253 @@ TEST(AnswerFlat, RandomWorkloadsMatchReference) {
     if (!q.Validate().ok() || q.body.empty()) continue;
     ExpectMatchesReference(q, db, &dict);
   }
+}
+
+// ---------------------------------------------------------------------------
+// A referee that shares no code with the matcher.
+
+// (head blank, body-variable tuple) → the blank minted for it.
+using MintMap = std::map<std::pair<Term, std::vector<Term>>, Term>;
+
+// Whether pattern term x can take value y under v; binds x when it is an
+// unbound variable.
+bool Unify(Term x, Term y, TermMap* v) {
+  if (!x.IsVar()) return x == y;
+  if (v->IsBound(x)) return v->Apply(x) == y;
+  v->Bind(x, y);
+  return true;
+}
+
+// preans(q, target) by brute force, appended to `out` unsorted: the
+// body's triples joined left to right over target.triples() with TermMap
+// valuations (no PatternMatcher, no Graph::Matches), the constraints
+// applied, each head blank minted once per (head blank, body-variable
+// tuple) into `minted`, and ill-formed images dropped.
+void NaivePreAnswer(const Query& q, const Graph& target, Dictionary* dict,
+                    MintMap* minted, std::vector<Graph>* out) {
+  const std::vector<Triple> rows = target.triples();
+  std::vector<TermMap> valuations = {TermMap()};
+  for (const Triple& b : q.body.triples()) {
+    std::vector<TermMap> joined;
+    for (const TermMap& v : valuations) {
+      for (const Triple& t : rows) {
+        TermMap w = v;
+        if (Unify(b.s, t.s, &w) && Unify(b.p, t.p, &w) && Unify(b.o, t.o, &w)) {
+          joined.push_back(std::move(w));
+        }
+      }
+    }
+    valuations = std::move(joined);
+  }
+  const std::vector<Term> vars = q.body.Variables();
+  for (const TermMap& v : valuations) {
+    if (std::any_of(q.constraints.begin(), q.constraints.end(),
+                    [&](Term c) { return v.Apply(c).IsBlank(); })) {
+      continue;
+    }
+    std::vector<Term> args;
+    for (Term var : vars) args.push_back(v.Apply(var));
+    const auto value = [&](Term x) {
+      if (x.IsVar()) return v.Apply(x);
+      if (!x.IsBlank()) return x;
+      auto [it, fresh] = minted->try_emplace({x, args}, Term());
+      if (fresh) it->second = dict->FreshBlank();
+      return it->second;
+    };
+    std::vector<Triple> image;
+    bool well_formed = true;
+    for (const Triple& h : q.head) {
+      image.emplace_back(value(h.s), value(h.p), value(h.o));
+      well_formed &= image.back().IsWellFormedData();
+    }
+    if (well_formed) out->emplace_back(std::move(image));
+  }
+}
+
+std::vector<Graph> SortedDistinct(std::vector<Graph> answers) {
+  std::sort(answers.begin(), answers.end(), TriplesLess);
+  answers.erase(std::unique(answers.begin(), answers.end()), answers.end());
+  return answers;
+}
+
+// Expects two answer lists to be equal up to a renaming of the blanks
+// they minted (the blanks not in `target`): the same answers once every
+// minted blank reads as one placeholder, and isomorphic unions once the
+// target's own blanks are frozen to IRIs, so that a minted blank is
+// shared between the same answers on both sides.
+void ExpectEqualUpToMintedBlanks(const std::vector<Graph>& got,
+                                 const std::vector<Graph>& want,
+                                 const Graph& target, Dictionary* dict) {
+  ASSERT_EQ(got.size(), want.size());
+  const std::vector<Term> universe = target.Universe();
+  const std::set<Term> own(universe.begin(), universe.end());
+  const Term placeholder = dict->Iri("minted");
+  const auto freeze = [&](Term t) {
+    return t.IsBlank() && own.count(t) > 0
+               ? dict->Iri("frozen" + std::to_string(t.bits()))
+               : t;
+  };
+  const auto mask = [&](Term t) { return t.IsBlank() ? placeholder : t; };
+  const auto shapes = [&](const std::vector<Graph>& answers, Graph* all) {
+    std::vector<std::vector<Triple>> out;
+    for (const Graph& answer : answers) {
+      std::vector<Triple> shape;
+      for (const Triple& t : answer) {
+        const Triple f(freeze(t.s), freeze(t.p), freeze(t.o));
+        all->Insert(f);
+        shape.emplace_back(mask(f.s), mask(f.p), mask(f.o));
+      }
+      std::sort(shape.begin(), shape.end());
+      out.push_back(std::move(shape));
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  Graph got_all;
+  Graph want_all;
+  EXPECT_EQ(shapes(got, &got_all), shapes(want, &want_all));
+  EXPECT_TRUE(AreIsomorphic(got_all, want_all));
+}
+
+// A random query over `target`'s IRIs: 1–3 body triples over three
+// variables (so slots repeat, within a triple and across), a head of
+// 1–2 triples with body variables, constants and two head blanks (in
+// subject and object position; a variable predicate may still bind a
+// blank and drop its image), and each head variable constrained with
+// probability 0.3.
+Query RandomQuery(const Graph& target, Dictionary* dict, Rng* rng) {
+  std::set<Term> node_set;
+  std::set<Term> pred_set;
+  for (const Triple& t : target) {
+    for (Term x : {t.s, t.o}) {
+      if (x.IsIri()) node_set.insert(x);
+    }
+    pred_set.insert(t.p);
+  }
+  const std::vector<Term> nodes(node_set.begin(), node_set.end());
+  const std::vector<Term> preds(pred_set.begin(), pred_set.end());
+  const Term vars[3] = {dict->Var("X"), dict->Var("Y"), dict->Var("Z")};
+  const Term blanks[2] = {dict->Blank("A"), dict->Blank("B")};
+  const auto pick = [&](const std::vector<Term>& pool) {
+    return pool[rng->Below(pool.size())];
+  };
+  const auto var_or = [&](double p, const std::vector<Term>& pool) {
+    return rng->Chance(p) || pool.empty() ? vars[rng->Below(3)] : pick(pool);
+  };
+  Query q;
+  std::vector<Triple> body;
+  for (uint64_t i = 0, n = rng->Range(1, 3); i < n; ++i) {
+    body.emplace_back(var_or(0.8, nodes), var_or(0.3, preds),
+                      var_or(0.8, nodes));
+  }
+  q.body = Graph(std::move(body));
+  const std::vector<Term> body_vars = q.body.Variables();
+  const auto head_term = [&] {
+    if (!body_vars.empty() && rng->Chance(0.6)) {
+      return body_vars[rng->Below(body_vars.size())];
+    }
+    return rng->Chance(0.5) ? blanks[rng->Below(2)] : pick(preds);
+  };
+  std::vector<Triple> head;
+  for (uint64_t i = 0, n = rng->Range(1, 2); i < n; ++i) {
+    const Term p = !body_vars.empty() && rng->Chance(0.3)
+                       ? body_vars[rng->Below(body_vars.size())]
+                       : pick(preds);
+    head.emplace_back(head_term(), p, head_term());
+  }
+  q.head = Graph(std::move(head));
+  for (Term v : q.head.Variables()) {
+    if (rng->Chance(0.3)) q.constraints.push_back(v);
+  }
+  return q;
+}
+
+// Random small targets with blanks and self loops, so repeated
+// variables and constraints have rows to act on.
+Graph RandomTarget(Dictionary* dict, Rng* rng) {
+  RandomGraphSpec spec;
+  spec.num_nodes = 4;
+  spec.num_triples = 12;
+  spec.num_predicates = 2;
+  spec.blank_ratio = 0.3;
+  Graph g = RandomSimpleGraph(spec, dict, rng);
+  const std::vector<Triple> rows = g.triples();
+  for (size_t i = 0; i < rows.size(); i += 4) {
+    g.Insert(Triple(rows[i].s, rows[i].p, rows[i].s));
+  }
+  return g;
+}
+
+TEST(AnswerReferee, PreAnswerPrenormalizedMatchesANaiveJoin) {
+  Rng rng(31);
+  size_t checked = 0;
+  size_t minting = 0;
+  size_t answered = 0;
+  for (int round = 0; round < 400; ++round) {
+    SCOPED_TRACE(round);
+    Dictionary dict;
+    const Graph target = RandomTarget(&dict, &rng);
+    const Query q = RandomQuery(target, &dict, &rng);
+    if (!q.Validate().ok()) continue;
+    ++checked;
+    QueryEvaluator eval(&dict);
+    Result<std::vector<Graph>> got = eval.PreAnswerPrenormalized(q, target);
+    ASSERT_TRUE(got.ok());
+    MintMap minted;
+    std::vector<Graph> want;
+    NaivePreAnswer(q, target, &dict, &minted, &want);
+    ExpectEqualUpToMintedBlanks(*got, SortedDistinct(std::move(want)), target,
+                                &dict);
+    minting += got->empty() || minted.empty() ? 0 : 1;
+    answered += got->empty() ? 0 : 1;
+  }
+  // The rounds exercise answers and Skolem blanks, not just empty lists.
+  EXPECT_GT(checked, 350u);
+  EXPECT_GT(answered, 150u);
+  EXPECT_GT(minting, 60u);
+}
+
+TEST(AnswerReferee, CombineBranchesMatchesTheNaiveUnion) {
+  Rng rng(57);
+  size_t shared = 0;
+  for (int round = 0; round < 200; ++round) {
+    SCOPED_TRACE(round);
+    Dictionary dict;
+    const Graph target = RandomTarget(&dict, &rng);
+    std::vector<Query> branches;
+    for (uint64_t i = 0, n = rng.Range(2, 3); i < n; ++i) {
+      Query q = RandomQuery(target, &dict, &rng);
+      // A branch that repeats one's body repeats its Skolem arguments,
+      // and with its head too, its answers.
+      if (!branches.empty() && rng.Chance(0.4)) {
+        const Query& other = branches[rng.Below(branches.size())];
+        q.body = other.body;
+        q.constraints.clear();
+        if (rng.Chance(0.5) || !q.Validate().ok()) q.head = other.head;
+      }
+      if (q.Validate().ok()) branches.push_back(std::move(q));
+    }
+    // One evaluator and one mint map serve every branch, so a branch may
+    // repeat another's answers, Skolem blanks included.
+    QueryEvaluator eval(&dict);
+    std::vector<Result<std::vector<Graph>>> parts;
+    MintMap minted;
+    std::vector<Graph> want;
+    size_t total = 0;
+    for (const Query& q : branches) {
+      parts.push_back(eval.PreAnswerPrenormalized(q, target));
+      ASSERT_TRUE(parts.back().ok());
+      total += parts.back()->size();
+      NaivePreAnswer(q, target, &dict, &minted, &want);
+    }
+    Result<std::vector<Graph>> got = CombineBranches(std::move(parts));
+    ASSERT_TRUE(got.ok());
+    shared += got->size() < total ? 1 : 0;
+    ExpectEqualUpToMintedBlanks(*got, SortedDistinct(std::move(want)), target,
+                                &dict);
+  }
+  // Some unions deduplicate answers that two branches share.
+  EXPECT_GT(shared, 20u);
 }
 
 TEST(Answer, MatchingsExposeBindingsTable) {
