@@ -17,7 +17,10 @@
 //   * PreAnswerSp2bJoin/t — PreAnswerPrenormalized on year_articles [t=0],
 //                           venue_papers [t=1] and docs_in_year [t=2]
 //                           requests of the serving mix: matching plus
-//                           flat answer building.
+//                           flat answer building. `nodes`,
+//                           `lookups` and `seeks` are the matcher's
+//                           search nodes, Graph::Matches lookups and
+//                           cursor seeks per request (MatchStats).
 //                           `allocs_per_answer` is the heap allocations
 //                           of the timed calls over the answers they
 //                           return, counted by this binary's

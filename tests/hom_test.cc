@@ -912,6 +912,55 @@ TEST(MatcherCursors, OtherSlotBoundAndUnboundBelowTheAnchorKeepsTheCursor) {
   EXPECT_EQ(by_static.stats().cursor_seeks, 0u);
 }
 
+TEST(MatcherCursors, KeptRootRangeDoesNotReuseACursorAnchoredUnderAnotherValue) {
+  // Root pick (?x w c). Under x1, (?x v ?o) is cheapest and binds ?o = o1
+  // first, so (?s p ?o) is anchored on ?s with ?o recorded as o1. Under
+  // x2, (?s p ?o) is resolved from its kept root range (nothing bound,
+  // so no new anchor) and then (?x u ?s) binds ?s = s1 with ?o open: the
+  // held state differs from the recorded one at ?o, so (?s p ?o) must be
+  // looked up again, not sought on the o1 cursor.
+  Dictionary dict;
+  const auto iri = [&](const char* name) { return dict.Iri(name); };
+  Graph target;
+  target.Insert(iri("x1"), iri("w"), iri("c"));
+  target.Insert(iri("x2"), iri("w"), iri("c"));
+  target.Insert(iri("x1"), iri("v"), iri("o1"));
+  for (const char* s : {"s1", "s2", "s3"}) {
+    target.Insert(iri("x1"), iri("u"), iri(s));
+  }
+  target.Insert(iri("x2"), iri("u"), iri("s1"));
+  for (const char* o : {"o1", "o2", "o3"}) {
+    target.Insert(iri("x2"), iri("v"), iri(o));
+  }
+  for (const auto& [s, o] : {std::pair{"s1", "o1"}, {"s1", "o2"},
+                             {"s2", "o3"}, {"s3", "o3"}, {"s4", "o4"}}) {
+    target.Insert(iri(s), iri("p"), iri(o));
+  }
+  const Term x = dict.Var("x");
+  const Term s = dict.Var("s");
+  const Term o = dict.Var("o");
+  const std::vector<Triple> pattern = {
+      Triple(x, iri("w"), iri("c")), Triple(x, iri("v"), o),
+      Triple(x, iri("u"), s), Triple(s, iri("p"), o)};
+  MatchOptions static_options;
+  static_options.static_order = true;
+  PatternMatcher by_static(pattern, &target, static_options);
+  const std::set<std::vector<Term>> want = [&] {
+    const Rows rows = EnumerateAll(&by_static);
+    return std::set<std::vector<Term>>(rows.begin(), rows.end());
+  }();
+  ASSERT_EQ(want.size(), 3u);  // (x1, o1, s1), (x2, o1, s1), (x2, o2, s1)
+  // A probe loop keeps root ranges; excluding a triple no row uses
+  // leaves the rows as they are, in every probe.
+  PatternMatcher probes(pattern, &target);
+  for (int round = 0; round < 2; ++round) {
+    probes.set_exclude_triple(Triple(iri("s4"), iri("p"), iri("o4")));
+    const Rows rows = EnumerateAll(&probes);
+    EXPECT_EQ(std::set<std::vector<Term>>(rows.begin(), rows.end()), want) << round;
+    EXPECT_GT(probes.stats().cursor_seeks, 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // An independent referee. Every assignment of the pattern's open terms
 // (at most four) over the target's universe is tried against the
