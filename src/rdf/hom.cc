@@ -84,7 +84,7 @@ void PatternMatcher::set_exclude_triple(std::optional<Triple> t) {
   FindExcludedPattern();
   if (roots_.empty()) {
     roots_.resize(pattern_.size());
-    root_epoch_ = target_->epoch();
+    DropRootRanges();
   }
 }
 
@@ -110,6 +110,7 @@ void PatternMatcher::DropRootRanges() {
   std::fill(roots_.begin(), roots_.end(), RootRange());
   root_epoch_ = target_->epoch();
   root_pick_ = kNoPick;
+  for (Selectivity& sel : sel_) sel.anchor = -1;
 }
 
 void PatternMatcher::CompilePattern() {
@@ -147,12 +148,14 @@ bool PatternMatcher::ResetSearchState() {
   std::fill(bound_.begin(), bound_.end(), uint8_t{0});
   std::fill(slot_version_.begin(), slot_version_.end(), 1u);
   // Version 0 marks an entry never computed; its stale range is not read.
-  // Cursors hold ranges of the previous target state.
+  // Cursors, like the kept root ranges, last from one probe of a
+  // set_exclude_triple loop to the next; any other run starts without.
+  if (!roots_.empty() && root_epoch_ != target_->epoch()) DropRootRanges();
+  const bool keep_cursors = !roots_.empty();
   for (Selectivity& sel : sel_) {
     sel.version = {};
-    sel.anchor = -1;
+    if (!keep_cursors) sel.anchor = -1;
   }
-  if (!roots_.empty() && root_epoch_ != target_->epoch()) DropRootRanges();
   empty_hint_ = kNoPick;
   pending_.clear();
   size_t blank_slots = 0;

@@ -159,10 +159,11 @@ class PatternMatcher {
   /// rows are exactly those an unpruned search gives. And the ranges
   /// PickNext resolves while none of a pattern triple's slots is bound
   /// (its root ranges) depend only on the pattern and the target, so
-  /// they are kept from one probe to the next. The contract is that the
-  /// target does not change between probes: set_target drops the kept
-  /// ranges, and so does any mutation of the target (its epoch). A
-  /// matcher that never calls this keeps no root ranges.
+  /// they are kept from one probe to the next, and so are the triples'
+  /// cursors. The contract is that the target does not change between
+  /// probes: set_target drops the kept ranges and cursors, and so does
+  /// any mutation of the target (its epoch). A matcher that never calls
+  /// this keeps neither from one Enumerate call to the next.
   void set_exclude_triple(std::optional<Triple> t);
 
   /// Number of backtracking steps consumed by the last call.
@@ -231,7 +232,8 @@ class PatternMatcher {
   // Points exclude_pattern_ at a pattern triple equal to the exclusion,
   // or at none.
   void FindExcludedPattern();
-  // Invalidates every kept root range and stamps the target's epoch.
+  // Invalidates every kept root range and cursor and stamps the
+  // target's epoch.
   void DropRootRanges();
   // True when the excluded pattern triple is fully bound to the
   // excluded triple, so the current branch has no solution.

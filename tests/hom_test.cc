@@ -961,6 +961,44 @@ TEST(MatcherCursors, KeptRootRangeDoesNotReuseACursorAnchoredUnderAnotherValue) 
   }
 }
 
+TEST(MatcherCursors, MutatingTheTargetDropsTheCursorsAProbeLoopKeeps) {
+  // A probe loop keeps its cursors from one probe to the next. A write to
+  // the target drops them with the kept root ranges: their runs index
+  // the old spine. The rows after the write are a fresh matcher's.
+  Dictionary dict;
+  const Term issued = dict.Iri("issued");
+  const Term creator = dict.Iri("creator");
+  const Term y = dict.Iri("y");
+  const auto doc = [&](uint32_t i) { return dict.Iri("d" + std::to_string(i)); };
+  const auto author = [&](uint32_t i) { return dict.Iri("a" + std::to_string(i)); };
+  Graph target;
+  for (uint32_t i = 0; i < 12; ++i) {
+    if (i % 3 == 0) target.Insert(doc(i), issued, y);
+    for (uint32_t j = 0; j < 2; ++j) target.Insert(doc(i), creator, author(i + j));
+  }
+  const Term d = dict.Var("d");
+  const Term a = dict.Var("a");
+  const std::vector<Triple> pattern = {Triple(d, issued, y), Triple(d, creator, a)};
+  const Triple unused(doc(99), creator, author(99));
+  const auto fresh_rows = [&] {
+    PatternMatcher fresh(pattern, &target);
+    return EnumerateAll(&fresh);
+  };
+  PatternMatcher probes(pattern, &target);
+  probes.set_exclude_triple(unused);
+  EXPECT_EQ(EnumerateAll(&probes), fresh_rows());
+  EXPECT_GT(probes.stats().cursor_seeks, 0u);
+
+  // Creator runs ahead of every issued document grow; d3's shrinks.
+  for (uint32_t j = 0; j < 5; ++j) target.Insert(doc(1), creator, author(20 + j));
+  target.Erase(Triple(doc(3), creator, author(3)));
+  target.Insert(doc(6), creator, author(30));
+  const Rows after = fresh_rows();
+  EXPECT_EQ(EnumerateAll(&probes), after);
+  probes.set_exclude_triple(unused);
+  EXPECT_EQ(EnumerateAll(&probes), after);
+}
+
 // ---------------------------------------------------------------------------
 // An independent referee. Every assignment of the pattern's open terms
 // (at most four) over the target's universe is tried against the
