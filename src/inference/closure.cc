@@ -643,6 +643,9 @@ ClosureMembership::ClosureMembership(const Graph& g)
     }
   }
   for (Term v : vocab::kAll) props_.insert(v);  // rule (9)
+  // rdf:type questions read the object uses of a term from the osp run;
+  // built here, concurrent questions build no index.
+  g_->WarmIndexes();
 }
 
 namespace {
