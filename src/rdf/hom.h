@@ -106,12 +106,11 @@ struct MatchOptions {
 /// is one seek of the cursor, not a lookup. A pick's candidates come
 /// sorted by its leading open slot, so the pending triples that share
 /// that slot gallop forward candidate by candidate: the star joins of a
-/// query body. The
-/// parent makes each candidate's child pick right after the bind, and an
-/// empty pick ends the candidate before its step and its node. Validity
-/// is judged by values, not version stamps, so a deeper node binding and
-/// unbinding the triple's other slot keeps its cursor. Rows and their
-/// order are those of a search without cursors.
+/// query body. The parent makes each candidate's child pick right after
+/// the bind, and an empty pick ends the candidate before its step and
+/// its node. Validity is judged by values, not version stamps, so a
+/// deeper node binding and unbinding the triple's other slot keeps its
+/// cursor. Rows and their order are those of a search without cursors.
 class PatternMatcher {
  public:
   /// The target graph must outlive the matcher and contain no variables.
